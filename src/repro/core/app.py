@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.actor import Actor, ActorRegistry
 from repro.core.api import KarApi
@@ -111,9 +111,10 @@ class KarApplication:
         self._shutdown = False
         self.reminders_in_use = False
         self.external_services: list[Any] = []
-        #: Serving-edge observability plane, attached by the HTTP gateway
-        #: (``repro.net.gateway``); surfaced as ``stats()["gateway"]``.
-        self.gateway_metrics: Any = None
+        #: Serving-edge observability plane: the attached HTTP gateway's
+        #: ``stats`` method (``repro.net.gateway``), surfaced as
+        #: ``stats()["gateway"]``.
+        self.gateway_snapshot: Callable[[], dict[str, Any]] | None = None
 
     # ------------------------------------------------------------------
     # persistence lifecycle
@@ -406,13 +407,12 @@ class KarApplication:
         }
 
     def _gateway_stats(self) -> dict[str, Any]:
-        """The serving edge's per-route/per-actor-type counters and call
-        latency histograms, when an HTTP gateway is attached."""
-        if self.gateway_metrics is None:
+        """The serving edge's per-route/per-actor-type counters, call
+        latency histograms and kernel-bridge pump counters, when an HTTP
+        gateway is attached."""
+        if self.gateway_snapshot is None:
             return {"attached": False}
-        snapshot = dict(self.gateway_metrics.snapshot())
-        snapshot["attached"] = True
-        return snapshot
+        return {**self.gateway_snapshot(), "attached": True}
 
     def _workers_stats(self) -> dict[str, Any]:
         return {

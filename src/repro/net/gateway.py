@@ -7,14 +7,16 @@ only; keep-alive, ``Content-Length`` bodies, JSON in and out).
 
 Two worlds meet here. HTTP clients live on real asyncio wall-clock time;
 the KAR runtime lives entirely on the deterministic simulation kernel.
-:class:`KernelBridge` joins them without threads: a single asyncio "pump"
-task repeatedly advances the kernel by a small slice of simulated time and
-then yields to the event loop, so socket I/O and simulation interleave
-cooperatively on one thread. ``submit()`` hands a simulation coroutine to
-the kernel and returns an asyncio future that the pump resolves when the
-simulation side settles. While requests are in flight the pump spins hot
-(simulated time races ahead of wall time, which is what makes a 100k-key
-benchmark finish in seconds); when idle it naps between slices.
+:class:`KernelBridge` joins them without threads: ``submit()`` hands a
+simulation coroutine to the kernel and returns an asyncio future, and a
+single asyncio "pump" task runs the kernel whenever something is in flight.
+The pump is event-driven at both ends. ``submit()`` wakes it at once, so a
+request never waits out an idle period; and a busy slice ends the moment
+the last in-flight operation settles (the settlement itself stops the
+kernel), so replies leave immediately and the kernel simulates only the
+time the requests needed. With nothing in flight the pump parks on a
+future and lets simulated time free-run in small idle ticks, so reminders,
+leases and heartbeats keep firing between requests.
 
 Failures map to a stable JSON error envelope::
 
@@ -103,28 +105,54 @@ def map_error(
 # ----------------------------------------------------------------------
 
 
+#: Most simulated seconds one busy slice runs before the pump yields to the
+#: event loop whether or not anything settled: a request parked on a long
+#: simulated sleep must not starve the sockets.
+_SLICE_BOUND = 0.25
+#: One idle tick: with nothing in flight the pump parks this many wall-clock
+#: seconds (a ``submit`` cuts it short), then advances the simulation by
+#: ``_IDLE_ADVANCE`` simulated seconds, so simulated time free-runs ~25x
+#: ahead of wall time between requests.
+_IDLE_TICK = 0.002
+_IDLE_ADVANCE = 0.05
+
+
 class KernelBridge:
     """Drives a simulation kernel from inside a real asyncio event loop.
 
-    Single-threaded by construction: the pump task calls
-    ``kernel.run(until=now + slice)`` -- which executes simulation callbacks
-    inline -- then yields to asyncio so sockets make progress. Completion
-    callbacks registered by :meth:`submit` therefore always fire on the
-    event-loop thread, and may resolve asyncio futures directly.
+    Single-threaded by construction: the pump task enters the kernel through
+    ``kernel.run`` -- which executes simulation callbacks inline -- and then
+    yields to asyncio so sockets make progress. Completion callbacks
+    registered by :meth:`submit` therefore always fire on the event-loop
+    thread, and may resolve asyncio futures directly.
+
+    While operations are in flight the pump runs busy slices back to back.
+    A slice ends when nothing is in flight any more (the last settlement
+    calls ``kernel.stop()``) or after ``_SLICE_BOUND`` simulated seconds,
+    whichever comes first. Waiting for the whole in-flight set, not the
+    first settlement, keeps concurrent requests in step, so the runtime
+    batches their queue and store traffic (measured: ending at each
+    settlement served 28 % fewer requests a second at 64 connections and
+    was no faster at 2); the wait costs only the wall time of simulating
+    at most ``_SLICE_BOUND`` seconds. With nothing in flight the pump parks
+    on a future that :meth:`submit` resolves, waking every ``_IDLE_TICK``
+    wall seconds only to let simulated time advance.
+
+    The public integer/float attributes are lifetime counters, read as one
+    dict by :meth:`stats`.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        busy_slice: float = 0.25,
-        idle_slice: float = 0.05,
-        idle_sleep: float = 0.002,
-    ):
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.busy_slice = busy_slice
-        self.idle_slice = idle_slice
-        self.idle_sleep = idle_sleep
+        #: Busy slices run / idle ticks taken / times ``submit`` woke a
+        #: parked pump / operations settled / simulated seconds advanced.
+        self.slices = 0
+        self.idle_ticks = 0
+        self.wakeups = 0
+        self.settled = 0
+        self.sim_seconds = 0.0
         self._pending = 0
+        self._parked: asyncio.Future[None] | None = None
         self._pump_task: asyncio.Task[None] | None = None
         self._running = False
 
@@ -132,6 +160,18 @@ class KernelBridge:
     def pending(self) -> int:
         """Submitted simulation coroutines that have not settled yet."""
         return self._pending
+
+    def stats(self) -> dict[str, float]:
+        """The counters: idle share and simulated seconds per request of a
+        running gateway can be read from two snapshots of this."""
+        return {
+            "pending": self._pending,
+            "slices": self.slices,
+            "idle_ticks": self.idle_ticks,
+            "wakeups": self.wakeups,
+            "settled": self.settled,
+            "sim_seconds": self.sim_seconds,
+        }
 
     def start(self) -> None:
         if self._running:
@@ -169,6 +209,10 @@ class KernelBridge:
 
         def settle(result: Any, error: BaseException | None) -> None:
             self._pending -= 1
+            self.settled += 1
+            if not self._pending:
+                # Nothing left to wait for: end the pump's slice now.
+                self.kernel.stop()
             if future.done():
                 return
             if error is not None:
@@ -196,16 +240,42 @@ class KernelBridge:
             settle(None, error if error is not None else None)
 
         task.completion.add_done_callback(on_completion)
+        if self._rouse():
+            self.wakeups += 1
         return future
 
+    def _rouse(self) -> bool:
+        """Resume a parked pump; false when it was not parked."""
+        parked = self._parked
+        if parked is None or parked.done():
+            return False
+        parked.set_result(None)
+        return True
+
+    def _advance(self, sim_seconds: float) -> None:
+        kernel = self.kernel
+        before = kernel.now
+        kernel.run(until=before + sim_seconds)
+        self.sim_seconds += kernel.now - before
+
     async def _pump(self) -> None:
+        loop = asyncio.get_running_loop()
         while self._running:
             if self._pending:
-                self.kernel.run(until=self.kernel.now + self.busy_slice)
+                self._advance(_SLICE_BOUND)
+                self.slices += 1
                 await asyncio.sleep(0)
-            else:
-                self.kernel.run(until=self.kernel.now + self.idle_slice)
-                await asyncio.sleep(self.idle_sleep)
+                continue
+            self._parked = loop.create_future()
+            timer = loop.call_later(_IDLE_TICK, self._rouse)
+            try:
+                await self._parked
+            finally:
+                timer.cancel()
+                self._parked = None
+            if not self._pending:  # the tick ran out; nothing was submitted
+                self._advance(_IDLE_ADVANCE)
+                self.idle_ticks += 1
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +406,11 @@ class KarGateway:
         self.max_body = max_body
         self.sync_timeout = sync_timeout
         self.metrics = GatewayMetrics()
-        app.gateway_metrics = self.metrics
         self.bridge = KernelBridge(app.kernel)
+        app.gateway_snapshot = self.stats
         self._server: asyncio.Server | None = None
+        #: Live connection handlers and their writers, for :meth:`stop`.
+        self._connections: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -351,6 +423,10 @@ class KarGateway:
         sockname = self._server.sockets[0].getsockname()
         return str(sockname[0]), int(sockname[1])
 
+    def stats(self) -> dict[str, Any]:
+        """The ``gateway`` stats family: route metrics plus pump counters."""
+        return {**self.metrics.snapshot(), "bridge": self.bridge.stats()}
+
     async def start(self) -> tuple[str, int]:
         self.bridge.start()
         self._server = await asyncio.start_server(
@@ -359,8 +435,19 @@ class KarGateway:
         return self.address
 
     async def stop(self) -> None:
+        """Stop listening, close every connection, wait for the handlers.
+
+        A handler parked on a keep-alive read sees EOF and returns; one with
+        a request in flight finishes it first (bounded by ``sync_timeout``
+        for calls). Handlers are closed, never cancelled: a cancelled
+        handler task makes asyncio's stream protocol log a ``CancelledError``.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
         await self.bridge.stop()
@@ -382,6 +469,9 @@ class KarGateway:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -401,6 +491,7 @@ class KarGateway:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -181,6 +181,7 @@ class Kernel:
         self._now = 0.0
         self._sequence = 0
         self._heap: list[tuple[float, int, Timer, Callable[..., None], tuple]] = []
+        self._stop_requested = False
         self.rng = Random(seed)
         self.crashes: list[tuple[SimTask, BaseException]] = []
 
@@ -223,6 +224,9 @@ class Kernel:
         if process is not None:
             if not process.alive:
                 task.kill()
+                # Never started, so closing runs no ``finally`` (fail-stop
+                # holds); it only silences "coroutine was never awaited".
+                coro.close()
                 return task
             process.adopt(task)
         self.call_soon(task._step)
@@ -234,9 +238,11 @@ class Kernel:
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
         """Process events in timestamp order.
 
-        Stops when the heap drains, simulated time passes ``until``, or
-        ``max_events`` events have run (a runaway guard for tests).
+        Stops when the heap drains, simulated time passes ``until``, a
+        callback calls :meth:`stop`, or ``max_events`` events have run (a
+        runaway guard for tests).
         """
+        self._stop_requested = False
         events = 0
         while self._heap:
             when, _seq, timer, callback, args = self._heap[0]
@@ -248,11 +254,22 @@ class Kernel:
                 continue
             self._now = when
             callback(*args)
+            if self._stop_requested:
+                return
             events += 1
             if events >= max_events:
                 raise RuntimeError(f"kernel exceeded {max_events} events")
         if until is not None:
             self._now = max(self._now, until)
+
+    def stop(self) -> None:
+        """Make the :meth:`run` in progress return after the current callback.
+
+        ``now`` stays at that callback's event time and later events stay
+        queued for the next ``run``. Outside a ``run`` this is a no-op: every
+        ``run`` starts with the request cleared.
+        """
+        self._stop_requested = True
 
     def run_until_complete(
         self, awaitable: SimTask | SimFuture, timeout: float | None = None

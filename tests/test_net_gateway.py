@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import time
 
 import pytest
 
@@ -32,7 +34,7 @@ from repro.core import (
 from repro.core.overload import BackoffPolicy
 from repro.kvstore.errors import FencedClientError
 from repro.mq.errors import StaleLeaseError, StaleRouteError
-from repro.net import ERROR_STATUS, KarGateway, map_error
+from repro.net import ERROR_STATUS, KarGateway, KernelBridge, gateway, map_error
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 from repro.sim.kernel import TaskKilled
@@ -351,9 +353,156 @@ def test_exactly_once_settlement_across_mid_request_kill_sqlite(tmp_path):
         finally:
             await gateway.stop()
 
+    try:
+        asyncio.run(scenario())
+        kernel.check_no_crashes()
+        assert app.stats("calls")["unsettled"] == []
+    finally:
+        app.shutdown()  # releases the journal's lock file
+
+
+# ----------------------------------------------------------------------
+# the event-driven pump (asserted on the bridge's counters, not wall time)
+# ----------------------------------------------------------------------
+
+
+def test_submit_wakes_an_idle_pump_at_once(monkeypatch):
+    # With a 5 s idle tick, a pump that napped between requests would hold
+    # the first call for seconds; ``submit`` must cut the park short.
+    monkeypatch.setattr(gateway, "_IDLE_TICK", 5.0)
+    kernel, app = build_app()
+
+    async def scenario():
+        gw, host, port = await serve(app)
+        try:
+            await asyncio.sleep(0.05)  # let the pump park
+            started = time.monotonic()
+            status, body, _ = await request(
+                host, port, "POST", "/actor/Echo/e/call/echo", {"args": ["hi"]}
+            )
+            assert (status, body) == (200, {"value": "hi"})
+            assert time.monotonic() - started < 1.0
+            assert gw.bridge.wakeups >= 1
+        finally:
+            await gw.stop()
+
     asyncio.run(scenario())
     kernel.check_no_crashes()
-    assert app.stats("calls")["unsettled"] == []
+
+
+def test_sequential_calls_simulate_only_the_time_they_need():
+    kernel, app = build_app()
+    calls = 100
+
+    async def scenario():
+        gw, host, port = await serve(app)
+        try:
+            async with KeepAliveClient(host, port) as client:
+                await client.request(
+                    "POST", "/actor/Echo/e/call/echo", {"args": [0]}
+                )
+                before = gw.bridge.stats()
+                now_before = kernel.now
+                for n in range(calls):
+                    status, body, _ = await client.request(
+                        "POST", "/actor/Echo/e/call/echo", {"args": [n]}
+                    )
+                    assert (status, body) == (200, {"value": n})
+                after = gw.bridge.stats()
+                # A fixed 0.25 s busy slice per request is what this replaces.
+                assert (kernel.now - now_before) / calls < 0.125
+                assert after["sim_seconds"] - before["sim_seconds"] == (
+                    pytest.approx(kernel.now - now_before)
+                )
+                assert after["settled"] - before["settled"] == calls
+
+                # The same counters over HTTP and in the stats tree.
+                status, body, _ = await client.request(
+                    "GET", "/system/stats/gateway"
+                )
+                assert status == 200
+                assert body["stats"]["bridge"].keys() == after.keys()
+                assert body["stats"]["bridge"]["settled"] >= after["settled"]
+                assert app.stats("gateway")["bridge"] == gw.bridge.stats()
+        finally:
+            await gw.stop()
+
+    asyncio.run(scenario())
+    kernel.check_no_crashes()
+
+
+def test_concurrent_submissions_share_busy_slices():
+    kernel, app = build_app()
+    api = app.api("gateway")
+
+    async def scenario():
+        bridge = KernelBridge(kernel)
+        bridge.start()
+        try:
+            process = api.endpoint().process
+            futures = [
+                bridge.submit(api.call("Echo", f"e{n}", "echo", (n,)), process)
+                for n in range(32)
+            ]
+            assert await asyncio.gather(*futures) == list(range(32))
+            assert bridge.settled == 32 and bridge.pending == 0
+            # One loop turn per settlement is the cost the slice rule avoids.
+            assert 1 <= bridge.slices < bridge.settled
+        finally:
+            await bridge.stop()
+
+    asyncio.run(scenario())
+    kernel.check_no_crashes()
+
+
+def test_long_simulated_wait_still_yields_to_the_loop_every_slice():
+    kernel = Kernel(seed=1)
+    nap = 300.0
+
+    async def scenario():
+        bridge = KernelBridge(kernel)
+        bridge.start()
+        try:
+            future = bridge.submit(kernel.sleep(nap))
+            turns = 0
+            while not future.done():
+                await asyncio.sleep(0)
+                turns += 1
+            # Nothing settles for 300 simulated seconds, so every slice runs
+            # to the bound -- and the loop gets a turn after each one.
+            assert bridge.slices >= nap / gateway._SLICE_BOUND
+            assert turns >= bridge.slices - 1
+            assert bridge.sim_seconds == pytest.approx(kernel.now)
+        finally:
+            await bridge.stop()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# teardown
+# ----------------------------------------------------------------------
+
+
+def test_stop_closes_idle_keep_alive_connections(caplog):
+    kernel, app = build_app()
+
+    async def scenario():
+        gw, host, port = await serve(app)
+        async with KeepAliveClient(host, port) as client:
+            status, _, _ = await client.request("GET", "/system/health")
+            assert status == 200
+            # The handler is now parked reading the next request.
+            started = time.monotonic()
+            await asyncio.wait_for(gw.stop(), timeout=5.0)
+            assert time.monotonic() - started < 1.0
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert await client.reader.read() == b""  # server closed it
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        asyncio.run(scenario())
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    kernel.check_no_crashes()
 
 
 # ----------------------------------------------------------------------

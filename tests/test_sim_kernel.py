@@ -42,6 +42,38 @@ def test_run_until_stops_at_bound():
     assert seen == ["early", "late"]
 
 
+def test_stop_ends_run_after_the_current_callback():
+    kernel = Kernel()
+    order = []
+
+    def first():
+        order.append("first")
+        kernel.stop()
+
+    kernel.schedule(1.0, first)
+    kernel.schedule(1.0, order.append, "same-time")
+    kernel.schedule(2.0, order.append, "later")
+    kernel.run(until=10.0)
+    # The run ended at the stopping event's time, not at ``until``, with
+    # everything after that callback still queued...
+    assert order == ["first"]
+    assert kernel.now == 1.0
+    # ...and the next run picks up exactly where this one left off.
+    kernel.run(until=10.0)
+    assert order == ["first", "same-time", "later"]
+    assert kernel.now == 10.0
+
+
+def test_stop_outside_a_run_does_not_cut_the_next_run_short():
+    kernel = Kernel()
+    order = []
+    kernel.schedule(1.0, order.append, "a")
+    kernel.schedule(2.0, order.append, "b")
+    kernel.stop()
+    kernel.run()
+    assert order == ["a", "b"]
+
+
 def test_timer_cancel():
     kernel = Kernel()
     seen = []
