@@ -1,35 +1,34 @@
-"""Codec microbenchmark: binary framing vs the legacy tagged-JSON codec.
+"""Framing microbenchmark: encode + decode of journal-shaped traffic.
 
 The workload is what a journal actually holds under load: ``Request``
 envelopes (distinct calls plus recovery copies sharing an immutable core),
-their ``Response`` records, and a sprinkle of state dictionaries. Each
-codec encodes and decodes the same corpus; the binary framing must clear a
-3x throughput floor (it measures ~3.5-4x here) while producing smaller
-durable bytes and allocating less per round trip.
+their ``Response`` records, and a sprinkle of state dictionaries.
 
-Wall-clock throughput is asserted in-bench against the absolute floor; the
-regression gate tracks the deterministic metrics (encoded bytes, live
-allocation blocks) where runner noise cannot reach.
+The regression gate tracks the deterministic metrics (encoded bytes, live
+allocation blocks) where runner noise cannot reach; the wall-clock
+per-value time is printed for the eye only.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import tracemalloc
 
 from repro.bench import render_table
 from repro.core.envelope import Request, Response
 from repro.core.refs import ActorRef
-from repro.persist import codec
 from repro.persist.framing import FrameCache, dumps_frame, loads_frame
 
 from _shared import FULL, emit, maybe_profile
 
 REQUESTS = 400 if FULL else 120
 REPEATS = 7  # best-of timing to shed scheduler noise
-CODEC_RATIO_FLOOR = 3.0
+#: Ceilings per corpus value: half the bytes and all of the allocation
+#: blocks that tagged JSON text needed for the same corpus (471 B and 14.2
+#: blocks per value), which is what the frames were introduced to beat.
+BYTES_PER_VALUE_CEILING = 235
+ALLOC_BLOCKS_PER_VALUE_CEILING = 14
 
 
 def build_corpus() -> list:
@@ -74,22 +73,22 @@ def build_corpus() -> list:
     return corpus
 
 
-def _encode_all(corpus, which: str, cache) -> list:
-    return [dumps_frame(value, codec=which, cache=cache) for value in corpus]
+def _encode_all(corpus, cache) -> list:
+    return [dumps_frame(value, cache=cache) for value in corpus]
 
 
 def _decode_all(frames) -> list:
     return [loads_frame(frame) for frame in frames]
 
 
-def measure_codec(which: str) -> dict:
+def measure_codec() -> dict:
     corpus = build_corpus()
     best = float("inf")
     frames: list = []
     for _ in range(REPEATS):
         cache = FrameCache()  # fresh per repeat: no warm-start advantage
         start = time.perf_counter()
-        frames = _encode_all(corpus, which, cache)
+        frames = _encode_all(corpus, cache)
         decoded = _decode_all(frames)
         best = min(best, time.perf_counter() - start)
         assert decoded == corpus
@@ -97,7 +96,7 @@ def measure_codec(which: str) -> dict:
     tracemalloc.start()
     cache = FrameCache()
     before = tracemalloc.take_snapshot()
-    kept = _decode_all(_encode_all(corpus, which, cache))
+    kept = _decode_all(_encode_all(corpus, cache))
     after = tracemalloc.take_snapshot()
     tracemalloc.stop()
     blocks = sum(
@@ -108,52 +107,32 @@ def measure_codec(which: str) -> dict:
     del kept
 
     return {
-        "label": which,
         "values": len(corpus),
         "best_seconds": best,
         "per_value_us": best / len(corpus) * 1e6,
-        "bytes": sum(len(f) if isinstance(f, bytes) else len(f.encode()) for f in frames),
+        "bytes": sum(len(frame) for frame in frames),
         "alloc_blocks": blocks,
     }
 
 
-def measure_all() -> dict:
-    return {
-        "json": maybe_profile("codec_json", measure_codec, "json"),
-        "binary": maybe_profile("codec_binary", measure_codec, "binary"),
-    }
-
-
-def test_binary_codec_beats_tagged_json(benchmark):
-    rows = benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    json_row, binary_row = rows["json"], rows["binary"]
-    ratio = json_row["best_seconds"] / binary_row["best_seconds"]
-
+def test_framing_bytes_and_allocations(benchmark):
+    row = benchmark.pedantic(
+        lambda: maybe_profile("codec_binary", measure_codec),
+        rounds=1,
+        iterations=1,
+    )
     emit(
         "codec_microbench.txt",
         render_table(
-            ["Codec", "Values", "us/value", "Bytes", "Alloc blocks"],
-            [
-                (r["label"], r["values"], round(r["per_value_us"], 2),
-                 r["bytes"], r["alloc_blocks"])
-                for r in (json_row, binary_row)
-            ],
-            title=(
-                f"Encode+decode of {json_row['values']} journal values "
-                f"(binary is {ratio:.1f}x faster)"
-            ),
+            ["Values", "us/value", "Bytes", "Alloc blocks"],
+            [(row["values"], round(row["per_value_us"], 2), row["bytes"],
+              row["alloc_blocks"])],
+            title=f"Encode+decode of {row['values']} journal values",
             digits=2,
         ),
     )
-    benchmark.extra_info["codec_speedup"] = round(ratio, 2)
-    benchmark.extra_info["binary_bytes"] = binary_row["bytes"]
+    benchmark.extra_info["binary_bytes"] = row["bytes"]
+    benchmark.extra_info["alloc_blocks"] = row["alloc_blocks"]
 
-    # The acceptance floor: binary framing must be >= 3x the tagged-JSON
-    # encode+decode throughput on Request-heavy traffic. Not meaningful
-    # under REPRO_PROFILE: cProfile taxes the pure-Python binary path per
-    # call while the C json module runs untraced.
-    if os.environ.get("REPRO_PROFILE") != "1":
-        assert ratio >= CODEC_RATIO_FLOOR, f"binary only {ratio:.2f}x faster"
-    # Deterministic wins: smaller durable bytes, fewer allocations.
-    assert binary_row["bytes"] < json_row["bytes"] * 0.5
-    assert binary_row["alloc_blocks"] < json_row["alloc_blocks"]
+    assert row["bytes"] < BYTES_PER_VALUE_CEILING * row["values"]
+    assert row["alloc_blocks"] < ALLOC_BLOCKS_PER_VALUE_CEILING * row["values"]

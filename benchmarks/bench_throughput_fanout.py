@@ -98,13 +98,12 @@ def measure_all():
     ]
 
 
-def run_stateful(label: str, codec: str, **overrides) -> dict:
+def run_stateful() -> dict:
     """The stateful fan-in: every call pays store reads and writes, over
     real sqlite persistence, so store round trips and durable bytes move.
 
-    Runs under tracemalloc so each row reports its allocation count; the
-    tracer's slowdown hits every row identically and simulated time cannot
-    see it.
+    Runs under tracemalloc to report the allocation count; simulated time
+    cannot see the tracer's slowdown.
     """
     import os
     import time
@@ -112,8 +111,7 @@ def run_stateful(label: str, codec: str, **overrides) -> dict:
     with tempfile.TemporaryDirectory() as root:
         kernel = Kernel(seed=12)
         config = KarConfig.fast_test().with_overrides(
-            persistence=PersistenceConfig.sqlite(root, codec=codec),
-            **overrides,
+            persistence=PersistenceConfig.sqlite(root)
         )
         app = KarApplication.fresh(kernel, config, name="fanout")
         app.register_actor(LedgerActor, name="Ledger")
@@ -125,6 +123,7 @@ def run_stateful(label: str, codec: str, **overrides) -> dict:
         samples: list[float] = []
         expected = sum(range(STATE_CALLS))
         rts_before = app.store.round_trips
+        ops_before = app.store.operation_count
 
         async def driver(ref):
             total = 0
@@ -159,24 +158,14 @@ def run_stateful(label: str, codec: str, **overrides) -> dict:
         stats = app.stats("store")
         app.shutdown()
         return {
-            "label": label,
             "store_round_trips": app.store.round_trips - rts_before,
+            "store_operations": app.store.operation_count - ops_before,
             "largest_pipeline_batch": stats["largest_pipeline_batch"],
             "median_ms": samples[calls // 2] * 1000.0,
             "alloc_blocks_per_call": alloc_blocks / calls,
             "journal_bytes": journal_bytes,
             "wall_seconds": wall_seconds,
         }
-
-
-def measure_stateful():
-    return [
-        run_stateful(
-            "legacy (json, unpipelined)", codec="json", store_pipeline=False
-        ),
-        run_stateful("pipelined (json)", codec="json"),
-        run_stateful("pipelined (binary)", codec="binary"),
-    ]
 
 
 def test_fanout_batching_amortizes_produce_round_trips(benchmark):
@@ -219,27 +208,21 @@ def test_fanout_batching_amortizes_produce_round_trips(benchmark):
     assert coalesce["round_trips"] <= unbatched["round_trips"]
 
 
-def test_stateful_pipeline_and_binary_codec_cut_store_costs(benchmark):
-    rows = benchmark.pedantic(
-        lambda: maybe_profile("fanout_stateful", measure_stateful),
+def test_stateful_pipeline_coalesces_store_round_trips(benchmark):
+    row = benchmark.pedantic(
+        lambda: maybe_profile("fanout_stateful", run_stateful),
         rounds=1,
         iterations=1,
     )
-    by_label = {row["label"]: row for row in rows}
-    legacy = by_label["legacy (json, unpipelined)"]
-    piped = by_label["pipelined (json)"]
-    binary = by_label["pipelined (binary)"]
-
     emit(
         "throughput_fanout_stateful.txt",
         render_table(
-            ["Configuration", "Store RTs", "Largest batch",
-             "Median call (ms)", "Allocs/call", "Journal bytes"],
+            ["Store ops", "Store RTs", "Largest batch", "Median call (ms)",
+             "Allocs/call", "Journal bytes"],
             [
-                (r["label"], r["store_round_trips"],
-                 r["largest_pipeline_batch"], round(r["median_ms"], 3),
-                 round(r["alloc_blocks_per_call"], 1), r["journal_bytes"])
-                for r in rows
+                (row["store_operations"], row["store_round_trips"],
+                 row["largest_pipeline_batch"], round(row["median_ms"], 3),
+                 round(row["alloc_blocks_per_call"], 1), row["journal_bytes"])
             ],
             title=(
                 f"Stateful fan-in {FAN_IN} x {STATE_CALLS} calls over sqlite "
@@ -248,22 +231,10 @@ def test_stateful_pipeline_and_binary_codec_cut_store_costs(benchmark):
             digits=3,
         ),
     )
-    benchmark.extra_info["legacy_store_round_trips"] = (
-        legacy["store_round_trips"]
-    )
-    benchmark.extra_info["pipelined_store_round_trips"] = (
-        piped["store_round_trips"]
-    )
-    benchmark.extra_info["binary_journal_bytes"] = binary["journal_bytes"]
+    benchmark.extra_info["store_round_trips"] = row["store_round_trips"]
+    benchmark.extra_info["journal_bytes"] = row["journal_bytes"]
 
     # Headline: same-turn coalescing needs >= 3x fewer store round trips
-    # (in practice it is close to the fan-in factor itself).
-    assert legacy["store_round_trips"] >= 3 * piped["store_round_trips"]
-    assert piped["largest_pipeline_batch"] > 1
-    # Store connections are serial per client, so fewer round trips is
-    # fewer queueing turns: median call latency must improve.
-    assert piped["median_ms"] < legacy["median_ms"]
-    # The codec changes bytes, not round trips.
-    assert binary["store_round_trips"] == piped["store_round_trips"]
-    # Binary framing at least halves the durable journal.
-    assert binary["journal_bytes"] < piped["journal_bytes"] * 0.5
+    # than one per operation (in practice it is close to the fan-in factor).
+    assert row["store_operations"] >= 3 * row["store_round_trips"]
+    assert row["largest_pipeline_batch"] > 1

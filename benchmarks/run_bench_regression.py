@@ -75,9 +75,8 @@ ZIPF_RATIO_FLOOR = 1.5
 #: must be served through the live HTTP gateway with zero lost calls.
 GATEWAY_KEYS_TARGET = 100_000
 #: Conservative absolute wall-clock floor for the gateway (requests/s).
-#: Real sockets vary with runner hardware, so like codec_speedup_ratio the
-#: measured rate is informational vs the baseline; the floor only catches
-#: collapses.
+#: Real sockets vary with runner hardware, so the measured rate is
+#: informational vs the baseline; the floor only catches collapses.
 GATEWAY_THROUGHPUT_FLOOR = 300.0
 
 
@@ -103,39 +102,20 @@ def collect_metrics() -> dict[str, float]:
     metrics["fanout_coalesce_median_call_ms"] = round(coalesce["median_ms"], 4)
 
     print("running stateful fan-in workload ...", flush=True)
-    stateful_rows = {
-        row["label"]: row for row in bench_throughput_fanout.measure_stateful()
-    }
-    legacy = stateful_rows["legacy (json, unpipelined)"]
-    binary = stateful_rows["pipelined (binary)"]
-    metrics["fanout_stateful_store_round_trips"] = binary["store_round_trips"]
-    metrics["fanout_stateful_legacy_store_round_trips"] = (
-        legacy["store_round_trips"]
-    )
-    metrics["fanout_stateful_median_call_ms"] = round(binary["median_ms"], 4)
-    metrics["fanout_stateful_legacy_median_call_ms"] = round(
-        legacy["median_ms"], 4
-    )
+    stateful = bench_throughput_fanout.run_stateful()
+    metrics["fanout_stateful_store_round_trips"] = stateful["store_round_trips"]
+    metrics["fanout_stateful_median_call_ms"] = round(stateful["median_ms"], 4)
     metrics["fanout_stateful_alloc_blocks_per_call"] = round(
-        binary["alloc_blocks_per_call"], 4
+        stateful["alloc_blocks_per_call"], 4
     )
-    metrics["fanout_stateful_journal_bytes"] = binary["journal_bytes"]
-    metrics["fanout_stateful_json_journal_bytes"] = legacy["journal_bytes"]
+    metrics["fanout_stateful_journal_bytes"] = stateful["journal_bytes"]
 
     print("running codec microbenchmark ...", flush=True)
     import bench_codec
 
-    codec_rows = bench_codec.measure_all()
-    json_codec, binary_codec = codec_rows["json"], codec_rows["binary"]
-    metrics["codec_binary_bytes"] = binary_codec["bytes"]
-    metrics["codec_json_bytes"] = json_codec["bytes"]
-    metrics["codec_binary_alloc_blocks"] = binary_codec["alloc_blocks"]
-    metrics["codec_json_alloc_blocks"] = json_codec["alloc_blocks"]
-    # Wall-clock ratio: informational here (runner noise); the absolute
-    # 3x floor is asserted by the bench_codec pytest layer.
-    metrics["codec_speedup_ratio"] = round(
-        json_codec["best_seconds"] / binary_codec["best_seconds"], 4
-    )
+    codec = bench_codec.measure_codec()
+    metrics["codec_binary_bytes"] = codec["bytes"]
+    metrics["codec_binary_alloc_blocks"] = codec["alloc_blocks"]
 
     print("running lifecycle churn workload ...", flush=True)
     _app, worker, _client, samples = bench_lifecycle_churn.run_churn()

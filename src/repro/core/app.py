@@ -18,7 +18,6 @@ drives every unsettled call to completion (Section 4.3 run from bytes).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Any, Callable
 
@@ -370,15 +369,10 @@ class KarApplication:
         return {
             "store_round_trips": self.store.round_trips,
             "store_operations": self.store.operation_count,
-            "pipeline_batches": sum(
-                getattr(client, "batches_flushed", 0) for client in clients
-            ),
-            "pipeline_ops": sum(
-                getattr(client, "ops_pipelined", 0) for client in clients
-            ),
+            "pipeline_batches": sum(c.batches_flushed for c in clients),
+            "pipeline_ops": sum(c.ops_pipelined for c in clients),
             "largest_pipeline_batch": max(
-                (getattr(client, "largest_batch", 0) for client in clients),
-                default=0,
+                (c.largest_batch for c in clients), default=0
             ),
         }
 
@@ -419,47 +413,6 @@ class KarApplication:
             worker_id: worker.stats()
             for worker_id, worker in self.workers.items()
         }
-
-    # ------------------------------------------------------------------
-    # deprecated per-family accessors (use ``stats(family)`` instead)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"KarApplication.{old}() is deprecated; use {new} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def transport_stats(self) -> dict[str, int]:
-        """Deprecated alias for ``stats("transport")``."""
-        self._deprecated("transport_stats", 'stats("transport")')
-        return self._transport_stats()
-
-    def store_stats(self) -> dict[str, int]:
-        """Deprecated alias for ``stats("store")``."""
-        self._deprecated("store_stats", 'stats("store")')
-        return self._store_stats()
-
-    def overload_stats(self) -> dict[str, Any]:
-        """Deprecated alias for ``stats("overload")``."""
-        self._deprecated("overload_stats", 'stats("overload")')
-        return self._overload_stats()
-
-    def persistence_stats(self) -> dict[str, int]:
-        """Deprecated alias for ``stats("persistence")``."""
-        self._deprecated("persistence_stats", 'stats("persistence")')
-        return self._persistence_stats()
-
-    def placement_stats(self) -> dict[str, Any]:
-        """Deprecated alias for ``stats("placement")``."""
-        self._deprecated("placement_stats", 'stats("placement")')
-        return self._placement_stats()
-
-    def unsettled_call_ids(self) -> list[str]:
-        """Deprecated alias for ``stats("calls")["unsettled"]``."""
-        self._deprecated("unsettled_call_ids", 'stats("calls")["unsettled"]')
-        return self._unsettled_call_ids()
 
     # ------------------------------------------------------------------
     # overload control: the dead-letter parking lot

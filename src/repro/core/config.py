@@ -28,7 +28,7 @@ class KarConfig:
     # --- persistence (simulated Redis) ------------------------------------
     store_latency: Latency = Latency.fixed(0.0005)
     # Backend selection for the store and the broker log: in-memory by
-    # default, or durable files ("sqlite" store + JSONL broker journal)
+    # default, or durable files ("sqlite" store + framed broker journal)
     # that survive a cold process restart and feed App.reopen recovery.
     persistence: PersistenceConfig = field(default_factory=PersistenceConfig)
 
@@ -49,18 +49,7 @@ class KarConfig:
     # Upper bound on envelopes per batched produce round trip.
     send_batch_max: int = 64
 
-    # --- pipelined store I/O (kvstore/pipeline.py) --------------------------
-    # Coalesce the independent store operations a component issues within
-    # one event-loop turn into a single backend round trip (SQLite: one
-    # transaction; memory: one call run). Dependent operations -- a CAS
-    # loop's read-modify-write -- are sequential awaits and so land in
-    # distinct round trips by construction; per-operation futures and
-    # landing-time fencing keep the unpipelined semantics exactly.
-    store_pipeline: bool = True
-    # Upper bound on operations per pipelined store round trip.
-    store_batch_max: int = 64
-
-    # --- feature flags ------------------------------------------------------
+    # --- feature flags: the paper's ablation switches (bench_ablation.py) ---
     placement_cache: bool = True  # Table 2 "no cache" disables this
     cancellation: bool = True  # Section 4.4: elide callees of dead callers
     orchestrate_retries: bool = True  # False = at-least-once baseline (Fig 2b)
@@ -97,25 +86,20 @@ class KarConfig:
     # Write-through cache of each resident instance's persisted state.
     # Safe because an actor's state is only written through its hosting
     # component while placed there (single writer); the cache is dropped on
-    # passivation and dies with the component on failure.
+    # passivation and dies with the component on failure. Ablation switch.
     state_cache: bool = True
 
     # --- overload control (retry-storm protection) ---------------------------
-    # Master switch for the guard subsystem. When False the runtime keeps
-    # the legacy behaviour exactly: fixed placement-retry sleeps, unbounded
-    # mailboxes, no breakers, no dead-lettering.
+    # Master switch for the guard subsystem (ablation switch: the storm
+    # benchmark measures goodput against it). When False the runtime uses
+    # fixed placement-retry sleeps, unbounded mailboxes, no breakers and no
+    # dead-lettering.
     overload_guard: bool = True
-    # Jittered exponential backoff for runtime retries (placement
-    # re-resolution, stale-route resends, shed-mailbox re-admission):
-    # each retry sleeps uniform(0, min(cap, base * 2^attempt)).
-    retry_backoff_base: float = 0.05
-    retry_backoff_cap: float = 2.0
-    # Token-bucket retry budget: each first attempt deposits ``ratio``
-    # tokens (capped at ``burst``), each retry spends one, and a dry bucket
-    # defers the retry through further backoff rounds. ``floor_per_sec``
-    # trickles tokens in on the clock so recovery cannot deadlock when
-    # first-attempt traffic has stopped.
-    retry_budget_ratio: float = 0.1
+    # Token-bucket retry budget: each first attempt deposits
+    # ``overload.RETRY_BUDGET_RATIO`` tokens (capped at ``burst``), each
+    # retry spends one, and a dry bucket defers the retry through further
+    # backoff rounds. ``floor_per_sec`` trickles tokens in on the clock so
+    # recovery cannot deadlock when first-attempt traffic has stopped.
     retry_budget_burst: float = 50.0
     retry_budget_floor_per_sec: float = 2.0
     # Circuit breakers per (actor type, method): open after ``threshold``
@@ -152,7 +136,8 @@ class KarConfig:
     drain_timeout: float = 30.0
 
     # --- adaptive placement (core/placement_ctl.py) --------------------------
-    # Master switch for the load-aware placement controller. When False the
+    # Master switch for the load-aware placement controller (ablation
+    # switch: the zipf benchmark measures against it). When False the
     # control plane still samples and publishes the load plane (the evidence
     # surface stays live) but never migrates, splits, or merges -- placement
     # stays the static bounded-load consistent hash.
@@ -163,19 +148,12 @@ class KarConfig:
     # Minimum seconds between controller actions (hysteresis against
     # thrashing on a load signal that has not settled since the last move).
     rebalance_cooldown: float = 5.0
-    # Upper bound on placement actions (migrations/splits/merges) started
-    # per control tick.
-    migration_budget: int = 1
     # A single component whose busy rate exceeds this fraction of one
     # worker's capacity cannot be helped by migration (it saturates any
     # worker alone) and is split into sub-partitions instead.
     split_threshold: float = 0.6
     # Sub-partitions a hot component splits into.
     split_factor: int = 4
-    # Merge hysteresis: split children whose *combined* busy rate stays
-    # below split_threshold * split_merge_ratio for several consecutive
-    # ticks are merged back into the parent component.
-    split_merge_ratio: float = 0.25
     # Half-life of the exponentially decaying load counters behind
     # KarWorker.stats() busy_seconds and the per-component load plane.
     load_halflife: float = 5.0

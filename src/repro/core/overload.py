@@ -9,9 +9,9 @@ amplification without weakening exactly-once for calls that do eventually
 settle:
 
 - :class:`RetryBudget` -- a token bucket in which *first attempts* deposit
-  ``retry_budget_ratio`` tokens and every runtime retry spends one, so
-  retry volume is capped at a configurable fraction of real traffic (plus
-  a small time-based floor so a quiesced system can still recover);
+  ``RETRY_BUDGET_RATIO`` tokens and every runtime retry spends one, so
+  retry volume is capped at a fixed fraction of real traffic (plus a small
+  time-based floor so a quiesced system can still recover);
 - :class:`BackoffPolicy` -- exponential backoff with full jitter
   (``uniform(0, min(cap, base * 2^attempt))``), replacing the fixed
   placement-retry sleep and de-synchronizing retry waves;
@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     from repro.sim import Kernel
 
 __all__ = [
+    "BACKOFF",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
@@ -52,6 +53,7 @@ __all__ = [
     "DEAD_LETTER_PARTITION",
     "DeadLetter",
     "OverloadGuard",
+    "RETRY_BUDGET_RATIO",
     "RetryBudget",
 ]
 
@@ -81,6 +83,15 @@ class BackoffPolicy:
 
     def delay(self, attempt: int, rng: Random) -> float:
         return rng.uniform(0.0, self.bound(attempt))
+
+
+#: The backoff every runtime retry uses (placement re-resolution,
+#: stale-route resends, shed-mailbox re-admission, and the gateway's
+#: ``Retry-After`` for transient routing failures).
+BACKOFF = BackoffPolicy(base=0.05, cap=2.0)
+
+#: Retry tokens each first attempt deposits into a :class:`RetryBudget`.
+RETRY_BUDGET_RATIO = 0.1
 
 
 class RetryBudget:
@@ -292,11 +303,8 @@ class OverloadGuard:
 
     def __init__(self, config: "KarConfig", kernel: "Kernel"):
         self.kernel = kernel
-        self.backoff = BackoffPolicy(
-            config.retry_backoff_base, config.retry_backoff_cap
-        )
         self.budget = RetryBudget(
-            config.retry_budget_ratio,
+            RETRY_BUDGET_RATIO,
             config.retry_budget_burst,
             config.retry_budget_floor_per_sec,
         )
@@ -367,7 +375,7 @@ class OverloadGuard:
         token -- deferring through further backoff rounds while the budget
         is dry. First attempts never pass through here."""
         while True:
-            await self.kernel.sleep(self.backoff.delay(attempt, self.kernel.rng))
+            await self.kernel.sleep(BACKOFF.delay(attempt, self.kernel.rng))
             if self.budget.try_spend(self.kernel.now):
                 return
             attempt += 1

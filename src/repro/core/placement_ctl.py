@@ -10,7 +10,7 @@ idle. This module closes the loop:
   through the shared store (``_cluster:<app>:load``), so any observer --
   human or worker -- reads the same view of current hotness;
 - the **controller**: on the same tick it plans at most
-  ``migration_budget`` placement actions, with hysteresis
+  ``MIGRATION_BUDGET`` placement actions, with hysteresis
   (``rebalance_cooldown``) so it reacts to sustained skew, not noise:
 
   * **merge** split children back into their parent once the busiest
@@ -41,6 +41,14 @@ __all__ = ["PlacementController"]
 #: Consecutive cold ticks before split children merge back; patience keeps
 #: a briefly idle hot component from flapping split -> merge -> split.
 MERGE_PATIENCE_TICKS = 4
+
+#: Upper bound on placement actions (migrations/splits/merges) started per
+#: control tick.
+MIGRATION_BUDGET = 1
+
+#: Merge hysteresis: split children fold back once the busiest worker stays
+#: below ``split_threshold * SPLIT_MERGE_RATIO``.
+SPLIT_MERGE_RATIO = 0.25
 
 #: Ignore imbalance while the busiest worker is under this busy rate: an
 #: almost-idle cluster has nothing worth paying a handoff for.
@@ -121,7 +129,7 @@ class PlacementController:
         worker_rates: dict[str, float],
         component_loads: dict[str, dict[str, Any]],
     ) -> list[tuple[str, ...]]:
-        budget = max(1, self.config.migration_budget)
+        budget = MIGRATION_BUDGET
         actions: list[tuple[str, ...]] = []
         self._plan_merges(worker_rates, actions, budget)
         if len(actions) < budget:
@@ -149,7 +157,7 @@ class PlacementController:
         fold back only when the busiest worker idles below the merge floor
         for ``MERGE_PATIENCE_TICKS`` consecutive ticks.
         """
-        floor = self.config.split_threshold * self.config.split_merge_ratio
+        floor = self.config.split_threshold * SPLIT_MERGE_RATIO
         peak = max(worker_rates.values(), default=0.0)
         for parent in sorted(self.cluster.split_children):
             if peak >= floor:

@@ -145,17 +145,11 @@ class Component:
             self.app.topic_name, self.name, self.member_id, self.epoch
         )
         self.member = self.coordinator.join(self.member_id, self.process)
-        if self.config.store_pipeline:
-            # Same-turn store operations share one backend round trip; the
-            # flusher lives on this component's failure domain.
-            self.store_client = PipelinedStoreClient(
-                self.app.store,
-                self.member_id,
-                process=self.process,
-                batch_max=self.config.store_batch_max,
-            )
-        else:
-            self.store_client = self.app.store.client(self.member_id)
+        # Same-turn store operations share one backend round trip; the
+        # flusher lives on this component's failure domain.
+        self.store_client = PipelinedStoreClient(
+            self.app.store, self.member_id, process=self.process
+        )
         self.placement = PlacementService(
             self.store_client, self.config.placement_cache
         )

@@ -3,8 +3,9 @@
 :class:`KVStore` models the *service* (latency, fencing, round trips);
 a :class:`StoreBackend` is its storage engine. The memory backend keeps
 the original dict-of-dicts layout. The SQLite backend writes a WAL-mode
-database file (one per application), encoding values through the persist
-codec so the contents survive a real process death; the multi-field
+database file (one per application), encoding values as binary frames
+(:mod:`repro.persist.framing`) so the contents survive a real process
+death; the multi-field
 operations (``hset_many`` / ``hget_many`` / ``hgetall``) execute as single
 batched transactions, mirroring the single-round-trip store primitives
 they back.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import sqlite3
 from typing import Any, Iterable
 
-from repro.persist import codec, framing
+from repro.persist import framing
 
 __all__ = ["MemoryStoreBackend", "SqliteStoreBackend", "StoreBackend"]
 
@@ -128,26 +129,15 @@ class SqliteStoreBackend(StoreBackend):
 
     Values round-trip through the persist layer, so reads return
     reconstructed copies rather than the original objects -- the semantics
-    of any real out-of-process store. ``codec="json"`` stores tagged-JSON
-    text (the legacy format); ``codec="binary"`` stores headered binary
-    frames as BLOBs. Reads sniff the stored type (SQLite preserves the
-    storage class regardless of column affinity), so a database written
-    under either codec -- or a mix, across a codec switch -- always decodes.
+    of any real out-of-process store. Values are stored as headered binary
+    frames in BLOBs (SQLite preserves the storage class regardless of the
+    columns' TEXT affinity).
     """
 
-    def __init__(
-        self,
-        path: str,
-        synchronous: str = "NORMAL",
-        codec: str = "binary",
-    ):
+    def __init__(self, path: str, synchronous: str = "NORMAL"):
         self.path = path
-        self.codec = codec
         self._closed = False
         self._in_batch = False
-        self._binary = codec == "binary"
-        if codec not in ("json", "binary"):
-            raise ValueError(f"unknown store codec {codec!r}")
         self._frame_cache = framing.FrameCache()
         self._conn = sqlite3.connect(path, isolation_level=None)
         if synchronous.upper() not in ("OFF", "NORMAL", "FULL", "EXTRA"):
@@ -277,13 +267,9 @@ class SqliteStoreBackend(StoreBackend):
         ).fetchall()
         return {field: self._decode(value) for field, value in rows}
 
-    def _encode(self, value: Any) -> "bytes | str":
-        if self._binary:
-            return framing.dumps_frame(value, cache=self._frame_cache)
-        return codec.dumps(value)
+    def _encode(self, value: Any) -> bytes:
+        return framing.dumps_frame(value, cache=self._frame_cache)
 
     @staticmethod
-    def _decode(stored: "bytes | str") -> Any:
-        # loads_frame dispatches on the stored form: BLOBs carry a frame
-        # header, TEXT is legacy tagged JSON.
+    def _decode(stored: bytes) -> Any:
         return framing.loads_frame(stored)

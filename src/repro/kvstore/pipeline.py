@@ -1,13 +1,15 @@
 """Pipelined store I/O: one round trip for a turn's worth of operations.
 
-PR 4's send outbox removed the per-envelope produce round trip; this module
-does the same for the store. A :class:`PipelinedStoreClient` is a drop-in
-replacement for :class:`~repro.kvstore.store.StoreClient` that enqueues
-each operation with its own future and lets a flusher coalesce everything
-issued within the same event-loop turn into a single backend round trip --
-on SQLite one transaction, on the memory backend one call run.
+The send outbox removed the per-envelope produce round trip; this module
+does the same for the store. A :class:`PipelinedStoreClient` is the store
+connection every component uses: it has the surface of
+:class:`~repro.kvstore.store.StoreClient` (the one-operation-per-round-trip
+reference the tests compare it against) but enqueues each operation with
+its own future and lets a flusher coalesce everything issued within the
+same event-loop turn into a single backend round trip -- on SQLite one
+transaction, on the memory backend one call run.
 
-Semantics are those of the unpipelined client:
+Semantics are those of the reference client:
 
 - every operation still resolves (or fails) individually through its own
   future, so callers keep their sequential ``await`` style untouched;
@@ -36,6 +38,9 @@ if TYPE_CHECKING:
 
 __all__ = ["PipelinedStoreClient"]
 
+#: Upper bound on operations per pipelined store round trip.
+STORE_BATCH_MAX = 64
+
 
 class _PendingOp:
     """One queued operation and the future resolved when it lands."""
@@ -51,10 +56,10 @@ class _PendingOp:
 class PipelinedStoreClient:
     """A store connection that coalesces same-turn operations.
 
-    API-compatible with :class:`~repro.kvstore.store.StoreClient`; built by
-    ``Component.start`` when ``KarConfig.store_pipeline`` is on. The
-    flusher task runs on the owning component's failure domain, so a dead
-    component's queued operations die with it -- just like its outbox.
+    API-compatible with :class:`~repro.kvstore.store.StoreClient`; every
+    ``Component`` builds one in ``start``. The flusher task runs on the
+    owning component's failure domain, so a dead component's queued
+    operations die with it -- just like its outbox.
     """
 
     def __init__(
@@ -62,12 +67,10 @@ class PipelinedStoreClient:
         store: "KVStore",
         client_id: str,
         process: "SimProcess | None" = None,
-        batch_max: int = 64,
     ):
         self.store = store
         self.client_id = client_id
         self.process = process
-        self.batch_max = batch_max
         self._queue: list[_PendingOp] = []
         self._flusher_running = False
         # Evidence counters for the throughput benchmarks.
@@ -100,8 +103,7 @@ class PipelinedStoreClient:
         """
         await self.store.kernel.sleep(0.0)
         while self._queue:
-            limit = max(1, self.batch_max)
-            batch = self._queue[:limit]
+            batch = self._queue[:STORE_BATCH_MAX]
             del self._queue[: len(batch)]
             await self._round_trip()
             self._apply_batch(batch)

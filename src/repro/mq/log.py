@@ -8,12 +8,13 @@ engine behind them:
 - :class:`MemoryBrokerLog` keeps a per-partition image of retained records
   in memory. It survives an application ``shutdown``/``reopen`` as a live
   object (the message service outliving the app), not a process death.
-- :class:`FileJournalLog` additionally appends one JSONL line per record to
-  a journal file, with retention expiry recorded as compaction markers and
-  the whole file rewritten once enough expired records accumulate
-  (retention-driven compaction). Replay is offset-indexed: lines carry
-  explicit offsets, so a cold restart reconstructs every partition's
-  ``first_retained_offset`` / ``end_offset`` exactly.
+- :class:`FileJournalLog` additionally appends one length-prefixed binary
+  frame per record to a journal file, with retention expiry recorded as
+  compaction markers and the whole file rewritten once enough expired
+  records accumulate (retention-driven compaction). Replay is
+  offset-indexed: entries carry explicit offsets, so a cold restart
+  reconstructs every partition's ``first_retained_offset`` /
+  ``end_offset`` exactly.
 
 The log also stores a small metadata map (group generation, component
 epochs, boot counter) that must outlive the application processes but does
@@ -30,7 +31,7 @@ from typing import Any, Iterator
 
 from repro.mq.errors import JournalLockedError, JournalReadOnlyError
 from repro.mq.records import Record
-from repro.persist import codec, framing
+from repro.persist import framing
 
 try:  # advisory file locking is POSIX-only; elsewhere the guard is a no-op
     import fcntl
@@ -39,7 +40,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 __all__ = ["BrokerLog", "FileJournalLog", "MemoryBrokerLog"]
 
-#: Length prefix for binary journal frames.
+#: Length prefix for journal frames.
 _U32 = struct.Struct("<I")
 
 
@@ -169,27 +170,19 @@ class MemoryBrokerLog(BrokerLog):
 class FileJournalLog(BrokerLog):
     """Append-only file journal with offset-indexed replay and compaction.
 
-    Two on-disk formats, selected by ``codec`` and *detected* on open:
+    The file is a 4-byte header (the frame magic plus version byte)
+    followed by length-prefixed frames, each one entry tuple in the binary
+    framing codec::
 
-    - ``"json"`` -- the legacy JSONL format, one tagged-JSON object per
-      line::
+        ("r", topic, partition, offset, ts, value)   # record
+        ("c", topic, partition, keep_from)           # compaction
+        ("d", topic, partition)                      # drop
+        ("s", topic, partition, first, next)         # bounds (after rewrite)
 
-        {"k":"r","t":topic,"p":partition,"o":offset,"ts":time,"v":wire}
-        {"k":"c","t":topic,"p":partition,"keep":offset}      # compaction
-        {"k":"d","t":topic,"p":partition}                     # drop
-        {"k":"s","t":topic,"p":partition,"first":o,"next":o}  # bounds
-
-    - ``"binary"`` -- a 4-byte file header (the frame magic plus version
-      byte) followed by length-prefixed frames, each one entry tuple
-      (``("r", topic, partition, offset, ts, value)``, and the ``"c"`` /
-      ``"d"`` / ``"s"`` shapes above) in the binary framing codec.
-
-    A journal written in the other format replays identically -- the header
-    dispatches the reader -- and is then rewritten into the configured
-    format before new entries append; that rewrite is the whole migration
-    story for pre-binary journals. Metadata lives beside the journal in
-    ``<journal>.meta.json``, rewritten atomically (it is tiny and changes
-    only on rebalances and deploys).
+    A non-empty file that does not start with that header is refused with a
+    ``ValueError`` naming the path, and is left untouched. Metadata lives
+    beside the journal in ``<journal>.meta.json``, rewritten atomically (it
+    is tiny and changes only on rebalances and deploys).
 
     Locking: the single appender holds an *exclusive* ``flock`` on the
     ``<journal>.lock`` sidecar for its whole lifetime (a second appender is
@@ -209,18 +202,13 @@ class FileJournalLog(BrokerLog):
         fsync: bool = False,
         compact_min_records: int = 4096,
         compact_ratio: float = 0.5,
-        codec: str = "binary",
         read_only: bool = False,
     ):
         super().__init__()
-        if codec not in ("json", "binary"):
-            raise ValueError(f"unknown journal codec {codec!r}")
         self.path = path
         self.meta_path = path + ".meta.json"
         self.lock_path = path + ".lock"
-        self.codec = codec
         self.read_only = read_only
-        self._binary = codec == "binary"
         self._fsync = fsync
         self._compact_min_records = compact_min_records
         self._compact_ratio = compact_ratio
@@ -232,29 +220,30 @@ class FileJournalLog(BrokerLog):
         self._frame_cache = framing.FrameCache()
         #: Full-file rewrites performed (the compaction evidence counter).
         self.rewrites = 0
-        #: Format conversions performed on open (0 or 1).
-        self.migrations = 0
         if read_only:
             # Observers replay without the append lock; a missing journal
             # raises FileNotFoundError (there is nothing to observe yet).
             self._lock_handle = self._open_shared()
             self._file = self._lock_handle
-            self._load()
-            return
-        # Take the append lock *before* replaying: two workers must never
-        # interleave frames into one partition journal, so the second
-        # opener is rejected here, before it can observe (or disturb) the
-        # first opener's image.
-        self._lock_handle = self._open_locked()
-        self._file = open(self.path, "ab")
-        loaded_format = self._load()
-        if loaded_format is None:
-            if self._binary:
-                self._file.write(framing.MAGIC + bytes((framing.VERSION_BINARY,)))
+        else:
+            # Take the append lock *before* replaying: two workers must
+            # never interleave frames into one partition journal, so the
+            # second opener is rejected here, before it can observe (or
+            # disturb) the first opener's image.
+            self._lock_handle = self._open_locked()
+            self._file = open(self.path, "ab")
+        try:
+            found = self._load()
+            if not found and not read_only:
+                self._file.write(framing.HEADER)
                 self._flush_file()
-        elif loaded_format != codec:
-            self.rewrite()
-            self.migrations += 1
+        except BaseException:
+            # A refused journal must not keep the append lock: a retry in
+            # this process has to see the real error again, not
+            # JournalLockedError.
+            self._file.close()
+            self._lock_handle.close()
+            raise
 
     @classmethod
     def open_read_only(cls, path: str) -> "FileJournalLog":
@@ -311,77 +300,21 @@ class FileJournalLog(BrokerLog):
     # ------------------------------------------------------------------
     # replaying an existing journal
     # ------------------------------------------------------------------
-    def _load(self) -> "str | None":
-        """Replay the journal file; returns the format found (or ``None``
-        for a missing/empty journal)."""
+    def _load(self) -> bool:
+        """Replay the journal file; False for a missing or empty journal."""
         if os.path.exists(self.meta_path):
             with open(self.meta_path, "r", encoding="utf-8") as handle:
                 self._meta = json.load(handle)
         if not os.path.exists(self.path):
-            return None
+            return False
         with open(self.path, "rb") as handle:
             data = handle.read()
         if not data:
-            return None
-        if data[:3] == framing.MAGIC:
-            self._load_binary(data)
-            return "binary"
-        self._load_json(data)
-        return "json"
-
-    def _load_json(self, data: bytes) -> None:
-        good_end = 0  # byte offset past the last fully decoded line
-        raw_lines = data.splitlines(keepends=True)
-        for index, raw in enumerate(raw_lines):
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                good_end += len(raw)
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # A torn final line is the normal residue of a crash
-                # mid-write (the record it carried was never acknowledged):
-                # truncate it away and recover. A torn line *followed by
-                # intact ones* is real corruption -- refuse to guess.
-                if any(raw.strip() for raw in raw_lines[index + 1 :]):
-                    raise ValueError(
-                        f"corrupt journal line {index + 1} in {self.path!r}"
-                    ) from None
-                if not self.read_only:
-                    # Observers stop replaying at the tear but leave the
-                    # recovery (truncation) to the appender's next open.
-                    with open(self.path, "rb+") as handle:
-                        handle.truncate(good_end)
-                break
-            good_end += len(raw)
-            kind = entry["k"]
-            if kind == "r":
-                self._apply(
-                    (
-                        "r",
-                        entry["t"],
-                        entry["p"],
-                        entry["o"],
-                        entry["ts"],
-                        codec.from_wire(entry["v"]),
-                    )
-                )
-            elif kind == "c":
-                self._apply(("c", entry["t"], entry["p"], entry["keep"]))
-            elif kind == "d":
-                self._apply(("d", entry["t"], entry["p"]))
-            elif kind == "s":
-                self._apply(
-                    ("s", entry["t"], entry["p"], entry["first"], entry["next"])
-                )
-            else:
-                raise ValueError(f"unknown journal line kind {kind!r}")
-
-    def _load_binary(self, data: bytes) -> None:
-        if data[3] != framing.VERSION_BINARY:
+            return False
+        if not data.startswith(framing.HEADER):
             raise ValueError(
-                f"unknown binary journal version {data[3]} in {self.path!r}"
+                f"{self.path!r} is not a version-2 framed journal "
+                f"(it starts with {data[:4]!r})"
             )
         pos = 4
         total = len(data)
@@ -397,9 +330,10 @@ class FileJournalLog(BrokerLog):
                 if consumed != end:
                     raise framing.FramingError("frame length mismatch")
             except framing.FramingError:
-                # Same contract as the JSONL loader: a bad final frame is
-                # the torn residue of a crash -- truncate and recover; a bad
-                # frame *followed by* intact bytes is corruption.
+                # A bad final frame is the torn residue of a crash mid-write
+                # (the record it carried was never acknowledged): truncate
+                # and recover. A bad frame *followed by* intact bytes is
+                # real corruption -- refuse to guess.
                 if end == total:
                     break
                 raise ValueError(
@@ -412,6 +346,7 @@ class FileJournalLog(BrokerLog):
             # stop at the tear and leave recovery to the appender.)
             with open(self.path, "rb+") as handle:
                 handle.truncate(pos)
+        return True
 
     def _apply(self, entry: tuple) -> None:
         """Apply one replayed journal entry to the in-memory image."""
@@ -458,40 +393,20 @@ class FileJournalLog(BrokerLog):
             self._staged_lines = None
 
     def _record_line(self, topic: str, record: Record) -> bytes:
-        if self._binary:
-            return self._frame_bytes(
-                (
-                    "r",
-                    topic,
-                    record.partition,
-                    record.offset,
-                    record.timestamp,
-                    record.value,
-                )
+        return self._frame_bytes(
+            (
+                "r",
+                topic,
+                record.partition,
+                record.offset,
+                record.timestamp,
+                record.value,
             )
-        return (
-            json.dumps(
-                {
-                    "k": "r",
-                    "t": topic,
-                    "p": record.partition,
-                    "o": record.offset,
-                    "ts": record.timestamp,
-                    "v": codec.to_wire(record.value),
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        ).encode("utf-8")
+        )
 
     def _frame_bytes(self, entry: tuple) -> bytes:
         payload = framing.encode_value(entry, self._frame_cache)
         return _U32.pack(len(payload)) + payload
-
-    def _control_line(self, json_obj: dict[str, Any], entry: tuple) -> bytes:
-        if self._binary:
-            return self._frame_bytes(entry)
-        return (json.dumps(json_obj, separators=(",", ":")) + "\n").encode("utf-8")
 
     def _persist_append(self, topic: str, records: list[Record]) -> None:
         # One write + flush per produce round trip: the batched-produce
@@ -504,22 +419,13 @@ class FileJournalLog(BrokerLog):
 
     def _persist_compact(self, topic: str, partition: str, keep_from: int) -> None:
         self._assert_writable()
-        self._file.write(
-            self._control_line(
-                {"k": "c", "t": topic, "p": partition, "keep": keep_from},
-                ("c", topic, partition, keep_from),
-            )
-        )
+        self._file.write(self._frame_bytes(("c", topic, partition, keep_from)))
         self._flush_file()
         self._maybe_rewrite()
 
     def _persist_drop(self, topic: str, partition: str) -> None:
         self._assert_writable()
-        self._file.write(
-            self._control_line(
-                {"k": "d", "t": topic, "p": partition}, ("d", topic, partition)
-            )
-        )
+        self._file.write(self._frame_bytes(("d", topic, partition)))
         self._flush_file()
         self._maybe_rewrite()
 
@@ -551,31 +457,21 @@ class FileJournalLog(BrokerLog):
         self.rewrite()
 
     def rewrite(self) -> None:
-        """Rewrite the journal with only the retained image (in place),
-        in the *configured* format -- this is also the migration step when
-        a journal opens in the other format."""
+        """Rewrite the journal with only the retained image (in place)."""
         self._assert_writable()
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as handle:
-            if self._binary:
-                handle.write(framing.MAGIC + bytes((framing.VERSION_BINARY,)))
+            handle.write(framing.HEADER)
             for (topic, partition), image in sorted(self._parts.items()):
                 handle.write(
-                    self._control_line(
-                        {
-                            "k": "s",
-                            "t": topic,
-                            "p": partition,
-                            "first": image.first_retained_offset,
-                            "next": image.next_offset,
-                        },
+                    self._frame_bytes(
                         (
                             "s",
                             topic,
                             partition,
                             image.first_retained_offset,
                             image.next_offset,
-                        ),
+                        )
                     )
                 )
                 for record in image.records:

@@ -7,8 +7,7 @@
   surfaced at ``GET /system/stats`` and ``app.stats("gateway")``.
 - :class:`DirectHttpBaseline` -- the paper's Table 2 "Direct HTTP"
   baseline: a non-resilient request/response transport inside the
-  simulation (formerly ``HttpEndpoint``, still importable from
-  :mod:`repro.net.http`).
+  simulation.
 """
 
 from repro.net.baseline import DirectHttpBaseline

@@ -44,7 +44,7 @@ from repro.core.errors import (
     NoPlacementError,
     UnknownActorTypeError,
 )
-from repro.core.overload import BackoffPolicy
+from repro.core.overload import BACKOFF
 from repro.kvstore.errors import FencedClientError
 from repro.mq.errors import FencedMemberError, StaleRouteError
 from repro.net.metrics import GatewayMetrics
@@ -76,13 +76,11 @@ ERROR_STATUS: tuple[tuple[type[BaseException], int, str], ...] = (
 )
 
 
-def map_error(
-    error: BaseException, app: "KarApplication"
-) -> tuple[int, str, str, float | None]:
+def map_error(error: BaseException) -> tuple[int, str, str, float | None]:
     """Map a runtime exception to ``(status, code, message, retry_after)``.
 
     ``retry_after`` (seconds, or ``None``) comes from the breaker's own
-    remaining cooldown when one is open, and from the application's retry
+    remaining cooldown when one is open, and from the runtime's retry
     backoff policy for transient routing failures -- the gateway never
     invents a delay the runtime would not itself wait.
     """
@@ -92,10 +90,7 @@ def map_error(
             if isinstance(error, BreakerOpenError):
                 retry_after = error.retry_after
             elif status == 503 and not isinstance(error, TaskKilled):
-                policy = BackoffPolicy(
-                    app.config.retry_backoff_base, app.config.retry_backoff_cap
-                )
-                retry_after = policy.bound(1)
+                retry_after = BACKOFF.bound(1)
             return status, code, str(error), retry_after
     return 500, "internal", str(error), None
 
@@ -607,7 +602,7 @@ class KarGateway:
                 },
             )
         except Exception as error:  # noqa: BLE001 - protocol boundary
-            status, code, message, retry_after = map_error(error, self.app)
+            status, code, message, retry_after = map_error(error)
             reply = _Reply(
                 status, {"error": {"code": code, "message": message}}, retry_after
             )

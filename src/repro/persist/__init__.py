@@ -9,7 +9,8 @@ package decides *where* those services keep their bytes:
   infrastructure service that outlives the application processes) but not
   the death of the Python process.
 - ``sqlite``: the store writes a WAL-mode SQLite file and the broker
-  appends to a JSONL file journal, one set of files per application name
+  appends to a framed binary file journal (:mod:`repro.persist.framing`
+  is the one wire format of both), one set of files per application name
   under ``PersistenceConfig.root``. A cold restart -- a brand-new process
   pointed at the same directory -- replays journals and reconstructs every
   topic, partition, placement, and unsettled call.
@@ -24,11 +25,14 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.persist.framing import CodecError
+
 if TYPE_CHECKING:
     from repro.kvstore.backend import StoreBackend
     from repro.mq.log import BrokerLog
 
 __all__ = [
+    "CodecError",
     "PersistenceConfig",
     "build_persistence",
     "reopen_persistence",
@@ -42,13 +46,7 @@ class PersistenceConfig:
 
     ``mode`` is ``"memory"`` or ``"sqlite"``. ``root`` names the directory
     holding the durable files (required for ``sqlite``); one store database
-    and one broker journal are created per application name. ``codec``
-    picks the wire encoding for durable bytes: ``"binary"`` (default) uses
-    the length-prefixed frames of :mod:`repro.persist.framing`; ``"json"``
-    keeps the legacy tagged-JSON text (greppable journals, slower and
-    larger). Either reader accepts files written by the other -- the frame
-    header's version byte dispatches -- and a journal found in the other
-    format is rewritten into the configured one on open. ``synchronous``
+    and one broker journal are created per application name. ``synchronous``
     sets the SQLite synchronous pragma (``"OFF"``/``"NORMAL"``/``"FULL"``);
     ``fsync_journal`` forces an ``os.fsync`` after every journal flush.
     The journal is rewritten in place (retention-driven compaction) once at
@@ -58,7 +56,6 @@ class PersistenceConfig:
 
     mode: str = "memory"
     root: str | None = None
-    codec: str = "binary"
     synchronous: str = "NORMAL"
     fsync_journal: bool = False
     compact_min_records: int = 4096
@@ -91,21 +88,14 @@ def build_persistence(
         from repro.kvstore.backend import SqliteStoreBackend
         from repro.mq.log import FileJournalLog
 
-        if config.codec not in ("json", "binary"):
-            raise ValueError(f"unknown persistence codec {config.codec!r}")
         store_path, journal_path = _paths(config, app_name)
         return (
-            SqliteStoreBackend(
-                store_path,
-                synchronous=config.synchronous,
-                codec=config.codec,
-            ),
+            SqliteStoreBackend(store_path, synchronous=config.synchronous),
             FileJournalLog(
                 journal_path,
                 fsync=config.fsync_journal,
                 compact_min_records=config.compact_min_records,
                 compact_ratio=config.compact_ratio,
-                codec=config.codec,
             ),
         )
     raise ValueError(f"unknown persistence mode {config.mode!r}")

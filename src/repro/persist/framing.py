@@ -1,24 +1,21 @@
-"""Binary wire framing: the hot-path codec behind durable backends.
+"""Binary wire framing: the one durable format behind every backend.
 
-The tagged-JSON codec (:mod:`repro.persist.codec`) keeps journals greppable
-but pays recursive tag dispatch, per-record import-path strings, and a full
-JSON parse on every envelope. This module is the fast path: a compact
-length-free binary value encoding under a magic + version frame header, so
-one byte of version dispatch selects between the binary decoder and the
-legacy JSON codec -- a journal written before this codec existed replays
-through the same reader.
+Durable backends (the SQLite store, the broker file journal) cannot hold
+Python object references: everything they accept must survive a process
+death and be reconstructed from bytes. This module maps the values the
+runtime persists -- envelopes (frozen dataclasses), actor refs, tuples,
+dicts, scalars -- onto a compact length-free binary value encoding under a
+magic + version frame header.
 
 Frame layout::
 
     +-------------------+---------+---------------------------+
     | magic  b"\\xabKR"  | version | payload                   |
     +-------------------+---------+---------------------------+
-      3 bytes             1 byte    version 1: tagged-JSON utf-8
-                                    version 2: binary value encoding
+      3 bytes             1 byte    version 2: binary value encoding
 
-Anything *without* the magic prefix (a raw JSON text, the pre-framing
-store/journal format) decodes through the legacy codec, so old databases
-and journals need no conversion step to be readable.
+Bytes without the magic prefix, or with any other version byte, are
+rejected with :class:`FramingError`.
 
 The binary value encoding is opcode-dispatched with fast paths for the
 types the runtime actually persists:
@@ -37,12 +34,12 @@ types the runtime actually persists:
   header (``after_callee``/``copy_epoch``/``attempts``/``attempt_log``) --
   never re-encode the unchanged fields;
 - unregistered dataclasses fall back to import-path encoding and anything
-  else to raw pickle bytes, mirroring the JSON codec's durability ladder.
+  else to raw pickle bytes.
 """
 
 from __future__ import annotations
 
-import json
+import importlib
 import pickle
 import struct
 import sys
@@ -51,14 +48,13 @@ from dataclasses import is_dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
-from repro.persist.codec import CodecError, _resolve_type, from_wire, to_wire
-
 __all__ = [
+    "CodecError",
     "FrameCache",
     "FramingError",
+    "HEADER",
     "MAGIC",
     "VERSION_BINARY",
-    "VERSION_JSON",
     "decode_value",
     "dumps_frame",
     "encode_value",
@@ -66,21 +62,33 @@ __all__ = [
     "register_frame_type",
 ]
 
-#: Frame magic. The first byte is a UTF-8 continuation byte, so no JSON (or
-#: any valid UTF-8) text can start with it: presence of the magic is an
-#: unambiguous format discriminator against the legacy codec.
+#: Frame magic. The first byte is a UTF-8 continuation byte, so no valid
+#: UTF-8 text can start with it: a text file is never mistaken for a frame.
 MAGIC = b"\xabKR"
-#: Version byte 1: the payload is the legacy tagged-JSON encoding (utf-8).
-VERSION_JSON = 1
 #: Version byte 2: the payload is the binary value encoding of this module.
 VERSION_BINARY = 2
 
-_HEADER_JSON = MAGIC + bytes((VERSION_JSON,))
-_HEADER_BINARY = MAGIC + bytes((VERSION_BINARY,))
+#: The four bytes that open every frame and every journal file.
+HEADER = MAGIC + bytes((VERSION_BINARY,))
+
+
+class CodecError(ValueError):
+    """A value could not be encoded or decoded for durable storage."""
 
 
 class FramingError(CodecError):
     """A value could not be framed or a frame could not be decoded."""
+
+
+def _resolve_type(path: str) -> type:
+    module_name, _, qualname = path.partition(":")
+    try:
+        target: Any = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+    except (ImportError, AttributeError) as error:
+        raise CodecError(f"cannot resolve durable type {path!r}") from error
+    return target
 
 
 # ----------------------------------------------------------------------
@@ -479,8 +487,8 @@ def _encode_slow(value: Any, buf: bytearray, cache: FrameCache | None) -> None:
             _encode(getattr(value, name), buf, cache)
         return
     if isinstance(value, (bool, int, float, str)):
-        # Scalar subclasses take the base representation (same durability
-        # contract as the JSON codec: types narrow to their wire shape).
+        # Scalar subclasses take the base representation (types narrow to
+        # their wire shape).
         _encode(
             str(value)
             if isinstance(value, str)
@@ -723,56 +731,25 @@ def decode_value(data: bytes, pos: int = 0) -> tuple[Any, int]:
         raise FramingError(f"malformed string in frame: {error}") from error
 
 
-def dumps_frame(
-    value: Any, codec: str = "binary", cache: FrameCache | None = None
-) -> bytes:
+def dumps_frame(value: Any, cache: FrameCache | None = None) -> bytes:
     """Encode ``value`` as a self-describing frame (header + payload)."""
-    if codec == "binary":
-        buf = bytearray(_HEADER_BINARY)
-        _encode(value, buf, cache)
-        return bytes(buf)
-    if codec == "json":
-        return _HEADER_JSON + json.dumps(
-            to_wire(value), separators=(",", ":")
-        ).encode("utf-8")
-    raise FramingError(f"unknown frame codec {codec!r}")
+    buf = bytearray(HEADER)
+    _encode(value, buf, cache)
+    return bytes(buf)
 
 
-def loads_frame(data: "bytes | str") -> Any:
-    """Decode a frame, dispatching on the version byte.
-
-    Accepts every format a durable backend may hold: headered binary
-    frames, headered JSON frames, and the legacy pre-framing encodings
-    (raw tagged-JSON text, as ``str`` or utf-8 bytes).
-    """
-    if isinstance(data, str):
-        return from_wire(json.loads(data))
-    if data.startswith(MAGIC):
-        version = data[3]
-        if version == VERSION_BINARY:
-            try:
-                value, end = _decode(data, 4)
-            except (IndexError, struct.error) as error:
-                raise FramingError(
-                    f"truncated binary frame: {error}"
-                ) from error
-            except UnicodeDecodeError as error:
-                raise FramingError(
-                    f"malformed string in frame: {error}"
-                ) from error
-            if end != len(data):
-                raise FramingError(
-                    f"trailing bytes after frame ({len(data) - end} unread)"
-                )
-            return value
-        if version == VERSION_JSON:
-            return from_wire(json.loads(data[4:].decode("utf-8")))
-        raise FramingError(f"unknown frame version {version}")
-    return from_wire(json.loads(data.decode("utf-8")))
-
-
-#: Encoder selected by ``PersistenceConfig.codec``.
-FRAME_ENCODERS: dict[str, Callable[..., bytes]] = {
-    "binary": dumps_frame,
-    "json": dumps_frame,
-}
+def loads_frame(data: bytes) -> Any:
+    """Decode a frame; anything but a version-2 binary frame is rejected."""
+    if not isinstance(data, bytes) or not data.startswith(HEADER):
+        raise FramingError("not a version-2 frame (bad magic or version byte)")
+    try:
+        value, end = _decode(data, 4)
+    except (IndexError, struct.error) as error:
+        raise FramingError(f"truncated binary frame: {error}") from error
+    except UnicodeDecodeError as error:
+        raise FramingError(f"malformed string in frame: {error}") from error
+    if end != len(data):
+        raise FramingError(
+            f"trailing bytes after frame ({len(data) - end} unread)"
+        )
+    return value

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
-from repro.persist.framing import MAGIC as FRAME_MAGIC
 from repro.sim import Kernel
 
 MODES = ["memory", "sqlite"]
@@ -229,46 +228,3 @@ def test_shutdown_is_idempotent_and_blocks_joins(tmp_path):
     assert all(not component.alive for component in app.components.values())
     with pytest.raises(Exception):
         app.add_component("w3")
-
-
-def test_legacy_json_journal_replays_under_binary_codec(tmp_path):
-    """A pre-binary deployment's tagged-JSON journal must replay to the
-    identical restored state when the next boot runs the binary codec --
-    including in-flight calls interrupted by the crash -- and the journal
-    migrates to the configured format on open."""
-    kernel = Kernel(seed=27)
-    root = str(tmp_path / "durable")
-    legacy = KarConfig.fast_test().with_overrides(
-        persistence=PersistenceConfig.sqlite(root, codec="json")
-    )
-    app = boot_app(kernel, legacy)
-    client = app.client()
-
-    workflows, hops = 12, 3
-
-    async def drive(wid):
-        ref = actor_proxy("Flow", f"f{wid}")
-        await client.invoke(None, ref, "start", (wid, hops), True)
-
-    for wid in range(workflows):
-        kernel.spawn(drive(wid), client.process, name=f"wf{wid}")
-    kernel.run(until=kernel.now + 0.02)
-    assert app.stats("calls")["unsettled"]  # crashed mid-workflow
-    app.shutdown()
-
-    journal = tmp_path / "durable" / "app.journal"
-    assert journal.read_bytes()[:1] == b"{"  # legacy tagged-JSON text
-
-    upgraded = KarConfig.fast_test().with_overrides(
-        persistence=PersistenceConfig.sqlite(root)  # codec defaults to binary
-    )
-    app2 = KarApplication(kernel, upgraded, name="app")
-    assert app2.restored_records > 0
-    assert app2.broker.log.migrations == 1
-    assert journal.read_bytes()[:3] == FRAME_MAGIC
-    populate(app2)
-
-    assert drain(app2) == []
-    assert total_commits(app2) == workflows * hops
-    kernel.check_no_crashes()
-    app2.shutdown()

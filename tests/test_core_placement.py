@@ -70,10 +70,12 @@ def test_invalidation_forces_replacement():
     store = KVStore(kernel, Latency.fixed(0.001))
     service = PlacementService(store.client("a"))
     ref = actor_proxy("T", "x")
-    placed = run(kernel, service.resolve(ref, ["dead", "alive"]))
-    if placed == "alive":
-        pytest.skip("hash landed on the survivor; nothing to invalidate")
-    service.invalidate_components({placed})
+    # "dead" is the only candidate at first, so the placement cannot land on
+    # the survivor whatever the hash does.
+    assert run(kernel, service.resolve(ref, ["dead"])) == "dead"
+    assert service.cache_peek(ref) == "dead"
+    service.invalidate_components({"dead"})
+    assert service.cache_peek(ref) is None
     moved = run(kernel, service.resolve(ref, ["alive"]))
     assert moved == "alive"
 

@@ -23,6 +23,7 @@ from repro.mq import (
     MQError,
     Record,
 )
+from repro.persist.framing import MAGIC
 from repro.sim import Kernel, Latency
 
 from helpers import run
@@ -460,18 +461,6 @@ def test_journal_replay_tolerates_torn_final_line(tmp_path):
     harness.cleanup()
 
 
-def test_journal_refuses_mid_file_corruption(tmp_path):
-    harness = LogHarness("journal", tmp_path)
-    kernel, broker = make_broker(harness.open(codec="json"))
-    run(kernel, broker.produce("t", "p1", "first", "prod"))
-    harness.log.close()
-    path = tmp_path / "conformance.journal"
-    text = path.read_text()
-    path.write_text('{"k":"r","t":"t","p":"p1","o":0,"ts":0.1,"v":"tor\n' + text)
-    with pytest.raises(ValueError, match="corrupt journal line"):
-        harness.open(codec="json")
-
-
 def test_binary_journal_refuses_mid_file_corruption(tmp_path):
     """A damaged frame with intact frames after it is corruption, not a
     torn tail -- replay must refuse rather than silently drop records."""
@@ -482,10 +471,38 @@ def test_binary_journal_refuses_mid_file_corruption(tmp_path):
     harness.log.close()
     path = tmp_path / "conformance.journal"
     data = bytearray(path.read_bytes())
+    intact = bytes(data)
     data[8] = 0xFF  # first frame's leading opcode (after header + length)
     path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="corrupt journal frame"):
+    # The refusal releases the append lock: a retry in this process sees
+    # the same error again (not JournalLockedError) ...
+    for _ in range(2):
+        with pytest.raises(ValueError, match="corrupt journal frame"):
+            harness.open()
+    # ... and once the file is repaired the journal opens.
+    path.write_bytes(intact)
+    log = harness.open()
+    assert log.retained_records() == 2
+    harness.cleanup()
+
+
+def test_journal_refuses_unframed_file_and_leaves_it_untouched(tmp_path):
+    """A file without the frame header (here: JSON lines) is not a journal.
+    The refusal names the path and must not truncate or rewrite it."""
+    path = tmp_path / "conformance.journal"
+    text = b'{"k":"r","t":"t","p":"p1","o":0,"ts":0.1,"v":"first"}\n'
+    path.write_bytes(text)
+    harness = LogHarness("journal", tmp_path)
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-2"):
         harness.open()
+    assert path.read_bytes() == text
+    # A frame header with a version this reader does not know is refused
+    # the same way.
+    versioned = MAGIC + bytes((1,)) + text
+    path.write_bytes(versioned)
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-2"):
+        harness.open()
+    assert path.read_bytes() == versioned
 
 
 def test_binary_journal_tolerates_torn_final_frame(tmp_path):
@@ -514,38 +531,6 @@ def test_binary_journal_tolerates_torn_final_frame(tmp_path):
     harness.cleanup()
 
 
-def test_journal_codec_migration_round_trip(tmp_path):
-    """A journal written under one codec opens under the other: the
-    versioned reader replays it, then rewrites it into the configured
-    format (the pre-binary migration path)."""
-    harness = LogHarness("journal", tmp_path)
-    kernel, broker = make_broker(harness.open(codec="json"))
-    run(kernel, broker.produce("t", "p1", {"payload": (1, 2)}, "prod"))
-    run(kernel, broker.produce("t", "p2", "other", "prod"))
-    harness.log.close()
-    path = tmp_path / "conformance.journal"
-    assert path.read_bytes()[0:1] == b"{"  # legacy JSONL on disk
-
-    log = harness.open(codec="binary")
-    assert log.migrations == 1
-    assert path.read_bytes()[:3] == b"\xabKR"  # rewritten as binary
-    kernel2 = Kernel(seed=7)
-    broker2 = Broker(kernel2, broker.config, log=log)
-    assert broker2.restore_from_log() == 2
-    records = broker2.topic("t").partition("p1").unexpired(0.0)
-    assert [r.value for r in records] == [{"payload": (1, 2)}]
-
-    # And back: binary journals migrate to JSONL when configured.
-    harness.log.close()
-    log = harness.open(codec="json")
-    assert log.migrations == 1
-    assert path.read_bytes()[0:1] == b"{"
-    kernel3 = Kernel(seed=8)
-    broker3 = Broker(kernel3, broker.config, log=log)
-    assert broker3.restore_from_log() == 2
-    harness.cleanup()
-
-
 def test_unencodable_payload_fails_cleanly(tmp_path):
     """A CodecError on a durable log must leave broker and journal both
     without the record (no divergence, no phantom in-memory message)."""
@@ -553,7 +538,7 @@ def test_unencodable_payload_fails_cleanly(tmp_path):
     kernel, broker = make_broker(harness.open())
     run(kernel, broker.produce("t", "p1", "good", "prod"))
 
-    from repro.persist.codec import CodecError
+    from repro.persist import CodecError
 
     class Unpicklable:
         def __reduce__(self):

@@ -51,10 +51,14 @@ def test_simultaneous_joins_coalesce():
 
 
 def test_duplicate_member_rejected():
-    _kernel, _broker, group = make_group()
+    kernel, _broker, group = make_group()
     group.join("m1", SimProcess("m1"))
     with pytest.raises(ValueError):
         group.join("m1", SimProcess("m1-again"))
+    # Start the tasks the first join spawned: a coroutine dropped before its
+    # first step is a "never awaited" RuntimeWarning at collection time.
+    kernel.run(until=1.0)
+    assert group.live_members == ("m1",)
 
 
 def test_failure_detected_within_session_timeout():

@@ -5,9 +5,8 @@ connection -- hand-written HTTP/1.1 on the client side too, so the wire
 format (status lines, headers, keep-alive, Retry-After) is asserted rather
 than assumed. The suite covers the full sidecar surface (calls, tells,
 state, reminders, system views), protocol-level rejections, the
-exception-to-status mapping table, exactly-once settlement across a
-mid-request worker kill on the sqlite backend, and the deprecation shims
-left behind by the unified ``app.stats()`` redesign.
+exception-to-status mapping table, and exactly-once settlement across a
+mid-request worker kill on the sqlite backend.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.core import (
     NoPlacementError,
     UnknownActorTypeError,
 )
-from repro.core.overload import BackoffPolicy
+from repro.core.overload import BACKOFF
 from repro.kvstore.errors import FencedClientError
 from repro.mq.errors import StaleLeaseError, StaleRouteError
 from repro.net import ERROR_STATUS, KarGateway, KernelBridge, gateway, map_error
@@ -557,11 +556,7 @@ def test_malformed_requests_are_rejected():
 
 
 def test_error_mapping_table():
-    kernel, app = make_app()
-    policy = BackoffPolicy(
-        app.config.retry_backoff_base, app.config.retry_backoff_cap
-    )
-    transient = policy.bound(1)
+    transient = BACKOFF.bound(1)
     cases = [
         (UnknownActorTypeError("Nope"), 404, "unknown_actor_type", None),
         (BreakerOpenError("T", "m", 2.5), 503, "breaker_open", 2.5),
@@ -576,7 +571,7 @@ def test_error_mapping_table():
         (ValueError("unmapped"), 500, "internal", None),
     ]
     for error, expected_status, expected_code, expected_retry in cases:
-        status, code, message, retry_after = map_error(error, app)
+        status, code, message, retry_after = map_error(error)
         assert (status, code) == (expected_status, expected_code), error
         assert retry_after == expected_retry, error
         assert message  # the envelope always explains itself
@@ -645,24 +640,6 @@ def test_unknown_actor_type_is_rejected_at_admission():
 # ----------------------------------------------------------------------
 # the unified stats() redesign
 # ----------------------------------------------------------------------
-
-
-def test_deprecated_stats_shims_warn_and_agree():
-    kernel, app = build_app()
-    shims = [
-        ("transport_stats", "transport"),
-        ("store_stats", "store"),
-        ("overload_stats", "overload"),
-        ("persistence_stats", "persistence"),
-        ("placement_stats", "placement"),
-    ]
-    for old_name, family in shims:
-        with pytest.warns(DeprecationWarning, match=old_name):
-            legacy = getattr(app, old_name)()
-        assert legacy == app.stats(family)
-    with pytest.warns(DeprecationWarning, match="unsettled_call_ids"):
-        legacy = app.unsettled_call_ids()
-    assert legacy == app.stats("calls")["unsettled"]
 
 
 def test_stats_tree_rejects_unknown_family():

@@ -2,14 +2,15 @@
 
 Hypothesis drives arbitrary nested values -- every scalar and container
 the runtime puts on the wire, plus the registered hot-path dataclasses --
-through encode/decode and asserts exact round trips, type preservation,
-deterministic bytes, and frame-header dispatch against the legacy
-tagged-JSON codec.
+through encode/decode and asserts exact round trips, type preservation
+and deterministic bytes. Golden-bytes tests pin the version-2 encoding, and
+rejection tests pin that nothing else is accepted as a frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.envelope import Request, Response, TailCall
 from repro.core.refs import ActorRef
-from repro.persist import codec
+from repro.mq import FileJournalLog, Record
+from repro.persist import CodecError
 from repro.persist.framing import (
+    HEADER,
     MAGIC,
     FrameCache,
     FramingError,
@@ -60,10 +63,6 @@ def containers(children):
 
 
 values = st.recursive(st.one_of(scalars, actor_refs), containers, max_leaves=20)
-
-# Values the legacy tagged-JSON codec also accepts (it has no raw-bytes
-# opcode; everything else round-trips through both codecs).
-json_safe_values = values
 
 requests = st.builds(
     Request,
@@ -123,20 +122,9 @@ def test_value_round_trip(value):
 @settings(max_examples=100)
 @given(values)
 def test_frame_round_trip_binary(value):
-    frame = dumps_frame(value, codec="binary")
-    assert frame[:3] == MAGIC
+    frame = dumps_frame(value)
+    assert frame[:4] == HEADER == MAGIC + b"\x02"
     assert_same(value, loads_frame(frame))
-
-
-@settings(max_examples=100)
-@given(json_safe_values)
-def test_frame_round_trip_json_and_headerless(value):
-    frame = dumps_frame(value, codec="json")
-    assert_same(value, loads_frame(frame))
-    # Pre-framing durable bytes have no header at all: bare tagged JSON.
-    legacy = codec.dumps(value)
-    assert_same(value, loads_frame(legacy))
-    assert_same(value, loads_frame(legacy.encode("utf-8")))
 
 
 @settings(max_examples=100)
@@ -200,12 +188,124 @@ def test_tail_call_and_bytes_round_trip():
     assert decoded.args[1] == b"ba"
 
 
-def test_unknown_frame_version_is_rejected():
-    with pytest.raises(FramingError):
-        loads_frame(MAGIC + bytes((99,)) + b"\x00")
-
-
 def test_trailing_garbage_is_rejected():
-    frame = dumps_frame([1, 2, 3], codec="binary")
+    frame = dumps_frame([1, 2, 3])
     with pytest.raises(FramingError):
         loads_frame(frame + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "not_a_frame",
+    [
+        json.dumps({"a": [1, 2]}).encode("utf-8"),  # headerless JSON bytes
+        json.dumps({"a": [1, 2]}),  # a str (SQLite TEXT)
+        MAGIC + bytes((1,)) + b'{"a":[1,2]}',  # version 1 header
+        MAGIC + bytes((99,)) + b"\x00",  # a version from the future
+        MAGIC,  # magic with no version byte
+        b"",
+    ],
+)
+def test_only_version_2_frames_decode(not_a_frame):
+    with pytest.raises(FramingError):
+        loads_frame(not_a_frame)
+
+
+@dataclasses.dataclass
+class Unregistered:
+    """Not in the frame table: encodes by import path."""
+
+    label: str
+    count: int
+
+
+def test_unregistered_dataclass_round_trips_by_import_path():
+    value = Unregistered("x", 3)
+    data = encode_value(value)
+    assert f"{__name__}:Unregistered".encode() in data
+    assert decode_value(data)[0] == value
+
+
+def test_unresolvable_type_rejected():
+    data = encode_value(Unregistered("x", 3)).replace(
+        b"Unregistered", b"NoSuchClass!"
+    )
+    with pytest.raises(CodecError, match="cannot resolve durable type"):
+        decode_value(data)
+
+
+def test_pickle_fallback_for_exotic_values():
+    value = complex(1, 2)  # no opcode, not a dataclass
+    assert decode_value(encode_value(value))[0] == value
+
+    class Unpicklable:
+        def __reduce__(self):
+            raise TypeError("nope")
+
+    with pytest.raises(FramingError, match="not durable"):
+        encode_value(Unpicklable())
+
+
+# ----------------------------------------------------------------------
+# golden bytes: the durable format is pinned, not merely self-consistent
+# ----------------------------------------------------------------------
+# Captured from the last commit that also carried the tagged-JSON codec;
+# a change to any of these literals is a change to what old journals and
+# databases mean.
+GOLDEN_REQUEST = Request(
+    request_id="r42",
+    step=2,
+    actor=ActorRef("Flow", "f1"),
+    method="start",
+    args=(7, {"opts": (1, 2.5)}),
+    return_address="r41",
+    reply_to="caller#0",
+    caller_actor=ActorRef("Driver", "d1"),
+    caller_member="caller#0",
+    ancestors=("r40", "r41"),
+    tail_lock=True,
+    after_callee="r39",
+    copy_epoch=3,
+    expects_reply=True,
+    attempts=1,
+    attempt_log=(12.25,),
+)
+GOLDEN_REQUEST_FRAME = bytes.fromhex(
+    "ab4b52021608037234320302150804466c6f7708026631080573746172740c0203"
+    "070e0100000008046f7074730c0203010700000000000004400803723431080863"
+    "616c6c6572233015080644726976657208026431080863616c6c657223300c0208"
+    "03723430080372343101010803723339030303010c01070000000000802840"
+)
+GOLDEN_RESPONSE = Response("r42", value={"result": (1, None)})
+GOLDEN_RESPONSE_FRAME = bytes.fromhex(
+    "ab4b52021708037234320e010000000806726573756c740c020301000002"
+)
+#: Length prefix + ("r", "app.topic", "w1#0", 5, 12.25, GOLDEN_RESPONSE).
+GOLDEN_JOURNAL_ENTRY = bytes.fromhex(
+    "3b0000000c0608017208096170702e746f70696308047731233003050700000000"
+    "008028401708037234320e010000000806726573756c740c020301000002"
+)
+
+
+def test_golden_request_and_response_frames():
+    assert dumps_frame(GOLDEN_REQUEST) == GOLDEN_REQUEST_FRAME
+    assert dumps_frame(GOLDEN_REQUEST, cache=FrameCache()) == GOLDEN_REQUEST_FRAME
+    assert loads_frame(GOLDEN_REQUEST_FRAME) == GOLDEN_REQUEST
+    assert dumps_frame(GOLDEN_RESPONSE) == GOLDEN_RESPONSE_FRAME
+    assert loads_frame(GOLDEN_RESPONSE_FRAME) == GOLDEN_RESPONSE
+
+
+def test_golden_journal_file_bytes(tmp_path):
+    path = tmp_path / "golden.journal"
+    log = FileJournalLog(str(path))
+    log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
+    log.close()
+    golden_file = bytes.fromhex("ab4b5202") + GOLDEN_JOURNAL_ENTRY
+    assert path.read_bytes() == golden_file
+    # And the pinned bytes replay: a journal from that commit still opens.
+    path.write_bytes(golden_file)
+    log = FileJournalLog(str(path))
+    ((topic, partition, first, next_offset, records),) = log.replay()
+    log.close()
+    assert (topic, partition, first, next_offset) == ("app.topic", "w1#0", 0, 6)
+    assert records[0].value == GOLDEN_RESPONSE
+    assert (records[0].offset, records[0].timestamp) == (5, 12.25)
