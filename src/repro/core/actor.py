@@ -62,6 +62,8 @@ class ActorRegistry:
 
     def __init__(self):
         self._types: dict[str, type[Actor]] = {}
+        #: ``(class, method name)`` pairs :meth:`method` has validated.
+        self._invocable: set[tuple[type[Actor], str]] = set()
 
     def register(self, actor_class: type[Actor], name: str | None = None) -> str:
         type_name = name or actor_class.__name__
@@ -77,14 +79,16 @@ class ActorRegistry:
             raise KarError(f"unknown actor type {type_name!r}") from None
 
     def method(self, instance: Actor, method_name: str):
-        if method_name.startswith("_") or method_name in _RESERVED:
-            raise KarError(f"method {method_name!r} is not invocable")
-        method = getattr(instance, method_name, None)
-        if method is None or not inspect.iscoroutinefunction(method):
-            raise KarError(
-                f"{type(instance).__name__} has no invocable method {method_name!r}"
-            )
-        return method
+        key = (type(instance), method_name)
+        if key not in self._invocable:
+            if method_name.startswith("_") or method_name in _RESERVED:
+                raise KarError(f"method {method_name!r} is not invocable")
+            if not inspect.iscoroutinefunction(getattr(instance, method_name, None)):
+                raise KarError(
+                    f"{type(instance).__name__} has no invocable method {method_name!r}"
+                )
+            self._invocable.add(key)
+        return getattr(instance, method_name)
 
     @property
     def type_names(self) -> list[str]:

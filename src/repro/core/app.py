@@ -172,8 +172,14 @@ class KarApplication:
             store_backend=store_backend,
             broker_log=broker_log,
         )
-        app.registry = self.registry
-        return app
+        return self._succeeded_by(app)
+
+    def _succeeded_by(self, successor: "KarApplication") -> "KarApplication":
+        """Hand the next boot what the durable backends do not carry: the
+        actor registry (it is code) and whether tracing is on."""
+        successor.registry = self.registry
+        successor.trace.enabled = self.trace.enabled
+        return successor
 
     def _restore_epochs(self) -> dict[str, int]:
         """Component epochs from log metadata: a reopened application must

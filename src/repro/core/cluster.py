@@ -837,5 +837,5 @@ class KarCluster(KarApplication):
             broker_log=broker_log,
             worker_ids=worker_ids,
         )
-        cluster.registry = self.registry
+        self._succeeded_by(cluster)
         return cluster

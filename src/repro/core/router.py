@@ -259,7 +259,8 @@ class Router:
             guard.budget.deposit(self.kernel.now)
         attempt = 0
         while True:
-            await self.coordinator.wait_unpaused()
+            if self.coordinator.paused:
+                await self.coordinator.wait_unpaused()
             candidates = self.live_candidates(request.actor.type)
             if not candidates:
                 await self._retry_pause(attempt)
@@ -377,7 +378,8 @@ class Router:
         """
         attempt = 0
         while True:
-            await self.coordinator.wait_unpaused()
+            if self.coordinator.paused:
+                await self.coordinator.wait_unpaused()
             if self.is_live_member(request.reply_to):
                 return request.reply_to, None
             if request.caller_actor is None:

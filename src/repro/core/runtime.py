@@ -44,7 +44,7 @@ from repro.core.router import Router
 from repro.core.state import ActorStateCache
 from repro.kvstore import FencedClientError, PipelinedStoreClient
 from repro.mq import FencedMemberError, GenerationInfo
-from repro.sim import SimProcess
+from repro.sim import SimFuture, SimProcess
 
 if TYPE_CHECKING:
     from repro.core.app import KarApplication
@@ -836,15 +836,11 @@ class Component:
     # ------------------------------------------------------------------
     # latency charges (out-of-process runtime architecture, Section 4.1)
     # ------------------------------------------------------------------
-    async def _hop(self) -> None:
-        await self.kernel.sleep(
-            self.config.sidecar_latency.sample(self.kernel.rng)
-        )
+    def _hop(self) -> SimFuture:
+        return self.kernel.sleep(self.config.sidecar_latency.sample(self.kernel.rng))
 
-    async def _overhead(self) -> None:
-        await self.kernel.sleep(
-            self.config.invoke_overhead.sample(self.kernel.rng)
-        )
+    def _overhead(self) -> SimFuture:
+        return self.kernel.sleep(self.config.invoke_overhead.sample(self.kernel.rng))
 
     def __repr__(self) -> str:
         state = "alive" if self.process.alive else "dead"

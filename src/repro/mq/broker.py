@@ -20,7 +20,7 @@ from typing import Any, Iterable
 
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
-from repro.mq.records import Record
+from repro.mq.records import Record, RetainedRecords
 from repro.sim import Kernel, Latency
 
 __all__ = ["Broker", "BrokerConfig", "Partition", "Topic"]
@@ -56,7 +56,7 @@ class Partition:
     def __init__(self, topic: "Topic", name: str):
         self.topic = topic
         self.name = name
-        self._records: list[Record] = []
+        self._records = RetainedRecords()
         self._next_offset = 0
         self.first_retained_offset = 0
 
@@ -81,7 +81,7 @@ class Partition:
         self, records: list[Record], first_retained: int, next_offset: int
     ) -> None:
         """Adopt a replayed image (offset-indexed) from a broker log."""
-        self._records = list(records)
+        self._records = RetainedRecords(records)
         self.first_retained_offset = first_retained
         self._next_offset = next_offset
 
@@ -89,18 +89,14 @@ class Partition:
         """Drop records older than retention; returns how many were dropped."""
         config = self.topic.broker.config
         cutoff = now - config.retention_seconds
-        keep_from = 0
-        while keep_from < len(self._records) and (
-            self._records[keep_from].timestamp < cutoff
-        ):
-            keep_from += 1
+        keep_from = self._records.older_than(cutoff)
         if config.retention_max_records is not None:
             overflow = len(self._records) - keep_from - config.retention_max_records
             if overflow > 0:
                 keep_from += overflow
         if keep_from:
             self.first_retained_offset = self._records[keep_from - 1].offset + 1
-            del self._records[:keep_from]
+            self._records.drop_prefix(keep_from)
             self.topic.broker.log.compact(
                 self.topic.name, self.name, self.first_retained_offset
             )
@@ -112,15 +108,11 @@ class Partition:
         """Records at offsets >= ``offset`` that are still retained."""
         self.expire(now)
         start = max(offset, self.first_retained_offset)
-        skip = start - self.first_retained_offset
-        records = self._records[skip:]
-        if limit is not None:
-            records = records[:limit]
-        return list(records)
+        return self._records.tail(start - self.first_retained_offset, limit)
 
     def unexpired(self, now: float) -> list[Record]:
         self.expire(now)
-        return list(self._records)
+        return self._records.tail()
 
     def snapshot(self) -> list[Record]:
         """All retained records *without* triggering retention expiry.
@@ -129,7 +121,7 @@ class Partition:
         must outlive the retention window of ordinary traffic, so nothing
         on the parking-lot read path may start an expiry sweep.
         """
-        return list(self._records)
+        return self._records.tail()
 
     def __len__(self) -> int:
         return len(self._records)

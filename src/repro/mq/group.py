@@ -578,7 +578,8 @@ class GroupMember:
         sender must re-resolve the destination and retry. The check happens
         at append time, so a raised send appended nothing.
         """
-        await self.coordinator.wait_unpaused()
+        if self.coordinator.paused:
+            await self.coordinator.wait_unpaused()
         self._check_fenced()
         try:
             return await self.broker.produce(
@@ -607,7 +608,8 @@ class GroupMember:
         A fenced or stale-epoch sender raises :class:`FencedMemberError`
         for the whole batch; nothing is appended.
         """
-        await self.coordinator.wait_unpaused()
+        if self.coordinator.paused:
+            await self.coordinator.wait_unpaused()
         self._check_fenced()
         guards: dict[str, Callable[[], bool]] = {
             partition: (
@@ -629,7 +631,8 @@ class GroupMember:
         self, entries: list[tuple[str, Any]]
     ) -> list[Record]:
         """Atomically append to several queues (see produce_transaction)."""
-        await self.coordinator.wait_unpaused()
+        if self.coordinator.paused:
+            await self.coordinator.wait_unpaused()
         self._check_fenced()
         try:
             return await self.broker.produce_transaction(
@@ -650,7 +653,8 @@ class GroupMember:
     async def poll(self, max_records: int | None = None) -> list[Record]:
         """Block until records are available on this member's own queue."""
         while True:
-            await self.coordinator.wait_unpaused()
+            if self.coordinator.paused:
+                await self.coordinator.wait_unpaused()
             self._check_fenced()
             records = await self.broker.fetch(
                 self.topic_name,

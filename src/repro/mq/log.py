@@ -30,7 +30,7 @@ import sys
 from typing import Any, Iterator
 
 from repro.mq.errors import JournalLockedError, JournalReadOnlyError
-from repro.mq.records import Record
+from repro.mq.records import Record, RetainedRecords
 from repro.persist import framing
 
 try:  # advisory file locking is POSIX-only; elsewhere the guard is a no-op
@@ -50,7 +50,7 @@ class _PartitionImage:
     __slots__ = ("records", "first_retained_offset", "next_offset")
 
     def __init__(self) -> None:
-        self.records: list[Record] = []
+        self.records = RetainedRecords()
         self.first_retained_offset = 0
         self.next_offset = 0
 
@@ -103,7 +103,7 @@ class BrokerLog:
         if image is None or keep_from <= image.first_retained_offset:
             return
         drop = keep_from - image.first_retained_offset
-        del image.records[:drop]
+        image.records.drop_prefix(drop)
         image.first_retained_offset = keep_from
         image.next_offset = max(image.next_offset, keep_from)
         self.compactions += 1
@@ -122,7 +122,7 @@ class BrokerLog:
                 partition,
                 image.first_retained_offset,
                 image.next_offset,
-                list(image.records),
+                image.records.tail(),
             )
 
     def retained_records(self) -> int:
@@ -366,7 +366,7 @@ class FileJournalLog(BrokerLog):
             keep = entry[3]
             drop = keep - image.first_retained_offset
             if drop > 0:
-                del image.records[:drop]
+                image.records.drop_prefix(drop)
                 image.first_retained_offset = keep
                 image.next_offset = max(image.next_offset, keep)
         elif kind == "d":
@@ -474,7 +474,7 @@ class FileJournalLog(BrokerLog):
                         )
                     )
                 )
-                for record in image.records:
+                for record in image.records.tail():
                     handle.write(self._record_line(topic, record))
             handle.flush()
             if self._fsync:

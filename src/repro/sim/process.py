@@ -29,7 +29,10 @@ class SimProcess:
         if not self.alive:
             raise RuntimeError(f"process {self.name!r} is dead")
         self._tasks.add(task)
-        task.completion.add_done_callback(lambda _f: self._tasks.discard(task))
+
+    def release(self, task: "SimTask") -> None:
+        """``task`` completed (or was killed): it is no longer ours to kill."""
+        self._tasks.discard(task)
 
     def kill(self) -> None:
         """Abrupt fail-stop: abandon all tasks, run registered kill hooks.

@@ -228,3 +228,30 @@ def test_shutdown_is_idempotent_and_blocks_joins(tmp_path):
     assert all(not component.alive for component in app.components.values())
     with pytest.raises(Exception):
         app.add_component("w3")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reopen_inherits_tracing_off(mode, tmp_path):
+    """A long campaign switches the recorder off to bound memory; the next
+    boot must not quietly switch it back on and record the whole recovery."""
+    kernel = Kernel(seed=25)
+    app = boot_app(kernel, make_config(mode, tmp_path))
+    app.trace.enabled = False
+    client = app.client()
+    for wid in range(12):
+        ref = actor_proxy("Flow", f"f{wid}")
+        kernel.spawn(client.invoke(None, ref, "start", (wid, 3), True), client.process)
+    kernel.run(until=kernel.now + 0.05)
+    assert app.stats("calls")["unsettled"]
+
+    app2 = app.reopen()
+    readd_components(app2)
+    assert drain(app2) == []
+    assert app2.trace.enabled is False
+    assert len(app2.trace) == 0
+    # ...and a recorder left on stays on.
+    app2.trace.enabled = True
+    app3 = app2.reopen()
+    readd_components(app3)
+    assert len(app3.trace) > 0
+    app3.shutdown()

@@ -1,0 +1,138 @@
+"""Golden schedule: the kernel may get faster, never reorder.
+
+One seeded workflow -- nested calls, a tail-call chain across components and
+a component killed mid-flight -- runs on the memory and on the sqlite+journal
+backends. The SHA-256 of its whole trace, the final simulated time and the
+next draw of ``kernel.rng`` must equal constants captured at commit 6826319
+(the last kernel that kept every event, zero-delay or not, in one heap).
+Any change to the ``(when, seq)`` execution order, to an ``rng`` draw or to
+a timestamp moves at least one of the three.
+
+Each case runs in a subprocess under ``PYTHONHASHSEED`` 0 and 1. At 6826319
+the recovery after the kill already depends on the string-hash seed (and not
+on the backend: the simulated latencies are the same), so there is one
+constant per seed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
+from repro.persist import PersistenceConfig
+from repro.sim import Kernel, Latency
+
+#: PYTHONHASHSEED -> (trace SHA-256, final ``kernel.now``, next ``rng.random()``).
+GOLDEN = {
+    "0": (
+        "14da509f617a895c7833b0025242409791132c3eab85a223f448fc3ae669ee28",
+        "7.278103311307035",
+        "0.350804850761565",
+    ),
+    "1": (
+        "620d8710affc216431538a41cb22aa93335c078ee14e9f5aa3c6b6215f5bc553",
+        "7.2736488263442105",
+        "0.44963143674100436",
+    ),
+}
+
+
+class Flow(Actor):
+    """A root workflow: a tail-call chain hopping between Flow and Tally."""
+
+    async def start(self, ctx, wid, hops):
+        return ctx.tail_call(actor_proxy("Tally", f"t{wid % 3}"), "add", wid, hops)
+
+
+class Tally(Actor):
+    async def add(self, ctx, wid, hops):
+        total = await ctx.state.get("total", 0)
+        return ctx.tail_call(None, "commit", wid, hops, total + 1)
+
+    async def commit(self, ctx, wid, hops, new_total):
+        await ctx.state.set_multiple({"total": new_total, f"done:{wid}": True})
+        if hops > 1:
+            return ctx.tail_call(actor_proxy("Flow", f"f{wid}"), "start", wid, hops - 1)
+        return "done"
+
+    async def report(self, ctx):
+        return await ctx.state.get("total", 0)
+
+
+class Auditor(Actor):
+    """Nested calls: runs two workflows, then reads every tally."""
+
+    async def audit(self, ctx, wid):
+        await ctx.call(actor_proxy("Flow", f"f{wid}"), "start", wid, 2)
+        await ctx.tell(actor_proxy("Flow", f"f{wid + 100}"), "start", wid + 100, 1)
+        totals = []
+        for index in range(3):
+            totals.append(await ctx.call(actor_proxy("Tally", f"t{index}"), "report"))
+        return totals
+
+
+def run_workflow(mode: str, root: str) -> tuple[str, str, str]:
+    persistence = (
+        PersistenceConfig.sqlite(root) if mode == "sqlite" else PersistenceConfig()
+    )
+    # Jittered hops: every sidecar hop and store access draws from
+    # ``kernel.rng``, so a reordered draw shifts every later timestamp.
+    config = KarConfig.fast_test().with_overrides(
+        persistence=persistence,
+        sidecar_latency=Latency.around(0.0002, 0.0001),
+        store_latency=Latency.around(0.0005, 0.0002),
+        invoke_overhead=Latency.around(0.0002, 0.0001),
+    )
+    kernel = Kernel(seed=1503)
+    app = KarApplication.fresh(kernel, config, name="golden")
+    types = tuple(app.register_actor(cls) for cls in (Flow, Tally, Auditor))
+    for name in ("w1", "w2", "w3"):
+        app.add_component(name, types)
+    client = app.client()
+    app.settle()
+
+    tasks = [
+        kernel.spawn(
+            client.invoke(None, actor_proxy("Auditor", f"a{wid}"), "audit", (wid,), True),
+            client.process,
+            name=f"audit{wid}",
+        )
+        for wid in range(6)
+    ]
+    kernel.run(until=kernel.now + 0.03)
+    assert app.stats("calls")["unsettled"]  # the kill interrupts real work
+    app.kill_component("w2")
+    results = kernel.run_until_complete(kernel.gather(tasks), timeout=600.0)
+    app.restart_component("w2")
+    app.settle()
+    results.append(app.run_call(actor_proxy("Auditor", "a0"), "audit", 50))
+    kernel.run(until=kernel.now + 5.0)
+    kernel.check_no_crashes()
+    assert app.stats("calls")["unsettled"] == []
+
+    digest = hashlib.sha256()
+    for event in app.trace:
+        digest.update(repr((event.time, event.kind, sorted(event.fields.items()))).encode())
+    digest.update(repr(results).encode())
+    app.shutdown()
+    return digest.hexdigest(), repr(kernel.now), repr(kernel.rng.random())
+
+
+@pytest.mark.parametrize("hashseed", sorted(GOLDEN))
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_schedule_equals_the_one_heap_kernel(mode, hashseed, tmp_path):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(sys.path))
+    output = subprocess.run(
+        [sys.executable, __file__, mode, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert tuple(output.split()) == GOLDEN[hashseed]
+
+
+if __name__ == "__main__":
+    print(*run_workflow(sys.argv[1], sys.argv[2]))

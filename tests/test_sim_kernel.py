@@ -281,3 +281,113 @@ def test_event_loop_drained_error():
     future = kernel.create_future()
     with pytest.raises(RuntimeError):
         kernel.run_until_complete(future)
+
+
+# ----------------------------------------------------------------------
+# two queues, one order: delayed events sit in a heap, zero-delay events in
+# a FIFO, and the merge must execute them exactly as one (when, seq) heap
+# ----------------------------------------------------------------------
+def test_timer_due_now_keeps_its_place_among_ready_events():
+    kernel = Kernel()
+    seen = []
+    kernel.call_soon(seen.append, "soon-1")
+    kernel.schedule(0.0, seen.append, "timer")
+    kernel.call_soon(seen.append, "soon-2")
+    kernel.run()
+    assert seen == ["soon-1", "timer", "soon-2"]
+
+
+def test_timers_already_due_run_before_events_they_cause():
+    kernel = Kernel()
+    seen = []
+
+    def first():
+        seen.append("first")
+        kernel.call_soon(seen.append, "caused-by-first")
+
+    kernel.schedule(1.0, first)
+    kernel.schedule(1.0, seen.append, "second")
+    kernel.run()
+    assert seen == ["first", "second", "caused-by-first"]
+    assert kernel.now == 1.0
+
+
+def test_cancelled_timer_between_ready_events_consumes_no_event():
+    kernel = Kernel()
+    seen = []
+    kernel.call_soon(seen.append, "a")
+    kernel.schedule(0.0, seen.append, "cancelled").cancel()
+    kernel.call_soon(seen.append, "b")
+    kernel.run(max_events=3)  # would raise at 3: only two events run
+    assert seen == ["a", "b"]
+
+
+def test_stop_leaves_ready_events_queued_for_the_next_run():
+    kernel = Kernel()
+    seen = []
+
+    def stopper():
+        seen.append("stopper")
+        kernel.call_soon(seen.append, "after-stop")
+        kernel.stop()
+
+    kernel.call_soon(stopper)
+    kernel.call_soon(seen.append, "queued")
+    kernel.run(until=5.0)
+    assert seen == ["stopper"]
+    assert kernel.now == 0.0
+    kernel.run(until=5.0)
+    assert seen == ["stopper", "queued", "after-stop"]
+    assert kernel.now == 5.0
+
+
+def test_run_until_now_drains_ready_events_at_now():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(2.0, seen.append, "at-2")
+    kernel.run(until=2.0)
+    kernel.call_soon(seen.append, "soon")
+    kernel.schedule(0.5, seen.append, "later")
+    kernel.run(until=kernel.now)
+    assert seen == ["at-2", "soon"]
+    assert kernel.now == 2.0
+
+
+def test_run_until_a_past_time_never_moves_time_backwards():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(9.0, seen.append, "timer")
+    kernel.run(until=5.0)
+    kernel.call_soon(seen.append, "soon")
+    kernel.run(until=1.0)
+    assert kernel.now == 5.0
+    assert seen == []
+    kernel.run()
+    assert seen == ["soon", "timer"]
+
+
+def test_max_events_trips_on_ready_events():
+    kernel = Kernel()
+
+    def again():
+        kernel.call_soon(again)
+
+    kernel.call_soon(again)
+    with pytest.raises(RuntimeError, match="exceeded 100 events"):
+        kernel.run(max_events=100)
+
+
+def test_completed_task_leaves_its_process_at_once():
+    kernel = Kernel()
+    process = SimProcess("p")
+    later = []
+
+    async def worker():
+        kernel.stop()  # the run returns right after this task's only step
+
+    task = kernel.spawn(worker(), process=process)
+    kernel.call_soon(later.append, "not yet")
+    assert process.task_count == 1
+    kernel.run()
+    assert task.done() and later == []
+    assert process.task_count == 0
