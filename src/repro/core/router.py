@@ -39,7 +39,6 @@ from repro.mq import FencedMemberError, StaleRouteError
 if TYPE_CHECKING:
     from repro.core.envelope import Request, Response
     from repro.core.runtime import Component
-    from repro.mq.records import Record
 
 __all__ = ["Router"]
 
@@ -67,6 +66,10 @@ class Router:
 
     def __init__(self, component: "Component"):
         self.component = component
+        self.kernel = component.kernel
+        self.config = component.config
+        self.coordinator = component.coordinator
+        self.trace = component.trace
         self._outbox: list[_OutboxEntry] = []
         self._flusher_running = False
         # Membership-derived routing tables, memoized per generation.
@@ -78,28 +81,10 @@ class Router:
         self.records_sent = 0
         self.largest_batch = 0
 
-    # ------------------------------------------------------------------
-    # shortcuts
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self):
-        return self.component.kernel
-
-    @property
-    def config(self):
-        return self.component.config
-
-    @property
-    def coordinator(self):
-        return self.component.coordinator
-
     @property
     def placement(self):
+        """The component's placement service (built when it starts)."""
         return self.component.placement
-
-    @property
-    def trace(self):
-        return self.component.trace
 
     # ------------------------------------------------------------------
     # membership-derived routing tables (memoized per generation)
@@ -119,9 +104,7 @@ class Router:
         self._refresh_membership()
         cached = self._candidates.get(actor_type)
         if cached is None:
-            names = {
-                m.rsplit("#", 1)[0] for m in self.coordinator.member_ids()
-            }
+            names = {m.rsplit("#", 1)[0] for m in self.coordinator.member_ids()}
             component_types = self.component.app.component_types
             cached = self._candidates[actor_type] = sorted(
                 name
@@ -200,6 +183,7 @@ class Router:
 
     async def _flush_batch(self, batch: list[_OutboxEntry]) -> None:
         member = self.component.member
+        assert member is not None  # only a started component has an outbox
         self.batches_flushed += 1
         self.largest_batch = max(self.largest_batch, len(batch))
         if len(batch) == 1:
@@ -280,23 +264,22 @@ class Router:
                 await self._pace_if_guarded(attempt)
                 attempt += 1
                 continue
-            self.trace.emit(
-                "request.sent",
-                request=request.request_id,
-                step=request.step,
-                actor=str(request.actor),
-                method=request.method,
-                target=target_member,
-                sender=self.component.member_id,
-            )
+            if self.trace.enabled:
+                self.trace.emit(
+                    "request.sent",
+                    request=request.request_id,
+                    step=request.step,
+                    actor=str(request.actor),
+                    method=request.method,
+                    target=target_member,
+                    sender=self.component.member_id,
+                )
             return
 
     # ------------------------------------------------------------------
     # response routing
     # ------------------------------------------------------------------
-    async def send_response(
-        self, request: "Request", response: "Response"
-    ) -> None:
+    async def send_response(self, request: "Request", response: "Response") -> None:
         """Route a response to the caller's queue; if the caller's component
         died, follow the caller actor's (re-assigned) placement instead.
 
@@ -307,12 +290,13 @@ class Router:
         member_id = self.component.member_id
         if not request.expects_reply:
             await self.send_durable(member_id, response)
-            self.trace.emit(
-                "response.sent",
-                request=response.request_id,
-                target=member_id,
-                self_ack=True,
-            )
+            if self.trace.enabled:
+                self.trace.emit(
+                    "response.sent",
+                    request=response.request_id,
+                    target=member_id,
+                    self_ack=True,
+                )
             return
         if request.reply_to is None:
             return
@@ -348,19 +332,15 @@ class Router:
                 await self._pace_if_guarded(attempt)
                 attempt += 1
                 continue
-            self.trace.emit(
-                "response.sent",
-                request=response.request_id,
-                target=target,
-                error=response.error,
-                cancelled=response.cancelled,
-            )
+            if self.trace.enabled:
+                self.trace.emit(
+                    "response.sent",
+                    request=response.request_id,
+                    target=target,
+                    error=response.error,
+                    cancelled=response.cancelled,
+                )
             return
-
-    def is_live_member(self, member_id: str) -> bool:
-        """Whether ``member_id`` itself (not merely its component name) is
-        still a group member -- the reply-to liveness check."""
-        return self.coordinator.is_member(member_id)
 
     async def _resolve_response_target(
         self, request: "Request"
@@ -380,7 +360,9 @@ class Router:
         while True:
             if self.coordinator.paused:
                 await self.coordinator.wait_unpaused()
-            if self.is_live_member(request.reply_to):
+            # The reply-to liveness check is on the member incarnation
+            # itself, not merely its component name.
+            if self.coordinator.is_member(request.reply_to):
                 return request.reply_to, None
             if request.caller_actor is None:
                 return None, None
@@ -409,6 +391,7 @@ class Router:
         The local completion record lets reconciliation discard this queue
         eagerly on failure without ever re-running completed work."""
         member = self.component.member
+        assert member is not None  # only a started component executes
         member_id = self.component.member_id
         while True:
             target, resolved_name = await self._resolve_response_target(request)

@@ -43,7 +43,7 @@ from repro.core.retention import RetentionSet
 from repro.core.router import Router
 from repro.core.state import ActorStateCache
 from repro.kvstore import FencedClientError, PipelinedStoreClient
-from repro.mq import FencedMemberError, GenerationInfo
+from repro.mq import FencedMemberError, GenerationInfo, GroupMember
 from repro.sim import SimFuture, SimProcess
 
 if TYPE_CHECKING:
@@ -66,6 +66,11 @@ class Component:
         worker=None,
     ):
         self.app = app
+        self.kernel = app.kernel
+        self.config = app.config
+        self.trace = app.trace
+        self.broker = app.broker
+        self.topic_name = app.topic_name
         self.name = name
         self.actor_types = frozenset(actor_types)
         self.epoch = epoch
@@ -73,11 +78,12 @@ class Component:
         #: application runs single-loop. The worker supplies the group
         #: coordinator *view* and the event-loop cost horizon.
         self.worker = worker
+        self.coordinator = (worker if worker is not None else app).coordinator
         # Interned: the member id names this incarnation in every request
         # header, fence set, placement entry, and journal frame.
         self.member_id = sys.intern(f"{name}#{epoch}")
         self.process = SimProcess(self.member_id)
-        self.member = None
+        self.member: GroupMember | None = None  # joined in start()
         self.store_client = None
         self.placement: PlacementService | None = None
         self.router = Router(self)
@@ -107,27 +113,6 @@ class Component:
             else None
         )
 
-    # ------------------------------------------------------------------
-    # shortcuts
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self):
-        return self.app.kernel
-
-    @property
-    def config(self):
-        return self.app.config
-
-    @property
-    def coordinator(self):
-        if self.worker is not None:
-            return self.worker.coordinator
-        return self.app.coordinator
-
-    @property
-    def trace(self):
-        return self.app.trace
-
     @property
     def alive(self) -> bool:
         return self.process.alive
@@ -141,8 +126,8 @@ class Component:
         # handoff fence of the scale-out protocol). Epochs only grow, so in
         # single-loop mode this is the same supersession restart_component
         # always implied.
-        self.app.broker.acquire_partition_lease(
-            self.app.topic_name, self.name, self.member_id, self.epoch
+        self.broker.acquire_partition_lease(
+            self.topic_name, self.name, self.member_id, self.epoch
         )
         self.member = self.coordinator.join(self.member_id, self.process)
         # Same-turn store operations share one backend round trip; the
@@ -245,8 +230,8 @@ class Component:
                 await self.kernel.sleep(interval)
                 if self.worker is not None and self.worker.wedged:
                     continue
-                self.app.broker.renew_partition_lease(
-                    self.app.topic_name, self.name, self.member_id, self.epoch
+                self.broker.renew_partition_lease(
+                    self.topic_name, self.name, self.member_id, self.epoch
                 )
         except _FENCE_ERRORS:
             self._suicide()
@@ -269,7 +254,15 @@ class Component:
         external clients. Blocking calls await the response; tells return
         once the request is durably queued.
         """
-        await self._hop()  # app -> sidecar
+        # The app -> sidecar hop and the sidecar's own per-invocation work
+        # are back to back with nothing observable between them, so both are
+        # sampled here and slept as one timer: same simulated time per call,
+        # one kernel event and one task resume fewer.
+        rng = self.kernel.rng
+        await self.kernel.sleep(
+            self.config.sidecar_latency.sample(rng)
+            + self.config.invoke_overhead.sample(rng)
+        )
         request_id = self.app.ids.fresh()
         if expects_reply and caller is not None:
             return_address = caller.request_id
@@ -301,12 +294,11 @@ class Component:
             ancestors=ancestors,
             expects_reply=expects_reply,
         )
-        await self._overhead()
         future = None
         if expects_reply:
             future = self.kernel.create_future()
             self._pending_calls[request_id] = future
-        await self._route_request(request)
+        await self.router.route_request(request)
         if not expects_reply:
             await self._hop()  # ack back to the app process
             return None
@@ -317,15 +309,6 @@ class Component:
         if response.error is not None:
             raise ActorMethodError(response.error)
         return response.value
-
-    # ------------------------------------------------------------------
-    # routing (delegated to the transport layer; see repro.core.router)
-    # ------------------------------------------------------------------
-    async def _route_request(self, request: Request) -> None:
-        await self.router.route_request(request)
-
-    async def _send_response(self, request: Request, response: Response) -> None:
-        await self.router.send_response(request, response)
 
     # ------------------------------------------------------------------
     # consumer
@@ -517,17 +500,18 @@ class Component:
                 await self._hop()  # app -> sidecar with the tail call
                 # One message atomically completes this request and issues
                 # the next one (Section 2.3).
-                await self._route_request(successor)
-                self.trace.emit(
-                    "invoke.end",
-                    request=request.request_id,
-                    step=request.step,
-                    actor=str(request.actor),
-                    method=request.method,
-                    outcome="tail",
-                    tail_to_self=tail_to_self,
-                    member=self.member_id,
-                )
+                await self.router.route_request(successor)
+                if self.trace.enabled:
+                    self.trace.emit(
+                        "invoke.end",
+                        request=request.request_id,
+                        step=request.step,
+                        actor=str(request.actor),
+                        method=request.method,
+                        outcome="tail",
+                        tail_to_self=tail_to_self,
+                        member=self.member_id,
+                    )
             else:
                 if kind == "value":
                     response = Response(request.request_id, value=payload)
@@ -536,16 +520,17 @@ class Component:
                 else:  # cancelled
                     response = Response(request.request_id, cancelled=True)
                 await self._hop()
-                await self._send_response(request, response)
-                self.trace.emit(
-                    "invoke.end",
-                    request=request.request_id,
-                    step=request.step,
-                    actor=str(request.actor),
-                    method=request.method,
-                    outcome=kind,
-                    member=self.member_id,
-                )
+                await self.router.send_response(request, response)
+                if self.trace.enabled:
+                    self.trace.emit(
+                        "invoke.end",
+                        request=request.request_id,
+                        step=request.step,
+                        actor=str(request.actor),
+                        method=request.method,
+                        outcome=kind,
+                        member=self.member_id,
+                    )
             self._finish_frame(request, tail_to_self)
         except _FENCE_ERRORS:
             self._suicide()
@@ -604,15 +589,16 @@ class Component:
                 self._state_caches.pop(request.actor, None)
                 return ("error", f"{type(error).__name__}: {error}")
         await self._hop()  # sidecar -> app dispatch
-        self.trace.emit(
-            "invoke.start",
-            request=request.request_id,
-            step=request.step,
-            actor=str(request.actor),
-            method=request.method,
-            member=self.member_id,
-            copy_epoch=request.copy_epoch,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                "invoke.start",
+                request=request.request_id,
+                step=request.step,
+                actor=str(request.actor),
+                method=request.method,
+                member=self.member_id,
+                copy_epoch=request.copy_epoch,
+            )
         try:
             method = self.app.registry.method(instance, request.method)
         except Exception as error:  # noqa: BLE001 - app boundary
@@ -838,9 +824,6 @@ class Component:
     # ------------------------------------------------------------------
     def _hop(self) -> SimFuture:
         return self.kernel.sleep(self.config.sidecar_latency.sample(self.kernel.rng))
-
-    def _overhead(self) -> SimFuture:
-        return self.kernel.sleep(self.config.invoke_overhead.sample(self.kernel.rng))
 
     def __repr__(self) -> str:
         state = "alive" if self.process.alive else "dead"

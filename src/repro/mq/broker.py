@@ -5,6 +5,12 @@ One topic per application, one partition per application component
 each application component"). Partitions only support appending at the end;
 completed requests are left in place and later expired in bulk.
 
+Consumers long-poll: :meth:`Broker.end_offset` peeks whether anything is
+past a consumer's position, :meth:`Broker.wait_for_append` parks it for free
+until the next append when nothing is, and :meth:`Broker.fetch` -- the only
+step that costs a ``consume_latency`` round trip and the fence and lease
+checks -- runs once per delivered batch (see ``GroupMember.poll``).
+
 Every partition mutation is mirrored into a pluggable
 :class:`~repro.mq.log.BrokerLog` (appends per produce round trip, prefix
 trims on retention expiry, drops on queue discard), and
@@ -183,6 +189,10 @@ class Broker:
         #: not journaled: liveness evidence for the control plane's wedge
         #: detector, while ownership itself stays in the durable lease.
         self._lease_renewed: dict[tuple[str, str], float] = {}
+        #: Client id -> parsed ``(base, epoch)``, or ``None`` for ids that
+        #: are not ``base#epoch``. One entry per incarnation, like the fence
+        #: set; saves re-parsing the id on every produce and fetch.
+        self._lease_ids: dict[str, tuple[str, int] | None] = {}
         self._append_waiters: dict[tuple[str, str], list] = {}
         #: Produce round trips (one per produce / produce_batch call).
         self.produce_count = 0
@@ -296,11 +306,17 @@ class Broker:
         it also catches a stale incarnation after a cold restart, when the
         in-memory fence set is empty but the durable lease survived.
         """
-        base, sep, epoch_text = client_id.rpartition("#")
-        if not sep or not epoch_text.isdigit():
+        try:
+            parsed = self._lease_ids[client_id]
+        except KeyError:
+            base, sep, epoch_text = client_id.rpartition("#")
+            parsed = self._lease_ids[client_id] = (
+                (base, int(epoch_text)) if sep and epoch_text.isdigit() else None
+            )
+        if parsed is None:
             return
-        lease = self._leases.get((topic_name, base))
-        if lease is not None and int(epoch_text) < lease[1]:
+        lease = self._leases.get((topic_name, parsed[0]))
+        if lease is not None and parsed[1] < lease[1]:
             raise StaleLeaseError(
                 f"{client_id!r} superseded by {lease[0]!r} at epoch {lease[1]}"
             )
@@ -475,6 +491,13 @@ class Broker:
             self._wake_append_waiters(topic_name, partition_name)
         return records
 
+    def end_offset(self, topic_name: str, partition_name: str) -> int:
+        """Offset the next append will get; 0 for a partition nobody has
+        produced to yet. A peek: it creates nothing and expires nothing."""
+        topic = self.topics.get(topic_name)
+        partition = None if topic is None else topic.partitions.get(partition_name)
+        return 0 if partition is None else partition.end_offset
+
     def wait_for_append(self, topic_name: str, partition_name: str):
         """Future resolved at the next append to the given partition."""
         waiter = self.kernel.create_future()
@@ -494,6 +517,13 @@ class Broker:
         client_id: str,
         limit: int | None = None,
     ) -> list[Record]:
+        """One fetch round trip: retained records at offsets >= ``offset``.
+
+        The read happens when the ``consume_latency`` sleep ends, so records
+        appended meanwhile are included. Empty only when retention expired
+        everything between ``offset`` and the end offset; a consumer that
+        peeks :meth:`end_offset` first never pays for an empty fetch.
+        """
         await self.kernel.sleep(self.config.consume_latency.sample(self.kernel.rng))
         if client_id in self._fenced:
             raise FencedMemberError(client_id)

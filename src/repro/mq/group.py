@@ -14,6 +14,16 @@ This module implements the failure-detection machinery of Section 4.2/4.3:
   generation. A failure during reconciliation simply yields a newer
   generation whose leader restarts reconciliation.
 
+Consuming is a long poll (:meth:`GroupMember.poll`, modelled on Kafka's
+``fetch.max.wait.ms``): a member with nothing past its position parks on the
+partition's next append and a parked fetch costs nothing -- no timer, no
+round trip, no fence or lease check. An append wakes it; it re-checks the
+pause gate and its fence, and only then fetches, so delivery is exactly one
+``consume_latency`` after the wake and one delivered batch costs one fetch.
+A member fenced while parked stays parked (nothing is owed to it) until the
+next append wakes it into :class:`FencedMemberError`; its owner has normally
+terminated it long before, from the generation that evicted it.
+
 Scale-out: the authoritative group state -- membership set, generation
 counter, pause flag, and the latest :class:`GenerationInfo` -- lives in a
 :class:`GroupState` over a shared :class:`~repro.kvstore.backend.StoreBackend`
@@ -554,17 +564,11 @@ class GroupMember:
         process: SimProcess | None,
     ):
         self.coordinator = coordinator
+        self.broker: Broker = coordinator.broker
+        self.topic_name = coordinator.topic_name
         self.member_id = member_id
         self.process = process
         self.position = 0
-
-    @property
-    def broker(self) -> Broker:
-        return self.coordinator.broker
-
-    @property
-    def topic_name(self) -> str:
-        return self.coordinator.topic_name
 
     def _check_fenced(self) -> None:
         if self.broker.is_fenced(self.member_id):
@@ -651,22 +655,29 @@ class GroupMember:
             raise StaleRouteError([p for p, _ in entries]) from None
 
     async def poll(self, max_records: int | None = None) -> list[Record]:
-        """Block until records are available on this member's own queue."""
+        """Block until records are available on this member's own queue.
+
+        A long poll (module docstring): the member parks for free while
+        nothing is past ``position``; every wake re-checks the pause gate and
+        the fence, then one fetch delivers the batch a ``consume_latency``
+        later. ``max_records`` bounds a batch; a backlog beyond it is fetched
+        by the next call without parking.
+        """
+        broker, topic_name, member_id = self.broker, self.topic_name, self.member_id
         while True:
             if self.coordinator.paused:
                 await self.coordinator.wait_unpaused()
             self._check_fenced()
-            records = await self.broker.fetch(
-                self.topic_name,
-                self.member_id,
-                self.position,
-                self.member_id,
-                max_records,
+            if broker.end_offset(topic_name, member_id) <= self.position:
+                await broker.wait_for_append(topic_name, member_id)
+                continue
+            records = await broker.fetch(
+                topic_name, member_id, self.position, member_id, max_records
             )
             if records:
                 self.position = records[-1].offset + 1
                 return records
-            waiter = self.broker.wait_for_append(
-                self.topic_name, self.member_id
-            )
-            await waiter
+            # The end offset is past ``position`` yet nothing came back:
+            # retention expired the whole gap. Skip it, or the loop would
+            # re-fetch it every ``consume_latency`` until the next append.
+            self.position = broker.end_offset(topic_name, member_id)

@@ -1,0 +1,98 @@
+"""The hop count of one actor call, pinned.
+
+ROADMAP item 4 prices a call in hops: timers, task spawns, produce and fetch
+round trips. This gate turns that price into numbers a "fewer hops" change
+lowers on purpose and nothing else moves by accident. One serial ``Echo.echo``
+on memory backends with ``KarConfig.fast_test()`` and tracing off costs
+
+======================  =====  ==============================================
+produce round trips       2    the request, the response
+fetch round trips         2    one per delivered record (a parked consumer
+                               pays nothing; see ``GroupMember.poll``)
+``Kernel.schedule``      10    caller: hop + overhead (one sleep), linger,
+                               produce; callee: fetch, dispatch hop, reply
+                               hop, linger, produce; caller: fetch, reply hop
+spawned tasks             3    two outbox flushers, one executor
+simulated seconds      0.0042  the sum of those sleeps
+======================  =====  ==============================================
+
+Heartbeats, watchdog, reminder and maintenance loops tick in the background;
+their periods (0.1, 0.3, 0.5 s) all divide 1.5 s, so an idle 1.5 s window
+holds exactly the background's share of a 1.5 s window with calls in it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import KarApplication, KarConfig, actor_proxy
+from repro.sim import Kernel
+
+from helpers import Echo
+
+CALLS = 200
+WINDOW = 1.5  # a common multiple of every background period of fast_test()
+
+
+class CountingKernel(Kernel):
+    """Counts the two kernel entry points that make an event or a task."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed)
+        self.scheduled = 0
+        self.spawned = 0
+
+    def schedule(self, delay, callback, *args):
+        self.scheduled += 1
+        return super().schedule(delay, callback, *args)
+
+    def spawn(self, coro, process=None, name="task"):
+        self.spawned += 1
+        return super().spawn(coro, process, name)
+
+
+def test_one_echo_call_costs_ten_timers_two_fetches_three_tasks():
+    kernel = CountingKernel(seed=16)
+    app = KarApplication(kernel, KarConfig.fast_test())
+    echo = app.register_actor(Echo)
+    app.add_component("w1", (echo,))
+    app.add_component("w2", (echo,))
+    client = app.client()
+    app.settle()
+    app.trace.enabled = False
+
+    async def caller(count):
+        for index in range(count):
+            ref = actor_proxy("Echo", f"e{index % 8}")
+            assert await client.invoke(None, ref, "echo", ("x",)) == "x"
+
+    def drive(count):
+        kernel.run_until_complete(kernel.spawn(caller(count), client.process))
+
+    drive(16)  # activate the eight actors, fill the placement cache
+
+    start = kernel.now
+    produces, fetches = app.broker.produce_count, app.broker.consume_count
+    records = app.broker.produce_record_count
+    scheduled, spawned = kernel.scheduled, kernel.spawned
+    drive(CALLS)
+    assert kernel.now - start == pytest.approx(CALLS * 0.0042, rel=1e-9)
+    assert app.broker.produce_count - produces == 2 * CALLS
+    assert app.broker.produce_record_count - records == 2 * CALLS
+    assert app.broker.consume_count - fetches == 2 * CALLS
+    assert kernel.spawned - spawned - 1 == 3 * CALLS  # minus the driver itself
+
+    kernel.run(until=start + WINDOW)
+    busy_window = kernel.scheduled - scheduled
+    idle_windows = []
+    for index in (2, 3):
+        before = kernel.scheduled
+        kernel.run(until=start + index * WINDOW)
+        idle_windows.append(kernel.scheduled - before)
+    # The background really is periodic in the window, and it is all that
+    # runs when nobody calls: no fetch, no produce, no task.
+    assert idle_windows[0] == idle_windows[1] > 0
+    assert app.broker.consume_count - fetches == 2 * CALLS
+    assert kernel.spawned - spawned - 1 == 3 * CALLS
+    assert busy_window - idle_windows[0] == 10 * CALLS
+    kernel.check_no_crashes()

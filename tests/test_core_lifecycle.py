@@ -410,7 +410,7 @@ def test_send_response_invalidates_placement_on_stale_route():
     response = Response("r900", value=5)
 
     task = kernel.spawn(
-        executor._send_response(request, response), executor.process
+        executor.router.send_response(request, response), executor.process
     )
     kernel.run_until_complete(task, timeout=60.0)
     assert fails["left"] == 0

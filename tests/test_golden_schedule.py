@@ -1,17 +1,29 @@
-"""Golden schedule: the kernel may get faster, never reorder.
+"""Golden schedule: a change may get faster, never reorder by accident.
 
 One seeded workflow -- nested calls, a tail-call chain across components and
 a component killed mid-flight -- runs on the memory and on the sqlite+journal
 backends. The SHA-256 of its whole trace, the final simulated time and the
-next draw of ``kernel.rng`` must equal constants captured at commit 6826319
-(the last kernel that kept every event, zero-delay or not, in one heap).
-Any change to the ``(when, seq)`` execution order, to an ``rng`` draw or to
-a timestamp moves at least one of the three.
+next draw of ``kernel.rng`` must equal the constants below. Any change to the
+``(when, seq)`` execution order, to an ``rng`` draw or to a timestamp moves at
+least one of the three, so an order-preserving change leaves them alone and
+a deliberate schedule change re-captures them and says why the new order is
+a legal one (``PYTHONHASHSEED=0 PYTHONPATH=src python
+tests/test_golden_schedule.py memory /tmp/g``).
 
-Each case runs in a subprocess under ``PYTHONHASHSEED`` 0 and 1. At 6826319
-the recovery after the kill already depends on the string-hash seed (and not
-on the backend: the simulated latencies are the same), so there is one
-constant per seed.
+History of the constants. 6826319 (the last kernel that kept every event in
+one heap) through e47d23a: ``14da509f...`` / ``620d8710...``; the two-queue
+kernel of PR 15 reproduced them bit for bit. PR 16 re-captured them once, on
+purpose: consumers long-poll (a parked consumer starts no fetch, so a record
+appended while the old loop was mid-way through an empty fetch is delivered
+a fraction of ``consume_latency`` later), and ``Component.invoke`` draws the
+hop and the overhead latency at one point and sleeps their sum (same total,
+but the second draw now precedes whatever other tasks drew in between).
+Timestamps and the assignment of ``rng`` draws to tasks move; what runs, how
+often and with what outcome does not (CHANGES.md, PR 16, has the evidence).
+
+Each case runs in a subprocess under ``PYTHONHASHSEED`` 0 and 1. The
+schedule depends on the string-hash seed (and not on the backend: the
+simulated latencies are the same), so there is one constant per seed.
 """
 
 from __future__ import annotations
@@ -30,14 +42,14 @@ from repro.sim import Kernel, Latency
 #: PYTHONHASHSEED -> (trace SHA-256, final ``kernel.now``, next ``rng.random()``).
 GOLDEN = {
     "0": (
-        "14da509f617a895c7833b0025242409791132c3eab85a223f448fc3ae669ee28",
-        "7.278103311307035",
-        "0.350804850761565",
+        "c23007fef5b5c34a5167fdac773ece5b228a0a98d0430e2e9bff7ab272bf11b3",
+        "7.281563186464238",
+        "0.4724131123343983",
     ),
     "1": (
-        "620d8710affc216431538a41cb22aa93335c078ee14e9f5aa3c6b6215f5bc553",
-        "7.2736488263442105",
-        "0.44963143674100436",
+        "4077813ee4aff65a3dca6097b40c1c260108ba925ca7aa658d33ec90bee0ded7",
+        "7.290073111778719",
+        "0.678878546266445",
     ),
 }
 
@@ -125,7 +137,7 @@ def run_workflow(mode: str, root: str) -> tuple[str, str, str]:
 
 @pytest.mark.parametrize("hashseed", sorted(GOLDEN))
 @pytest.mark.parametrize("mode", ["memory", "sqlite"])
-def test_schedule_equals_the_one_heap_kernel(mode, hashseed, tmp_path):
+def test_schedule_equals_the_golden_constants(mode, hashseed, tmp_path):
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(sys.path))
     output = subprocess.run(
         [sys.executable, __file__, mode, str(tmp_path)],

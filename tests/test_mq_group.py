@@ -215,3 +215,162 @@ def test_empty_group_resumes_itself():
     kernel.run(until=60.0)
     assert group.live_members == ()
     assert not group.paused
+
+
+# ----------------------------------------------------------------------
+# the long poll: a parked consumer costs nothing, a delivered batch one fetch
+# ----------------------------------------------------------------------
+def settled_pair(**overrides):
+    """A resumed two-member group: (kernel, broker, group, alice, bob)."""
+    kernel, broker, group = make_group(**overrides)
+    auto_resume(group)
+    alice = group.join("m1", SimProcess("m1"))
+    bob = group.join("m2", SimProcess("m2"))
+    kernel.run(until=5.0)
+    assert not group.paused
+    return kernel, broker, group, alice, bob
+
+
+def poll_into(kernel, member, deliveries, max_records=None):
+    """Poll forever, logging ``(time, [offsets], [values])`` per batch."""
+
+    async def consume():
+        while True:
+            records = await member.poll(max_records)
+            deliveries.append(
+                (
+                    kernel.now,
+                    [record.offset for record in records],
+                    [record.value for record in records],
+                )
+            )
+
+    return kernel.spawn(consume(), process=member.process)
+
+
+def test_idle_member_performs_no_fetch():
+    kernel, broker, _group, _alice, bob = settled_pair()
+    deliveries = []
+    poll_into(kernel, bob, deliveries)
+    kernel.run(until=15.0)
+    assert deliveries == []
+    assert broker.consume_count == 0
+    # Peeking at the end offset created nothing either.
+    assert "m2" not in broker.topic("app-topic").partitions
+
+
+def test_record_is_delivered_one_consume_latency_after_its_append():
+    kernel, broker, _group, alice, bob = settled_pair()
+    deliveries = []
+    appended_at = []
+
+    async def sender(value, delay):
+        await kernel.sleep(delay)
+        record = await alice.send("m2", value)
+        appended_at.append(record.timestamp)
+
+    poll_into(kernel, bob, deliveries)
+    kernel.spawn(sender("first", 1.0), process=alice.process)
+    # The second append lands 0.3 ms after the first delivery: a consumer
+    # that re-fetched eagerly would already be 0.3 ms into a fetch and
+    # return it 0.2 ms after the append.
+    kernel.spawn(sender("second", 1.0 + 0.0005 + 0.0003), process=alice.process)
+    kernel.run(until=10.0)
+    assert [values for _t, _offsets, values in deliveries] == [["first"], ["second"]]
+    for (delivered, _offsets, _values), appended in zip(deliveries, appended_at):
+        assert delivered == pytest.approx(appended + 0.0005, abs=1e-12)
+    assert broker.consume_count == 2  # one fetch per delivered batch
+
+
+def test_member_fenced_while_parked_raises_at_its_next_wake():
+    kernel, broker, _group, _alice, bob = settled_pair()
+    outcome = []
+
+    async def consume():
+        try:
+            outcome.append(await bob.poll())
+        except FencedMemberError as error:
+            outcome.append(error)
+
+    kernel.spawn(consume(), process=bob.process)
+    kernel.run(until=6.0)
+    broker.fence("m2")
+    kernel.run(until=8.0)
+    assert outcome == []  # parked: nothing wakes it, nothing is fetched
+    broker.produce_internal_batch("app-topic", [("m2", "too late")])
+    kernel.run(until=9.0)
+    assert len(outcome) == 1 and isinstance(outcome[0], FencedMemberError)
+    assert broker.consume_count == 0
+
+
+def test_records_appended_under_a_pause_wait_for_resume():
+    kernel, broker, group, _alice, bob = settled_pair()
+    deliveries = []
+    poll_into(kernel, bob, deliveries)
+    kernel.run(until=6.0)
+    group._pause()
+    broker.produce_internal_batch("app-topic", [("m2", "held")])
+    kernel.run(until=8.0)
+    assert deliveries == [] and broker.consume_count == 0
+    group.resume(group.generation)
+    kernel.run(until=9.0)
+    assert deliveries == [(pytest.approx(8.0005), [0], ["held"])]
+
+
+def test_bounded_poll_drains_a_backlog_without_parking():
+    kernel, broker, _group, _alice, bob = settled_pair()
+    broker.produce_internal_batch(
+        "app-topic", [("m2", index) for index in range(5)]
+    )
+    deliveries = []
+    poll_into(kernel, bob, deliveries, max_records=2)
+    kernel.run(until=6.0)
+    assert [offsets for _t, offsets, _values in deliveries] == [[0, 1], [2, 3], [4]]
+    assert [delivered for delivered, _o, _v in deliveries] == [
+        pytest.approx(5.0 + 0.0005 * batch) for batch in (1, 2, 3)
+    ]
+    assert broker.consume_count == 3
+
+
+def test_interleaved_producers_deliver_gap_free_and_in_order():
+    kernel, broker, group, alice, bob = settled_pair(
+        produce_latency=Latency.around(0.001, 0.0008)
+    )
+    carol = group.join("m3", SimProcess("m3"))
+    kernel.run(until=10.0)
+    deliveries = []
+    poll_into(kernel, carol, deliveries)
+
+    async def producer(member, tag):
+        for index in range(500):
+            await member.send("m3", (tag, index))
+
+    kernel.spawn(producer(alice, "a"), process=alice.process)
+    kernel.spawn(producer(bob, "b"), process=bob.process)
+    kernel.run(until=20.0)
+    offsets = [offset for _t, batch, _values in deliveries for offset in batch]
+    assert offsets == list(range(1000))
+    values = [value for _t, _offsets, batch in deliveries for value in batch]
+    for tag in "ab":
+        assert [index for t, index in values if t == tag] == list(range(500))
+    # One fetch per delivered batch, never one per poll interval.
+    assert broker.consume_count == len(deliveries)
+
+
+def test_parked_consumer_skips_a_gap_that_retention_expired():
+    kernel, broker, _group, _alice, bob = settled_pair(retention_seconds=1.0)
+    broker.produce_internal_batch(
+        "app-topic", [("m2", f"stale{index}") for index in range(3)]
+    )
+    kernel.run(until=10.0)  # the backlog outlives its retention unread
+    deliveries = []
+    poll_into(kernel, bob, deliveries)
+    kernel.run(until=20.0)
+    # One fetch discovered the gap; the member then parked past it instead
+    # of re-fetching the expired range every consume_latency.
+    assert deliveries == [] and broker.consume_count == 1
+    assert bob.position == 3
+    broker.produce_internal_batch("app-topic", [("m2", "fresh")])
+    kernel.run(until=21.0)
+    assert deliveries == [(pytest.approx(20.0005), [3], ["fresh"])]
+    assert broker.consume_count == 2
