@@ -5,9 +5,9 @@ Kafka and one Redis. This module reproduces that shape inside the simulator:
 
 - a :class:`KarWorker` is one worker event loop -- its own failure domain
   (a :class:`~repro.sim.SimProcess`), its own
-  :class:`~repro.mq.GroupCoordinator` *view* onto the shared store-backed
-  group state, and a :class:`WorkerLoop` busy horizon that serializes the
-  CPU cost of every actor invocation it hosts (``KarConfig.
+  :class:`~repro.mq.GroupCoordinator` *view* onto the group's one shared
+  :class:`~repro.mq.GroupState`, and a :class:`WorkerLoop` busy horizon that
+  serializes the CPU cost of every actor invocation it hosts (``KarConfig.
   worker_loop_cost``). With a positive cost one worker is a genuine
   throughput ceiling, and sharding components across N workers buys ~N x;
 - a :class:`KarCluster` is the control plane: it extends
@@ -35,10 +35,14 @@ The handoff protocol (drain -> fence old epoch -> replay tail -> resume):
    (placement stores component *names*, so moving a component between
    workers never invalidates where its actors live).
 
-Workers agree through the store, not through shared Python objects: the
-group state is CAS-bumped generations in the store backend, worker
-liveness is a heartbeat hash in the same store, and every coordinator view
-polls for foreign generations from its watchdog.
+How workers agree: every coordinator view shares the group's one
+:class:`~repro.mq.GroupState` object (all loops live in one Python process),
+bumps generations through its compare-and-swap, and learns of generations
+other views decided by polling it from its own watchdog rather than through
+their callbacks. Worker *liveness* is what goes through ``app.store.backend``:
+each worker writes a heartbeat hash there and the control loop sweeps it.
+``GroupState``'s method surface is the seam a store-backed implementation
+returns through when a multi-process cluster (ROADMAP, deferred) needs one.
 """
 
 from __future__ import annotations

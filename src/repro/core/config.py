@@ -39,8 +39,8 @@ class KarConfig:
     invoke_overhead: Latency = Latency.fixed(0.0002)
 
     # --- batched transport (router / send outbox) --------------------------
-    # How long a component's outbox flusher lingers collecting envelopes
-    # before one batched produce round trip. The 0.0 default adds no
+    # How long the first sender into an idle outbox lingers collecting
+    # envelopes before one batched produce round trip. The 0.0 default adds no
     # simulated delay -- it still coalesces everything enqueued within the
     # same event-loop turn, preserving the unbatched latency profile --
     # while a small positive linger trades that latency for far fewer

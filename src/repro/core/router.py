@@ -1,24 +1,36 @@
-"""Per-component transport: routing, the send outbox, and batched flushing.
+"""Per-component transport: routing, the send outbox, and batched sending.
 
 Every envelope a component emits -- requests from ``invoke``, tail-call
 successors, responses and tell self-acks -- passes through this layer.
-It resolves a destination partition (placement + live-incarnation lookup),
-enqueues the envelope in a per-component *outbox* with a per-message
-durability future, and lets a flusher coalesce everything accumulated
-within ``KarConfig.send_linger`` (up to ``send_batch_max`` envelopes) into
-a single ``GroupMember.send_batch`` produce round trip.
+It resolves a destination partition (placement + live-incarnation lookup)
+and appends the envelope to a per-component *outbox*, whose senders share
+produce round trips by a carrier/rider protocol (the leader/follower shape
+of a group commit), with no task of its own:
+
+- the sender that finds the outbox idle is the *carrier*. It waits out
+  ``KarConfig.send_linger`` itself, cuts up to ``send_batch_max`` envelopes
+  from the outbox head (its own first) and takes them through a single
+  ``GroupMember.send_batch`` produce round trip in its own frame;
+- every sender that arrives meanwhile is a *rider*: it parks on a future the
+  carrier of its batch resolves with that entry's outcome;
+- a carrier that finds envelopes queued behind its batch promotes the rider
+  now at the outbox head to carry the next batch (at once: only the first
+  carrier lingers), else marks the outbox idle. One produce is in flight per
+  component at a time and batches leave in FIFO order.
 
 Semantics are those of the unbatched transport:
 
-- a durability future only resolves after the covering batch's produce
-  ack, so callers still observe "durably queued" exactly when the broker
-  acknowledged their record;
+- a send only returns after the covering batch's produce ack, so callers
+  still observe "durably queued" exactly when the broker acknowledged their
+  record;
 - fencing is checked at append time and rejects the whole batch -- every
   waiting sender observes :class:`FencedMemberError` and the component
   runs its fenced-exit path;
 - a stale destination inside a batch fails only its own entries: the
   affected envelope is re-routed (placement invalidated, re-resolved,
   re-enqueued) while the rest of the batch lands;
+- a payload the durable log refuses fails only its own sender: a refused
+  batch appended nothing and is carried again entry by entry;
 - tail calls remain a single record that atomically completes the current
   request while issuing the next one (Section 2.3);
 - completion-log mode keeps using ``send_transaction`` so the caller's
@@ -32,13 +44,14 @@ generation listener invalidates them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.mq import FencedMemberError, StaleRouteError
+from repro.mq import FencedMemberError, Record, StaleRouteError
 
 if TYPE_CHECKING:
     from repro.core.envelope import Request, Response
     from repro.core.runtime import Component
+    from repro.sim import SimFuture
 
 __all__ = ["Router"]
 
@@ -51,14 +64,21 @@ _PLACEMENT_RETRY_DELAY = 0.25
 
 
 class _OutboxEntry:
-    """One queued envelope and the future resolved at its produce ack."""
+    """One queued envelope. Only a rider sets ``future``: the carrier of its
+    batch resolves it with the entry's outcome, or with :data:`_PROMOTED`."""
 
     __slots__ = ("partition", "envelope", "future")
 
-    def __init__(self, partition: str, envelope: Any, future):
+    future: SimFuture
+
+    def __init__(self, partition: str, envelope: Any):
         self.partition = partition
         self.envelope = envelope
-        self.future = future
+
+
+#: Resolves the future of the rider at the outbox head when the carrier ahead
+#: of it is done: that rider carries the next batch.
+_PROMOTED = object()
 
 
 class Router:
@@ -71,7 +91,8 @@ class Router:
         self.coordinator = component.coordinator
         self.trace = component.trace
         self._outbox: list[_OutboxEntry] = []
-        self._flusher_running = False
+        #: A sender of this component is lingering or in a produce round trip.
+        self._carrying = False
         # Membership-derived routing tables, memoized per generation.
         self._generation_seen = -1
         self._candidates: dict[str, list[str]] = {}
@@ -130,87 +151,106 @@ class Router:
 
     @property
     def outbox_idle(self) -> bool:
-        """No envelopes waiting and no flush in flight (drain criterion)."""
-        return not self._outbox and not self._flusher_running
+        """No envelope waiting and no sender carrying (drain criterion)."""
+        return not self._outbox and not self._carrying
 
     # ------------------------------------------------------------------
     # the send outbox
     # ------------------------------------------------------------------
-    def send_durable(self, partition: str, envelope: Any):
-        """Enqueue one envelope for the next batched flush.
+    async def send_durable(self, partition: str, envelope: Any) -> Record:
+        """Durably append one envelope, in one produce round trip with every
+        other send this component has queued by then (module docstring).
 
-        Returns a future resolved with the appended :class:`Record` once
-        the covering batch's produce round trip acknowledged, or failed
-        with :class:`StaleRouteError` (this entry must be re-routed) or a
-        fence error (the component is dead).
+        Returns the appended :class:`Record` after the covering batch's
+        produce ack. Raises :class:`StaleRouteError` (this entry must be
+        re-routed), the log's refusal of this entry, or a fence error (the
+        component is dead). A zero ``send_linger`` is still a sleep: it ends
+        after everything already scheduled at this instant, so same-turn
+        sends coalesce at no simulated cost.
         """
-        future = self.kernel.create_future()
-        self._outbox.append(_OutboxEntry(partition, envelope, future))
-        if not self._flusher_running:
-            self._flusher_running = True
-            self.kernel.spawn(
-                self._flush_outbox(),
-                self.component.process,
-                name=f"outbox:{self.component.member_id}",
-            )
-        return future
+        outbox = self._outbox
+        own = _OutboxEntry(partition, envelope)
+        outbox.append(own)
+        if self._carrying:
+            own.future = self.kernel.create_future()
+            outcome = await own.future
+            if outcome is not _PROMOTED:
+                return outcome
+        else:
+            self._carrying = True
+            await self.kernel.sleep(self.config.send_linger)
+        # Carrier (first, or promoted): ``own`` is at the outbox head.
+        limit = max(1, self.config.send_batch_max)
+        batch = outbox[:limit]
+        del outbox[:limit]
+        try:
+            outcomes = await self._flush_batch(batch)
+        except FencedMemberError as error:
+            # Append-time fencing rejects whole batches: nothing was
+            # appended, and this member can never send again. Fail every
+            # waiting sender (their tasks run the fenced-exit path).
+            for entry in batch[1:] + outbox:
+                entry.future.set_exception(error)
+            outbox.clear()
+            self._carrying = False
+            raise
+        for entry, outcome in zip(batch[1:], outcomes[1:]):
+            if isinstance(outcome, Exception):
+                entry.future.set_exception(outcome)
+            else:
+                entry.future.set_result(outcome)
+        if outbox:
+            outbox[0].future.set_result(_PROMOTED)
+        else:
+            self._carrying = False
+        outcome = outcomes[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-    async def _flush_outbox(self) -> None:
-        """Drain the outbox in FIFO batches after the linger window.
+    async def _flush_batch(
+        self, batch: list[_OutboxEntry]
+    ) -> Sequence[Record | Exception]:
+        """One produce round trip; outcomes aligned with ``batch``.
 
-        ``send_linger == 0.0`` still coalesces everything enqueued in the
-        same event-loop turn (the zero-delay sleep runs after already
-        scheduled work at this instant) while adding no simulated latency.
-        FIFO draining keeps per-partition send order across batches.
+        An entry's outcome is its appended record, or the exception that
+        fails only its sender: a stale destination, or a payload the log
+        refuses. Raises only what fails every sender -- a fence, or a
+        component that died while its carrier (a task outside the
+        component's process) waited.
         """
-        await self.kernel.sleep(self.config.send_linger)
-        while self._outbox:
-            limit = max(1, self.config.send_batch_max)
-            batch = self._outbox[:limit]
-            del self._outbox[: len(batch)]
-            try:
-                await self._flush_batch(batch)
-            except FencedMemberError as error:
-                # Append-time fencing rejects whole batches: nothing was
-                # appended, and this member can never send again. Fail every
-                # waiting sender (their tasks run the fenced-exit path).
-                for entry in batch + self._outbox:
-                    if not entry.future.done():
-                        entry.future.set_exception(error)
-                self._outbox.clear()
-                break
-        self._flusher_running = False
-
-    async def _flush_batch(self, batch: list[_OutboxEntry]) -> None:
-        member = self.component.member
+        component = self.component
+        member = component.member
         assert member is not None  # only a started component has an outbox
+        if not component.process.alive:
+            raise FencedMemberError(component.member_id)
         self.batches_flushed += 1
         self.largest_batch = max(self.largest_batch, len(batch))
-        if len(batch) == 1:
-            # Singleton batches take the single-record produce path: same
-            # round trip, same semantics, friendlier to fault injection.
-            entry = batch[0]
-            try:
+        try:
+            if len(batch) == 1:
+                # Singleton batches take the single-record produce path: same
+                # round trip, same semantics, friendlier to fault injection.
+                entry = batch[0]
                 record = await member.send(entry.partition, entry.envelope)
-            except StaleRouteError as error:
-                if not entry.future.done():
-                    entry.future.set_exception(error)
-                return
-            self.records_sent += 1
-            if not entry.future.done():
-                entry.future.set_result(record)
-            return
-        outcomes = await member.send_batch(
-            [(entry.partition, entry.envelope) for entry in batch]
-        )
-        for entry, outcome in zip(batch, outcomes):
-            if isinstance(outcome, StaleRouteError):
-                if not entry.future.done():
-                    entry.future.set_exception(outcome)
-            else:
                 self.records_sent += 1
-                if not entry.future.done():
-                    entry.future.set_result(outcome)
+                return [record]
+            outcomes = await member.send_batch(
+                [(entry.partition, entry.envelope) for entry in batch]
+            )
+        except FencedMemberError:
+            raise
+        except Exception as error:  # noqa: BLE001 - settles the sender(s)
+            if len(batch) == 1:
+                return [error]
+            # The log refused the batch and kept none of it (the broker rolls
+            # a refused append back): carry it again entry by entry, so only
+            # the offending sender fails.
+            isolated: list[Record | Exception] = []
+            for entry in batch:
+                isolated += await self._flush_batch([entry])
+            return isolated
+        self.records_sent += sum(isinstance(outcome, Record) for outcome in outcomes)
+        return outcomes
 
     # ------------------------------------------------------------------
     # retry pacing

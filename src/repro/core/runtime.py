@@ -44,6 +44,7 @@ from repro.core.router import Router
 from repro.core.state import ActorStateCache
 from repro.kvstore import FencedClientError, PipelinedStoreClient
 from repro.mq import FencedMemberError, GenerationInfo, GroupMember
+from repro.persist import CodecError
 from repro.sim import SimFuture, SimProcess
 
 if TYPE_CHECKING:
@@ -52,6 +53,11 @@ if TYPE_CHECKING:
 __all__ = ["Component"]
 
 _FENCE_ERRORS = (FencedMemberError, FencedClientError)
+
+
+def _error_text(error: Exception) -> str:
+    """How an exception travels in an error :class:`Response`."""
+    return f"{type(error).__name__}: {error}"
 
 
 class Component:
@@ -298,7 +304,13 @@ class Component:
         if expects_reply:
             future = self.kernel.create_future()
             self._pending_calls[request_id] = future
-        await self.router.route_request(request)
+        try:
+            await self.router.route_request(request)
+        except CodecError as error:
+            # The durable log refused the request (an argument it cannot
+            # encode): nothing was queued, so no response will ever come.
+            self._pending_calls.pop(request_id, None)
+            raise ActorMethodError(_error_text(error)) from None
         if not expects_reply:
             await self._hop()  # ack back to the app process
             return None
@@ -493,34 +505,45 @@ class Component:
                 self.overload.clear_shed(request.dedup_key)
             kind, payload = await self._run_method(request)
             self._record_outcome(request, kind, payload)
+            await self._hop()  # app -> sidecar with the outcome
             tail_to_self = False
             if kind == "tail":
-                successor: Request = payload
-                tail_to_self = successor.tail_lock
-                await self._hop()  # app -> sidecar with the tail call
                 # One message atomically completes this request and issues
                 # the next one (Section 2.3).
-                await self.router.route_request(successor)
-                if self.trace.enabled:
-                    self.trace.emit(
-                        "invoke.end",
-                        request=request.request_id,
-                        step=request.step,
-                        actor=str(request.actor),
-                        method=request.method,
-                        outcome="tail",
-                        tail_to_self=tail_to_self,
-                        member=self.member_id,
-                    )
-            else:
+                try:
+                    await self.router.route_request(payload)
+                except CodecError as error:
+                    # The durable log refused the successor: the chain ends
+                    # here, as this request's error result.
+                    kind, payload = "error", _error_text(error)
+                else:
+                    tail_to_self = payload.tail_lock
+                    if self.trace.enabled:
+                        self.trace.emit(
+                            "invoke.end",
+                            request=request.request_id,
+                            step=request.step,
+                            actor=str(request.actor),
+                            method=request.method,
+                            outcome="tail",
+                            tail_to_self=tail_to_self,
+                            member=self.member_id,
+                        )
+            if kind != "tail":
                 if kind == "value":
                     response = Response(request.request_id, value=payload)
                 elif kind == "error":
                     response = Response(request.request_id, error=payload)
                 else:  # cancelled
                     response = Response(request.request_id, cancelled=True)
-                await self._hop()
-                await self.router.send_response(request, response)
+                try:
+                    await self.router.send_response(request, response)
+                except CodecError as error:
+                    # A result the durable log cannot encode: answer with the
+                    # refusal, so the caller returns and the frame finishes.
+                    kind = "error"
+                    response = Response(request.request_id, error=_error_text(error))
+                    await self.router.send_response(request, response)
                 if self.trace.enabled:
                     self.trace.emit(
                         "invoke.end",
@@ -573,7 +596,7 @@ class Component:
             try:
                 actor_class = self.app.registry.resolve(request.actor.type)
             except Exception as error:  # noqa: BLE001 - app boundary
-                return ("error", f"{type(error).__name__}: {error}")
+                return ("error", _error_text(error))
             instance = actor_class()
             instance.ref = request.actor
             self._instances[request.actor] = instance
@@ -587,7 +610,7 @@ class Component:
             except Exception as error:  # noqa: BLE001 - app boundary
                 del self._instances[request.actor]
                 self._state_caches.pop(request.actor, None)
-                return ("error", f"{type(error).__name__}: {error}")
+                return ("error", _error_text(error))
         await self._hop()  # sidecar -> app dispatch
         if self.trace.enabled:
             self.trace.emit(
@@ -602,7 +625,7 @@ class Component:
         try:
             method = self.app.registry.method(instance, request.method)
         except Exception as error:  # noqa: BLE001 - app boundary
-            return ("error", f"{type(error).__name__}: {error}")
+            return ("error", _error_text(error))
         try:
             result = await method(ctx, *request.args)
         except _FENCE_ERRORS:
@@ -613,9 +636,9 @@ class Component:
                 request=request.request_id,
                 actor=str(request.actor),
                 method=request.method,
-                error=f"{type(error).__name__}: {error}",
+                error=_error_text(error),
             )
-            return ("error", f"{type(error).__name__}: {error}")
+            return ("error", _error_text(error))
         if isinstance(result, TailCall):
             successor = request.tail_successor(
                 result.actor, result.method, result.args, request.actor
@@ -799,7 +822,7 @@ class Component:
                 # owns the actor now; nothing to release.
                 raise
             except Exception as error:  # noqa: BLE001 - app boundary
-                deactivate_error = f"{type(error).__name__}: {error}"
+                deactivate_error = _error_text(error)
             await self._hop()  # app -> sidecar
         self._instances.pop(ref, None)
         self._state_caches.pop(ref, None)

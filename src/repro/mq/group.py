@@ -25,16 +25,17 @@ next append wakes it into :class:`FencedMemberError`; its owner has normally
 terminated it long before, from the generation that evicted it.
 
 Scale-out: the authoritative group state -- membership set, generation
-counter, pause flag, and the latest :class:`GenerationInfo` -- lives in a
-:class:`GroupState` over a shared :class:`~repro.kvstore.backend.StoreBackend`
-rather than in any one Python object. Each worker event loop holds its own
-:class:`GroupCoordinator` *view* onto that state: views race generation
+counter, pause flag, and the latest :class:`GenerationInfo` -- is one
+:class:`GroupState` object per group. Each worker event loop holds its own
+:class:`GroupCoordinator` *view* onto that object: views race generation
 bumps with a compare-and-swap (the loser adopts the winner's outcome) and
-observe foreign generations by polling the store from their watchdog, so
-workers on different loops agree without sharing in-process callbacks. A
-coordinator constructed without an explicit state (the single-loop legacy
-path, and the unit tests) gets a private in-memory backend and behaves
-exactly as before.
+learn of foreign generations by polling the shared state from their
+watchdog, never through each other's callbacks. All views live in one
+Python process, so the state is plain attributes; its method surface is the
+seam a store-backed implementation comes back through when the deferred
+multi-process cluster needs one. A coordinator constructed without an
+explicit state (one view, as in ``KarApplication`` and the unit tests)
+builds its own.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.kvstore.backend import MemoryStoreBackend, StoreBackend
 from repro.mq.broker import Broker
 from repro.mq.errors import FencedMemberError, MQError, StaleRouteError
 from repro.mq.log import BrokerLog
@@ -94,52 +94,33 @@ class _MemberState:
 
 
 class GroupState:
-    """Durable group state shared by every coordinator view.
+    """The group's authoritative state, shared by every coordinator view.
 
-    Keys live under ``_group:{group_id}:`` in a store backend. Membership
+    One object per group: the generation counter, the pause flag, the
+    member set, the membership snapshot of the latest generation, and the
+    latest :class:`GenerationInfo`, held as plain attributes. Membership
     and the pause flag are *session* state -- they describe the running
-    processes, so a fresh boot wipes them (a cold restart must never
-    resurrect ghost members). The generation counter is *durable* state:
-    it is mirrored into the broker log's metadata (the historical carrier)
-    and restored from there, so recovery-copy epochs stay monotonic across
-    cold restarts even when the store backend itself was wiped.
+    processes, so a rebuilt state starts empty and unpaused (a cold restart
+    must never resurrect ghost members). The generation counter is *durable*
+    state: it is mirrored into the broker log's metadata and restored from
+    there, so recovery-copy epochs stay monotonic across cold restarts.
 
-    All operations are synchronous backend calls: each runs inside one
-    kernel event, so the compare-and-swap generation bump is atomic across
-    views exactly like :meth:`KVStore._cas`.
+    Every operation is synchronous and runs inside one kernel event, so the
+    compare-and-swap generation bump is atomic across views. The method
+    surface is the seam: a multi-process cluster (ROADMAP, deferred) puts a
+    store-backed implementation behind these same methods.
     """
 
-    def __init__(
-        self,
-        backend: StoreBackend | None,
-        log: BrokerLog,
-        group_id: str,
-    ):
-        self._backend: StoreBackend = (
-            backend if backend is not None else MemoryStoreBackend()
-        )
+    def __init__(self, log: BrokerLog, group_id: str):
         self._log = log
         self._meta_key = f"group:{group_id}:generation"
-        prefix = f"_group:{group_id}:"
-        self._gen_key = prefix + "generation"
-        self._members_key = prefix + "members"
-        self._paused_key = prefix + "paused"
-        self._info_key = prefix + "info"
-        self._snapshot_key = prefix + "members_at_gen"
-        # Boot wipe: see the class docstring.
-        self._backend.delete_hash(self._members_key)
-        self._backend.delete(self._paused_key)
-        self._backend.delete(self._info_key)
-        self._backend.delete(self._snapshot_key)
-        self._backend.set(
-            self._gen_key, int(log.get_meta(self._meta_key) or 0)
-        )
+        self.generation = int(log.get_meta(self._meta_key) or 0)
+        self.paused = False
+        self._members: set[str] = set()
+        self._members_at_generation: frozenset[str] = frozenset()
+        self._last_info: GenerationInfo | None = None
 
     # -- generation ----------------------------------------------------
-    @property
-    def generation(self) -> int:
-        return int(self._backend.get(self._gen_key) or 0)
-
     def cas_generation(self, expected: int, new: int) -> bool:
         """Atomically bump the generation iff it still equals ``expected``.
 
@@ -148,67 +129,39 @@ class GroupState:
         """
         if self.generation != expected:
             return False
-        self._backend.set(self._gen_key, new)
+        self.generation = new
         self._log.set_meta(self._meta_key, new)
         return True
 
     # -- membership ----------------------------------------------------
     def member_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._backend.hgetall(self._members_key)))
+        return tuple(sorted(self._members))
 
     def is_member(self, member_id: str) -> bool:
-        return self._backend.hget(self._members_key, member_id) is not None
+        return member_id in self._members
 
     def add_member(self, member_id: str) -> None:
-        self._backend.hset(self._members_key, member_id, True)
+        self._members.add(member_id)
 
-    def remove_member(self, member_id: str) -> bool:
-        return self._backend.hdel(self._members_key, member_id)
+    def remove_member(self, member_id: str) -> None:
+        self._members.discard(member_id)
 
-    def members_at_generation(self) -> set[str]:
-        return set(self._backend.get(self._snapshot_key) or ())
+    def members_at_generation(self) -> frozenset[str]:
+        return self._members_at_generation
 
     def set_members_at_generation(self, member_ids: set[str]) -> None:
-        self._backend.set(self._snapshot_key, sorted(member_ids))
+        self._members_at_generation = frozenset(member_ids)
 
     # -- pause flag ----------------------------------------------------
-    @property
-    def paused(self) -> bool:
-        return bool(self._backend.get(self._paused_key))
-
     def set_paused(self, flag: bool) -> None:
-        self._backend.set(self._paused_key, flag)
+        self.paused = flag
 
     # -- published generation outcome ----------------------------------
     def last_info(self) -> GenerationInfo | None:
-        stored = self._backend.get(self._info_key)
-        if stored is None:
-            return None
-        return GenerationInfo(
-            generation=int(stored["generation"]),
-            members=tuple(stored["members"]),
-            leader=stored["leader"],
-            failed=tuple(stored["failed"]),
-            joined=tuple(stored["joined"]),
-            reason=stored["reason"],
-            triggered_at=float(stored["triggered_at"]),
-            completed_at=float(stored["completed_at"]),
-        )
+        return self._last_info
 
     def set_last_info(self, info: GenerationInfo) -> None:
-        self._backend.set(
-            self._info_key,
-            {
-                "generation": info.generation,
-                "members": list(info.members),
-                "leader": info.leader,
-                "failed": list(info.failed),
-                "joined": list(info.joined),
-                "reason": info.reason,
-                "triggered_at": info.triggered_at,
-                "completed_at": info.completed_at,
-            },
-        )
+        self._last_info = info
 
 
 class GroupCoordinator:
@@ -238,11 +191,7 @@ class GroupCoordinator:
         # Generations survive the application: a coordinator rebuilt over a
         # durable broker log resumes numbering where the old group stopped,
         # so recovery-copy epochs stay monotonic across cold restarts.
-        self.state = (
-            state
-            if state is not None
-            else GroupState(None, broker.log, group_id)
-        )
+        self.state = state if state is not None else GroupState(broker.log, group_id)
         self._closed = False
         self.history: list[GenerationRecord] = []
         self._generation_listeners: list[Callable[[GenerationInfo], None]] = []
@@ -256,7 +205,7 @@ class GroupCoordinator:
         self._seen_generation = self.state.generation
 
     # ------------------------------------------------------------------
-    # store-backed surfaces (shared across views)
+    # shared-state surfaces (the same answer on every view)
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
@@ -381,7 +330,7 @@ class GroupCoordinator:
             ]
             for member_id in expired:
                 self._evict(member_id, reason="failure")
-            self._observe_store()
+            self._observe_state()
 
     def _evict(self, member_id: str, reason: str) -> None:
         """Remove and fence a member, then trigger the consensus phase."""
@@ -391,14 +340,14 @@ class GroupCoordinator:
         self._request_rebalance(reason)
 
     # ------------------------------------------------------------------
-    # store observation (how a view learns about foreign generations)
+    # state observation (how a view learns about foreign generations)
     # ------------------------------------------------------------------
-    def _observe_store(self) -> None:
+    def _observe_state(self) -> None:
         """Deliver generations and unpauses decided by *other* views.
 
         This is the cross-loop propagation path: a view that neither won
-        nor raced the rebalance sees the bump here -- observed from the
-        store, not from an in-process callback.
+        nor raced the rebalance sees the bump here -- polled from the shared
+        state, not pushed by another view's callback.
         """
         if not self._rebalancing:
             info = self.state.last_info()

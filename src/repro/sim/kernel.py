@@ -6,17 +6,17 @@ paper's 48-hour, 1,000-failure campaign is reproduced as a simulated-time
 campaign, and reruns with the same seed must be bit-identical.
 
 Every event carries a sequence number from one counter, and events execute
-in ``(when, seq)`` order. Delayed events (:meth:`Kernel.schedule`, and
-``sleep`` through it) sit in a binary heap keyed by exactly that pair.
-Zero-delay events (:meth:`Kernel.call_soon`, future callbacks, task starts)
-are always due at the current instant, so they skip the heap: they queue in a
-FIFO ``deque``, which is in ``seq`` order because it is filled in ``seq``
-order. Time cannot advance while the deque holds anything -- every heap
-entry is due at ``now`` or later -- so all its entries share ``when == now``
-and the merge rule is one comparison: the heap's head runs first only when
-it is due now *and* its ``seq`` is lower than the deque head's. That is the
-order a single heap would produce; the deque just reaches it without a
-``Timer`` allocation and two O(log n) sifts per wakeup.
+in ``(when, seq)`` order. Delayed events (:meth:`Kernel.schedule`, and a
+non-zero ``sleep`` through it) sit in a binary heap keyed by exactly that
+pair. Zero-delay events (:meth:`Kernel.call_soon`, ``sleep(0)``, future
+callbacks, task starts) are always due at the current instant, so they skip
+the heap: they queue in a FIFO ``deque``, which is in ``seq`` order because
+it is filled in ``seq`` order. Time cannot advance while the deque holds
+anything -- every heap entry is due at ``now`` or later -- so all its entries
+share ``when == now`` and the merge rule is one comparison: the heap's head
+runs first only when it is due now *and* its ``seq`` is lower than the deque
+head's. That is the order a single heap would produce; the deque just
+reaches it without a ``Timer`` allocation and two O(log n) sifts per wakeup.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from random import Random
 from typing import Any, Callable, Coroutine, Generator, Iterable
 
 __all__ = ["Kernel", "SimFuture", "SimTask", "TaskKilled", "Timer"]
+
+
+#: ``SimFuture._resolve`` arguments of a sleep: no value, no exception.
+_NO_RESULT = (None, None)
 
 
 class TaskKilled(Exception):
@@ -243,7 +247,11 @@ class Kernel:
     def sleep(self, delay: float) -> SimFuture:
         """Awaitable resolved after ``delay`` simulated seconds."""
         future = SimFuture(self)
-        self.schedule(delay, future._resolve, None, None)
+        if delay == 0:
+            self._sequence = sequence = self._sequence + 1
+            self._ready.append((sequence, future._resolve, _NO_RESULT))
+        else:
+            self.schedule(delay, future._resolve, None, None)
         return future
 
     def spawn(

@@ -9,10 +9,16 @@ on memory backends with ``KarConfig.fast_test()`` and tracing off costs
 produce round trips       2    the request, the response
 fetch round trips         2    one per delivered record (a parked consumer
                                pays nothing; see ``GroupMember.poll``)
-``Kernel.schedule``      10    caller: hop + overhead (one sleep), linger,
-                               produce; callee: fetch, dispatch hop, reply
-                               hop, linger, produce; caller: fetch, reply hop
-spawned tasks             3    two outbox flushers, one executor
+``Kernel.schedule``       8    caller: hop + overhead (one sleep), produce;
+                               callee: fetch, dispatch hop, reply hop,
+                               produce; caller: fetch, reply hop. The two
+                               zero ``send_linger`` sleeps are ready-queue
+                               entries, not timers
+spawned tasks             1    the executor (a sender carries its own batch;
+                               see ``Router.send_durable``)
+task resumes             14    one per timer above, the two lingers, the
+                               executor's start, both consumers woken by an
+                               append, the caller woken by its response
 simulated seconds      0.0042  the sum of those sleeps
 ======================  =====  ==============================================
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import KarApplication, KarConfig, actor_proxy
-from repro.sim import Kernel
+from repro.sim import Kernel, SimTask
 
 from helpers import Echo
 
@@ -51,7 +57,16 @@ class CountingKernel(Kernel):
         return super().spawn(coro, process, name)
 
 
-def test_one_echo_call_costs_ten_timers_two_fetches_three_tasks():
+def test_one_echo_call_costs_eight_timers_fourteen_resumes_one_task(monkeypatch):
+    resumes = 0
+    resume = SimTask._on_future
+
+    def counted_resume(task, future):
+        nonlocal resumes
+        resumes += 1
+        resume(task, future)
+
+    monkeypatch.setattr(SimTask, "_on_future", counted_resume)
     kernel = CountingKernel(seed=16)
     app = KarApplication(kernel, KarConfig.fast_test())
     echo = app.register_actor(Echo)
@@ -74,25 +89,27 @@ def test_one_echo_call_costs_ten_timers_two_fetches_three_tasks():
     start = kernel.now
     produces, fetches = app.broker.produce_count, app.broker.consume_count
     records = app.broker.produce_record_count
-    scheduled, spawned = kernel.scheduled, kernel.spawned
+    scheduled, spawned, resumed = kernel.scheduled, kernel.spawned, resumes
     drive(CALLS)
     assert kernel.now - start == pytest.approx(CALLS * 0.0042, rel=1e-9)
     assert app.broker.produce_count - produces == 2 * CALLS
     assert app.broker.produce_record_count - records == 2 * CALLS
     assert app.broker.consume_count - fetches == 2 * CALLS
-    assert kernel.spawned - spawned - 1 == 3 * CALLS  # minus the driver itself
+    assert kernel.spawned - spawned - 1 == CALLS  # minus the driver itself
 
     kernel.run(until=start + WINDOW)
-    busy_window = kernel.scheduled - scheduled
+    busy_window = (kernel.scheduled - scheduled, resumes - resumed)
     idle_windows = []
     for index in (2, 3):
-        before = kernel.scheduled
+        before = (kernel.scheduled, resumes)
         kernel.run(until=start + index * WINDOW)
-        idle_windows.append(kernel.scheduled - before)
+        idle_windows.append((kernel.scheduled - before[0], resumes - before[1]))
     # The background really is periodic in the window, and it is all that
     # runs when nobody calls: no fetch, no produce, no task.
-    assert idle_windows[0] == idle_windows[1] > 0
+    assert idle_windows[0] == idle_windows[1] > (0, 0)
     assert app.broker.consume_count - fetches == 2 * CALLS
-    assert kernel.spawned - spawned - 1 == 3 * CALLS
-    assert busy_window - idle_windows[0] == 10 * CALLS
+    assert kernel.spawned - spawned - 1 == CALLS
+    assert busy_window[0] - idle_windows[0][0] == 8 * CALLS
+    # Minus the driver's start; its calls run in its own frame.
+    assert busy_window[1] - idle_windows[0][1] - 1 == 14 * CALLS
     kernel.check_no_crashes()

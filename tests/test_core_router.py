@@ -4,11 +4,12 @@ tables, and single-flight placement inside a running application."""
 
 import pytest
 
-from repro.core import Actor, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.core.envelope import Response
-from repro.mq import StaleRouteError
+from repro.mq import FencedMemberError, MQError, StaleRouteError
+from repro.sim import Kernel
 
-from helpers import Echo, Latch, make_app, run
+from helpers import Echo, Latch, make_app
 
 
 class Recorder(Actor):
@@ -39,6 +40,32 @@ def one_worker_app(seed, actor_class, **overrides):
     app.client()
     app.settle()
     return kernel, app
+
+
+async def send_outcome(router, partition, envelope):
+    """One sender; a failed send returns its exception, not a crashed task."""
+    try:
+        return await router.send_durable(partition, envelope)
+    except MQError as error:
+        return error
+
+
+def spawn_senders(kernel, component, sends, foreign=False):
+    """One concurrent sender task per ``(partition, envelope)``, in order;
+    ``foreign`` tasks run outside the component's process and outlive it."""
+    process = None if foreign else component.process
+    return [
+        kernel.spawn(
+            send_outcome(component.router, partition, envelope),
+            process,
+            name=f"send{index}",
+        )
+        for index, (partition, envelope) in enumerate(sends)
+    ]
+
+
+def outcomes_of(kernel, tasks, timeout=60.0):
+    return kernel.run_until_complete(kernel.gather(tasks), timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +123,20 @@ def test_stale_entry_in_mixed_batch_fails_only_itself():
     router = client.router
     worker_member = app.components["w1"].member_id
 
-    # Two envelopes in one batch: a live destination and a dead one. The
-    # batch must land the live entry and fail only the stale one.
-    live_future = router.send_durable(worker_member, Response("nobody-1"))
-    stale_future = router.send_durable("ghost#0", Response("nobody-2"))
-
-    async def waiter():
-        record = await live_future
-        with pytest.raises(StaleRouteError):
-            await stale_future
-        return record
-
-    record = run(kernel, waiter(), process=client.process)
+    # Two same-turn senders share one batch: a live destination and a dead
+    # one. The batch must land the live entry and fail only the stale one.
+    tasks = spawn_senders(
+        kernel,
+        client,
+        [(worker_member, Response("nobody-1")), ("ghost#0", Response("nobody-2"))],
+    )
+    record, stale = outcomes_of(kernel, tasks)
     assert record.partition == worker_member
+    assert isinstance(stale, StaleRouteError)
     assert router.largest_batch == 2
     ghost = app.broker.topic(app.topic_name).partition("ghost#0")
     assert len(ghost) == 0
+    assert router.outbox_idle
     kernel.check_no_crashes()
 
 
@@ -190,20 +215,18 @@ def test_completion_log_still_transactional_with_linger():
 def test_linger_preserves_same_partition_send_order():
     kernel, app = one_worker_app(47, Recorder, send_linger=0.01)
     client = app.client()
-    router = client.router
     worker_member = app.components["w1"].member_id
 
-    futures = [
-        router.send_durable(worker_member, Response(f"ord-{i}"))
-        for i in range(5)
+    tasks = spawn_senders(
+        kernel, client, [(worker_member, Response(f"ord-{i}")) for i in range(5)]
+    )
+    records = outcomes_of(kernel, tasks)
+    assert [record.value.request_id for record in records] == [
+        f"ord-{i}" for i in range(5)
     ]
-
-    async def waiter():
-        return [await future for future in futures]
-
-    records = run(kernel, waiter(), process=client.process)
     offsets = [record.offset for record in records]
     assert offsets == sorted(offsets)  # FIFO per partition
+    assert client.router.batches_flushed == 1
 
 
 def test_linger_preserves_tell_order_end_to_end():
@@ -232,19 +255,161 @@ def test_batch_overflow_drains_fifo():
     client = app.client()
     router = client.router
     worker_member = app.components["w1"].member_id
-    futures = [
-        router.send_durable(worker_member, Response(f"ovf-{i}"))
-        for i in range(8)
-    ]
-
-    async def waiter():
-        return [await future for future in futures]
-
-    records = run(kernel, waiter(), process=client.process)
+    start = kernel.now
+    tasks = spawn_senders(
+        kernel, client, [(worker_member, Response(f"ovf-{i}")) for i in range(8)]
+    )
+    records = outcomes_of(kernel, tasks)
     offsets = [record.offset for record in records]
     assert offsets == sorted(offsets)
+    assert len(set(offsets)) == 8
     assert router.largest_batch == 3
-    assert router.batches_flushed >= 3
+    assert router.batches_flushed == 3  # 3 + 3 + 2
+    # One linger, then three back-to-back round trips: a rider promoted to
+    # carrier does not linger again.
+    assert kernel.now - start == pytest.approx(0.01 + 3 * 0.001, rel=1e-9)
+    assert router.outbox_idle
+
+
+# ---------------------------------------------------------------------------
+# the carrier/rider protocol
+# ---------------------------------------------------------------------------
+
+def test_same_turn_sends_are_one_round_trip():
+    kernel, app = one_worker_app(52, Recorder)  # send_linger == 0.0
+    client = app.client()
+    worker_member = app.components["w1"].member_id
+    start = kernel.now
+    produces = app.broker.produce_count
+    tasks = spawn_senders(
+        kernel, client, [(worker_member, Response(f"one-{i}")) for i in range(32)]
+    )
+    records = outcomes_of(kernel, tasks)
+    assert [record.value.request_id for record in records] == [
+        f"one-{i}" for i in range(32)
+    ]
+    assert app.broker.produce_count - produces == 1
+    assert client.router.largest_batch == 32
+    assert kernel.now - start == pytest.approx(0.001, rel=1e-9)
+
+
+def test_sends_during_a_round_trip_ride_the_next_batch_in_order():
+    kernel, app = one_worker_app(53, Recorder, send_linger=0.01)
+    client = app.client()
+    router = client.router
+    worker_member = app.components["w1"].member_id
+    start = kernel.now
+    first = spawn_senders(kernel, client, [(worker_member, Response("rt-0"))])
+    kernel.run(until=start + 0.0105)  # linger over, produce in flight
+    assert router.batches_flushed == 1 and not first[0].done()
+    late = spawn_senders(
+        kernel, client, [(worker_member, Response(f"rt-{i}")) for i in (1, 2, 3)]
+    )
+    records = outcomes_of(kernel, first + late)
+    assert [record.value.request_id for record in records] == [
+        f"rt-{i}" for i in range(4)
+    ]
+    offsets = [record.offset for record in records]
+    assert offsets == sorted(offsets)
+    assert router.batches_flushed == 2 and router.largest_batch == 3
+    # The second batch left when the first was acknowledged, not a second
+    # linger later.
+    assert kernel.now - start == pytest.approx(0.01 + 2 * 0.001, rel=1e-9)
+    assert router.outbox_idle
+
+
+class FutureCountingKernel(Kernel):
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.futures_created = 0
+
+    def create_future(self):
+        self.futures_created += 1
+        return super().create_future()
+
+
+def test_only_a_rider_waits_on_a_future():
+    kernel = FutureCountingKernel(seed=54)
+    app = KarApplication(kernel, KarConfig.fast_test())
+    app.add_component("w1", (app.register_actor(Recorder),))
+    client = app.client()
+    app.settle()
+    worker_member = app.components["w1"].member_id
+    # Park the idle consumers first: their wake-ups are futures too.
+    kernel.run(until=kernel.now + 0.01)
+
+    def futures_for(count):
+        before = kernel.futures_created
+        tasks = spawn_senders(
+            kernel,
+            client,
+            [(worker_member, Response(f"f{count}-{i}")) for i in range(count)],
+        )
+        # Stop at the produce ack, before the woken consumer parks again.
+        kernel.run(until=kernel.now + 0.001)
+        assert all(task.done() for task in tasks)
+        created = kernel.futures_created - before
+        kernel.run(until=kernel.now + 0.01)
+        return created
+
+    assert futures_for(1) == 0  # a lone sender carries its own entry
+    assert futures_for(3) == 2  # one per rider
+
+
+def test_fence_during_a_round_trip_fails_every_waiting_sender():
+    kernel, app = one_worker_app(55, Recorder, send_linger=0.01)
+    client = app.client()
+    router = client.router
+    worker_member = app.components["w1"].member_id
+    start = kernel.now
+    produced = app.broker.produce_record_count
+    batch = spawn_senders(
+        kernel, client, [(worker_member, Response(f"fb-{i}")) for i in range(3)]
+    )
+    kernel.run(until=start + 0.0105)  # the batch of three is in flight
+    waiting = spawn_senders(
+        kernel, client, [(worker_member, Response(f"fw-{i}")) for i in range(2)]
+    )
+    kernel.run(until=start + 0.0107)
+    assert len(router._outbox) == 2 and not router.outbox_idle
+    app.broker.fence(client.member_id)
+    outcomes = outcomes_of(kernel, batch + waiting)
+    assert [type(outcome) for outcome in outcomes] == [FencedMemberError] * 5
+    assert app.broker.produce_record_count == produced  # nothing appended
+    assert router._outbox == [] and router.outbox_idle
+    kernel.check_no_crashes()
+
+
+def test_carrier_of_a_component_killed_mid_linger_appends_nothing():
+    kernel, app = one_worker_app(56, Recorder, send_linger=0.01)
+    client = app.client()
+    worker_member = app.components["w1"].member_id
+    produces = app.broker.produce_count
+    tasks = spawn_senders(
+        kernel,
+        client,
+        [(worker_member, Response(f"dead-{i}")) for i in range(2)],
+        foreign=True,
+    )
+    kernel.run(until=kernel.now + 0.005)
+    client.fail()
+    outcomes = outcomes_of(kernel, tasks)
+    assert [type(outcome) for outcome in outcomes] == [FencedMemberError] * 2
+    assert app.broker.produce_count == produces
+    kernel.check_no_crashes()
+
+
+def test_drain_waits_for_a_lingering_carrier():
+    kernel, app = one_worker_app(57, Recorder, send_linger=0.05)
+    client = app.client()
+    worker_member = app.components["w1"].member_id
+    start = kernel.now
+    (sender,) = spawn_senders(kernel, client, [(worker_member, Response("dr-0"))])
+    drained = kernel.spawn(client.drain(timeout=1.0))
+    kernel.run(until=start + 0.03)
+    assert not client.quiescent and not drained.done()  # still lingering
+    assert kernel.run_until_complete(drained, timeout=2.0) is True
+    assert sender.done() and kernel.now - start >= 0.05 + 0.001
 
 
 # ---------------------------------------------------------------------------

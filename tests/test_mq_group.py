@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.mq import Broker, BrokerConfig, FencedMemberError, GroupCoordinator
+from repro.mq import (
+    Broker,
+    BrokerConfig,
+    FencedMemberError,
+    GenerationInfo,
+    GroupCoordinator,
+    GroupState,
+)
 from repro.sim import Kernel, Latency, SimProcess
 
 
@@ -215,6 +222,86 @@ def test_empty_group_resumes_itself():
     kernel.run(until=60.0)
     assert group.live_members == ()
     assert not group.paused
+
+
+# ----------------------------------------------------------------------
+# the shared group state: views race through it, a rebuilt one starts clean
+# ----------------------------------------------------------------------
+class ContendedState(GroupState):
+    """A rival view's bump lands between this view's read and its CAS, once
+    (what separate round trips to a store-backed state would allow)."""
+
+    rival = None
+
+    def cas_generation(self, expected, new):
+        rival, self.rival = self.rival, None
+        if rival is not None:
+            rival()
+        return super().cas_generation(expected, new)
+
+
+def test_views_race_the_generation_bump_and_the_loser_adopts():
+    kernel, broker, _group = make_group()
+    state = ContendedState(broker.log, "app")
+    winner = GroupCoordinator(broker, "app", "app-topic", state=state)
+    loser = GroupCoordinator(broker, "app", "app-topic", state=state)
+    delivered = []
+    loser.on_generation(delivered.append)
+    loser.join("m1", SimProcess("m1"))
+    published = []
+
+    def rival():
+        members = state.member_ids()
+        assert state.cas_generation(0, 1)
+        published.append(winner._publish_generation(1, set(members)))
+
+    state.rival = rival
+    kernel.run(until=5.0)
+    assert published and state.rival is None  # the race happened
+    assert state.generation == 1  # one bump, not two
+    assert state.cas_generation(0, 1) is False and state.generation == 1
+    assert delivered == published  # the loser delivered the winner's outcome
+    assert delivered[0].members == ("m1",) and delivered[0].joined == ("m1",)
+    assert loser.history[-1].generation == 1
+
+
+def test_view_without_members_learns_generations_by_polling():
+    kernel, broker, group = make_group()
+    auto_resume(group)
+    observer = GroupCoordinator(broker, "app", "app-topic", state=group.state)
+    observer.ensure_watchdog()
+    seen = []
+    observer.on_generation(lambda info: seen.append((kernel.now, info.generation)))
+    group.join("m1", SimProcess("m1"))
+    kernel.run(until=5.0)
+    (decided,) = [record.completed_at for record in group.history]
+    # Not called back by the deciding view: found at its next watchdog tick.
+    assert [generation for _at, generation in seen] == [1]
+    assert decided < seen[0][0] <= decided + 0.5
+    assert observer.member_ids() == ("m1",) and observer.is_member("m1")
+
+
+def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
+    kernel, broker, group = make_group()
+    group.join("m1", SimProcess("m1"))
+    kernel.run(until=5.0)
+    assert group.generation == 1 and group.paused  # nobody resumed it
+    assert group.member_ids() == ("m1",)
+    assert isinstance(group.state.last_info(), GenerationInfo)
+    group.close()
+
+    rebuilt = GroupCoordinator(broker, "app", "app-topic")
+    assert rebuilt.generation == 1  # durable: restored from the log's metadata
+    # Session state describes processes that are gone: none of it survives.
+    assert rebuilt.member_ids() == () and not rebuilt.is_member("m1")
+    assert not rebuilt.paused
+    assert rebuilt.state.last_info() is None
+    assert rebuilt.state.members_at_generation() == frozenset()
+    auto_resume(rebuilt)
+    rebuilt.join("m2", SimProcess("m2"))
+    kernel.run(until=10.0)
+    assert rebuilt.generation == 2  # numbering continues, never restarts
+    assert rebuilt.history[-1].joined == ("m2",)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Kernel, SimProcess, TaskKilled
+from repro.sim import Kernel, SimFuture, SimProcess, TaskKilled
 
 
 def test_time_starts_at_zero():
@@ -320,6 +322,78 @@ def test_cancelled_timer_between_ready_events_consumes_no_event():
     kernel.call_soon(seen.append, "b")
     kernel.run(max_events=3)  # would raise at 3: only two events run
     assert seen == ["a", "b"]
+
+
+class HeapSleepKernel(Kernel):
+    """The reference: every sleep, zero or not, is a heap timer."""
+
+    def sleep(self, delay):
+        future = SimFuture(self)
+        self.schedule(delay, future._resolve, None, None)
+        return future
+
+
+#: ``(how it is launched, delay index, children)``; a node logs itself when
+#: it runs and then launches its children in order.
+event_trees = st.recursive(
+    st.tuples(
+        st.sampled_from(["sleep0", "soon", "timer0", "timer"]),
+        st.integers(0, 2),
+        st.just([]),
+    ),
+    lambda children: st.tuples(
+        st.sampled_from(["sleep0", "soon", "timer0", "timer"]),
+        st.integers(0, 2),
+        st.lists(children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def run_event_trees(kernel, trees):
+    log = []
+
+    def launch(node, path):
+        how, delay_index, _children = node
+        if how == "sleep0":
+            kernel.spawn(sleeper(node, path))
+        elif how == "soon":
+            kernel.call_soon(visit, node, path)
+        elif how == "timer0":
+            kernel.schedule(0.0, visit, node, path)
+        else:  # a few coinciding instants, so timers come due together
+            kernel.schedule(0.001 * (delay_index + 1), visit, node, path)
+
+    async def sleeper(node, path):
+        await kernel.sleep(0)
+        visit(node, path)
+
+    def visit(node, path):
+        log.append((kernel.now, path))
+        for index, child in enumerate(node[2]):
+            launch(child, path + (index,))
+
+    for index, tree in enumerate(trees):
+        launch(tree, (index,))
+    kernel.run()
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(event_trees, min_size=1, max_size=4))
+def test_zero_sleep_on_the_ready_queue_keeps_the_heap_order(trees):
+    assert run_event_trees(Kernel(), trees) == run_event_trees(
+        HeapSleepKernel(), trees
+    )
+
+
+def test_zero_sleep_is_not_a_timer_and_a_negative_sleep_still_raises():
+    kernel = Kernel()
+    kernel.sleep(0)
+    kernel.sleep(0.0)
+    assert kernel._heap == [] and len(kernel._ready) == 2
+    with pytest.raises(ValueError, match="negative delay"):
+        kernel.sleep(-1)
 
 
 def test_stop_leaves_ready_events_queued_for_the_next_run():
