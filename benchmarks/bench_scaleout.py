@@ -19,7 +19,7 @@ from __future__ import annotations
 import tempfile
 
 from repro.bench import render_table
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
@@ -61,7 +61,7 @@ def _deploy(workers: int, mode: str, root: str | None, seed: int):
         config = config.with_overrides(
             persistence=PersistenceConfig.sqlite(root)
         )
-    app = KarCluster(kernel, config, "scaleout", workers=workers)
+    app = KarApplication(kernel, config, "scaleout", workers=workers)
     app.register_actor(EchoActor, name="Echo")
     app.register_actor(TallyActor, name="Tally")
     for index in range(COMPONENTS):
@@ -126,7 +126,7 @@ def run_kill(mode: str) -> dict:
         ]
         kernel.run(until=kernel.now + 0.05)  # workflows mid-flight
         in_flight = len(app.stats("calls")["unsettled"])
-        app.kill_worker("w0")
+        app.control.kill_worker("w0")
         kernel.run_until_complete(kernel.gather(tasks), timeout=3600.0)
         kernel.run(until=kernel.now + 5.0)
         unsettled_after = len(app.stats("calls")["unsettled"])

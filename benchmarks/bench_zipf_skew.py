@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from repro.bench import render_table
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.sim import Kernel
 
 from _shared import FULL, emit
@@ -84,7 +84,7 @@ def _deploy(adaptive: bool, seed: int):
         retry_budget_floor_per_sec=200.0,
         retry_budget_burst=500.0,
     )
-    app = KarCluster(kernel, config, "zipf", workers=WORKERS)
+    app = KarApplication(kernel, config, "zipf", workers=WORKERS)
     app.register_actor(TallyActor, name="Tally")
     for index in range(COMPONENTS):
         app.add_component(f"comp{index}", ("Tally",))

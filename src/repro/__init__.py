@@ -15,7 +15,7 @@ The package is organised bottom-up:
 - :mod:`repro.bench` -- harnesses regenerating every table and figure.
 
 The names exported here are the supported public surface: build an
-application (:class:`KarApplication` / :class:`KarCluster`,
+application (:class:`KarApplication`, on any number of worker event loops;
 :class:`KarConfig`), write actors (:class:`Actor`, :class:`ActorContext`,
 :class:`ActorRef`, :func:`actor_proxy`, :class:`TailCall`), and serve them
 over HTTP (:class:`KarGateway`, or programmatically via :class:`KarApi`).
@@ -29,7 +29,6 @@ from repro.core import (  # noqa: F401
     ActorRef,
     KarApi,
     KarApplication,
-    KarCluster,
     KarConfig,
     TailCall,
     actor_proxy,
@@ -43,7 +42,6 @@ __all__ = [
     "ActorRef",
     "KarApi",
     "KarApplication",
-    "KarCluster",
     "KarConfig",
     "KarGateway",
     "Kernel",

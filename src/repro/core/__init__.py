@@ -2,7 +2,8 @@
 
 Public surface:
 
-- :class:`KarApplication` -- wire up infrastructure and components;
+- :class:`KarApplication` -- the one application type: wire up
+  infrastructure, components and (``workers=N``) worker event loops;
 - :class:`Actor` -- base class for application actors;
 - :class:`ActorRef` / :func:`actor_proxy` -- actor references;
 - :class:`ActorContext` -- per-invocation API (call / tell / tail_call /
@@ -16,7 +17,7 @@ Public surface:
 from repro.core.actor import Actor, ActorRegistry
 from repro.core.api import KarApi
 from repro.core.app import KarApplication
-from repro.core.cluster import DecayingCounter, KarCluster, KarWorker, WorkerLoop
+from repro.core.cluster import ControlPlane, DecayingCounter, KarWorker, WorkerLoop
 from repro.core.config import KarConfig
 from repro.core.context import ActorContext
 from repro.core.dispatcher import ActorMailbox
@@ -59,13 +60,13 @@ __all__ = [
     "BreakerOpenError",
     "CircuitBreaker",
     "Component",
+    "ControlPlane",
     "DeadLetter",
     "DecayingCounter",
     "HashRing",
     "InvocationCancelled",
     "KarApi",
     "KarApplication",
-    "KarCluster",
     "KarConfig",
     "KarError",
     "KarWorker",

@@ -85,7 +85,7 @@ class KarApi:
         now = self.kernel.now
         worst: float | None = None
         for component in self._app.components.values():
-            if not component.alive or component.overload is None:
+            if not component.alive:
                 continue
             if actor_type not in component.actor_types:
                 continue

@@ -4,7 +4,10 @@ A :class:`KarApplication` owns the simulated infrastructure (one Kafka-like
 broker, one Redis-like store, one consumer group per application) and the
 set of components, and offers the external-client call surface plus failure
 injection (kill / restart a component) used by tests and the benchmark
-harnesses.
+harnesses. There is one application type: how many worker event loops host
+its components is the ``workers=`` argument (deployment, not type), and
+everything worker-shaped lives in the :class:`~repro.core.cluster.
+ControlPlane` the application holds as ``app.control``.
 
 Persistence is pluggable (``KarConfig.persistence``): the store and the
 broker log can live in memory (the default) or in durable files. On top of
@@ -19,10 +22,11 @@ drives every unsettled call to completion (Section 4.3 run from bytes).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.actor import Actor, ActorRegistry
 from repro.core.api import KarApi
+from repro.core.cluster import ControlPlane, KarWorker
 from repro.core.config import KarConfig
 from repro.core.envelope import Request, Response
 from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
@@ -56,7 +60,12 @@ class _IdGenerator:
 
 
 class KarApplication:
-    """One KAR application: infrastructure, components, and clients."""
+    """One KAR application: infrastructure, components, and clients.
+
+    ``workers`` is how many worker event loops to start (``w0``, ``w1``, ..)
+    or their ids; actor-hosting components are sharded across them. With
+    none, every component runs on the application's own coordinator.
+    """
 
     def __init__(
         self,
@@ -64,6 +73,7 @@ class KarApplication:
         config: KarConfig | None = None,
         name: str = "app",
         *,
+        workers: int | Sequence[str] = 0,
         store_backend: StoreBackend | None = None,
         broker_log: BrokerLog | None = None,
     ):
@@ -101,9 +111,6 @@ class KarApplication:
         self.ids = _IdGenerator("r" if self.boot == 1 else f"r{self.boot}.")
         self.components: dict[str, Component] = {}
         self.component_types: dict[str, frozenset[str]] = {}
-        #: Worker event loops keyed by worker id; populated by KarCluster
-        #: (empty in the classic single-loop mode).
-        self.workers: dict[str, Any] = {}
         self._epochs: dict[str, int] = self._restore_epochs()
         self._client: Component | None = None
         self._api: KarApi | None = None
@@ -114,6 +121,11 @@ class KarApplication:
         #: ``stats`` method (``repro.net.gateway``), surfaced as
         #: ``stats()["gateway"]``.
         self.gateway_snapshot: Callable[[], dict[str, Any]] | None = None
+        if isinstance(workers, int):
+            workers = tuple(f"w{index}" for index in range(workers))
+        #: Worker lifecycle, component-to-worker assignment, handoffs and
+        #: the placement controller; inert while there are no workers.
+        self.control = ControlPlane(self, workers)
 
     # ------------------------------------------------------------------
     # persistence lifecycle
@@ -124,15 +136,18 @@ class KarApplication:
         kernel: Kernel,
         config: KarConfig | None = None,
         name: str = "app",
+        *,
+        workers: int | Sequence[str] = 0,
     ) -> "KarApplication":
         """A guaranteed-clean application: any durable files left behind by
         a previous run under the same name are deleted first."""
         cfg = config or KarConfig()
         wipe_persistence(cfg.persistence, name)
-        return cls(kernel, cfg, name)
+        return cls(kernel, cfg, name, workers=workers)
 
     def shutdown(self) -> None:
-        """Cold stop: abruptly kill every component and release backends.
+        """Cold stop: abruptly kill every worker loop and component, and
+        release the backends.
 
         Models the death of all application processes at once (a node or
         datacenter restart). Nothing is flushed gracefully beyond what the
@@ -143,6 +158,7 @@ class KarApplication:
             return
         self._shutdown = True
         self.trace.emit("app.shutdown", name=self.name, boot=self.boot)
+        self.control.stop()
         for component in self.components.values():
             if component.alive:
                 component.process.kill()
@@ -152,7 +168,8 @@ class KarApplication:
 
     def reopen(self) -> "KarApplication":
         """Build the next boot of this application over the same durable
-        backends (shutting this one down first if still running).
+        backends and with the same worker ids (shutting this one down first
+        if still running).
 
         Memory backends carry over as live objects; durable backends are
         re-read from their files, as a brand-new process would. The caller
@@ -165,18 +182,16 @@ class KarApplication:
         store_backend, broker_log = reopen_persistence(
             self.config.persistence, self.name, self.store.backend, self.broker.log
         )
-        app = KarApplication(
+        successor = KarApplication(
             self.kernel,
             self.config,
             self.name,
+            workers=tuple(self.control.workers),
             store_backend=store_backend,
             broker_log=broker_log,
         )
-        return self._succeeded_by(app)
-
-    def _succeeded_by(self, successor: "KarApplication") -> "KarApplication":
-        """Hand the next boot what the durable backends do not carry: the
-        actor registry (it is code) and whether tracing is on."""
+        # What the durable backends do not carry: the actor registry (it is
+        # code) and whether tracing is on.
         successor.registry = self.registry
         successor.trace.enabled = self.trace.enabled
         return successor
@@ -191,11 +206,6 @@ class KarApplication:
             for key, value in self.broker.log.meta_items().items()
             if key.startswith(prefix)
         }
-
-    def _record_epoch(self, component_name: str, epoch: int) -> None:
-        self.broker.log.set_meta(
-            f"app:{self.name}:epoch:{component_name}", epoch
-        )
 
     def register_external_service(self, service: Any) -> Any:
         """Register a stateful service actors interact with directly.
@@ -216,25 +226,48 @@ class KarApplication:
         return self.registry.register(actor_class, name)
 
     def add_component(
-        self, name: str, actor_types: tuple[str, ...] = (), *, worker=None
+        self,
+        name: str,
+        actor_types: tuple[str, ...] = (),
+        *,
+        worker: KarWorker | None = None,
     ) -> Component:
         """Create and start a component announcing the given actor types.
 
-        ``worker`` optionally pins the component to a worker event loop
-        (scale-out mode; see :class:`~repro.core.cluster.KarCluster`).
+        ``worker`` pins the component to one worker event loop; left out,
+        the control plane assigns one (see :meth:`_start_component`).
         """
         for actor_type in actor_types:
             if actor_type not in self.registry:
                 raise ValueError(f"actor type {actor_type!r} is not registered")
-        if name in self.components and self.components[name].alive:
-            raise ValueError(f"component {name!r} is already running")
+        return self._start_component(name, tuple(actor_types), worker)
+
+    def _start_component(
+        self, name: str, types: tuple[str, ...], worker: KarWorker | None
+    ) -> Component:
+        """Start the next incarnation of ``name``: one epoch up (a new member
+        id and queue), on ``worker`` or, for a component that hosts actors
+        while workers exist, on the one the control plane's ring assigns.
+        Client components stay worker-less beside any number of workers."""
+        old = self.components.get(name)
+        if old is not None:
+            if old.alive:
+                raise ValueError(f"component {name!r} is still running")
+            if old.worker is not None:
+                old.worker.hosted.discard(name)
+        if worker is None and types and self.control.workers:
+            worker = self.control.assign_worker(name)
         epoch = self._epochs.get(name, -1) + 1
         self._epochs[name] = epoch
-        self._record_epoch(name, epoch)
-        component = Component(self, name, tuple(actor_types), epoch, worker=worker)
-        self.components[name] = component
-        self.component_types[name] = frozenset(actor_types)
-        return component.start()
+        self.broker.log.set_meta(f"app:{self.name}:epoch:{name}", epoch)
+        self.component_types[name] = frozenset(types)
+        component = self.components[name] = Component(
+            self, name, types, epoch, worker=worker
+        )
+        component.start()
+        if worker is not None:
+            worker.hosted.add(name)
+        return component
 
     # ------------------------------------------------------------------
     # failure injection
@@ -243,24 +276,18 @@ class KarApplication:
         """Abrupt fail-stop of a component (both paired processes)."""
         self.components[name].fail()
 
-    def restart_component(self, name: str, *, worker=None) -> Component:
+    def restart_component(
+        self, name: str, *, worker: KarWorker | None = None
+    ) -> Component:
         """Spawn a fresh incarnation (new member id, new queue) of a
         previously-added component, as a restarted node's replicas would.
 
         ``worker`` re-hosts the new incarnation on a specific worker event
-        loop (the scale-out handoff target); the new epoch's lease
-        acquisition fences whatever is left of the old incarnation.
+        loop (the handoff target); the new epoch's lease acquisition fences
+        whatever is left of the old incarnation.
         """
         types = tuple(sorted(self.component_types[name]))
-        old = self.components.get(name)
-        if old is not None and old.alive:
-            raise ValueError(f"component {name!r} is still alive")
-        epoch = self._epochs[name] + 1
-        self._epochs[name] = epoch
-        self._record_epoch(name, epoch)
-        component = Component(self, name, types, epoch, worker=worker)
-        self.components[name] = component
-        return component.start()
+        return self._start_component(name, types, worker)
 
     # ------------------------------------------------------------------
     # external clients
@@ -321,8 +348,7 @@ class KarApplication:
     # ------------------------------------------------------------------
     def stats(self, family: str | None = None) -> dict[str, Any]:
         """The unified evidence tree: every counter family under one
-        namespaced roof, with the same shape on :class:`KarApplication`
-        and :class:`~repro.core.cluster.KarCluster`.
+        namespaced roof.
 
         ``stats()`` assembles the whole tree; ``stats("transport")``
         returns just one family without paying for the others (the cheap
@@ -336,9 +362,9 @@ class KarApplication:
             "persistence": self._persistence_stats,
             "overload": self._overload_stats,
             "calls": self._calls_stats,
-            "placement": self._placement_stats,
+            "placement": self.control.placement_stats,
             "gateway": self._gateway_stats,
-            "workers": self._workers_stats,
+            "workers": self.control.workers_stats,
         }
         if family is not None:
             try:
@@ -388,23 +414,23 @@ class KarApplication:
         journals. After recovery has run and the workload drained,
         ``unsettled`` must be empty -- every in-flight call at crash time
         was driven to a durable completion."""
-        unsettled = self._unsettled_call_ids()
+        requested, responded = self._journal_call_ids()
+        unsettled = sorted(requested - responded)
         return {"unsettled": unsettled, "unsettled_count": len(unsettled)}
 
-    def _placement_stats(self) -> dict[str, Any]:
-        """Single-loop applications have no placement controller; the
-        family keeps the cluster's shape with everything at rest so
-        consumers read one schema against both runtimes."""
-        return {
-            "adaptive": False,
-            "migrations": 0,
-            "splits": 0,
-            "merges": 0,
-            "lease_expirations": 0,
-            "split_children": {},
-            "controller": {},
-            "load": {},
-        }
+    def _journal_call_ids(self) -> tuple[set[str], set[str]]:
+        """Ids with a retained request record, and ids with a response."""
+        requested: set[str] = set()
+        responded: set[str] = set()
+        topic = self.broker.topics.get(self.topic_name)
+        if topic is not None:
+            for record in topic.snapshot_unexpired(self.kernel.now):
+                envelope = record.value
+                if isinstance(envelope, Response):
+                    responded.add(envelope.request_id)
+                elif isinstance(envelope, Request):
+                    requested.add(envelope.request_id)
+        return requested, responded
 
     def _gateway_stats(self) -> dict[str, Any]:
         """The serving edge's per-route/per-actor-type counters, call
@@ -413,12 +439,6 @@ class KarApplication:
         if self.gateway_snapshot is None:
             return {"attached": False}
         return {**self.gateway_snapshot(), "attached": True}
-
-    def _workers_stats(self) -> dict[str, Any]:
-        return {
-            worker_id: worker.stats()
-            for worker_id, worker in self.workers.items()
-        }
 
     # ------------------------------------------------------------------
     # overload control: the dead-letter parking lot
@@ -458,18 +478,13 @@ class KarApplication:
         incarnations (like the transport family): retry-budget consumption,
         breaker states and transitions, shed counts, and the dead letters
         currently parked, each with its full failure history."""
-        guards = [
-            component.overload
-            for component in self.components.values()
-            if component.overload is not None
-        ]
-        per_guard = [guard.stats(self.kernel.now) for guard in guards]
         totals: dict[str, Any] = {}
-        for stats in per_guard:
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-        if per_guard:
-            totals["max_pending"] = max(s["max_pending"] for s in per_guard)
+        for component in self.components.values():
+            for key, value in component.overload.stats(self.kernel.now).items():
+                if key == "max_pending":
+                    totals[key] = max(totals.get(key, 0), value)
+                else:
+                    totals[key] = totals.get(key, 0) + value
         letters = self.dead_letters()
         totals["dead_letter_depth"] = len(letters)
         totals["dead_letters"] = letters
@@ -503,22 +518,13 @@ class KarApplication:
         }
         if reset_breakers:
             for component in self.components.values():
-                if component.alive and component.overload is not None:
+                if component.alive:
                     summary["breakers_reset"] += (
                         component.overload.reset_breakers(self.kernel.now)
                     )
         if not letters:
             return summary
-        requested: set[str] = set()
-        responded: set[str] = set()
-        topic = self.broker.topics.get(self.topic_name)
-        if topic is not None:
-            for record in topic.snapshot_unexpired(self.kernel.now):
-                envelope = record.value
-                if isinstance(envelope, Response):
-                    responded.add(envelope.request_id)
-                elif isinstance(envelope, Request):
-                    requested.add(envelope.request_id)
+        requested, responded = self._journal_call_ids()
         # Drop the lot up front: a replay that fails again re-parks a fresh
         # letter (with its extended history) instead of duplicating itself.
         self.broker.topic(self.dead_letter_topic).drop_partition(
@@ -572,24 +578,6 @@ class KarApplication:
             name="redeliver_dead_letters",
         )
         return self.kernel.run_until_complete(task, timeout=timeout)
-
-    # ------------------------------------------------------------------
-    # durability evidence (cold-restart benchmarks and tests)
-    # ------------------------------------------------------------------
-    def _unsettled_call_ids(self) -> list[str]:
-        """Request ids with a retained request record but no response."""
-        topic = self.broker.topics.get(self.topic_name)
-        if topic is None:
-            return []
-        requested: set[str] = set()
-        responded: set[str] = set()
-        for record in topic.snapshot_unexpired(self.kernel.now):
-            envelope = record.value
-            if isinstance(envelope, Response):
-                responded.add(envelope.request_id)
-            elif isinstance(envelope, Request):
-                requested.add(envelope.request_id)
-        return sorted(requested - responded)
 
     def _persistence_stats(self) -> dict[str, int]:
         """Durable-layer counters: journal volume, compaction, replay."""

@@ -10,12 +10,16 @@ Kafka and one Redis. This module reproduces that shape inside the simulator:
   serializes the CPU cost of every actor invocation it hosts (``KarConfig.
   worker_loop_cost``). With a positive cost one worker is a genuine
   throughput ceiling, and sharding components across N workers buys ~N x;
-- a :class:`KarCluster` is the control plane: it extends
-  :class:`~repro.core.app.KarApplication` with worker lifecycle (add,
-  graceful remove, kill), consistent-hash assignment of actor-hosting
-  components to workers (:mod:`repro.core.sharding`), worker failure
-  detection through store heartbeats, and the live partition-handoff
-  protocol.
+- a :class:`ControlPlane` is what every
+  :class:`~repro.core.app.KarApplication` builds from its ``workers=``
+  argument and holds as ``app.control``: worker lifecycle (add, graceful
+  remove, kill), consistent-hash assignment of actor-hosting components to
+  workers (:mod:`repro.core.sharding`), worker failure detection through
+  store heartbeats, the live partition-handoff protocol and the adaptive
+  placement actions. How many workers run is deployment, not type: with
+  none the control plane is inert (no task, no timer, no coordinator view)
+  and every component runs on the application's own coordinator, exactly
+  as client components do beside any number of workers.
 
 The handoff protocol (drain -> fence old epoch -> replay tail -> resume):
 
@@ -48,18 +52,17 @@ returns through when a multi-process cluster (ROADMAP, deferred) needs one.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.app import KarApplication
-from repro.core.config import KarConfig
 from repro.core.placement_ctl import PlacementController
-from repro.core.runtime import Component
 from repro.core.sharding import HashRing, parent_partition, sub_partition_names
-from repro.kvstore import StoreBackend
-from repro.mq import BrokerLog, GroupCoordinator
+from repro.mq import GroupCoordinator
 from repro.sim import Kernel, SimProcess
 
-__all__ = ["DecayingCounter", "KarCluster", "KarWorker", "WorkerLoop"]
+if TYPE_CHECKING:
+    from repro.core.app import KarApplication
+
+__all__ = ["ControlPlane", "DecayingCounter", "KarWorker", "WorkerLoop"]
 
 _LN2 = math.log(2.0)
 
@@ -100,8 +103,7 @@ class WorkerLoop:
     Charges serialize: each one starts no earlier than the previous one
     ended, so concurrent executions hosted on the same worker queue behind
     each other exactly like coroutines on one OS event loop. A zero cost
-    returns without yielding to the scheduler, leaving single-loop runs
-    event-for-event identical to the pre-scale-out runtime.
+    returns without yielding to the scheduler: it adds no kernel event.
 
     Besides the lifetime totals the loop keeps decaying *windows* -- busy
     seconds and call counts, per loop and per hosted component -- which are
@@ -216,8 +218,8 @@ class KarWorker:
     member's -- by silence, observed through the shared backend.
     """
 
-    def __init__(self, app: "KarCluster", worker_id: str):
-        self.app = app
+    def __init__(self, control: "ControlPlane", worker_id: str):
+        self.app = app = control.app
         self.worker_id = worker_id
         self.kernel = app.kernel
         self.process = SimProcess(f"worker:{worker_id}")
@@ -240,7 +242,7 @@ class KarWorker:
         #: Set on graceful removal; a retired worker takes no new components.
         self.retired = False
         self.kernel.spawn(
-            self._heartbeat_loop(),
+            self._heartbeat_loop(control.heartbeat_key),
             self.process,
             name=f"worker-heartbeat:{worker_id}",
         )
@@ -249,10 +251,9 @@ class KarWorker:
     def alive(self) -> bool:
         return self.process.alive
 
-    async def _heartbeat_loop(self) -> None:
+    async def _heartbeat_loop(self, key: str) -> None:
         interval = self.app.config.worker_heartbeat_interval
         backend = self.app.store.backend
-        key = self.app.worker_heartbeat_key
         while True:
             backend.hset(key, self.worker_id, self.kernel.now)
             await self.kernel.sleep(interval)
@@ -299,36 +300,23 @@ class KarWorker:
         return f"KarWorker({self.worker_id}, {state}, hosted={sorted(self.hosted)})"
 
 
-class KarCluster(KarApplication):
-    """A KAR application running as N worker event loops.
+class ControlPlane:
+    """The worker side of one application: who runs, and what runs where.
 
-    The cluster *is* a :class:`KarApplication` -- same broker, store, group,
-    client surface, and recovery machinery -- plus a control plane that
-    shards actor-hosting components across workers by consistent hashing
-    and migrates them on worker join, graceful leave, and crash. Client
-    components (no actor types) stay external, exactly like the paper's
-    simulators driving the deployment from outside.
+    Shards actor-hosting components across the worker loops by consistent
+    hashing and migrates them on worker join, graceful leave, crash, and
+    load. Client components (no actor types) never land on a worker,
+    exactly like the paper's simulators driving the deployment from outside.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        config: KarConfig | None = None,
-        name: str = "app",
-        workers: int = 2,
-        *,
-        store_backend: StoreBackend | None = None,
-        broker_log: BrokerLog | None = None,
-        worker_ids: tuple[str, ...] | None = None,
-    ):
-        super().__init__(
-            kernel,
-            config,
-            name,
-            store_backend=store_backend,
-            broker_log=broker_log,
-        )
-        self.worker_heartbeat_key = f"_cluster:{name}:heartbeats"
+    def __init__(self, app: "KarApplication", worker_ids: Sequence[str]):
+        self.app = app
+        self.kernel = app.kernel
+        self.config = app.config
+        self.trace = app.trace
+        self.heartbeat_key = f"_cluster:{app.name}:heartbeats"
+        #: Worker event loops keyed by worker id.
+        self.workers: dict[str, KarWorker] = {}
         #: Workers the control plane declared failed (evidence surface).
         self.workers_failed: list[str] = []
         #: Component migrations performed (join/leave/crash re-hosting and
@@ -345,11 +333,19 @@ class KarCluster(KarApplication):
         #: (join rebalance, the placement controller, graceful removal)
         #: must not drain or restart the same component at once.
         self._handoff_active = False
+        self._sweeping = False
         self.placement_ctl = PlacementController(self)
-        ids = worker_ids or tuple(f"w{index}" for index in range(workers))
-        for worker_id in ids:
+        for worker_id in worker_ids:
             self.workers[worker_id] = KarWorker(self, worker_id)
-        kernel.spawn(self._control_loop(), name=f"cluster-control:{name}")
+        self._ensure_control_loop()
+
+    def _ensure_control_loop(self) -> None:
+        """The sweeps run from the first worker on; none, no task."""
+        if self.workers and not self._sweeping:
+            self._sweeping = True
+            self.kernel.spawn(
+                self._control_loop(), name=f"cluster-control:{self.app.name}"
+            )
 
     # ------------------------------------------------------------------
     # worker-aware component hosting
@@ -361,7 +357,7 @@ class KarCluster(KarApplication):
             if worker.alive and not worker.retired
         ]
 
-    def _assign_worker(self, name: str) -> KarWorker:
+    def assign_worker(self, name: str) -> KarWorker:
         """Consistent-hash placement with bounded load.
 
         Walks ``name``'s ring successors and takes the first live worker
@@ -379,29 +375,8 @@ class KarCluster(KarApplication):
                 return by_id[worker_id]
         return by_id[next(iter(ring.successors(name)))]  # pragma: no cover
 
-    def add_component(
-        self, name: str, actor_types: tuple[str, ...] = (), *, worker=None
-    ) -> Component:
-        if worker is None and actor_types:
-            worker = self._assign_worker(name)
-        component = super().add_component(name, actor_types, worker=worker)
-        if worker is not None:
-            worker.hosted.add(name)
-        return component
-
-    def restart_component(self, name: str, *, worker=None) -> Component:
-        old = self.components.get(name)
-        if old is not None and old.worker is not None:
-            old.worker.hosted.discard(name)
-        if worker is None and self.component_types.get(name):
-            worker = self._assign_worker(name)
-        component = super().restart_component(name, worker=worker)
-        if worker is not None:
-            worker.hosted.add(name)
-        return component
-
     def worker_of(self, component_name: str) -> str | None:
-        component = self.components.get(component_name)
+        component = self.app.components.get(component_name)
         if component is None or component.worker is None:
             return None
         return component.worker.worker_id
@@ -419,6 +394,7 @@ class KarCluster(KarApplication):
         if worker_id in self.workers and self.workers[worker_id].alive:
             raise ValueError(f"worker {worker_id!r} is already running")
         worker = self.workers[worker_id] = KarWorker(self, worker_id)
+        self._ensure_control_loop()
         self.kernel.spawn(
             self._rebalance_components(),
             name=f"cluster-join:{worker_id}",
@@ -438,7 +414,7 @@ class KarCluster(KarApplication):
             "worker.kill", worker=worker_id, hosted=sorted(worker.hosted)
         )
         for name in sorted(worker.hosted):
-            component = self.components.get(name)
+            component = self.app.components.get(name)
             if (
                 component is not None
                 and component.alive
@@ -448,9 +424,10 @@ class KarCluster(KarApplication):
         worker.process.kill()
 
     async def remove_worker_async(self, worker_id: str) -> None:
-        """Graceful leave: drain and hand off every hosted component, then
-        stop the worker loop. The settled set must match a crash's -- the
-        only difference is who pays (drain here, reconciliation there)."""
+        """Graceful leave: hand off every hosted component (drain -> fence
+        the old epoch -> restart elsewhere), then stop the worker loop. The
+        settled set must match a crash's -- the only difference is who pays
+        (drain here, reconciliation there)."""
         worker = self.workers[worker_id]
         worker.retired = True
         self.trace.emit(
@@ -459,11 +436,13 @@ class KarCluster(KarApplication):
         await self._acquire_handoff_gate()
         try:
             for name in sorted(worker.hosted):
-                component = self.components.get(name)
+                component = self.app.components.get(name)
                 if component is None or component.worker is not worker:
                     worker.hosted.discard(name)
                     continue
-                await self._handoff(component)
+                drained = await component.drain(self.config.drain_timeout)
+                component.stop()
+                self._rehost(name, drained, self.assign_worker(name))
         finally:
             self._release_handoff_gate()
         worker.process.kill()
@@ -478,13 +457,9 @@ class KarCluster(KarApplication):
         )
         self.kernel.run_until_complete(task, timeout=timeout)
 
-    async def _handoff(self, component: Component) -> None:
-        """Drain -> fence old epoch -> (reconciliation replays the tail)
-        -> resume, for one component."""
-        name = component.name
-        drained = await component.drain(self.config.drain_timeout)
-        component.stop()
-        target = self._assign_worker(name)
+    def _rehost(self, name: str, drained: bool, target: KarWorker) -> None:
+        """The handoff's last step: the drained, fenced component restarts on
+        ``target`` one epoch up (reconciliation replays the tail)."""
         self.trace.emit(
             "component.handoff",
             component=name,
@@ -492,7 +467,7 @@ class KarCluster(KarApplication):
             to_worker=target.worker_id,
         )
         self.migrations += 1
-        self.restart_component(name, worker=target)
+        self.app.restart_component(name, worker=target)
 
     # ------------------------------------------------------------------
     # the handoff gate (one drain->fence->restart mover at a time)
@@ -517,7 +492,7 @@ class KarCluster(KarApplication):
             target = self.workers.get(target_id)
             if target is not None and target.alive and not target.retired:
                 return target
-        return self._assign_worker(name)
+        return self.assign_worker(name)
 
     # ------------------------------------------------------------------
     # adaptive placement actions (invoked by the placement controller)
@@ -529,7 +504,7 @@ class KarCluster(KarApplication):
         replay handoff as a worker join, aimed at a chosen target."""
         await self._acquire_handoff_gate()
         try:
-            component = self.components.get(name)
+            component = self.app.components.get(name)
             if (
                 component is None
                 or not component.alive
@@ -545,14 +520,7 @@ class KarCluster(KarApplication):
             source.hosted.discard(name)
             windows = source.loop.export_component(name)
             target = self._target_worker(target_id, name)
-            self.trace.emit(
-                "component.handoff",
-                component=name,
-                drained=drained,
-                to_worker=target.worker_id,
-            )
-            self.migrations += 1
-            self.restart_component(name, worker=target)
+            self._rehost(name, drained, target)
             # The load history moves with the component so the controller
             # keeps seeing its true hotness across the handoff.
             target.loop.adopt_component(name, windows)
@@ -573,7 +541,7 @@ class KarCluster(KarApplication):
         """
         await self._acquire_handoff_gate()
         try:
-            component = self.components.get(name)
+            component = self.app.components.get(name)
             if (
                 component is None
                 or not component.alive
@@ -582,7 +550,7 @@ class KarCluster(KarApplication):
                 or parent_partition(name) is not None
             ):
                 return False
-            types = tuple(sorted(self.component_types.get(name, ())))
+            types = tuple(sorted(self.app.component_types.get(name, ())))
             if not types:
                 return False
             children = sub_partition_names(
@@ -605,7 +573,7 @@ class KarCluster(KarApplication):
             )
             targets = self._spread_targets(len(children))
             for child, target in zip(children, targets):
-                self.add_component(child, types, worker=target)
+                self.app.add_component(child, types, worker=target)
             return True
         finally:
             self._release_handoff_gate()
@@ -622,12 +590,12 @@ class KarCluster(KarApplication):
             if children is None:
                 return False
             for child in children:
-                component = self.components.get(child)
+                component = self.app.components.get(child)
                 if component is not None and component.alive:
                     await component.drain(self.config.drain_timeout)
                 # The drain may have raced a failure re-host; fence
                 # whichever incarnation is current now.
-                component = self.components.get(child)
+                component = self.app.components.get(child)
                 if component is not None and component.alive:
                     component.stop()
                 if component is not None and component.worker is not None:
@@ -635,14 +603,14 @@ class KarCluster(KarApplication):
                     component.worker.loop.forget_component(child)
                 # Forget the child entirely so no failure path resurrects
                 # it after the merge.
-                self.components.pop(child, None)
-                self.component_types.pop(child, None)
+                self.app.components.pop(child, None)
+                self.app.component_types.pop(child, None)
             self.split_children.pop(name, None)
             self.merges += 1
             self.trace.emit(
                 "component.merge", component=name, children=list(children)
             )
-            self.restart_component(name)
+            self.app.restart_component(name)
             return True
         finally:
             self._release_handoff_gate()
@@ -667,12 +635,12 @@ class KarCluster(KarApplication):
     # ------------------------------------------------------------------
     async def _control_loop(self) -> None:
         config = self.config
-        backend = self.store.backend
-        while not self._shutdown:
+        backend = self.app.store.backend
+        while self._sweeping:
             await self.kernel.sleep(config.worker_heartbeat_interval)
-            if self._shutdown:
+            if not self._sweeping:
                 return
-            beats = backend.hgetall(self.worker_heartbeat_key)
+            beats = backend.hgetall(self.heartbeat_key)
             now = self.kernel.now
             for worker_id, worker in list(self.workers.items()):
                 if worker.retired:
@@ -700,15 +668,15 @@ class KarCluster(KarApplication):
             if not worker.alive or worker.retired:
                 continue
             for name in sorted(worker.hosted):
-                component = self.components.get(name)
+                component = self.app.components.get(name)
                 if (
                     component is None
                     or not component.alive
                     or component.worker is not worker
                 ):
                     continue
-                age = self.broker.lease_renewal_age(
-                    self.topic_name, name, now
+                age = self.app.broker.lease_renewal_age(
+                    self.app.topic_name, name, now
                 )
                 if age is None or age <= ttl:
                     continue
@@ -735,7 +703,7 @@ class KarCluster(KarApplication):
             hosted=sorted(worker.hosted),
         )
         for name in sorted(worker.hosted):
-            component = self.components.get(name)
+            component = self.app.components.get(name)
             if component is None or component.worker is not worker:
                 worker.hosted.discard(name)
                 continue
@@ -745,7 +713,7 @@ class KarCluster(KarApplication):
                 # (the paired-process rule applied at worker granularity).
                 component.process.kill()
             self.migrations += 1
-            self.restart_component(name)
+            self.app.restart_component(name)
         if worker.alive:
             worker.process.kill()
 
@@ -754,10 +722,10 @@ class KarCluster(KarApplication):
 
         The assignment is load-weighted when the load plane has signal:
         components carry their measured busy rates onto the ring, so a
-        join rebalance spreads *load*, not just counts (an idle cluster
-        falls back to the legacy count rule). Each move re-validates its
-        target after the drain -- a worker killed while it is the target
-        of an in-flight handoff must not strand the draining component.
+        join rebalance spreads *load*, not just counts (idle workers fall
+        back to the count rule). Each move re-validates its target after
+        the drain -- a worker killed while it is the target of an in-flight
+        handoff must not strand the draining component.
         """
         live_ids = sorted(
             worker.worker_id for worker in self._live_workers()
@@ -766,7 +734,7 @@ class KarCluster(KarApplication):
             return
         hosted_names = sorted(
             name
-            for name, component in self.components.items()
+            for name, component in self.app.components.items()
             if component.worker is not None and component.alive
         )
         now = self.kernel.now
@@ -778,7 +746,7 @@ class KarCluster(KarApplication):
         }
         desired = HashRing(live_ids).assign(hosted_names, weights=weights)
         for name in hosted_names:
-            component = self.components.get(name)
+            component = self.app.components.get(name)
             if component is None or not component.alive:
                 continue
             current = component.worker
@@ -790,10 +758,10 @@ class KarCluster(KarApplication):
             await self._migrate_component(name, desired.get(name))
 
     # ------------------------------------------------------------------
-    # evidence surface
+    # evidence surface and lifecycle
     # ------------------------------------------------------------------
-    def _placement_stats(self) -> dict[str, Any]:
-        """The adaptive-placement slice of the unified evidence surface."""
+    def placement_stats(self) -> dict[str, Any]:
+        """``stats("placement")``: everything at rest with no workers."""
         return {
             "adaptive": self.config.adaptive_placement,
             "migrations": self.migrations,
@@ -808,38 +776,17 @@ class KarCluster(KarApplication):
             "load": self.placement_ctl.load_snapshot(),
         }
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        if self._shutdown:
-            return
+    def workers_stats(self) -> dict[str, Any]:
+        """``stats("workers")``: one slice per worker loop."""
+        return {
+            worker_id: worker.stats()
+            for worker_id, worker in self.workers.items()
+        }
+
+    def stop(self) -> None:
+        """Cold stop: every worker loop dies with the application."""
+        self._sweeping = False
         for worker in self.workers.values():
             worker.coordinator.close()
             if worker.alive:
                 worker.process.kill()
-        super().shutdown()
-
-    def reopen(self) -> "KarCluster":
-        """Cold restart of the whole cluster over the same durable
-        backends, with the same worker topology."""
-        worker_ids = tuple(sorted(self.workers))
-        self.shutdown()
-        from repro.persist import reopen_persistence
-
-        store_backend, broker_log = reopen_persistence(
-            self.config.persistence,
-            self.name,
-            self.store.backend,
-            self.broker.log,
-        )
-        cluster = KarCluster(
-            self.kernel,
-            self.config,
-            self.name,
-            store_backend=store_backend,
-            broker_log=broker_log,
-            worker_ids=worker_ids,
-        )
-        self._succeeded_by(cluster)
-        return cluster

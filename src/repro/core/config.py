@@ -91,9 +91,9 @@ class KarConfig:
 
     # --- overload control (retry-storm protection) ---------------------------
     # Master switch for the guard subsystem (ablation switch: the storm
-    # benchmark measures goodput against it). When False the runtime uses
-    # fixed placement-retry sleeps, unbounded mailboxes, no breakers and no
-    # dead-lettering.
+    # benchmark measures goodput against it), one object swap: False installs
+    # ``overload.Unguarded`` -- a fixed sleep when no component supports an
+    # actor type, unbounded mailboxes, no breakers and no dead-lettering.
     overload_guard: bool = True
     # Token-bucket retry budget: each first attempt deposits
     # ``overload.RETRY_BUDGET_RATIO`` tokens (capped at ``burst``), each
@@ -119,16 +119,17 @@ class KarConfig:
     # backoff path; first attempts are never shed. ``None`` = unbounded.
     mailbox_capacity: int | None = 256
 
-    # --- multi-worker scale-out (core/cluster.py) ----------------------------
+    # --- worker event loops (KarApplication(workers=N), core/cluster.py) -----
     # CPU cost charged to the hosting worker's event loop per actor
     # invocation. Each worker serializes its charges on a busy horizon, so
     # with a positive cost a single worker becomes the throughput ceiling
     # and sharding components across N workers buys ~N x. The 0.0 default
-    # charges nothing -- single-loop runs are byte-identical to before.
+    # charges nothing and adds no kernel event. None of this section applies
+    # to an application without workers.
     worker_loop_cost: float = 0.0
     # Worker heartbeat cadence into the shared store and the silence after
-    # which the cluster control plane declares a worker dead and re-hosts
-    # its components on the survivors.
+    # which the application's control plane declares a worker dead and
+    # re-hosts its components on the survivors.
     worker_heartbeat_interval: float = 1.0
     worker_session_timeout: float = 4.0
     # How long a graceful handoff waits for the component to drain its

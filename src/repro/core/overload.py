@@ -55,6 +55,8 @@ __all__ = [
     "OverloadGuard",
     "RETRY_BUDGET_RATIO",
     "RetryBudget",
+    "UNPLACEABLE_RETRY_DELAY",
+    "Unguarded",
 ]
 
 #: Single parking-lot partition inside the application's dead-letter topic.
@@ -92,6 +94,12 @@ BACKOFF = BackoffPolicy(base=0.05, cap=2.0)
 
 #: Retry tokens each first attempt deposits into a :class:`RetryBudget`.
 RETRY_BUDGET_RATIO = 0.1
+
+#: The :class:`Unguarded` policy's fixed delay before re-checking for a live
+#: component supporting an actor type ("KAR queues requests to unavailable
+#: types separately, revisiting this queue when new components are added",
+#: Section 4.3).
+UNPLACEABLE_RETRY_DELAY = 0.25
 
 
 class RetryBudget:
@@ -299,10 +307,16 @@ class OverloadGuard:
     One guard per component incarnation; it shares the component's fate
     exactly like its dedup evidence does. Counters are the evidence
     surface aggregated into ``KarApplication.stats()["overload"]``.
+    ``KarConfig.overload_guard=False`` installs :class:`Unguarded` in its
+    place: every caller talks to one policy object, never to ``None``.
     """
 
     def __init__(self, config: "KarConfig", kernel: "Kernel"):
         self.kernel = kernel
+        #: Bound on each mailbox's pending queue (``None`` = unbounded) and
+        #: on recovery copies per stranded request (``None`` = forever).
+        self.mailbox_capacity = config.mailbox_capacity
+        self.redelivery_limit = config.redelivery_limit
         self.budget = RetryBudget(
             RETRY_BUDGET_RATIO,
             config.retry_budget_burst,
@@ -370,6 +384,14 @@ class OverloadGuard:
     # ------------------------------------------------------------------
     # retry pacing (budget + jittered backoff)
     # ------------------------------------------------------------------
+    def first_attempt(self, now: float) -> None:
+        """A first attempt is never throttled, and it earns retry credit."""
+        self.budget.deposit(now)
+
+    async def pace_unplaceable(self, attempt: int) -> None:
+        """Pace a retry that found no live component for the actor type."""
+        await self.pace_retry(attempt)
+
     async def pace_retry(self, attempt: int) -> None:
         """Sleep the jittered backoff for ``attempt``, then spend one retry
         token -- deferring through further backoff rounds while the budget
@@ -422,3 +444,28 @@ class OverloadGuard:
             "shed_requeues": self.shed_requeues,
             "max_pending": self.max_pending,
         }
+
+
+class Unguarded(OverloadGuard):
+    """The ``overload_guard=False`` policy (the storm benchmark's baseline):
+    the paper's relentless retry. No budget and no backoff -- a retry waits
+    the fixed :data:`UNPLACEABLE_RETRY_DELAY` when no live component supports
+    the actor type and is immediate otherwise -- no breakers, no redelivery
+    cap, unbounded mailboxes, and nothing to report."""
+
+    def __init__(self, config: "KarConfig", kernel: "Kernel"):
+        super().__init__(config, kernel)
+        self.breaker_threshold = None
+        self.mailbox_capacity = self.redelivery_limit = None
+
+    def first_attempt(self, now: float) -> None:
+        pass
+
+    async def pace_unplaceable(self, attempt: int) -> None:
+        await self.kernel.sleep(UNPLACEABLE_RETRY_DELAY)
+
+    async def pace_retry(self, attempt: int) -> None:
+        pass
+
+    def stats(self, now: float) -> dict[str, Any]:
+        return {}

@@ -92,9 +92,6 @@ class PlacementService:
         for ref in stale:
             del self._cache[ref]
 
-    def invalidate_all(self) -> None:
-        self._cache.clear()
-
     def cache_peek(self, ref: ActorRef) -> str | None:
         return self._cache.get(ref) if self._cache_enabled else None
 

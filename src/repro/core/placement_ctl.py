@@ -23,7 +23,7 @@ idle. This module closes the loop:
     ``rebalance_threshold``.
 
 Every action rides the existing drain -> fence -> replay-tail handoff
-(:class:`~repro.core.cluster.KarCluster`), so exactly-once settlement is
+(:class:`~repro.core.cluster.ControlPlane`), so exactly-once settlement is
 preserved by the same machinery that covers crashes and joins.
 """
 
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.sharding import parent_partition
 
 if TYPE_CHECKING:
-    from repro.core.cluster import KarCluster
+    from repro.core.cluster import ControlPlane
 
 __all__ = ["PlacementController"]
 
@@ -56,15 +56,16 @@ MIN_ACTIONABLE_RATE = 0.2
 
 
 class PlacementController:
-    """Plans load-driven migrations/splits/merges for one cluster."""
+    """Plans load-driven migrations/splits/merges for one control plane."""
 
-    def __init__(self, cluster: "KarCluster"):
-        self.cluster = cluster
-        self.config = cluster.config
-        self.load_key = f"_cluster:{cluster.name}:load"
+    def __init__(self, control: "ControlPlane"):
+        self.control = control
+        self.config = control.config
+        self.store_backend = control.app.store.backend
+        self.load_key = f"_cluster:{control.app.name}:load"
         self.ticks = 0
         #: Actions planned, by kind (scheduled, not necessarily performed;
-        #: the cluster counts performed ones).
+        #: the control plane counts performed ones).
         self.planned: dict[str, int] = {"migrate": 0, "split": 0, "merge": 0}
         self._last_action_at = -float("inf")
         self._running = False
@@ -88,9 +89,9 @@ class PlacementController:
             return
         self._last_action_at = now
         self._running = True
-        self.cluster.kernel.spawn(
+        self.control.kernel.spawn(
             self._run(actions),
-            name=f"placement-ctl:{self.cluster.name}",
+            name=f"placement-ctl:{self.control.app.name}",
         )
 
     def _sample(
@@ -98,7 +99,7 @@ class PlacementController:
     ) -> tuple[dict[str, float], dict[str, dict[str, Any]]]:
         worker_rates: dict[str, float] = {}
         component_loads: dict[str, dict[str, Any]] = {}
-        for worker_id, worker in sorted(self.cluster.workers.items()):
+        for worker_id, worker in sorted(self.control.workers.items()):
             if not worker.alive or worker.retired:
                 continue
             worker_rates[worker_id] = worker.loop.busy_rate(now)
@@ -113,13 +114,12 @@ class PlacementController:
         component_loads: dict[str, dict[str, Any]],
     ) -> None:
         """Whole-snapshot publish: stale entries never linger."""
-        backend = self.cluster.store.backend
-        backend.hset(self.load_key, "workers", worker_rates)
-        backend.hset(self.load_key, "components", component_loads)
+        self.store_backend.hset(self.load_key, "workers", worker_rates)
+        self.store_backend.hset(self.load_key, "components", component_loads)
 
     def load_snapshot(self) -> dict[str, Any]:
         """The last published load-plane snapshot (store-backed)."""
-        return dict(self.cluster.store.backend.hgetall(self.load_key))
+        return dict(self.store_backend.hgetall(self.load_key))
 
     # ------------------------------------------------------------------
     # planning
@@ -159,7 +159,7 @@ class PlacementController:
         """
         floor = self.config.split_threshold * SPLIT_MERGE_RATIO
         peak = max(worker_rates.values(), default=0.0)
-        for parent in sorted(self.cluster.split_children):
+        for parent in sorted(self.control.split_children):
             if peak >= floor:
                 self._cold_ticks[parent] = 0
                 continue
@@ -182,7 +182,7 @@ class PlacementController:
                 (load["busy_rate"], name)
                 for name, load in component_loads.items()
                 if load["busy_rate"] > self.config.split_threshold
-                and name not in self.cluster.split_children
+                and name not in self.control.split_children
                 and parent_partition(name) is None
             ),
             reverse=True,
@@ -232,18 +232,18 @@ class PlacementController:
     # execution
     # ------------------------------------------------------------------
     async def _run(self, actions: list[tuple[str, ...]]) -> None:
-        cluster = self.cluster
+        control = self.control
         try:
             for action in actions:
                 try:
                     if action[0] == "merge":
-                        await cluster._merge_component(action[1])
+                        await control._merge_component(action[1])
                     elif action[0] == "split":
-                        await cluster._split_component(action[1])
+                        await control._split_component(action[1])
                     else:
-                        await cluster._migrate_component(action[1], action[2])
+                        await control._migrate_component(action[1], action[2])
                 except Exception as error:  # keep the control plane alive
-                    cluster.trace.emit(
+                    control.trace.emit(
                         "placement.error",
                         action=list(action),
                         error=repr(error),

@@ -109,9 +109,7 @@ class Reconciler:
         # attempt history instead of feeding the crash-reconcile loop again.
         # Requests already parked (by a breaker or a prior sweep) are
         # skipped entirely: redelivery now belongs to the parking lot.
-        limit = (
-            self.config.redelivery_limit if self.config.overload_guard else None
-        )
+        limit = component.overload.redelivery_limit
         parked_index = (
             self.app.dead_letter_index() if limit is not None else frozenset()
         )
@@ -195,8 +193,7 @@ class Reconciler:
                 self.app.dead_letter_topic,
                 [(DEAD_LETTER_PARTITION, letter) for letter in parked],
             )
-            if component.overload is not None:
-                component.overload.parked += len(parked)
+            component.overload.parked += len(parked)
         for letter in parked:
             trace.emit(
                 "deadletter.parked",

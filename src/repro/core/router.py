@@ -55,13 +55,6 @@ if TYPE_CHECKING:
 
 __all__ = ["Router"]
 
-#: Legacy fixed delay before re-checking for a live component supporting an
-#: actor type ("KAR queues requests to unavailable types separately,
-#: revisiting this queue when new components are added", Section 4.3).
-#: Used only with ``overload_guard=False``; with the guard on, every routing
-#: retry is paced by the jittered-backoff + retry-budget policy instead.
-_PLACEMENT_RETRY_DELAY = 0.25
-
 
 class _OutboxEntry:
     """One queued envelope. Only a rider sets ``future``: the carrier of its
@@ -253,55 +246,35 @@ class Router:
         return outcomes
 
     # ------------------------------------------------------------------
-    # retry pacing
-    # ------------------------------------------------------------------
-    async def _retry_pause(self, attempt: int) -> None:
-        """Pace one routing retry: jittered backoff + retry budget with the
-        overload guard on, the legacy fixed sleep with it off."""
-        guard = self.component.overload
-        if guard is None:
-            await self.kernel.sleep(_PLACEMENT_RETRY_DELAY)
-        else:
-            await guard.pace_retry(attempt)
-
-    async def _pace_if_guarded(self, attempt: int) -> None:
-        """Pace retry paths that were historically immediate (stale routes,
-        dead incarnations): backoff-paced with the guard on, immediate with
-        it off, preserving the legacy retry loop exactly."""
-        guard = self.component.overload
-        if guard is not None:
-            await guard.pace_retry(attempt)
-
-    # ------------------------------------------------------------------
     # request routing
     # ------------------------------------------------------------------
     async def route_request(self, request: "Request") -> None:
-        """Resolve placement and durably enqueue; retries stale routes."""
+        """Resolve placement and durably enqueue; retries stale routes,
+        each retry paced by the component's overload policy."""
         guard = self.component.overload
-        if guard is not None and request.copy_epoch == 0 and request.attempts == 0:
-            # A first attempt: never throttled, and it earns retry credit.
-            guard.budget.deposit(self.kernel.now)
+        if request.copy_epoch == 0 and request.attempts == 0:
+            guard.first_attempt(self.kernel.now)
         attempt = 0
         while True:
             if self.coordinator.paused:
                 await self.coordinator.wait_unpaused()
             candidates = self.live_candidates(request.actor.type)
             if not candidates:
-                await self._retry_pause(attempt)
+                await guard.pace_unplaceable(attempt)
                 attempt += 1
                 continue
             target_name = await self.placement.resolve(request.actor, candidates)
             target_member = self.live_incarnation(target_name)
             if target_member is None:
                 self.placement.invalidate_components({target_name})
-                await self._pace_if_guarded(attempt)
+                await guard.pace_retry(attempt)
                 attempt += 1
                 continue
             try:
                 await self.send_durable(target_member, request)
             except StaleRouteError:
                 self.placement.invalidate_components({target_name})
-                await self._pace_if_guarded(attempt)
+                await guard.pace_retry(attempt)
                 attempt += 1
                 continue
             if self.trace.enabled:
@@ -369,7 +342,7 @@ class Router:
                 # of spinning on the dead entry.
                 if resolved_name is not None:
                     self.placement.invalidate_components({resolved_name})
-                await self._pace_if_guarded(attempt)
+                await self.component.overload.pace_retry(attempt)
                 attempt += 1
                 continue
             if self.trace.enabled:
@@ -408,7 +381,7 @@ class Router:
                 return None, None
             candidates = self.live_candidates(request.caller_actor.type)
             if not candidates:
-                await self._retry_pause(attempt)
+                await self.component.overload.pace_unplaceable(attempt)
                 attempt += 1
                 continue
             resolved_name = await self.placement.resolve(
@@ -417,7 +390,7 @@ class Router:
             target = self.live_incarnation(resolved_name)
             if target is None:
                 self.placement.invalidate_components({resolved_name})
-                await self._pace_if_guarded(attempt)
+                await self.component.overload.pace_retry(attempt)
                 attempt += 1
                 continue
             return target, resolved_name

@@ -36,7 +36,7 @@ from repro.core.context import ActorContext
 from repro.core.dispatcher import ActorMailbox
 from repro.core.envelope import Request, Response, TailCall
 from repro.core.errors import ActorMethodError, InvocationCancelled
-from repro.core.overload import CircuitBreaker, DeadLetter, OverloadGuard
+from repro.core.overload import CircuitBreaker, DeadLetter, OverloadGuard, Unguarded
 from repro.core.placement import PlacementService
 from repro.core.refs import ActorRef
 from repro.core.retention import RetentionSet
@@ -80,9 +80,10 @@ class Component:
         self.name = name
         self.actor_types = frozenset(actor_types)
         self.epoch = epoch
-        #: Hosting worker event loop (scale-out mode), or ``None`` when the
-        #: application runs single-loop. The worker supplies the group
-        #: coordinator *view* and the event-loop cost horizon.
+        #: Hosting worker event loop, or ``None``: a client component, or
+        #: any component of an application without workers. The worker
+        #: supplies the group coordinator *view* and the event-loop cost
+        #: horizon; without one the application's own coordinator serves.
         self.worker = worker
         self.coordinator = (worker if worker is not None else app).coordinator
         # Interned: the member id names this incarnation in every request
@@ -112,12 +113,9 @@ class Component:
         self.is_leader = False
         # Overload control (retry budgets, breakers, mailbox admission):
         # per-incarnation state, sharing the component's fate like dedup
-        # evidence does. ``None`` keeps the legacy unguarded behaviour.
-        self.overload: OverloadGuard | None = (
-            OverloadGuard(app.config, app.kernel)
-            if app.config.overload_guard
-            else None
-        )
+        # evidence does.
+        policy = OverloadGuard if app.config.overload_guard else Unguarded
+        self.overload: OverloadGuard = policy(app.config, app.kernel)
 
     @property
     def alive(self) -> bool:
@@ -129,9 +127,8 @@ class Component:
     def start(self) -> "Component":
         # Claim the partition family before consuming it: acquiring at this
         # epoch fences any older incarnation still holding the lease (the
-        # handoff fence of the scale-out protocol). Epochs only grow, so in
-        # single-loop mode this is the same supersession restart_component
-        # always implied.
+        # handoff fence between workers). Epochs only grow, so without
+        # workers this is the supersession restart_component always implied.
         self.broker.acquire_partition_lease(
             self.topic_name, self.name, self.member_id, self.epoch
         )
@@ -220,7 +217,7 @@ class Component:
             self.process.kill()
 
     async def _lease_renewal_loop(self) -> None:
-        """The partition lease's TTL heartbeat (scale-out mode only).
+        """The partition lease's TTL heartbeat (worker-hosted components).
 
         Renewal is deliberately *not* tied to the worker's store heartbeat:
         a wedged worker keeps heartbeating (its processes are alive) but
@@ -370,16 +367,15 @@ class Component:
                 "request.duplicate", request=request.request_id, step=request.step
             )
             return
-        if self.overload is not None:
-            breaker = self.overload.breaker_diverts(request, self.kernel.now)
-            if breaker is not None:
-                # Diverted to the parking lot *without* being marked
-                # handled: the request has not executed, and its eventual
-                # replay must be admitted here. Exactly-once is preserved
-                # because the one real execution happens at replay,
-                # deduplicated like any reconciliation copy.
-                self._park_dead_letter(request, "breaker_open", breaker)
-                return
+        breaker = self.overload.breaker_diverts(request, self.kernel.now)
+        if breaker is not None:
+            # Diverted to the parking lot *without* being marked handled:
+            # the request has not executed, and its eventual replay must be
+            # admitted here. Exactly-once is preserved because the one real
+            # execution happens at replay, deduplicated like any
+            # reconciliation copy.
+            self._park_dead_letter(request, "breaker_open", breaker)
+            return
         self._handled.observe(request.dedup_key, self.kernel.now)
         if (
             request.after_callee is not None
@@ -399,14 +395,13 @@ class Component:
     def _admit(self, request: Request) -> None:
         mailbox = self._mailboxes.get(request.actor)
         if mailbox is None:
-            capacity = (
-                self.config.mailbox_capacity if self.overload is not None else None
+            mailbox = self._mailboxes[request.actor] = ActorMailbox(
+                self.overload.mailbox_capacity
             )
-            mailbox = self._mailboxes[request.actor] = ActorMailbox(capacity)
         self._last_active[request.actor] = self.kernel.now
         if mailbox.try_admit(request):
             self._spawn_executor(request)
-        elif self.overload is not None:
+        else:
             self.overload.observe_pending(len(mailbox.pending))
             for shed in mailbox.shed_overflow():
                 # Admission control: the oldest queued retries go back to
@@ -433,9 +428,6 @@ class Component:
         Repeat sheds of the same request back off further.
         """
         guard = self.overload
-        if guard is None:
-            self._admit(request)
-            return
         attempt = guard.note_shed(request.dedup_key)
         await guard.pace_retry(attempt)
         guard.shed_requeues += 1
@@ -461,8 +453,7 @@ class Component:
             failure_history=history,
             parked_by=self.member_id,
         )
-        if self.overload is not None:
-            self.overload.parked += 1
+        self.overload.parked += 1
         self.trace.emit(
             "deadletter.parked",
             request=request.request_id,
@@ -501,8 +492,7 @@ class Component:
                 # serialize on its busy horizon (no-op at zero cost). The
                 # component name attributes the charge to the load plane.
                 await self.worker.loop.charge(self.name)
-            if self.overload is not None:
-                self.overload.clear_shed(request.dedup_key)
+            self.overload.clear_shed(request.dedup_key)
             kind, payload = await self._run_method(request)
             self._record_outcome(request, kind, payload)
             await self._hop()  # app -> sidecar with the outcome
@@ -562,8 +552,6 @@ class Component:
         """Feed the execution outcome to the circuit breaker for this
         (actor type, method). "cancelled" is neutral: an elided invocation
         says nothing about the method's health."""
-        if self.overload is None:
-            return
         now = self.kernel.now
         if kind == "error":
             transition = self.overload.record_failure(request, str(payload), now)

@@ -31,7 +31,6 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "HashRing",
-    "assign_components",
     "parent_partition",
     "sub_partition_names",
 ]
@@ -94,8 +93,8 @@ class HashRing:
         share (never below the heaviest single item, which must land
         somewhere), items place heaviest-first, and an item that fits no
         successor under the bound takes the least-loaded one. All-zero
-        weights fall back to the unweighted count rule, so an idle cluster
-        keeps the exact legacy assignment.
+        weights fall back to the unweighted count rule, so idle workers
+        keep the count-balanced assignment.
         """
         if not self.workers:
             raise ValueError("cannot assign items to an empty worker set")
@@ -144,16 +143,6 @@ class HashRing:
             loads[chosen] += weight
             assignment[item] = chosen
         return assignment
-
-
-def assign_components(
-    components: Sequence[str],
-    workers: Sequence[str],
-    replicas: int = DEFAULT_REPLICAS,
-    weights: Mapping[str, float] | None = None,
-) -> dict[str, str]:
-    """One-shot helper: the bounded-load assignment for ``components``."""
-    return HashRing(workers, replicas).assign(components, weights=weights)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
@@ -199,8 +199,6 @@ class Broker:
         #: Records appended, across all produce paths.
         self.produce_record_count = 0
         self.consume_count = 0
-        #: Records adopted from the log by :meth:`restore_from_log`.
-        self.restored_record_count = 0
 
     def topic(self, name: str) -> Topic:
         topic = self.topics.get(name)
@@ -223,7 +221,6 @@ class Broker:
             partition = self.topic(topic_name).partition(partition_name)
             partition.restore(records, first, next_offset)
             restored += len(records)
-        self.restored_record_count += restored
         for key, value in self.log.meta_items().items():
             if key.startswith("lease:"):
                 lease_topic, base, owner, epoch = value
@@ -327,9 +324,6 @@ class Broker:
     def fence(self, client_id: str) -> None:
         self._fenced.add(client_id)
 
-    def unfence(self, client_id: str) -> None:
-        self._fenced.discard(client_id)
-
     def is_fenced(self, client_id: str) -> bool:
         return client_id in self._fenced
 
@@ -415,7 +409,9 @@ class Broker:
         self.produce_count += 1
         verdicts: dict[str, bool] = {}
         outcomes: list[Record | MQError] = []
-        appended: set[str] = set()
+        # A dict, not a set: the consumers parked on this batch's partitions
+        # wake in first-appearance order, never in string-hash order.
+        appended: dict[str, None] = {}
         batch_records: list[Record] = []
         topic = self.topic(topic_name)
         for partition_name, value in entries:
@@ -431,7 +427,7 @@ class Broker:
             record = topic.partition(partition_name).append(value, self.kernel.now)
             outcomes.append(record)
             batch_records.append(record)
-            appended.add(partition_name)
+            appended[partition_name] = None
         if batch_records:
             # One journal write covers the whole produce round trip.
             self._journal_append(topic_name, batch_records)
@@ -455,7 +451,7 @@ class Broker:
             )
         if records:
             self._journal_append(topic_name, records)
-        for partition_name in {partition for partition, _value in entries}:
+        for partition_name in dict.fromkeys(partition for partition, _ in entries):
             self._wake_append_waiters(topic_name, partition_name)
         return records
 
@@ -531,12 +527,3 @@ class Broker:
         self.consume_count += 1
         partition = self.topic(topic_name).partition(partition_name)
         return partition.read_from(offset, self.kernel.now, limit)
-
-    def validate_partition_exists(self, topic_name: str, partition_name: str) -> None:
-        if partition_name not in self.topic(topic_name).partitions:
-            raise MQError(f"unknown partition {partition_name!r} in {topic_name!r}")
-
-
-def total_backlog(topics: Iterable[Topic], now: float) -> int:
-    """Total unexpired records across topics (reconciliation cost driver)."""
-    return sum(len(topic.snapshot_unexpired(now)) for topic in topics)

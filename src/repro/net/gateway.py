@@ -357,9 +357,6 @@ def _unquote(segment: str) -> str:
 # the gateway
 # ----------------------------------------------------------------------
 
-#: Handler signature: receives the path parameters and the parsed request.
-_Handler = Callable[..., Awaitable[_Reply]]
-
 
 class KarGateway:
     """HTTP/1.1 REST server exposing one application's sidecar API.

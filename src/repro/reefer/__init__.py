@@ -21,11 +21,10 @@ remain checkable across failures.
 
 from repro.reefer.app import ReeferApplication, ReeferConfig
 from repro.reefer.domain import OrderSpec, OrderState, VoyageState
-from repro.reefer.invariants import InvariantViolation, check_invariants
+from repro.reefer.invariants import check_invariants
 from repro.reefer.metrics import ReeferMetrics
 
 __all__ = [
-    "InvariantViolation",
     "OrderSpec",
     "OrderState",
     "ReeferApplication",

@@ -16,11 +16,7 @@ from repro.reefer.domain import OrderState
 if TYPE_CHECKING:
     from repro.reefer.app import ReeferApplication
 
-__all__ = ["InvariantReport", "InvariantViolation", "check_invariants"]
-
-
-class InvariantViolation(AssertionError):
-    """At least one application invariant failed."""
+__all__ = ["InvariantReport", "check_invariants"]
 
 
 @dataclass
@@ -31,10 +27,6 @@ class InvariantReport:
 
     def ok(self) -> bool:
         return not self.violations
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise InvariantViolation("\n".join(self.violations))
 
 
 def check_invariants(

@@ -99,13 +99,6 @@ class SimFuture:
         else:
             self._callbacks.append(callback)
 
-    def discard_callback(self, callback: Callable[["SimFuture"], None]) -> None:
-        """Remove a pending callback; no-op if absent or already fired."""
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
-
     def __await__(self) -> Generator["SimFuture", None, Any]:
         if not self._done:
             yield self

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
@@ -49,7 +49,7 @@ def make_cluster(
                 mode="sqlite", root=str(tmp_path / "durable")
             )
         )
-    app = KarCluster(kernel, config, "cluster", workers=workers)
+    app = KarApplication(kernel, config, "cluster", workers=workers)
     app.register_actor(Echo, "Echo")
     app.register_actor(Counter, "Counter")
     for index in range(components):
@@ -76,12 +76,48 @@ def drive_calls(kernel, app, ids, timeout=600.0):
 # ----------------------------------------------------------------------
 def test_components_shard_across_workers_balanced():
     kernel, app = make_cluster(components=6, workers=2)
-    placement = {name: app.worker_of(name) for name in app.components}
+    placement = {name: app.control.worker_of(name) for name in app.components}
     hosted = [w for w in placement.values() if w is not None]
     assert len(hosted) == 6  # every actor-hosting component is assigned
     assert placement["client"] is None  # clients stay external
     per_worker = {w: hosted.count(w) for w in set(hosted)}
     assert set(per_worker.values()) == {3}
+
+
+def test_worker_count_is_deployment_not_type():
+    """One application type. Without workers the constructor queues nothing
+    on the kernel, components run on the application's own coordinator and
+    the worker-shaped stats families are at rest; a worker added later gets
+    its sweeps and hosts what is added after it."""
+    kernel = Kernel(seed=3)
+    app = KarApplication(kernel, KarConfig.fast_test(), "plain")
+    assert app.control.workers == {}
+    assert kernel._heap == [] and len(kernel._ready) == 0
+    app.register_actor(Echo, "Echo")
+    first = app.add_component("comp0", ("Echo",))
+    assert first.worker is None and first.coordinator is app.coordinator
+    assert app.stats("workers") == {}
+    placement = app.stats("placement")
+    assert placement["controller"]["ticks"] == 0 and placement["load"] == {}
+
+    worker = app.control.add_worker()
+    assert list(app.control.workers) == ["w0"]
+    second = app.add_component("comp1", ("Echo",))
+    assert second.worker is worker and second.coordinator is worker.coordinator
+    assert app.client().worker is None
+    app.settle()
+    assert sorted(drive_calls(kernel, app, range(8))) == list(range(1, 9))
+    kernel.run(until=kernel.now + 1.0)
+    assert app.control.worker_of("comp0") is None  # not re-hosted by the join
+    assert app.control.placement_ctl.ticks > 0  # the sweeps started with w0
+    kernel.check_no_crashes()
+    app.shutdown()
+    assert not worker.alive
+
+    named = KarApplication(kernel, KarConfig.fast_test(), workers=("east", "west"))
+    assert list(named.control.workers) == ["east", "west"]
+    kernel.run(until=kernel.now + 0.5)
+    named.shutdown()
 
 
 def test_unified_stats_reports_per_worker():
@@ -133,7 +169,7 @@ def test_worker_loop_cost_serializes_executions():
 # ----------------------------------------------------------------------
 def test_worker_crash_rehosts_components_and_settles_in_flight():
     kernel, app = make_cluster(components=4, workers=2)
-    victim = app.worker_of("comp0")
+    victim = app.control.worker_of("comp0")
     client = app.client()
 
     async def one(n):
@@ -143,14 +179,14 @@ def test_worker_crash_rehosts_components_and_settles_in_flight():
 
     tasks = [kernel.spawn(one(n), process=client.process) for n in range(40)]
     kernel.run(until=kernel.now + 0.01)  # let calls take flight
-    app.kill_worker(victim)
+    app.control.kill_worker(victim)
     results = kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     assert results == [n + 1 for n in range(40)]
     kernel.run(until=kernel.now + 5.0)
     assert app.stats("calls")["unsettled"] == []
-    assert app.workers_failed == [victim]
+    assert app.control.workers_failed == [victim]
     survivors = {
-        app.worker_of(name)
+        app.control.worker_of(name)
         for name in app.components
         if name != "client"
     }
@@ -160,12 +196,12 @@ def test_worker_crash_rehosts_components_and_settles_in_flight():
 def test_graceful_remove_drains_and_hands_off():
     kernel, app = make_cluster(components=4, workers=2)
     drive_calls(kernel, app, range(10))
-    app.remove_worker("w0")
-    assert not app.workers["w0"].alive
-    assert app.workers["w0"].retired
+    app.control.remove_worker("w0")
+    assert not app.control.workers["w0"].alive
+    assert app.control.workers["w0"].retired
     # Every component now lives on the survivor and still serves calls.
     hosted = {
-        app.worker_of(name) for name in app.components if name != "client"
+        app.control.worker_of(name) for name in app.components if name != "client"
     }
     assert hosted == {"w1"}
     assert drive_calls(kernel, app, range(10, 20)) == [
@@ -178,12 +214,12 @@ def test_graceful_remove_drains_and_hands_off():
 def test_add_worker_migrates_ring_share():
     kernel, app = make_cluster(components=6, workers=1)
     drive_calls(kernel, app, range(10))
-    assert {app.worker_of(f"comp{i}") for i in range(6)} == {"w0"}
-    app.add_worker("w1")
+    assert {app.control.worker_of(f"comp{i}") for i in range(6)} == {"w0"}
+    app.control.add_worker("w1")
     kernel.run(until=kernel.now + 10.0)
-    placement = {f"comp{i}": app.worker_of(f"comp{i}") for i in range(6)}
+    placement = {f"comp{i}": app.control.worker_of(f"comp{i}") for i in range(6)}
     assert "w1" in set(placement.values())  # some components moved over
-    assert app.migrations > 0
+    assert app.control.migrations > 0
     assert drive_calls(kernel, app, range(10, 30)) == [
         n + 1 for n in range(10, 30)
     ]
@@ -213,7 +249,7 @@ def test_mid_workload_worker_kill_settles_exactly_once(mode, tmp_path):
         for cid in range(counters)
     ]
     kernel.run(until=kernel.now + 0.05)  # workflows mid-flight
-    app.kill_worker("w0")
+    app.control.kill_worker("w0")
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     kernel.run(until=kernel.now + 5.0)
     assert app.stats("calls")["unsettled"] == []

@@ -5,7 +5,9 @@ their in-memory dedup evidence, placement caches, pending futures -- all of
 it) and rebuild the application from the persistence layer alone. The
 memory flavor models the infrastructure services surviving an app-wide
 crash; the sqlite flavor reconstructs from files, as a brand-new OS process
-would.
+would. The two tests that crash with calls in flight also run on three
+worker event loops: the next boot must bring the same worker ids back and
+host every actor-hosting component on one of them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
 MODES = ["memory", "sqlite"]
+#: (backend, worker loops); the worker-less ids are the historical ones.
+DEPLOYMENTS = [
+    pytest.param("memory", 0, id="memory"),
+    pytest.param("sqlite", 0, id="sqlite"),
+    pytest.param("memory", 3, id="memory-3workers"),
+    pytest.param("sqlite", 3, id="sqlite-3workers"),
+]
 
 
 class Flow(Actor):
@@ -66,8 +75,8 @@ def make_config(mode: str, tmp_path) -> KarConfig:
     return KarConfig.fast_test().with_overrides(persistence=persistence)
 
 
-def boot_app(kernel, config, name="app"):
-    app = KarApplication.fresh(kernel, config, name=name)
+def boot_app(kernel, config, name="app", workers=0):
+    app = KarApplication.fresh(kernel, config, name=name, workers=workers)
     populate(app)
     return app
 
@@ -92,6 +101,20 @@ def readd_components(app):
     return app
 
 
+def assert_same_workers_host_the_components(before, after):
+    """The next boot keeps the worker ids, and every actor-hosting component
+    runs on a live one of them (or on none, when there are none)."""
+    assert list(after.control.workers) == list(before.control.workers)
+    for name in ("w1", "w2"):
+        worker = after.components[name].worker
+        if after.control.workers:
+            assert worker.alive
+            assert after.control.workers[worker.worker_id] is worker
+        else:
+            assert worker is None
+    assert after.client().worker is None
+
+
 def drain(app, max_wait=180.0):
     deadline = app.kernel.now + max_wait
     while app.stats("calls")["unsettled"] and app.kernel.now < deadline:
@@ -105,10 +128,11 @@ def total_commits(app):
     )
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_reopen_settles_all_in_flight_calls_exactly_once(mode, tmp_path):
+@pytest.mark.parametrize("mode, workers", DEPLOYMENTS)
+def test_reopen_settles_all_in_flight_calls_exactly_once(mode, workers, tmp_path):
     kernel = Kernel(seed=21)
-    app = boot_app(kernel, make_config(mode, tmp_path))
+    app = boot_app(kernel, make_config(mode, tmp_path), workers=workers)
+    assert len(app.control.workers) == workers
     client = app.client()
 
     workflows, hops = 12, 3
@@ -127,6 +151,7 @@ def test_reopen_settles_all_in_flight_calls_exactly_once(mode, tmp_path):
     app2 = app.reopen()
     assert app2.restored_records > 0
     readd_components(app2)
+    assert_same_workers_host_the_components(app, app2)
 
     assert drain(app2) == []
     assert total_commits(app2) == workflows * hops
@@ -230,12 +255,12 @@ def test_shutdown_is_idempotent_and_blocks_joins(tmp_path):
         app.add_component("w3")
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_reopen_inherits_tracing_off(mode, tmp_path):
+@pytest.mark.parametrize("mode, workers", DEPLOYMENTS)
+def test_reopen_inherits_tracing_off(mode, workers, tmp_path):
     """A long campaign switches the recorder off to bound memory; the next
     boot must not quietly switch it back on and record the whole recovery."""
     kernel = Kernel(seed=25)
-    app = boot_app(kernel, make_config(mode, tmp_path))
+    app = boot_app(kernel, make_config(mode, tmp_path), workers=workers)
     app.trace.enabled = False
     client = app.client()
     for wid in range(12):
@@ -246,6 +271,7 @@ def test_reopen_inherits_tracing_off(mode, tmp_path):
 
     app2 = app.reopen()
     readd_components(app2)
+    assert_same_workers_host_the_components(app, app2)
     assert drain(app2) == []
     assert app2.trace.enabled is False
     assert len(app2.trace) == 0
@@ -253,5 +279,7 @@ def test_reopen_inherits_tracing_off(mode, tmp_path):
     app2.trace.enabled = True
     app3 = app2.reopen()
     readd_components(app3)
+    assert_same_workers_host_the_components(app, app3)
     assert len(app3.trace) > 0
+    kernel.check_no_crashes()
     app3.shutdown()

@@ -18,6 +18,8 @@ from repro.core.overload import (
     CircuitBreaker,
     DeadLetter,
     RetryBudget,
+    UNPLACEABLE_RETRY_DELAY,
+    Unguarded,
 )
 from repro.core.refs import ActorRef
 
@@ -396,3 +398,51 @@ def test_unplaced_call_is_backoff_paced_until_a_host_joins():
     app.add_component("w1", (name,))
     kernel.run_until_complete(task, timeout=60.0)
     assert app.run_call(ref, "get") == 7
+
+
+# ----------------------------------------------------------------------
+# the ablation switch: one policy object either way
+# ----------------------------------------------------------------------
+def test_unguarded_policy_waits_a_fixed_delay_and_reports_nothing():
+    """``overload_guard=False`` swaps the policy object, nothing else: an
+    unplaceable call re-checks every fixed delay, mailboxes are unbounded,
+    no breaker ever diverts, and the family carries only the parking lot."""
+    kernel, app = make_app(
+        seed=15, overload_guard=False, breaker_threshold=1, redelivery_limit=1
+    )
+    name = app.register_actor(Latch)
+    client = app.client()
+    app.settle()
+    policy = client.overload
+    assert type(policy) is Unguarded
+    assert policy.mailbox_capacity is None and policy.redelivery_limit is None
+
+    ref = actor_proxy(name, "x")
+    started = kernel.now
+    task = kernel.spawn(
+        client.invoke(None, ref, "set", (7,), True), client.process, name="unplaced"
+    )
+    kernel.run(until=started + 2.0)
+    assert not task.done()
+    app.add_component("w1", (name,))
+    app.settle()
+    kernel.run_until_complete(task, timeout=60.0)
+    assert app.run_call(ref, "get") == 7
+    assert policy.budget.first_attempts == 0  # no deposit
+    assert policy.breaker_diverts(_request("r1"), kernel.now) is None
+
+    async def timed_pause():
+        before = kernel.now
+        await policy.pace_retry(3)
+        immediate = kernel.now - before
+        await policy.pace_unplaceable(3)
+        return immediate, kernel.now - before
+
+    assert run(kernel, timed_pause()) == (0.0, UNPLACEABLE_RETRY_DELAY)
+    assert app.stats("overload") == {
+        "dead_letter_depth": 0,
+        "dead_letters": [],
+        "dead_letters_replayed": 0,
+    }
+    assert app.redeliver_dead_letters()["breakers_reset"] == 0
+    kernel.check_no_crashes()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.sharding import (
     HashRing,
-    assign_components,
     parent_partition,
     sub_partition_names,
 )
@@ -18,7 +17,7 @@ def test_assignment_is_deterministic_across_ring_instances():
     a = HashRing(["w0", "w1", "w2"]).assign(COMPONENTS)
     b = HashRing(["w2", "w0", "w1"]).assign(COMPONENTS)  # order-insensitive
     assert a == b
-    assert a == assign_components(COMPONENTS, ["w0", "w1", "w2"])
+    assert a == HashRing(("w1", "w2", "w0", "w1")).assign(tuple(COMPONENTS))
 
 
 def test_bounded_load_balances_perfectly():

@@ -17,7 +17,7 @@ What must hold:
 
 from __future__ import annotations
 
-from repro.core import Actor, DecayingCounter, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, DecayingCounter, KarApplication, KarConfig, actor_proxy
 from repro.sim import Kernel
 
 
@@ -41,7 +41,7 @@ def make_cluster(seed=0, workers=2, components=4, **overrides):
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.005, **overrides
     )
-    app = KarCluster(kernel, config, "ctl", workers=workers)
+    app = KarApplication(kernel, config, "ctl", workers=workers)
     app.register_actor(Counter, "Counter")
     for index in range(components):
         app.add_component(f"comp{index}", ("Counter",))
@@ -131,11 +131,11 @@ def test_control_loop_publishes_load_plane_through_store(
     kernel.run(until=kernel.now + 0.5)  # a few control ticks mid-burst
     snapshot = app.store.backend.hgetall("_cluster:ctl:load")
     assert set(snapshot) == {"workers", "components"}
-    assert set(snapshot["workers"]) <= set(app.workers)
+    assert set(snapshot["workers"]) <= set(app.control.workers)
     loads = snapshot["components"]
     assert loads["comp1"]["busy_rate"] > 0
     assert loads["comp1"]["calls_per_s"] > 0
-    assert loads["comp1"]["worker"] == app.worker_of("comp1")
+    assert loads["comp1"]["worker"] == app.control.worker_of("comp1")
     # The same snapshot is on the unified evidence surface.
     assert app.stats("placement")["load"] == dict(snapshot)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
@@ -156,19 +156,19 @@ def test_hot_component_migrates_off_busiest_worker():
     )
     # Heat *both* components of one worker so a migration (not a swap of
     # the hotspot) is the fix.
-    busiest = app.worker_of("comp0")
+    busiest = app.control.worker_of("comp0")
     hot_comps = sorted(
-        name for name in app.component_types if app.worker_of(name) == busiest
+        name for name in app.component_types if app.control.worker_of(name) == busiest
     )
     assert len(hot_comps) == 2
     ids = [i for comp in hot_comps for i in actor_ids_on(app, comp, 4)]
-    moves_before = app.migrations
+    moves_before = app.control.migrations
     tasks = pump(kernel, app.client(), ids, 25)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     kernel.run(until=kernel.now + 2.0)
-    assert app.migrations > moves_before
+    assert app.control.migrations > moves_before
     # The two hot components no longer share a worker.
-    assert len({app.worker_of(name) for name in hot_comps}) == 2
+    assert len({app.control.worker_of(name) for name in hot_comps}) == 2
     assert totals_of(app, ids) == {actor_id: 25 for actor_id in ids}
     assert app.stats("calls")["unsettled"] == []
     kernel.check_no_crashes()
@@ -187,14 +187,14 @@ def test_hot_component_splits_and_merges_back_exactly_once():
     ids = actor_ids_on(app, "comp2", 12)
     tasks = pump(kernel, app.client(), ids, 25)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
-    assert app.splits >= 1
+    assert app.control.splits >= 1
     split_events = app.trace.of_kind("component.split")
     assert split_events and split_events[0]["component"] == "comp2"
     # Cooling off: the children idle below the merge floor long enough for
     # patience + cooldown to expire, then the parent is restored.
     kernel.run(until=kernel.now + 8.0)
-    assert app.merges >= 1
-    assert app.split_children == {}
+    assert app.control.merges >= 1
+    assert app.control.split_children == {}
     assert not any("comp2.s" in name for name in app.components)
     assert app.components["comp2"].alive
     # Exactly once across split + merge: every bump landed exactly once.
@@ -208,8 +208,8 @@ def test_hot_component_splits_and_merges_back_exactly_once():
 # ----------------------------------------------------------------------
 def test_wedged_worker_loses_partitions_within_lease_ttl():
     kernel, app = make_cluster(seed=15, workers=2, components=4)
-    victim_id = app.worker_of("comp0")
-    victim = app.workers[victim_id]
+    victim_id = app.control.worker_of("comp0")
+    victim = app.control.workers[victim_id]
     hosted = sorted(victim.hosted)
     ids = [i for comp in hosted for i in actor_ids_on(app, comp, 2)]
     tasks = pump(kernel, app.client(), ids, 3)
@@ -220,8 +220,8 @@ def test_wedged_worker_loses_partitions_within_lease_ttl():
     # The worker still heartbeats: the session-timeout detector must NOT
     # fire for it; only the lease sweep may.
     kernel.run(until=wedged_at + app.config.lease_ttl + 0.5)
-    assert app.lease_expirations >= 1
-    assert victim_id in app.workers_failed
+    assert app.control.lease_expirations >= 1
+    assert victim_id in app.control.workers_failed
     expired = app.trace.of_kind("lease.expired")
     assert expired and expired[0].time - wedged_at <= app.config.lease_ttl + 0.5
     # Re-hosted off the wedged worker; every in-flight call settles
@@ -229,7 +229,7 @@ def test_wedged_worker_loses_partitions_within_lease_ttl():
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     kernel.run(until=kernel.now + 3.0)
     for comp in hosted:
-        assert app.worker_of(comp) != victim_id
+        assert app.control.worker_of(comp) != victim_id
     assert totals_of(app, ids) == {actor_id: 3 for actor_id in ids}
     assert app.stats("calls")["unsettled"] == []
 
@@ -241,5 +241,5 @@ def test_healthy_cluster_never_expires_leases():
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     # Idle well past several TTLs: renewal keeps every lease fresh.
     kernel.run(until=kernel.now + 4 * app.config.lease_ttl)
-    assert app.lease_expirations == 0
-    assert app.workers_failed == []
+    assert app.control.lease_expirations == 0
+    assert app.control.workers_failed == []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Actor, KarCluster, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.mq import (
     Broker,
     BrokerConfig,
@@ -73,7 +73,7 @@ def make_cluster(seed=0, workers=2, components=4, **overrides):
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, **overrides
     )
-    app = KarCluster(kernel, config, "edges", workers=workers)
+    app = KarApplication(kernel, config, "edges", workers=workers)
     app.register_actor(Counter, "Counter")
     app.register_actor(Relay, "Relay")
     for index in range(components):
@@ -92,7 +92,7 @@ def test_handoff_while_retry_parked_settles_exactly_once():
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, cancellation=False
     )
-    app = KarCluster(kernel, config, "edges", workers=3)
+    app = KarApplication(kernel, config, "edges", workers=3)
     app.register_actor(SlowCallee, "SlowCallee")
     app.register_actor(ParkCaller, "ParkCaller")
     app.add_component("callers", ("ParkCaller",))
@@ -109,13 +109,13 @@ def test_handoff_while_retry_parked_settles_exactly_once():
     # Crash the caller's worker: reconciliation copies the stranded "main"
     # retry annotated after_callee -- it parks on the re-hosted partition
     # waiting for the slow callee's response.
-    app.kill_worker(app.worker_of("callers"))
+    app.control.kill_worker(app.control.worker_of("callers"))
     kernel.run(until=kernel.now + 2.2)  # recovery done; retry parked
     assert app.trace.count("request.parked") >= 1
     assert app.trace.count("request.unparked") == 0
     # Hand the partition off AGAIN while the retry sits parked: the parked
     # copy dies with this incarnation and reconciliation re-copies it.
-    app.kill_worker(app.worker_of("callers"))
+    app.control.kill_worker(app.control.worker_of("callers"))
     assert kernel.run_until_complete(task, timeout=300.0) == 2
     kernel.run(until=kernel.now + 5.0)
     assert app.trace.count("request.parked") >= 2
@@ -220,9 +220,9 @@ def run_leave_scenario(graceful: bool):
     ]
     kernel.run(until=kernel.now + 0.05)
     if graceful:
-        app.remove_worker("w0")
+        app.control.remove_worker("w0")
     else:
-        app.kill_worker("w0")
+        app.control.kill_worker("w0")
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     kernel.run(until=kernel.now + 5.0)
     totals = tuple(
@@ -290,7 +290,7 @@ def test_skewed_burst_splits_midflight_and_settles_exactly_once(
     ]
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     # The controller acted while the burst was still in flight...
-    assert app.splits >= 1
+    assert app.control.splits >= 1
     assert app.trace.of_kind("component.split")[0]["component"] == hot
     kernel.run(until=kernel.now + 3.0)
     # ...and every bump still landed exactly once, on either backend.
@@ -313,7 +313,7 @@ def test_migration_target_killed_mid_drain_lands_on_live_worker():
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=0.002, cancellation=False
     )
-    app = KarCluster(kernel, config, "edges", workers=3)
+    app = KarApplication(kernel, config, "edges", workers=3)
     app.register_actor(SlowCallee, "SlowCallee")
     app.add_component("callees", ("SlowCallee",))
     client = app.client()
@@ -328,21 +328,21 @@ def test_migration_target_killed_mid_drain_lands_on_live_worker():
 
     # Start a migration toward a specific target, then kill that target
     # while the 6s-long callee holds the drain open (drain_timeout is 5s).
-    source = app.worker_of("callees")
+    source = app.control.worker_of("callees")
     target = next(
         wid
-        for wid in sorted(app.workers)
-        if wid != source and app.workers[wid].alive
+        for wid in sorted(app.control.workers)
+        if wid != source and app.control.workers[wid].alive
     )
-    move = kernel.spawn(app._migrate_component("callees", target))
+    move = kernel.spawn(app.control._migrate_component("callees", target))
     kernel.run(until=kernel.now + 1.0)  # migration is draining
-    app.kill_worker(target)
+    app.control.kill_worker(target)
     kernel.run_until_complete(move, timeout=60.0)
 
-    landed = app.worker_of("callees")
+    landed = app.control.worker_of("callees")
     assert landed is not None
     assert landed != target
-    assert app.workers[landed].alive and not app.workers[landed].retired
+    assert app.control.workers[landed].alive and not app.control.workers[landed].retired
     # The in-flight call settles exactly once on the re-hosted component.
     assert kernel.run_until_complete(task, timeout=300.0) == 2
     kernel.run(until=kernel.now + 5.0)
