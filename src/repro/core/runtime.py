@@ -29,7 +29,7 @@ its working set, not its lifetime history.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Awaitable
 
 from repro.core.actor import Actor
 from repro.core.context import ActorContext
@@ -45,7 +45,7 @@ from repro.core.state import ActorStateCache
 from repro.kvstore import FencedClientError, PipelinedStoreClient
 from repro.mq import FencedMemberError, GenerationInfo, GroupMember
 from repro.persist import CodecError
-from repro.sim import SimFuture, SimProcess
+from repro.sim import SimProcess
 
 if TYPE_CHECKING:
     from repro.core.app import KarApplication
@@ -833,7 +833,7 @@ class Component:
     # ------------------------------------------------------------------
     # latency charges (out-of-process runtime architecture, Section 4.1)
     # ------------------------------------------------------------------
-    def _hop(self) -> SimFuture:
+    def _hop(self) -> Awaitable[None]:
         return self.kernel.sleep(self.config.sidecar_latency.sample(self.kernel.rng))
 
     def __repr__(self) -> str:

@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 Everything in this reproduction runs on simulated time: coroutines are driven
-as :class:`SimTask` objects, suspending on :class:`SimFuture` awaitables, and
-grouped into :class:`SimProcess` failure domains that can be killed abruptly
-(fail-stop, per the paper's failure rule in Section 3.3).
+as :class:`SimTask` objects, suspending on :class:`SimFuture` awaitables or
+on ``Kernel.sleep``, and grouped into :class:`SimProcess` failure domains that
+can be killed abruptly (fail-stop, per the paper's failure rule in Section 3.3).
 """
 
 from repro.sim.kernel import Kernel, SimFuture, SimTask, TaskKilled

@@ -17,20 +17,40 @@ share ``when == now`` and the merge rule is one comparison: the heap's head
 runs first only when it is due now *and* its ``seq`` is lower than the deque
 head's. That is the order a single heap would produce; the deque just
 reaches it without a ``Timer`` allocation and two O(log n) sifts per wakeup.
+
+A task is woken in one of three ways. A future it awaits resolves, which
+queues its resume on the deque. It starts, the same way. Or it sleeps:
+``await kernel.sleep(d)`` builds no future, it yields ``d`` to
+:meth:`SimTask._on_future`, which schedules *the resume itself* as the timer's
+callback -- one event where "a timer resolves a future, the future queues the
+resume" is two. The sleep starts when it is awaited, like ``asyncio.sleep``;
+one that is never awaited queues nothing.
+
+Resuming inside the timer's event keeps the order of the two-event form. When
+the clock reaches an instant the deque is empty, so every heap entry due then
+is older than every deque entry made at that instant: the two-event form fires
+all the due timers first and then runs the resumes they queued, in timer
+order, and resuming inside each fire runs the same resumes in the same order
+(what a resume queues lands behind every due timer either way). The orders
+differ in one case: a plain ``schedule(d, callback)`` due at the same float
+instant as a sleeper ran ahead of every sleeper woken at that instant, and
+now runs at its own ``(when, seq)`` place among them.
+
+``sleep(0)`` still takes two passes through the deque (one that queues the
+resume, one that runs it). The router's ``send_linger`` window and the store
+pipeline's window are zero sleeps, and what rides in a batch is whatever gets
+queued during those two passes; one pass makes the batches smaller.
 """
 
 from __future__ import annotations
 
 import heapq
+import types
 from collections import deque
 from random import Random
-from typing import Any, Callable, Coroutine, Generator, Iterable
+from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable
 
 __all__ = ["Kernel", "SimFuture", "SimTask", "TaskKilled", "Timer"]
-
-
-#: ``SimFuture._resolve`` arguments of a sleep: no value, no exception.
-_NO_RESULT = (None, None)
 
 
 class TaskKilled(Exception):
@@ -166,7 +186,9 @@ class SimTask:
                 self.process.release(self)
 
     def _on_future(self, future: SimFuture) -> None:
-        """Resume the coroutine with the outcome of the future it awaited."""
+        """Resume the coroutine with the outcome of the future it awaited,
+        then arrange its next resume from what it yields: a future it waits
+        on, or the delay of a :meth:`Kernel.sleep`."""
         if not self.alive or self.completion._done:
             return
         try:
@@ -181,21 +203,40 @@ class SimTask:
             self._settle(None, error)
             self.kernel._record_crash(self, error)
         else:
-            if not isinstance(yielded, SimFuture):
+            if isinstance(yielded, (float, int)):  # a sleep, the common case
+                kernel = self.kernel
+                if yielded > 0:
+                    # The timer's own event is the resume.
+                    kernel.schedule(yielded, self._on_future, kernel._started)
+                else:
+                    # Two ready-queue passes (see the module docstring).
+                    kernel.call_soon(
+                        kernel.call_soon, self._on_future, kernel._started
+                    )
+            elif isinstance(yielded, SimFuture):
+                # ``SimFuture.__await__`` yields only an unresolved future.
+                yielded._callbacks.append(self._on_future)
+            else:
                 raise TypeError(
                     f"task {self.name!r} awaited a non-sim awaitable: {yielded!r}"
                 )
-            yielded.add_done_callback(self._on_future)
 
     def __await__(self) -> Generator[SimFuture, None, Any]:
         return self.completion.__await__()
+
+
+@types.coroutine
+def _sleep(delay: float) -> Generator[float, None, None]:
+    """Hand ``delay`` to the task driving this await (``SimTask._on_future``)."""
+    yield delay
 
 
 class Kernel:
     """Deterministic discrete-event scheduler with simulated time in seconds."""
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        #: Simulated seconds since the kernel was built.
+        self.now = 0.0
         self._sequence = 0
         #: Delayed events, keyed ``(when, seq)``.
         self._heap: list[tuple[float, int, Timer, Callable[..., None], tuple]] = []
@@ -204,26 +245,22 @@ class Kernel:
         self._stop_requested = False
         self.rng = Random(seed)
         self.crashes: list[tuple[SimTask, BaseException]] = []
-        # A task starts the way it resumes -- by being sent ``None`` -- so
-        # ``spawn`` queues ``task._on_future`` with this resolved future.
-        started = SimFuture(self)
-        started._done = True
-        self._started = (started,)
+        # A task starts, and wakes from a sleep, the way it resumes from a
+        # future -- by being sent ``None`` -- so ``spawn`` and a sleeper's
+        # timer call ``task._on_future`` with this resolved future.
+        self._started = SimFuture(self)
+        self._started._done = True
 
     # ------------------------------------------------------------------
     # time and scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Timer:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        timer = Timer(self._now + delay)
+        timer = Timer(self.now + delay)
         self._sequence = sequence = self._sequence + 1
         heapq.heappush(self._heap, (timer.when, sequence, timer, callback, args))
         return timer
@@ -237,15 +274,12 @@ class Kernel:
     def create_future(self) -> SimFuture:
         return SimFuture(self)
 
-    def sleep(self, delay: float) -> SimFuture:
-        """Awaitable resolved after ``delay`` simulated seconds."""
-        future = SimFuture(self)
-        if delay == 0:
-            self._sequence = sequence = self._sequence + 1
-            self._ready.append((sequence, future._resolve, _NO_RESULT))
-        else:
-            self.schedule(delay, future._resolve, None, None)
-        return future
+    def sleep(self, delay: float) -> Awaitable[None]:
+        """Awaitable that resumes its task ``delay`` simulated seconds after
+        it is awaited (like ``asyncio.sleep``, nothing is queued before)."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        return _sleep(delay)
 
     def spawn(
         self,
@@ -264,7 +298,7 @@ class Kernel:
                 return task
             process.adopt(task)
         self._sequence = sequence = self._sequence + 1
-        self._ready.append((sequence, task._on_future, self._started))
+        self._ready.append((sequence, task._on_future, (self._started,)))
         return task
 
     # ------------------------------------------------------------------
@@ -279,13 +313,13 @@ class Kernel:
         never moves backwards.
         """
         self._stop_requested = False
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             return
         heap, ready = self._heap, self._ready
         events = 0
         while True:
             if ready:
-                if heap and heap[0][0] <= self._now and heap[0][1] < ready[0][0]:
+                if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
                     _when, _seq, timer, callback, args = heapq.heappop(heap)
                     if timer.cancelled:
                         continue
@@ -293,12 +327,12 @@ class Kernel:
                     _seq, callback, args = ready.popleft()
             elif heap:
                 if until is not None and heap[0][0] > until:
-                    self._now = until
+                    self.now = until
                     return
                 when, _seq, timer, callback, args = heapq.heappop(heap)
                 if timer.cancelled:
                     continue
-                self._now = when
+                self.now = when
             else:
                 break
             callback(*args)
@@ -308,7 +342,7 @@ class Kernel:
             if events >= max_events:
                 raise RuntimeError(f"kernel exceeded {max_events} events")
         if until is not None:
-            self._now = until
+            self.now = until
 
     def stop(self) -> None:
         """Make the :meth:`run` in progress return after the current callback.
@@ -324,11 +358,11 @@ class Kernel:
     ) -> Any:
         """Drive the loop until ``awaitable`` resolves; return its result."""
         future = awaitable.completion if isinstance(awaitable, SimTask) else awaitable
-        deadline = None if timeout is None else self._now + timeout
+        deadline = None if timeout is None else self.now + timeout
         heap, ready = self._heap, self._ready
         while not future._done:
             if ready:
-                if heap and heap[0][0] <= self._now and heap[0][1] < ready[0][0]:
+                if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
                     _when, _seq, timer, callback, args = heapq.heappop(heap)
                     if timer.cancelled:
                         continue
@@ -342,7 +376,7 @@ class Kernel:
                 when, _seq, timer, callback, args = heapq.heappop(heap)
                 if timer.cancelled:
                     continue
-                self._now = when
+                self.now = when
             else:
                 raise RuntimeError("event loop drained before completion")
             callback(*args)

@@ -22,17 +22,19 @@ class SimProcess:
     def __init__(self, name: str):
         self.name = name
         self.alive = True
-        self._tasks: set["SimTask"] = set()
+        #: Insertion-ordered, so a kill settles tasks in spawn order (a set
+        #: would walk them by ``id()``: allocator order, not seed order).
+        self._tasks: dict["SimTask", None] = {}
         self.kill_hooks: list = []
 
     def adopt(self, task: "SimTask") -> None:
         if not self.alive:
             raise RuntimeError(f"process {self.name!r} is dead")
-        self._tasks.add(task)
+        self._tasks[task] = None
 
     def release(self, task: "SimTask") -> None:
         """``task`` completed (or was killed): it is no longer ours to kill."""
-        self._tasks.discard(task)
+        self._tasks.pop(task, None)
 
     def kill(self) -> None:
         """Abrupt fail-stop: abandon all tasks, run registered kill hooks.
@@ -44,7 +46,7 @@ class SimProcess:
         if not self.alive:
             return
         self.alive = False
-        tasks, self._tasks = self._tasks, set()
+        tasks, self._tasks = self._tasks, {}
         for task in tasks:
             task.kill()
         hooks, self.kill_hooks = self.kill_hooks, []

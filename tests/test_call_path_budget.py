@@ -19,6 +19,11 @@ spawned tasks             1    the executor (a sender carries its own batch;
 task resumes             14    one per timer above, the two lingers, the
                                executor's start, both consumers woken by an
                                append, the caller woken by its response
+``SimFuture`` objects     4    the caller's pending call, the two consumers'
+                               append waiters, the executor's completion (a
+                               sleep makes none: its timer resumes the task)
+kernel events            16    one per resume above, and a second ready-queue
+                               pass for each of the two zero lingers
 simulated seconds      0.0042  the sum of those sleeps
 ======================  =====  ==============================================
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import KarApplication, KarConfig, actor_proxy
-from repro.sim import Kernel, SimTask
+from repro.sim import Kernel, SimFuture, SimTask
 
 from helpers import Echo
 
@@ -67,6 +72,15 @@ def test_one_echo_call_costs_eight_timers_fourteen_resumes_one_task(monkeypatch)
         resume(task, future)
 
     monkeypatch.setattr(SimTask, "_on_future", counted_resume)
+    futures = 0
+    init_future = SimFuture.__init__
+
+    def counted_init(future, owner):
+        nonlocal futures
+        futures += 1
+        init_future(future, owner)
+
+    monkeypatch.setattr(SimFuture, "__init__", counted_init)
     kernel = CountingKernel(seed=16)
     app = KarApplication(kernel, KarConfig.fast_test())
     echo = app.register_actor(Echo)
@@ -84,12 +98,20 @@ def test_one_echo_call_costs_eight_timers_fourteen_resumes_one_task(monkeypatch)
     def drive(count):
         kernel.run_until_complete(kernel.spawn(caller(count), client.process))
 
+    def counts():
+        # Every queued callback takes one sequence number and nothing on this
+        # path cancels a timer, so numbers issued are kernel events run.
+        return (kernel.scheduled, resumes, futures, kernel._sequence)
+
+    def since(before):
+        return tuple(now - then for now, then in zip(counts(), before))
+
     drive(16)  # activate the eight actors, fill the placement cache
 
     start = kernel.now
     produces, fetches = app.broker.produce_count, app.broker.consume_count
     records = app.broker.produce_record_count
-    scheduled, spawned, resumed = kernel.scheduled, kernel.spawned, resumes
+    spawned, before_calls = kernel.spawned, counts()
     drive(CALLS)
     assert kernel.now - start == pytest.approx(CALLS * 0.0042, rel=1e-9)
     assert app.broker.produce_count - produces == 2 * CALLS
@@ -98,18 +120,21 @@ def test_one_echo_call_costs_eight_timers_fourteen_resumes_one_task(monkeypatch)
     assert kernel.spawned - spawned - 1 == CALLS  # minus the driver itself
 
     kernel.run(until=start + WINDOW)
-    busy_window = (kernel.scheduled - scheduled, resumes - resumed)
+    busy_window = since(before_calls)
     idle_windows = []
     for index in (2, 3):
-        before = (kernel.scheduled, resumes)
+        before = counts()
         kernel.run(until=start + index * WINDOW)
-        idle_windows.append((kernel.scheduled - before[0], resumes - before[1]))
+        idle_windows.append(since(before))
     # The background really is periodic in the window, and it is all that
     # runs when nobody calls: no fetch, no produce, no task.
-    assert idle_windows[0] == idle_windows[1] > (0, 0)
+    assert idle_windows[0] == idle_windows[1] > (0, 0, 0, 0)
     assert app.broker.consume_count - fetches == 2 * CALLS
     assert kernel.spawned - spawned - 1 == CALLS
     assert busy_window[0] - idle_windows[0][0] == 8 * CALLS
     # Minus the driver's start; its calls run in its own frame.
     assert busy_window[1] - idle_windows[0][1] - 1 == 14 * CALLS
+    # Minus the driver's completion, and its start as an event.
+    assert busy_window[2] - idle_windows[0][2] - 1 == 4 * CALLS
+    assert busy_window[3] - idle_windows[0][3] - 1 == 16 * CALLS
     kernel.check_no_crashes()

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +230,51 @@ def test_killed_task_raises_in_awaiter():
     assert kernel.run_until_complete(kernel.spawn(observer())) == "observed"
 
 
+def test_process_kill_settles_tasks_in_spawn_order():
+    kernel = Kernel()
+    process = SimProcess("victim")
+    settled = []
+
+    async def sleeper():
+        await kernel.sleep(10.0)
+
+    junk = []
+    for index in range(40):
+        # Scatter the tasks over the heap: their addresses must not matter.
+        junk.append([None] * (index * 7 % 13))
+        task = kernel.spawn(sleeper(), process=process)
+        task.completion.add_done_callback(lambda _f, i=index: settled.append(i))
+    kernel.run(until=1.0)
+    process.kill()
+    kernel.run(until=1.0)
+    assert settled == list(range(40))
+
+
+@pytest.mark.parametrize("through_process", [False, True])
+def test_sleeper_killed_mid_sleep_is_not_resumed_by_its_timer(through_process):
+    kernel = Kernel()
+    process = SimProcess("victim")
+    progress = []
+
+    async def worker():
+        try:
+            progress.append("asleep")
+            await kernel.sleep(2.0)
+            progress.append("woke")
+        finally:
+            progress.append("finally")
+
+    task = kernel.spawn(worker(), process=process)
+    kernel.run(until=1.0)
+    (process if through_process else task).kill()
+    kernel.run(until=3.0)  # its timer fires at 2.0, into a dead task
+    assert kernel.now == 3.0 and kernel._heap == []
+    assert progress == ["asleep"]
+    assert isinstance(task.completion.exception(), TaskKilled)
+    assert process.task_count == 0
+    assert kernel.crashes == []
+
+
 def test_spawn_on_dead_process_is_killed_immediately():
     kernel = Kernel()
     process = SimProcess("gone")
@@ -325,7 +372,8 @@ def test_cancelled_timer_between_ready_events_consumes_no_event():
 
 
 class HeapSleepKernel(Kernel):
-    """The reference: every sleep, zero or not, is a heap timer."""
+    """The reference: every sleep, zero or not, is a heap timer that resolves
+    a future, and the resolution queues the resume."""
 
     def sleep(self, delay):
         future = SimFuture(self)
@@ -333,21 +381,18 @@ class HeapSleepKernel(Kernel):
         return future
 
 
-#: ``(how it is launched, delay index, children)``; a node logs itself when
-#: it runs and then launches its children in order.
-event_trees = st.recursive(
-    st.tuples(
-        st.sampled_from(["sleep0", "soon", "timer0", "timer"]),
-        st.integers(0, 2),
-        st.just([]),
-    ),
-    lambda children: st.tuples(
-        st.sampled_from(["sleep0", "soon", "timer0", "timer"]),
-        st.integers(0, 2),
-        st.lists(children, max_size=4),
-    ),
-    max_leaves=30,
-)
+def event_trees(*kinds):
+    """``(how it is launched, delay index, children)``; a node logs itself
+    when it runs and then launches its children in order."""
+    return st.recursive(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 2), st.just([])),
+        lambda children: st.tuples(
+            st.sampled_from(kinds),
+            st.integers(0, 2),
+            st.lists(children, max_size=4),
+        ),
+        max_leaves=30,
+    )
 
 
 def run_event_trees(kernel, trees):
@@ -356,7 +401,9 @@ def run_event_trees(kernel, trees):
     def launch(node, path):
         how, delay_index, _children = node
         if how == "sleep0":
-            kernel.spawn(sleeper(node, path))
+            kernel.spawn(sleeper(0, node, path))
+        elif how == "sleep":  # the same few instants as "timer" below
+            kernel.spawn(sleeper(0.001 * (delay_index + 1), node, path))
         elif how == "soon":
             kernel.call_soon(visit, node, path)
         elif how == "timer0":
@@ -364,8 +411,8 @@ def run_event_trees(kernel, trees):
         else:  # a few coinciding instants, so timers come due together
             kernel.schedule(0.001 * (delay_index + 1), visit, node, path)
 
-    async def sleeper(node, path):
-        await kernel.sleep(0)
+    async def sleeper(delay, node, path):
+        await kernel.sleep(delay)
         visit(node, path)
 
     def visit(node, path):
@@ -380,20 +427,76 @@ def run_event_trees(kernel, trees):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(event_trees, min_size=1, max_size=4))
+@given(
+    st.lists(
+        event_trees("sleep0", "soon", "timer0", "timer"), min_size=1, max_size=4
+    )
+)
 def test_zero_sleep_on_the_ready_queue_keeps_the_heap_order(trees):
     assert run_event_trees(Kernel(), trees) == run_event_trees(
         HeapSleepKernel(), trees
     )
 
 
-def test_zero_sleep_is_not_a_timer_and_a_negative_sleep_still_raises():
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        event_trees("sleep0", "sleep", "soon", "timer0"), min_size=1, max_size=4
+    )
+)
+def test_sleeper_resumed_inside_its_timer_keeps_the_two_event_order(trees):
+    assert run_event_trees(Kernel(), trees) == run_event_trees(
+        HeapSleepKernel(), trees
+    )
+
+
+def test_plain_timer_and_sleepers_due_together_run_in_scheduling_order():
+    def run(kernel):
+        seen = []
+
+        async def sleeper(label):
+            await kernel.sleep(1.0)
+            seen.append(label)
+
+        kernel.spawn(sleeper("sleeper-1"))
+        kernel.call_soon(kernel.schedule, 1.0, seen.append, "timer")
+        kernel.spawn(sleeper("sleeper-2"))
+        kernel.run()
+        assert kernel.now == 1.0
+        return seen
+
+    # Each runs at its own (when, seq) place...
+    assert run(Kernel()) == ["sleeper-1", "timer", "sleeper-2"]
+    # ...where two events a sleep put the callback ahead of every sleeper
+    # woken at its instant: the one order this kernel does not share.
+    assert run(HeapSleepKernel()) == ["timer", "sleeper-1", "sleeper-2"]
+
+
+def test_sleep_starts_when_awaited_zero_is_not_a_timer_negative_raises_at_the_call():
     kernel = Kernel()
-    kernel.sleep(0)
-    kernel.sleep(0.0)
-    assert kernel._heap == [] and len(kernel._ready) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernel.sleep(0)
+        kernel.sleep(1.0)
+    # Never awaited: nothing was queued and nothing warned.
+    assert kernel._heap == [] and not kernel._ready and kernel._sequence == 0
+    assert caught == []
     with pytest.raises(ValueError, match="negative delay"):
         kernel.sleep(-1)
+
+    async def napper(delay):
+        await kernel.sleep(delay)
+        return kernel.now
+
+    for zero in (0, 0.0):
+        asleep = []
+        task = kernel.spawn(napper(zero))
+        # Runs right after the task's first step, while it sleeps.
+        kernel.call_soon(
+            lambda: asleep.append((list(kernel._heap), len(kernel._ready)))
+        )
+        assert kernel.run_until_complete(task) == 0.0
+        assert asleep == [([], 1)]
 
 
 def test_stop_leaves_ready_events_queued_for_the_next_run():
