@@ -21,7 +21,6 @@ drives every unsettled call to completion (Section 4.3 run from bytes).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 from repro.core.actor import Actor, ActorRegistry
@@ -554,7 +553,7 @@ class KarApplication:
                 # The happen-before callee already settled (or its evidence
                 # expired): replaying with the annotation intact would park
                 # forever on a response that will never arrive again.
-                request = replace(request, after_callee=None)
+                request = request.without_after_callee()
             await client.router.route_request(request)
             summary["replayed"] += 1
             self.dead_letters_replayed += 1

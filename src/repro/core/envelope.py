@@ -12,7 +12,7 @@ the request it completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.refs import ActorRef
@@ -62,17 +62,27 @@ class Request:
         """The single message that atomically completes this request while
         issuing the next one (Section 2.3): same id, same return address,
         bumped step; the lock is retained iff the callee is the caller."""
-        return replace(
-            self,
-            step=self.step + 1,
-            actor=actor,
-            method=method,
-            args=args,
-            tail_lock=(actor == current),
-            after_callee=None,
-            copy_epoch=0,
-            attempts=0,
-            attempt_log=(),
+        # Positional, here and in ``_annotated``: ``dataclasses.replace``
+        # builds and re-validates a kwargs dict over all 16 fields and costs
+        # as much again. ``test_core_envelope`` holds both equal to it over
+        # ``fields(Request)``, so a field added later cannot be dropped.
+        return Request(
+            self.request_id,
+            self.step + 1,
+            actor,
+            method,
+            args,
+            self.return_address,
+            self.reply_to,
+            self.caller_actor,
+            self.caller_member,
+            self.ancestors,
+            actor == current,  # tail_lock
+            None,  # after_callee
+            0,  # copy_epoch
+            self.expects_reply,
+            0,  # attempts
+            (),  # attempt_log
         )
 
     def recovery_copy(
@@ -81,12 +91,38 @@ class Request:
         """A redelivery of this request, stamped into its attempt history
         so redelivery caps and dead-letter evidence can count real copies."""
         log = self.attempt_log if now is None else self.attempt_log + (now,)
-        return replace(
-            self,
-            copy_epoch=epoch,
-            after_callee=after_callee,
-            attempts=self.attempts + 1,
-            attempt_log=log,
+        return self._annotated(after_callee, epoch, self.attempts + 1, log)
+
+    def without_after_callee(self) -> "Request":
+        """This request freed of its happen-before postponement, for when
+        the callee it waits behind has settled and will not respond again."""
+        return self._annotated(None, self.copy_epoch, self.attempts, self.attempt_log)
+
+    def _annotated(
+        self,
+        after_callee: str | None,
+        copy_epoch: int,
+        attempts: int,
+        attempt_log: tuple[float, ...],
+    ) -> "Request":
+        """The same invocation under other recovery annotations."""
+        return Request(
+            self.request_id,
+            self.step,
+            self.actor,
+            self.method,
+            self.args,
+            self.return_address,
+            self.reply_to,
+            self.caller_actor,
+            self.caller_member,
+            self.ancestors,
+            self.tail_lock,
+            after_callee,
+            copy_epoch,
+            self.expects_reply,
+            attempts,
+            attempt_log,
         )
 
 

@@ -10,6 +10,14 @@ operations (``hset_many`` / ``hget_many`` / ``hgetall``) execute as single
 batched transactions, mirroring the single-round-trip store primitives
 they back.
 
+Every SQLite write is an upsert (``INSERT ... ON CONFLICT(<primary key>) DO
+UPDATE SET value = excluded.value``): an existing row is overwritten where
+it lies and keeps its rowid. ``INSERT OR REPLACE`` stores the same bytes but
+is a delete plus an insert under a *new* rowid, so each overwrite dirtied
+the table B-tree twice, the primary-key index and the freelist -- 6.9 WAL
+pages for a three-operation commit where the upsert writes 2.7. Upsert
+needs SQLite 3.24; an older library is refused at open (:data:`MIN_SQLITE`).
+
 Backends are synchronous and single-threaded by design: the simulation
 kernel serializes every store operation, so atomicity (e.g. for CAS) is a
 property of the calling layer, not of the engine.
@@ -23,6 +31,18 @@ from typing import Any, Iterable
 from repro.persist import framing
 
 __all__ = ["MemoryStoreBackend", "SqliteStoreBackend", "StoreBackend"]
+
+#: The first SQLite with ``ON CONFLICT ... DO UPDATE``.
+MIN_SQLITE = (3, 24, 0)
+
+_UPSERT_KV = (
+    "INSERT INTO kv (key, value) VALUES (?, ?)"
+    " ON CONFLICT(key) DO UPDATE SET value = excluded.value"
+)
+_UPSERT_HASH = (
+    "INSERT INTO kv_hash (key, field, value) VALUES (?, ?, ?)"
+    " ON CONFLICT(key, field) DO UPDATE SET value = excluded.value"
+)
 
 
 class StoreBackend:
@@ -132,9 +152,18 @@ class SqliteStoreBackend(StoreBackend):
     of any real out-of-process store. Values are stored as headered binary
     frames in BLOBs (SQLite preserves the storage class regardless of the
     columns' TEXT affinity).
+
+    A write overwrites its row where it lies (upsert, module docstring), so
+    opening refuses a SQLite older than :data:`MIN_SQLITE`, creating no file.
     """
 
     def __init__(self, path: str, synchronous: str = "NORMAL"):
+        if sqlite3.sqlite_version_info < MIN_SQLITE:
+            raise RuntimeError(
+                "SqliteStoreBackend needs SQLite >= %d.%d.%d (upsert);"
+                " the sqlite3 module is linked against %d.%d.%d"
+                % (MIN_SQLITE + sqlite3.sqlite_version_info)
+            )
         self.path = path
         self._closed = False
         self._in_batch = False
@@ -161,10 +190,7 @@ class SqliteStoreBackend(StoreBackend):
         return None if row is None else self._decode(row[0])
 
     def set(self, key: str, value: Any) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO kv (key, value) VALUES (?, ?)",
-            (key, self._encode(value)),
-        )
+        self._conn.execute(_UPSERT_KV, (key, self._encode(value)))
 
     def delete(self, key: str) -> bool:
         cursor = self._conn.execute("DELETE FROM kv WHERE key = ?", (key,))
@@ -178,11 +204,7 @@ class SqliteStoreBackend(StoreBackend):
         return None if row is None else self._decode(row[0])
 
     def hset(self, key: str, field: str, value: Any) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO kv_hash (key, field, value)"
-            " VALUES (?, ?, ?)",
-            (key, field, self._encode(value)),
-        )
+        self._conn.execute(_UPSERT_HASH, (key, field, self._encode(value)))
 
     def hset_many(self, key: str, mapping: dict[str, Any]) -> None:
         # One transaction: the batched write behind the single-round-trip
@@ -193,19 +215,11 @@ class SqliteStoreBackend(StoreBackend):
             (key, field, self._encode(value)) for field, value in mapping.items()
         ]
         if self._in_batch:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO kv_hash (key, field, value)"
-                " VALUES (?, ?, ?)",
-                rows,
-            )
+            self._conn.executemany(_UPSERT_HASH, rows)
             return
         self._conn.execute("BEGIN")
         try:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO kv_hash (key, field, value)"
-                " VALUES (?, ?, ?)",
-                rows,
-            )
+            self._conn.executemany(_UPSERT_HASH, rows)
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
@@ -238,12 +252,28 @@ class SqliteStoreBackend(StoreBackend):
     def begin_batch(self) -> None:
         # One transaction per pipelined round trip: SQLite pays its page
         # bookkeeping once for the whole batch.
-        self._conn.execute("BEGIN")
+        try:
+            self._conn.execute("BEGIN")
+        except sqlite3.Error:
+            self._rollback()
+            raise
         self._in_batch = True
 
     def end_batch(self) -> None:
         self._in_batch = False
-        self._conn.execute("COMMIT")
+        try:
+            self._conn.execute("COMMIT")
+        except sqlite3.Error:
+            self._rollback()
+            raise
+
+    def _rollback(self) -> None:
+        """A failed bracket keeps nothing of its batch and leaves the
+        connection outside any transaction, ready for the next one."""
+        try:
+            self._conn.execute("ROLLBACK")
+        except sqlite3.Error:
+            pass  # SQLite had already rolled back (disk full, I/O error)
 
     def flush(self) -> None:
         self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")

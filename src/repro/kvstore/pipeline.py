@@ -101,13 +101,16 @@ class PipelinedStoreClient:
         this instant, so operations issued anywhere in the current turn
         share the first batch without adding simulated latency.
         """
-        await self.store.kernel.sleep(0.0)
-        while self._queue:
-            batch = self._queue[:STORE_BATCH_MAX]
-            del self._queue[: len(batch)]
-            await self._round_trip()
-            self._apply_batch(batch)
-        self._flusher_running = False
+        try:
+            await self.store.kernel.sleep(0.0)
+            while self._queue:
+                batch = self._queue[:STORE_BATCH_MAX]
+                del self._queue[: len(batch)]
+                await self._round_trip()
+                self._apply_batch(batch)
+        finally:
+            # Whatever ends this task, the next operation starts another.
+            self._flusher_running = False
 
     async def _round_trip(self) -> None:
         await self.store.connection_round_trip(self.client_id)
@@ -116,27 +119,34 @@ class PipelinedStoreClient:
         """Apply one batch inside a single kernel event.
 
         The backend brackets the batch (SQLite: one transaction); each
-        operation still passes the server-side fence check and resolves
-        its own future, in issue order.
+        operation still passes the server-side fence check and fails on its
+        own. Futures resolve, in issue order, only once ``end_batch`` has
+        returned: no caller is told of a write before the commit covering
+        it. A bracket that raises fails every operation of the batch.
         """
         self.batches_flushed += 1
         self.ops_pipelined += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         backend = self.store.backend
-        backend.begin_batch()
+        outcomes: list[tuple[Any, Exception | None]] = []
         try:
+            backend.begin_batch()
             for op in batch:
                 try:
                     self.store._check(self.client_id)
-                    result = op.apply(*op.args)
+                    outcomes.append((op.apply(*op.args), None))
                 except Exception as error:  # noqa: BLE001 - routed to caller
-                    if not op.future.done():
-                        op.future.set_exception(error)
-                else:
-                    if not op.future.done():
-                        op.future.set_result(result)
-        finally:
+                    outcomes.append((None, error))
             backend.end_batch()
+        except Exception as error:  # noqa: BLE001 - routed to every caller
+            outcomes = [(None, error)] * len(batch)
+        for op, (result, error) in zip(batch, outcomes):
+            if op.future.done():
+                continue
+            if error is None:
+                op.future.set_result(result)
+            else:
+                op.future.set_exception(error)
 
     # ------------------------------------------------------------------
     # the StoreClient surface

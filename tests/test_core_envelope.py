@@ -1,5 +1,7 @@
 """Unit tests for wire envelopes: tail successors, recovery copies."""
 
+from dataclasses import fields, replace
+
 from repro.core.envelope import Request, Response, TailCall
 from repro.core.refs import ActorRef
 
@@ -62,6 +64,69 @@ def test_recovery_copy_sets_epoch_and_after_callee():
     assert copy.copy_epoch == 7
     assert copy.after_callee == "r5"
     assert copy.dedup_key == request.dedup_key  # same logical attempt
+
+
+def test_spelled_out_copies_equal_dataclasses_replace():
+    """The copy methods construct ``Request`` positionally; a field added to
+    the class and forgotten there would silently reset to its default."""
+    request = Request(
+        request_id="r1",
+        step=3,
+        actor=A,
+        method="m",
+        args=(1, 2),
+        return_address="r0",
+        reply_to="comp#0",
+        caller_actor=B,
+        caller_member="comp#1",
+        ancestors=("root", "r0"),
+        tail_lock=True,
+        after_callee="r9",
+        copy_epoch=4,
+        expects_reply=False,
+        attempts=2,
+        attempt_log=(0.5, 1.5),
+    )
+    names = [field.name for field in fields(Request)]
+    # A field left at its default would hide its being dropped.
+    for field in fields(Request):
+        assert getattr(request, field.name) != field.default, field.name
+    copies = {
+        "tail_successor": (
+            request.tail_successor(B, "next", (9,), current=A),
+            replace(
+                request,
+                step=4,
+                actor=B,
+                method="next",
+                args=(9,),
+                tail_lock=False,
+                after_callee=None,
+                copy_epoch=0,
+                attempts=0,
+                attempt_log=(),
+            ),
+        ),
+        "recovery_copy": (
+            request.recovery_copy(7, "r5", now=2.5),
+            replace(
+                request,
+                copy_epoch=7,
+                after_callee="r5",
+                attempts=3,
+                attempt_log=(0.5, 1.5, 2.5),
+            ),
+        ),
+        "without_after_callee": (
+            request.without_after_callee(),
+            replace(request, after_callee=None),
+        ),
+    }
+    for method, (built, expected) in copies.items():
+        for name in names:
+            assert getattr(built, name) == getattr(expected, name), (method, name)
+    # Without a timestamp the attempt log is carried over as it is.
+    assert request.recovery_copy(7, "r5").attempt_log == (0.5, 1.5)
 
 
 def test_response_defaults():

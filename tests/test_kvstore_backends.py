@@ -10,6 +10,10 @@ closing every handle and reconstructing from files yields the same state.
 
 from __future__ import annotations
 
+import os
+import random
+import sqlite3
+
 import pytest
 
 from repro.kvstore import KVStore, MemoryStoreBackend, SqliteStoreBackend
@@ -201,6 +205,112 @@ def test_store_survives_reopen(store_harness):
         }
 
     run(kernel2, verify())
+
+
+@pytest.mark.parametrize("size", [8, 16 * 1024, 1024 * 1024])
+def test_overwrite_contract(store_harness, size):
+    """Fresh insert, overwrite (small -> large -> small), delete + reinsert:
+    every write primitive leaves what the memory backend leaves."""
+
+    def script(backend):
+        big, small = "x" * size, "s"
+        backend.set("flat", small)
+        backend.set("flat", big)
+        backend.hset("h", "one", small)
+        backend.hset("h", "one", big)
+        backend.hset_many("h", {"two": small, "three": big})
+        backend.hset_many("h", {"two": big, "three": small, "four": [big]})
+        seen = [backend.get("flat"), backend.hgetall("h")]
+        backend.set("flat", small)
+        backend.hset("h", "one", small)
+        backend.hset_many("h", {"two": small})
+        assert backend.hdel("h", "four") is True
+        seen.append(backend.hgetall("h"))
+        backend.hset("h", "four", big)
+        assert backend.delete("flat") is True
+        backend.set("flat", (big, 1))
+        return seen + [
+            backend.get("flat"),
+            backend.hget("h", "four"),
+            backend.hget_many("h", ("one", "two", "three", "gone")),
+        ]
+
+    expected = script(MemoryStoreBackend())
+    assert script(store_harness.open()) == expected
+    backend = store_harness.reopen()
+    assert backend.get("flat") == expected[3]
+    assert backend.hgetall("h") == expected[2] | {"four": "x" * size}
+
+
+def test_sqlite_overwrite_keeps_the_rowid(tmp_path):
+    """An upsert updates the row where it lies; ``INSERT OR REPLACE`` deleted
+    it and inserted a new one at the end of the table (a new rowid)."""
+    backend = SqliteStoreBackend(str(tmp_path / "rowid.sqlite3"))
+
+    def rowids():
+        (flat,) = backend._conn.execute(
+            "SELECT rowid FROM kv WHERE key = 'flat'"
+        ).fetchone()
+        rows = backend._conn.execute(
+            "SELECT field, rowid FROM kv_hash WHERE key = 'h' ORDER BY field"
+        ).fetchall()
+        return flat, dict(rows)
+
+    backend.set("flat", 0)
+    backend.hset("h", "a", 0)
+    backend.hset_many("h", {"b": 0, "c": 0})
+    before = rowids()
+    for round_ in range(1, 50):
+        backend.set(f"other{round_}", round_)
+        backend.hset(f"other{round_}", "a", round_)
+        backend.set("flat", round_)
+        backend.hset("h", "a", round_)
+        backend.begin_batch()
+        backend.hset_many("h", {"b": round_, "c": "x" * round_})
+        backend.end_batch()
+    assert rowids() == before
+    assert backend.get("flat") == 49
+    assert backend.hgetall("h") == {"a": 49, "b": 49, "c": "x" * 49}
+    backend.close()
+
+
+def test_sqlite_overwrite_commit_writes_one_page_per_hash(tmp_path):
+    """Pages written, as a count: a pipelined commit that overwrites three
+    existing hashes appends at most three frames to the WAL, one per leaf
+    page holding a touched hash -- no index page, no freelist, no second
+    table page. 300 frames stay below the 1,000-page auto-checkpoint, so
+    the size of the WAL file is the number of frames appended."""
+    path = str(tmp_path / "pages.sqlite3")
+    backend = SqliteStoreBackend(path)
+    rng = random.Random(20)
+    hashes = [f"state:Account:{index}" for index in range(512)]
+
+    def commit(keys, version):
+        # Values of one encoded width, so no row outgrows its page.
+        backend.begin_batch()
+        for key in keys:
+            balance = rng.randrange(10**5, 10**6)
+            backend.hset_many(key, {"balance": balance, "version": version})
+        backend.end_batch()
+
+    commit(hashes, 1000)
+    backend._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    (page_size,) = backend._conn.execute("PRAGMA page_size").fetchone()
+    commits = 100
+    for version in range(1001, 1001 + commits):
+        commit(rng.sample(hashes, 3), version)
+    frames = (os.path.getsize(path + "-wal") - 32) / (page_size + 24)
+    assert frames == int(frames)
+    assert commits <= frames <= 3 * commits
+    backend.close()
+
+
+def test_sqlite_backend_refuses_a_library_without_upsert(tmp_path, monkeypatch):
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 23, 1))
+    path = tmp_path / "old.sqlite3"
+    with pytest.raises(RuntimeError, match=r">= 3\.24\.0 .* 3\.23\.1"):
+        SqliteStoreBackend(str(path))
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

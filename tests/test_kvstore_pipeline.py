@@ -8,6 +8,8 @@ latency-paying round trip on the client's (serial) connection.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.kvstore import (
@@ -168,4 +170,62 @@ def test_sqlite_batch_joins_bracketing_transaction(tmp_path):
     reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
     assert reopened.hgetall("h") == {"x": 1, "y": 2, "z": 3}
     assert reopened.get("flat") == "v"
+    reopened.close()
+
+
+class FailingConnection:
+    """The backend's sqlite3 connection, failing one statement once the
+    way a full disk does."""
+
+    def __init__(self, conn, statement):
+        self._conn = conn
+        self._statement = statement
+
+    def execute(self, sql, *parameters):
+        if sql == self._statement:
+            self._statement = None
+            raise sqlite3.OperationalError("database or disk is full")
+        return self._conn.execute(sql, *parameters)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+@pytest.mark.parametrize("statement", ["BEGIN", "COMMIT"])
+def test_failed_bracket_fails_its_batch_and_the_next_goes_through(
+    tmp_path, statement
+):
+    """A batch whose BEGIN or COMMIT fails is not acknowledged: every
+    operation in it raises, nothing of it is stored, and the pipeline
+    carries the next operation instead of dying with the error."""
+    backend = make_backend("sqlite", tmp_path)
+    backend._conn = FailingConnection(backend._conn, statement)
+    kernel = Kernel(seed=5)
+    store = KVStore(kernel, Latency.fixed(0.0005), backend=backend)
+    client = PipelinedStoreClient(store, "c1")
+
+    async def outcome(operation):
+        try:
+            return await operation
+        except sqlite3.OperationalError as error:
+            return error
+
+    async def scenario():
+        lost = await kernel.gather(
+            [
+                kernel.spawn(outcome(client.hset_many("h", {"x": 1}))),
+                kernel.spawn(outcome(client.hget("other", "y"))),
+            ]
+        )
+        assert [type(error) for error in lost] == [sqlite3.OperationalError] * 2
+        await kernel.sleep(0.010)
+        assert await client.hget("h", "x") is None
+        await client.hset_many("h", {"x": 2})
+
+    run(kernel, scenario())
+    assert kernel.crashes == []
+    assert client.batches_flushed == 3
+    backend.close()
+    reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
+    assert reopened.hgetall("h") == {"x": 2}
     reopened.close()
