@@ -45,8 +45,6 @@ bumps generations through its compare-and-swap, and learns of generations
 other views decided by polling it from its own watchdog rather than through
 their callbacks. Worker *liveness* is what goes through ``app.store.backend``:
 each worker writes a heartbeat hash there and the control loop sweeps it.
-``GroupState``'s method surface is the seam a store-backed implementation
-returns through when a multi-process cluster (ROADMAP, deferred) needs one.
 """
 
 from __future__ import annotations

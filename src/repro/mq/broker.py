@@ -11,11 +11,13 @@ until the next append when nothing is, and :meth:`Broker.fetch` -- the only
 step that costs a ``consume_latency`` round trip and the fence and lease
 checks -- runs once per delivered batch (see ``GroupMember.poll``).
 
-Every partition mutation is mirrored into a pluggable
-:class:`~repro.mq.log.BrokerLog` (appends per produce round trip, prefix
-trims on retention expiry, drops on queue discard), and
-:meth:`Broker.restore_from_log` rebuilds topics and partitions from that
-log -- the journal-replay half of the paper's cold-restart recovery story.
+What a partition retains is held once, in the image the broker's pluggable
+:class:`~repro.mq.log.BrokerLog` owns: a record is stamped, journaled, then
+published to that image (one ``append_many`` per produce round trip), so a
+refused append has nothing to undo; retention expiry and queue discard go
+through the log the same way. :meth:`Broker.restore_from_log` therefore
+only has to name the partitions a replayed log holds -- the journal-replay
+half of the paper's cold-restart recovery story.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any
 
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
-from repro.mq.records import Record, RetainedRecords
+from repro.mq.records import Record
 from repro.sim import Kernel, Latency
 
 __all__ = ["Broker", "BrokerConfig", "Partition", "Topic"]
@@ -57,54 +59,56 @@ class BrokerConfig:
 
 
 class Partition:
-    """An append-only log with offsets and lazy bulk expiry."""
+    """One append-only queue: offsets and lazy bulk expiry.
+
+    It stores nothing. Records, ``first_retained_offset`` and the next
+    offset live once, in the image the broker's log owns; this is the
+    retention policy and the read views over that image.
+    """
 
     def __init__(self, topic: "Topic", name: str):
         self.topic = topic
         self.name = name
-        self._records = RetainedRecords()
-        self._next_offset = 0
-        self.first_retained_offset = 0
+        self._log = topic.broker.log
+        self._image = self._log.image(topic.name, name)
 
-    def append(self, value: Any, timestamp: float) -> Record:
+    def _stamp(self, timestamp: float) -> tuple[int, float]:
+        """The offset and log-append time of the next record."""
         # Log-append-time is monotonic per partition (as in Kafka): after a
         # cold replay onto a younger clock, new appends may not be stamped
         # below the replayed suffix, or the append-order-implies-timestamp-
         # order invariant (which snapshot_unexpired's k-way merge relies
         # on) would break.
-        if self._records:
-            timestamp = max(timestamp, self._records[-1].timestamp)
-        record = Record(self.name, self._next_offset, timestamp, value)
-        self._next_offset += 1
-        self._records.append(record)
+        image = self._image
+        if image.records:
+            timestamp = max(timestamp, image.records[-1].timestamp)
+        return image.next_offset, timestamp
+
+    def append(self, value: Any, timestamp: float) -> Record:
+        record = Record(self.name, *self._stamp(timestamp), value)
+        self._log.append_many(self.topic.name, [record])
         return record
 
     @property
     def end_offset(self) -> int:
-        return self._next_offset
+        return self._image.next_offset
 
-    def restore(
-        self, records: list[Record], first_retained: int, next_offset: int
-    ) -> None:
-        """Adopt a replayed image (offset-indexed) from a broker log."""
-        self._records = RetainedRecords(records)
-        self.first_retained_offset = first_retained
-        self._next_offset = next_offset
+    @property
+    def first_retained_offset(self) -> int:
+        return self._image.first_retained_offset
 
     def expire(self, now: float) -> int:
         """Drop records older than retention; returns how many were dropped."""
         config = self.topic.broker.config
-        cutoff = now - config.retention_seconds
-        keep_from = self._records.older_than(cutoff)
+        records = self._image.records
+        keep_from = records.older_than(now - config.retention_seconds)
         if config.retention_max_records is not None:
-            overflow = len(self._records) - keep_from - config.retention_max_records
+            overflow = len(records) - keep_from - config.retention_max_records
             if overflow > 0:
                 keep_from += overflow
         if keep_from:
-            self.first_retained_offset = self._records[keep_from - 1].offset + 1
-            self._records.drop_prefix(keep_from)
-            self.topic.broker.log.compact(
-                self.topic.name, self.name, self.first_retained_offset
+            self._log.compact(
+                self.topic.name, self.name, records[keep_from - 1].offset + 1
             )
         return keep_from
 
@@ -113,12 +117,13 @@ class Partition:
     ) -> list[Record]:
         """Records at offsets >= ``offset`` that are still retained."""
         self.expire(now)
-        start = max(offset, self.first_retained_offset)
-        return self._records.tail(start - self.first_retained_offset, limit)
+        image = self._image
+        skip = max(offset - image.first_retained_offset, 0)
+        return image.records.tail(skip, limit)
 
     def unexpired(self, now: float) -> list[Record]:
         self.expire(now)
-        return self._records.tail()
+        return self._image.records.tail()
 
     def snapshot(self) -> list[Record]:
         """All retained records *without* triggering retention expiry.
@@ -127,10 +132,10 @@ class Partition:
         must outlive the retention window of ordinary traffic, so nothing
         on the parking-lot read path may start an expiry sweep.
         """
-        return self._records.tail()
+        return self._image.records.tail()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._image.records)
 
 
 class Topic:
@@ -150,8 +155,9 @@ class Topic:
 
     def drop_partition(self, name: str) -> None:
         """Discard a failed component's queue after reconciliation (§4.3)."""
-        if self.partitions.pop(name, None) is not None:
+        if name in self.partitions:
             self.broker.log.drop_partition(self.name, name)
+            del self.partitions[name]
 
     def snapshot_unexpired(self, now: float) -> list[Record]:
         """All retained records across partitions -- the reconciliation
@@ -208,19 +214,16 @@ class Broker:
         return topic
 
     def restore_from_log(self) -> int:
-        """Rebuild topics and partitions from the log's retained image.
+        """Name every topic and partition the log holds an image of.
 
         Called once on a freshly constructed broker (cold restart): every
-        partition comes back with its exact offsets, so consumers, dedup by
-        (request id, step), and retention expiry continue seamlessly.
-        Returns the number of records adopted.
+        partition comes back over its image, exact offsets included, so
+        consumers, dedup by (request id, step), and retention expiry
+        continue seamlessly. Returns the number of records adopted.
         """
         restored = 0
-        for entry in self.log.replay():
-            topic_name, partition_name, first, next_offset, records = entry
-            partition = self.topic(topic_name).partition(partition_name)
-            partition.restore(records, first, next_offset)
-            restored += len(records)
+        for topic_name, partition_name in self.log.partitions():
+            restored += len(self.topic(topic_name).partition(partition_name))
         for key, value in self.log.meta_items().items():
             if key.startswith("lease:"):
                 lease_topic, base, owner, epoch = value
@@ -250,19 +253,20 @@ class Broker:
         process death.
         """
         current = self._leases.get((topic_name, base))
-        if current is not None:
-            held_owner, held_epoch = current
-            if epoch <= held_epoch:
-                raise StaleLeaseError(
-                    f"lease for {base!r} held by {held_owner!r} at epoch "
-                    f"{held_epoch}; cannot acquire at epoch {epoch}"
-                )
-            self.fence(held_owner)
-        self._leases[(topic_name, base)] = (owner, epoch)
-        self._lease_renewed[(topic_name, base)] = self.kernel.now
+        if current is not None and epoch <= current[1]:
+            raise StaleLeaseError(
+                f"lease for {base!r} held by {current[0]!r} at epoch "
+                f"{current[1]}; cannot acquire at epoch {epoch}"
+            )
+        # Journal first: a refused write leaves the old holder unfenced and
+        # the lease where it was.
         self.log.set_meta(
             f"lease:{topic_name}:{base}", [topic_name, base, owner, epoch]
         )
+        if current is not None:
+            self.fence(current[0])
+        self._leases[(topic_name, base)] = (owner, epoch)
+        self._lease_renewed[(topic_name, base)] = self.kernel.now
 
     def renew_partition_lease(
         self, topic_name: str, base: str, owner: str, epoch: int
@@ -330,25 +334,36 @@ class Broker:
     # ------------------------------------------------------------------
     # produce / consume primitives
     # ------------------------------------------------------------------
-    def _journal_append(self, topic_name: str, records: list[Record]) -> None:
-        """Mirror freshly appended records into the log.
+    def _append_batch(
+        self, topic_name: str, entries: list[tuple[str, Any]]
+    ) -> list[Record]:
+        """The one body of the batch produce paths: stamp offsets and
+        monotonic timestamps, journal and publish the batch in one
+        ``append_many``, wake the consumers parked on its partitions.
 
-        If the log refuses the batch (an unencodable payload on a durable
-        backend), the partition appends are rolled back before the error
-        propagates: the producer sees a failed send and nothing -- neither
-        the in-memory broker nor the journal -- retains the records.
+        A log that refuses the batch (an unencodable payload on a durable
+        backend) raises out of here before anything was published, counted
+        or woken: the producer sees a failed send and the offsets are free.
         """
-        try:
+        topic = self.topic(topic_name)
+        now = self.kernel.now
+        # partition -> [next offset, timestamp]. A dict, not a set: parked
+        # consumers wake in first-appearance order, never string-hash order.
+        stamps: dict[str, list] = {}
+        records = []
+        for partition_name, value in entries:
+            stamp = stamps.get(partition_name)
+            if stamp is None:
+                stamp = list(topic.partition(partition_name)._stamp(now))
+                stamps[partition_name] = stamp
+            records.append(Record(partition_name, stamp[0], stamp[1], value))
+            stamp[0] += 1
+        if records:
             self.log.append_many(topic_name, records)
-        except Exception:
-            topic = self.topic(topic_name)
-            for record in reversed(records):
-                partition = topic.partition(record.partition)
-                if partition._records and partition._records[-1] is record:
-                    partition._records.pop()
-                    partition._next_offset = record.offset
-            self.produce_record_count -= len(records)
-            raise
+            self.produce_record_count += len(records)
+        for partition_name in stamps:
+            self._wake_append_waiters(topic_name, partition_name)
+        return records
 
     async def produce(
         self,
@@ -372,10 +387,10 @@ class Broker:
         if guard is not None and not guard():
             raise MQError(f"append guard rejected {partition_name!r}")
         self.produce_count += 1
-        self.produce_record_count += 1
+        # The direct single-record path: Partition.append plus the wake.
         partition = self.topic(topic_name).partition(partition_name)
         record = partition.append(value, self.kernel.now)
-        self._journal_append(topic_name, [record])
+        self.produce_record_count += 1
         self._wake_append_waiters(topic_name, partition_name)
         return record
 
@@ -408,32 +423,22 @@ class Broker:
         self._check_lease(topic_name, client_id)
         self.produce_count += 1
         verdicts: dict[str, bool] = {}
-        outcomes: list[Record | MQError] = []
-        # A dict, not a set: the consumers parked on this batch's partitions
-        # wake in first-appearance order, never in string-hash order.
-        appended: dict[str, None] = {}
-        batch_records: list[Record] = []
-        topic = self.topic(topic_name)
-        for partition_name, value in entries:
-            allowed = verdicts.get(partition_name)
-            if allowed is None:
+        for partition_name, _value in entries:
+            if partition_name not in verdicts:
                 guard = None if guards is None else guards.get(partition_name)
-                allowed = guard is None or bool(guard())
-                verdicts[partition_name] = allowed
-            if not allowed:
-                outcomes.append(MQError(f"append guard rejected {partition_name!r}"))
-                continue
-            self.produce_record_count += 1
-            record = topic.partition(partition_name).append(value, self.kernel.now)
-            outcomes.append(record)
-            batch_records.append(record)
-            appended[partition_name] = None
-        if batch_records:
-            # One journal write covers the whole produce round trip.
-            self._journal_append(topic_name, batch_records)
-        for partition_name in appended:
-            self._wake_append_waiters(topic_name, partition_name)
-        return outcomes
+                verdicts[partition_name] = guard is None or bool(guard())
+        # One journal write covers the whole produce round trip.
+        records = iter(
+            self._append_batch(
+                topic_name, [entry for entry in entries if verdicts[entry[0]]]
+            )
+        )
+        return [
+            next(records)
+            if verdicts[partition_name]
+            else MQError(f"append guard rejected {partition_name!r}")
+            for partition_name, _value in entries
+        ]
 
     def produce_internal_batch(
         self, topic_name: str, entries: list[tuple[str, Any]]
@@ -442,18 +447,7 @@ class Broker:
         batch is journaled (and, on durable logs, flushed) in one write,
         so recovery I/O does not scale per stranded request."""
         self.produce_count += 1
-        topic = self.topic(topic_name)
-        records = []
-        for partition_name, value in entries:
-            self.produce_record_count += 1
-            records.append(
-                topic.partition(partition_name).append(value, self.kernel.now)
-            )
-        if records:
-            self._journal_append(topic_name, records)
-        for partition_name in dict.fromkeys(partition for partition, _ in entries):
-            self._wake_append_waiters(topic_name, partition_name)
-        return records
+        return self._append_batch(topic_name, entries)
 
     async def produce_transaction(
         self,
@@ -475,17 +469,8 @@ class Broker:
         self._check_lease(topic_name, client_id)
         if guard is not None and not guard():
             raise MQError("append guard rejected transaction")
-        records = []
-        for partition_name, value in entries:
-            self.produce_count += 1
-            self.produce_record_count += 1
-            partition = self.topic(topic_name).partition(partition_name)
-            records.append(partition.append(value, self.kernel.now))
-        if records:
-            self._journal_append(topic_name, records)
-        for partition_name, _value in entries:
-            self._wake_append_waiters(topic_name, partition_name)
-        return records
+        self.produce_count += len(entries)
+        return self._append_batch(topic_name, entries)
 
     def end_offset(self, topic_name: str, partition_name: str) -> int:
         """Offset the next append will get; 0 for a partition nobody has

@@ -31,11 +31,9 @@ counter, pause flag, and the latest :class:`GenerationInfo` -- is one
 bumps with a compare-and-swap (the loser adopts the winner's outcome) and
 learn of foreign generations by polling the shared state from their
 watchdog, never through each other's callbacks. All views live in one
-Python process, so the state is plain attributes; its method surface is the
-seam a store-backed implementation comes back through when the deferred
-multi-process cluster needs one. A coordinator constructed without an
-explicit state (one view, as in ``KarApplication`` and the unit tests)
-builds its own.
+Python process, so the state is plain attributes. A coordinator constructed
+without an explicit state (one view, as in ``KarApplication`` and the unit
+tests) builds its own.
 """
 
 from __future__ import annotations
@@ -106,9 +104,7 @@ class GroupState:
     there, so recovery-copy epochs stay monotonic across cold restarts.
 
     Every operation is synchronous and runs inside one kernel event, so the
-    compare-and-swap generation bump is atomic across views. The method
-    surface is the seam: a multi-process cluster (ROADMAP, deferred) puts a
-    store-backed implementation behind these same methods.
+    compare-and-swap generation bump is atomic across views.
     """
 
     def __init__(self, log: BrokerLog, group_id: str):
@@ -117,8 +113,10 @@ class GroupState:
         self.generation = int(log.get_meta(self._meta_key) or 0)
         self.paused = False
         self._members: set[str] = set()
-        self._members_at_generation: frozenset[str] = frozenset()
-        self._last_info: GenerationInfo | None = None
+        #: Membership snapshot of the latest generation.
+        self.members_at_generation: frozenset[str] = frozenset()
+        #: Published outcome of the latest generation.
+        self.last_info: GenerationInfo | None = None
 
     # -- generation ----------------------------------------------------
     def cas_generation(self, expected: int, new: int) -> bool:
@@ -129,8 +127,8 @@ class GroupState:
         """
         if self.generation != expected:
             return False
-        self.generation = new
         self._log.set_meta(self._meta_key, new)
+        self.generation = new
         return True
 
     # -- membership ----------------------------------------------------
@@ -145,23 +143,6 @@ class GroupState:
 
     def remove_member(self, member_id: str) -> None:
         self._members.discard(member_id)
-
-    def members_at_generation(self) -> frozenset[str]:
-        return self._members_at_generation
-
-    def set_members_at_generation(self, member_ids: set[str]) -> None:
-        self._members_at_generation = frozenset(member_ids)
-
-    # -- pause flag ----------------------------------------------------
-    def set_paused(self, flag: bool) -> None:
-        self.paused = flag
-
-    # -- published generation outcome ----------------------------------
-    def last_info(self) -> GenerationInfo | None:
-        return self._last_info
-
-    def set_last_info(self, info: GenerationInfo) -> None:
-        self._last_info = info
 
 
 class GroupCoordinator:
@@ -350,7 +331,7 @@ class GroupCoordinator:
         state, not pushed by another view's callback.
         """
         if not self._rebalancing:
-            info = self.state.last_info()
+            info = self.state.last_info
             if info is not None and info.generation > self._seen_generation:
                 self._observe_generation(info)
         if self._resume_waiters and not self.state.paused:
@@ -415,7 +396,7 @@ class GroupCoordinator:
                 # already covers the current membership (our joiners landed
                 # before its snapshot), adopt it; otherwise retry the CAS
                 # for a generation of our own.
-                latest = self.state.last_info()
+                latest = self.state.last_info
                 if (
                     latest is not None
                     and latest.generation == self.state.generation
@@ -432,10 +413,10 @@ class GroupCoordinator:
         self, generation: int, current: set[str]
     ) -> GenerationInfo:
         """Winner path: compute the membership delta and publish the info."""
-        previous = self.state.members_at_generation()
+        previous = self.state.members_at_generation
         failed = tuple(sorted(previous - current))
         joined = tuple(sorted(current - previous))
-        self.state.set_members_at_generation(current)
+        self.state.members_at_generation = frozenset(current)
         if "failure" in self._reasons:
             reason = "failure"
         else:
@@ -455,14 +436,14 @@ class GroupCoordinator:
             triggered_at=triggered_at,
             completed_at=self.kernel.now,
         )
-        self.state.set_last_info(info)
+        self.state.last_info = info
         return info
 
     # ------------------------------------------------------------------
     # pause gate
     # ------------------------------------------------------------------
     def _pause(self) -> None:
-        self.state.set_paused(True)
+        self.state.paused = True
 
     def resume(self, generation: int) -> None:
         """Lift the pause for ``generation``; stale resumes are ignored.
@@ -475,7 +456,7 @@ class GroupCoordinator:
             return
         if not self.state.paused:
             return
-        self.state.set_paused(False)
+        self.state.paused = False
         self._stamp_resumed(generation)
         self._wake_resume_waiters()
 

@@ -1,13 +1,15 @@
-"""Broker logs: the durable side of the append-only partitions.
+"""Broker logs: the one image of the append-only partitions.
 
 The broker's partitions are the paper's journals -- calls, responses, and
 tail-call supersessions all live there, and recovery is nothing but a replay
-of what they retain (Section 4.3). A :class:`BrokerLog` is the storage
-engine behind them:
+of what they retain (Section 4.3). A :class:`BrokerLog` owns what they
+retain: one image per partition (records, ``first_retained_offset``,
+``next_offset``, each held once), which a broker's ``Partition`` objects
+read and append through without keeping anything of their own.
 
-- :class:`MemoryBrokerLog` keeps a per-partition image of retained records
-  in memory. It survives an application ``shutdown``/``reopen`` as a live
-  object (the message service outliving the app), not a process death.
+- :class:`MemoryBrokerLog` is that image and nothing else. It survives an
+  application ``shutdown``/``reopen`` as a live object (the message service
+  outliving the app), not a process death.
 - :class:`FileJournalLog` additionally appends one length-prefixed binary
   frame per record to a journal file, with retention expiry recorded as
   compaction markers and the whole file rewritten once enough expired
@@ -17,13 +19,13 @@ engine behind them:
   ``end_offset`` exactly.
 
 The log also stores a small metadata map (group generation, component
-epochs, boot counter) that must outlive the application processes but does
-not belong in any partition.
+epochs, boot counter, partition leases) that must outlive the application
+processes but does not belong in any partition; on a journal it is frames
+of the same file.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import sys
@@ -54,15 +56,28 @@ class _PartitionImage:
         self.first_retained_offset = 0
         self.next_offset = 0
 
+    def trim(self, keep_from: int) -> None:
+        """Forget every record below offset ``keep_from``."""
+        self.records.drop_prefix(keep_from - self.first_retained_offset)
+        self.first_retained_offset = keep_from
+        self.next_offset = max(self.next_offset, keep_from)
+
 
 class BrokerLog:
-    """In-memory partition image; subclasses add durability underneath.
+    """The partition images and the metadata map; subclasses add durability.
 
-    Every mutation the broker performs on a partition is mirrored here:
-    ``append_many`` after each produce round trip, ``compact`` when
-    retention expiry trims a prefix, ``drop_partition`` when a dead queue
-    is discarded. ``replay`` hands the image back so a rebuilt broker can
-    reconstruct its topics.
+    The broker keeps no second copy: its partitions stamp a record against
+    :meth:`image`, hand it to :meth:`append_many`, and read the same image
+    back. ``compact`` trims a prefix when retention expires it and
+    ``drop_partition`` discards a dead queue.
+
+    One ordering rule for the four mutations (``append_many``, ``compact``,
+    ``drop_partition``, ``set_meta``): **journal first, image second**. The
+    durability hook runs before anything in memory moves, so a hook that
+    raises (an unencodable payload, a full disk) leaves image and metadata
+    exactly as they were, agreeing with the file, and the caller has nothing
+    to undo. ``_maybe_rewrite`` runs last, once the image has moved, because
+    it sizes the rewrite from the image.
     """
 
     def __init__(self) -> None:
@@ -76,42 +91,44 @@ class BrokerLog:
     # ------------------------------------------------------------------
     # record image
     # ------------------------------------------------------------------
-    def _part(self, topic: str, partition: str) -> _PartitionImage:
+    def image(self, topic: str, partition: str) -> _PartitionImage:
+        """The one image of ``partition``, created empty on first use (an
+        empty image is an empty queue: nothing is journaled for it until
+        its first record)."""
         image = self._parts.get((topic, partition))
         if image is None:
             image = self._parts[(topic, partition)] = _PartitionImage()
         return image
 
     def append_many(self, topic: str, records: list[Record]) -> None:
-        """Mirror freshly appended records (one produce round trip).
-
-        Durability first: the image only mutates once the persistence hook
-        accepted the batch, so a failed write (encoding, disk) leaves the
-        log image agreeing with the file and the broker free to roll its
-        partitions back.
-        """
+        """Journal, then publish, freshly stamped records (one produce
+        round trip)."""
         self._persist_append(topic, records)
         for record in records:
-            image = self._part(topic, record.partition)
+            image = self.image(topic, record.partition)
             image.records.append(record)
             image.next_offset = record.offset + 1
-            self.records_logged += 1
+        self.records_logged += len(records)
 
     def compact(self, topic: str, partition: str, keep_from: int) -> None:
         """Retention expired every record below offset ``keep_from``."""
         image = self._parts.get((topic, partition))
         if image is None or keep_from <= image.first_retained_offset:
             return
-        drop = keep_from - image.first_retained_offset
-        image.records.drop_prefix(drop)
-        image.first_retained_offset = keep_from
-        image.next_offset = max(image.next_offset, keep_from)
+        self._persist_entry(("c", topic, partition, keep_from))
+        image.trim(keep_from)
         self.compactions += 1
-        self._persist_compact(topic, partition, keep_from)
+        self._maybe_rewrite()
 
     def drop_partition(self, topic: str, partition: str) -> None:
-        if self._parts.pop((topic, partition), None) is not None:
-            self._persist_drop(topic, partition)
+        if (topic, partition) in self._parts:
+            self._persist_entry(("d", topic, partition))
+            del self._parts[(topic, partition)]
+            self._maybe_rewrite()
+
+    def partitions(self) -> list[tuple[str, str]]:
+        """``(topic, partition)`` of every image, sorted."""
+        return sorted(self._parts)
 
     def replay(self) -> Iterator[tuple[str, str, int, int, list[Record]]]:
         """Yield ``(topic, partition, first_retained, next_offset, records)``
@@ -129,14 +146,14 @@ class BrokerLog:
         return sum(len(image.records) for image in self._parts.values())
 
     # ------------------------------------------------------------------
-    # metadata (group generation, epochs, boot counter)
+    # metadata (group generation, epochs, boot counter, leases)
     # ------------------------------------------------------------------
     def get_meta(self, key: str) -> Any:
         return self._meta.get(key)
 
     def set_meta(self, key: str, value: Any) -> None:
+        self._persist_entry(("m", key, value))
         self._meta[key] = value
-        self._persist_meta()
 
     def meta_items(self) -> dict[str, Any]:
         return dict(self._meta)
@@ -147,13 +164,10 @@ class BrokerLog:
     def _persist_append(self, topic: str, records: list[Record]) -> None:
         pass
 
-    def _persist_compact(self, topic: str, partition: str, keep_from: int) -> None:
-        pass
+    def _persist_entry(self, entry: tuple) -> None:
+        """Make one compaction, drop or metadata entry durable."""
 
-    def _persist_drop(self, topic: str, partition: str) -> None:
-        pass
-
-    def _persist_meta(self) -> None:
+    def _maybe_rewrite(self) -> None:
         pass
 
     def flush(self) -> None:
@@ -178,11 +192,12 @@ class FileJournalLog(BrokerLog):
         ("c", topic, partition, keep_from)           # compaction
         ("d", topic, partition)                      # drop
         ("s", topic, partition, first, next)         # bounds (after rewrite)
+        ("m", key, value)                            # metadata (last one wins)
 
     A non-empty file that does not start with that header is refused with a
-    ``ValueError`` naming the path, and is left untouched. Metadata lives
-    beside the journal in ``<journal>.meta.json``, rewritten atomically (it
-    is tiny and changes only on rebalances and deploys).
+    ``ValueError`` naming the path, and is left untouched. So is a journal
+    with a ``<journal>.meta.json`` beside it: metadata was a JSON sidecar up
+    to PR 20, there is no migration, and nothing here reads one.
 
     Locking: the single appender holds an *exclusive* ``flock`` on the
     ``<journal>.lock`` sidecar for its whole lifetime (a second appender is
@@ -205,8 +220,13 @@ class FileJournalLog(BrokerLog):
         read_only: bool = False,
     ):
         super().__init__()
+        sidecar = path + ".meta.json"
+        if os.path.exists(sidecar):
+            raise ValueError(
+                f"{sidecar!r} is a metadata sidecar from before metadata "
+                "moved into the journal; it is neither read nor migrated"
+            )
         self.path = path
-        self.meta_path = path + ".meta.json"
         self.lock_path = path + ".lock"
         self.read_only = read_only
         self._fsync = fsync
@@ -214,8 +234,6 @@ class FileJournalLog(BrokerLog):
         self._compact_ratio = compact_ratio
         #: Record entries sitting in the file since the last rewrite.
         self._disk_records = 0
-        #: Pre-encoded entries for the append in progress (see append_many).
-        self._staged_lines: list[bytes] | None = None
         #: Request-core memo shared by every frame this journal encodes.
         self._frame_cache = framing.FrameCache()
         #: Full-file rewrites performed (the compaction evidence counter).
@@ -302,9 +320,6 @@ class FileJournalLog(BrokerLog):
     # ------------------------------------------------------------------
     def _load(self) -> bool:
         """Replay the journal file; False for a missing or empty journal."""
-        if os.path.exists(self.meta_path):
-            with open(self.meta_path, "r", encoding="utf-8") as handle:
-                self._meta = json.load(handle)
         if not os.path.exists(self.path):
             return False
         with open(self.path, "rb") as handle:
@@ -351,28 +366,27 @@ class FileJournalLog(BrokerLog):
     def _apply(self, entry: tuple) -> None:
         """Apply one replayed journal entry to the in-memory image."""
         kind = entry[0]
+        if kind == "m":
+            self._meta[entry[1]] = entry[2]
+            return
         # One topic/partition string is shared by thousands of entries:
         # interning keeps replay memory flat and key comparisons cheap.
         topic = sys.intern(entry[1])
         partition = sys.intern(entry[2])
         if kind == "r":
-            image = self._part(topic, partition)
+            image = self.image(topic, partition)
             record = Record(partition, entry[3], entry[4], entry[5])
             image.records.append(record)
             image.next_offset = record.offset + 1
             self._disk_records += 1
         elif kind == "c":
-            image = self._part(topic, partition)
-            keep = entry[3]
-            drop = keep - image.first_retained_offset
-            if drop > 0:
-                image.records.drop_prefix(drop)
-                image.first_retained_offset = keep
-                image.next_offset = max(image.next_offset, keep)
+            image = self.image(topic, partition)
+            if entry[3] > image.first_retained_offset:
+                image.trim(entry[3])
         elif kind == "d":
             self._parts.pop((topic, partition), None)
         elif kind == "s":
-            image = self._part(topic, partition)
+            image = self.image(topic, partition)
             image.first_retained_offset = entry[3]
             image.next_offset = entry[4]
         else:
@@ -381,17 +395,6 @@ class FileJournalLog(BrokerLog):
     # ------------------------------------------------------------------
     # durability hooks
     # ------------------------------------------------------------------
-    def append_many(self, topic: str, records: list[Record]) -> None:
-        # Encode *before* the in-memory image mutates: an unencodable
-        # payload must fail the append cleanly, leaving image and file
-        # agreeing (the broker then rolls back its partitions too).
-        self._assert_writable()
-        self._staged_lines = [self._record_line(topic, r) for r in records]
-        try:
-            super().append_many(topic, records)
-        finally:
-            self._staged_lines = None
-
     def _record_line(self, topic: str, record: Record) -> bytes:
         return self._frame_bytes(
             (
@@ -409,35 +412,18 @@ class FileJournalLog(BrokerLog):
         return _U32.pack(len(payload)) + payload
 
     def _persist_append(self, topic: str, records: list[Record]) -> None:
-        # One write + flush per produce round trip: the batched-produce
-        # path journals a whole batch in a single I/O burst.
-        lines = self._staged_lines
-        assert lines is not None and len(lines) == len(records)
-        self._file.write(b"".join(lines))
+        # Every frame is encoded before the first byte is written (an
+        # unencodable payload fails the append with the file untouched),
+        # and one write + flush covers the whole produce round trip.
+        self._assert_writable()
+        self._file.write(b"".join([self._record_line(topic, r) for r in records]))
         self._flush_file()
         self._disk_records += len(records)
 
-    def _persist_compact(self, topic: str, partition: str, keep_from: int) -> None:
+    def _persist_entry(self, entry: tuple) -> None:
         self._assert_writable()
-        self._file.write(self._frame_bytes(("c", topic, partition, keep_from)))
+        self._file.write(self._frame_bytes(entry))
         self._flush_file()
-        self._maybe_rewrite()
-
-    def _persist_drop(self, topic: str, partition: str) -> None:
-        self._assert_writable()
-        self._file.write(self._frame_bytes(("d", topic, partition)))
-        self._flush_file()
-        self._maybe_rewrite()
-
-    def _persist_meta(self) -> None:
-        self._assert_writable()
-        tmp_path = self.meta_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(self._meta, handle, separators=(",", ":"))
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, self.meta_path)
 
     def _flush_file(self) -> None:
         self._file.flush()
@@ -462,6 +448,8 @@ class FileJournalLog(BrokerLog):
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as handle:
             handle.write(framing.HEADER)
+            for item in self._meta.items():
+                handle.write(self._frame_bytes(("m", *item)))
             for (topic, partition), image in sorted(self._parts.items()):
                 handle.write(
                     self._frame_bytes(

@@ -18,7 +18,7 @@ class Record:
     """One message at a fixed offset within a partition.
 
     Slotted: long retention windows keep millions of records resident (in
-    partitions, the broker log image, and reconciliation catalogs), so the
+    the broker log's image and in reconciliation catalogs), so the
     per-record footprint matters.
     """
 
@@ -58,9 +58,6 @@ class RetainedRecords:
 
     def append(self, record: Record) -> None:
         self._items.append(record)
-
-    def pop(self) -> Record:
-        return self._items.pop()
 
     def tail(self, skip: int = 0, limit: int | None = None) -> list[Record]:
         """A new list of the records from position ``skip`` on."""

@@ -11,9 +11,11 @@ package decides *where* those services keep their bytes:
 - ``sqlite``: the store writes a WAL-mode SQLite file and the broker
   appends to a framed binary file journal (:mod:`repro.persist.framing`
   is the one wire format of both), one set of files per application name
-  under ``PersistenceConfig.root``. A cold restart -- a brand-new process
-  pointed at the same directory -- replays journals and reconstructs every
-  topic, partition, placement, and unsettled call.
+  under ``PersistenceConfig.root``: ``<app>.store.sqlite3`` with SQLite's
+  ``-wal`` / ``-shm``, ``<app>.journal`` (records, retention markers and
+  the broker's metadata) and its ``<app>.journal.lock``. A cold restart
+  -- a brand-new process pointed at the same directory -- replays journals
+  and reconstructs every topic, partition, placement, and unsettled call.
 
 Backends are chosen through :class:`KarConfig.persistence`; the heavy
 implementations are imported lazily so this module stays cycle-free.
@@ -49,17 +51,14 @@ class PersistenceConfig:
     and one broker journal are created per application name. ``synchronous``
     sets the SQLite synchronous pragma (``"OFF"``/``"NORMAL"``/``"FULL"``);
     ``fsync_journal`` forces an ``os.fsync`` after every journal flush.
-    The journal is rewritten in place (retention-driven compaction) once at
-    least ``compact_min_records`` expired records sit on disk *and* the
-    retained records are below ``compact_ratio`` of the lines written.
+    When the journal is rewritten in place (retention-driven compaction) is
+    not configured here: the thresholds are ``FileJournalLog``'s defaults.
     """
 
     mode: str = "memory"
     root: str | None = None
     synchronous: str = "NORMAL"
     fsync_journal: bool = False
-    compact_min_records: int = 4096
-    compact_ratio: float = 0.5
 
     @staticmethod
     def sqlite(root: str, **overrides: Any) -> "PersistenceConfig":
@@ -91,12 +90,7 @@ def build_persistence(
         store_path, journal_path = _paths(config, app_name)
         return (
             SqliteStoreBackend(store_path, synchronous=config.synchronous),
-            FileJournalLog(
-                journal_path,
-                fsync=config.fsync_journal,
-                compact_min_records=config.compact_min_records,
-                compact_ratio=config.compact_ratio,
-            ),
+            FileJournalLog(journal_path, fsync=config.fsync_journal),
         )
     raise ValueError(f"unknown persistence mode {config.mode!r}")
 
@@ -129,7 +123,6 @@ def wipe_persistence(config: PersistenceConfig, app_name: str) -> None:
         store_path + "-wal",
         store_path + "-shm",
         journal_path,
-        journal_path + ".meta.json",
         journal_path + ".lock",
     ):
         if os.path.exists(path):

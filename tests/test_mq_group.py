@@ -287,7 +287,7 @@ def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
     kernel.run(until=5.0)
     assert group.generation == 1 and group.paused  # nobody resumed it
     assert group.member_ids() == ("m1",)
-    assert isinstance(group.state.last_info(), GenerationInfo)
+    assert isinstance(group.state.last_info, GenerationInfo)
     group.close()
 
     rebuilt = GroupCoordinator(broker, "app", "app-topic")
@@ -295,8 +295,8 @@ def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
     # Session state describes processes that are gone: none of it survives.
     assert rebuilt.member_ids() == () and not rebuilt.is_member("m1")
     assert not rebuilt.paused
-    assert rebuilt.state.last_info() is None
-    assert rebuilt.state.members_at_generation() == frozenset()
+    assert rebuilt.state.last_info is None
+    assert rebuilt.state.members_at_generation == frozenset()
     auto_resume(rebuilt)
     rebuilt.join("m2", SimProcess("m2"))
     kernel.run(until=10.0)

@@ -309,3 +309,30 @@ def test_golden_journal_file_bytes(tmp_path):
     assert (topic, partition, first, next_offset) == ("app.topic", "w1#0", 0, 6)
     assert records[0].value == GOLDEN_RESPONSE
     assert (records[0].offset, records[0].timestamp) == (5, 12.25)
+
+
+#: Length prefix + ("m", "lease:app.topic:w1", ["app.topic", "w1", "w1#3", 3]):
+#: broker metadata is a frame of the journal itself, not a sidecar file.
+GOLDEN_META_ENTRY = bytes.fromhex(
+    "350000000c0308016d08126c656173653a6170702e746f7069633a77310b04000000"
+    "08096170702e746f706963080277310804773123330303"
+)
+
+
+def test_golden_journal_metadata_frame(tmp_path):
+    path = tmp_path / "golden.journal"
+    lease = ["app.topic", "w1", "w1#3", 3]
+    log = FileJournalLog(str(path))
+    log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
+    log.set_meta("lease:app.topic:w1", lease)
+    log.close()
+    golden_file = (
+        bytes.fromhex("ab4b5202") + GOLDEN_JOURNAL_ENTRY + GOLDEN_META_ENTRY
+    )
+    assert path.read_bytes() == golden_file
+    # The pinned bytes replay, and the record entry beside it is unmoved.
+    path.write_bytes(golden_file)
+    log = FileJournalLog(str(path))
+    assert log.meta_items() == {"lease:app.topic:w1": lease}
+    assert log.retained_records() == 1
+    log.close()
