@@ -62,8 +62,8 @@ class KarApplication:
     """One KAR application: infrastructure, components, and clients.
 
     ``workers`` is how many worker event loops to start (``w0``, ``w1``, ..)
-    or their ids; actor-hosting components are sharded across them. With
-    none, every component runs on the application's own coordinator.
+    or their ids; actor-hosting components are sharded across them. Every
+    component, hosted or not, is a member of the one ``coordinator``.
     """
 
     def __init__(

@@ -4,12 +4,11 @@ The paper's deployment (Section 5) is many sidecar processes sharing one
 Kafka and one Redis. This module reproduces that shape inside the simulator:
 
 - a :class:`KarWorker` is one worker event loop -- its own failure domain
-  (a :class:`~repro.sim.SimProcess`), its own
-  :class:`~repro.mq.GroupCoordinator` *view* onto the group's one shared
-  :class:`~repro.mq.GroupState`, and a :class:`WorkerLoop` busy horizon that
-  serializes the CPU cost of every actor invocation it hosts (``KarConfig.
-  worker_loop_cost``). With a positive cost one worker is a genuine
-  throughput ceiling, and sharding components across N workers buys ~N x;
+  (a :class:`~repro.sim.SimProcess`) and a :class:`WorkerLoop` busy horizon
+  that serializes the CPU cost of every actor invocation it hosts
+  (``KarConfig.worker_loop_cost``). With a positive cost one worker is a
+  genuine throughput ceiling, and sharding components across N workers buys
+  ~N x;
 - a :class:`ControlPlane` is what every
   :class:`~repro.core.app.KarApplication` builds from its ``workers=``
   argument and holds as ``app.control``: worker lifecycle (add, graceful
@@ -17,9 +16,7 @@ Kafka and one Redis. This module reproduces that shape inside the simulator:
   workers (:mod:`repro.core.sharding`), worker failure detection through
   store heartbeats, the live partition-handoff protocol and the adaptive
   placement actions. How many workers run is deployment, not type: with
-  none the control plane is inert (no task, no timer, no coordinator view)
-  and every component runs on the application's own coordinator, exactly
-  as client components do beside any number of workers.
+  none the control plane is inert (no task, no timer).
 
 The handoff protocol (drain -> fence old epoch -> replay tail -> resume):
 
@@ -39,12 +36,11 @@ The handoff protocol (drain -> fence old epoch -> replay tail -> resume):
    (placement stores component *names*, so moving a component between
    workers never invalidates where its actors live).
 
-How workers agree: every coordinator view shares the group's one
-:class:`~repro.mq.GroupState` object (all loops live in one Python process),
-bumps generations through its compare-and-swap, and learns of generations
-other views decided by polling it from its own watchdog rather than through
-their callbacks. Worker *liveness* is what goes through ``app.store.backend``:
-each worker writes a heartbeat hash there and the control loop sweeps it.
+How workers agree: every component, on any worker or none, is a member of
+the application's one :class:`~repro.mq.GroupCoordinator`, as every consumer
+of a Kafka group talks to its one coordinator. Worker *liveness* is what goes
+through ``app.store.backend``: each worker writes a heartbeat hash there and
+the control loop sweeps it.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.placement_ctl import PlacementController
 from repro.core.sharding import HashRing, parent_partition, sub_partition_names
-from repro.mq import GroupCoordinator
 from repro.sim import Kernel, SimProcess
 
 if TYPE_CHECKING:
@@ -230,11 +225,6 @@ class KarWorker:
         #: its loop stalls and its leases stop renewing -- the failure mode
         #: only the lease TTL sweep can detect.
         self.wedged = False
-        #: This worker's own view onto the shared group state.
-        self.coordinator = GroupCoordinator(
-            app.broker, app.name, app.topic_name, state=app.coordinator.state
-        )
-        self.coordinator.ensure_watchdog()
         #: Component names currently hosted on this loop.
         self.hosted: set[str] = set()
         #: Set on graceful removal; a retired worker takes no new components.
@@ -634,6 +624,7 @@ class ControlPlane:
     async def _control_loop(self) -> None:
         config = self.config
         backend = self.app.store.backend
+        session_timeout = 4.0 * config.worker_heartbeat_interval
         while self._sweeping:
             await self.kernel.sleep(config.worker_heartbeat_interval)
             if not self._sweeping:
@@ -644,10 +635,9 @@ class ControlPlane:
                 if worker.retired:
                     continue
                 last = float(beats.get(worker_id, 0.0))
-                if now - last > config.worker_session_timeout:
+                if now - last > session_timeout:
                     self._on_worker_failed(worker)
-            if config.lease_ttl is not None:
-                self._sweep_expired_leases(self.kernel.now)
+            self._sweep_expired_leases(self.kernel.now)
             self.placement_ctl.tick(self.kernel.now)
 
     def _sweep_expired_leases(self, now: float) -> None:
@@ -661,7 +651,6 @@ class ControlPlane:
         incarnations fence the zombies at epoch + 1).
         """
         ttl = self.config.lease_ttl
-        assert ttl is not None
         for worker in list(self.workers.values()):
             if not worker.alive or worker.retired:
                 continue
@@ -685,14 +674,18 @@ class ControlPlane:
                     worker=worker.worker_id,
                     age=round(age, 6),
                 )
-                worker.coordinator.expel(
+                self.app.coordinator.expel(
                     component.member_id, reason="lease_expired"
                 )
                 self._on_worker_failed(worker)
                 break
 
     def _on_worker_failed(self, worker: KarWorker) -> None:
-        """Re-host a silent worker's components on the survivors."""
+        """Re-host a silent worker's components on the survivors.
+
+        With no survivor they stay down, still listed as ``hosted`` by the
+        dead worker, until the next :meth:`add_worker` re-hosts them.
+        """
         worker.retired = True
         self.workers_failed.append(worker.worker_id)
         self.trace.emit(
@@ -700,6 +693,7 @@ class ControlPlane:
             worker=worker.worker_id,
             hosted=sorted(worker.hosted),
         )
+        survivors = bool(self._live_workers())
         for name in sorted(worker.hosted):
             component = self.app.components.get(name)
             if component is None or component.worker is not worker:
@@ -710,8 +704,9 @@ class ControlPlane:
                 # any still-running hosted process is a zombie to terminate
                 # (the paired-process rule applied at worker granularity).
                 component.process.kill()
-            self.migrations += 1
-            self.app.restart_component(name)
+            if survivors:
+                self.migrations += 1
+                self.app.restart_component(name)
         if worker.alive:
             worker.process.kill()
 
@@ -730,6 +725,14 @@ class ControlPlane:
         )
         if not live_ids:
             return
+        for name in sorted(self.app.components):
+            host = self.app.components[name].worker
+            failed = host is not None and host.retired and not host.alive
+            if failed and name in host.hosted:
+                # Went down with its failed worker when no survivor could
+                # take it (a re-hosted component leaves ``hosted``).
+                self.migrations += 1
+                self.app.restart_component(name)
         hosted_names = sorted(
             name
             for name, component in self.app.components.items()
@@ -785,6 +788,5 @@ class ControlPlane:
         """Cold stop: every worker loop dies with the application."""
         self._sweeping = False
         for worker in self.workers.values():
-            worker.coordinator.close()
             if worker.alive:
                 worker.process.kill()

@@ -83,11 +83,6 @@ class KarConfig:
     # Covers delivery lag across group pauses: a record is stamped when it
     # is *consumed*, which can trail its append by a reconciliation.
     dedup_retention_slack: float = 30.0
-    # Write-through cache of each resident instance's persisted state.
-    # Safe because an actor's state is only written through its hosting
-    # component while placed there (single writer); the cache is dropped on
-    # passivation and dies with the component on failure. Ablation switch.
-    state_cache: bool = True
 
     # --- overload control (retry-storm protection) ---------------------------
     # Master switch for the guard subsystem (ablation switch: the storm
@@ -127,11 +122,10 @@ class KarConfig:
     # charges nothing and adds no kernel event. None of this section applies
     # to an application without workers.
     worker_loop_cost: float = 0.0
-    # Worker heartbeat cadence into the shared store and the silence after
-    # which the application's control plane declares a worker dead and
+    # Worker heartbeat cadence into the shared store; four silent intervals
+    # and the application's control plane declares the worker dead and
     # re-hosts its components on the survivors.
     worker_heartbeat_interval: float = 1.0
-    worker_session_timeout: float = 4.0
     # How long a graceful handoff waits for the component to drain its
     # in-flight work before fencing the old incarnation anyway.
     drain_timeout: float = 30.0
@@ -161,8 +155,8 @@ class KarConfig:
     # Partition-lease liveness: a holder renews every lease_ttl / 4; a
     # hosted component whose lease goes unrenewed for lease_ttl is owned by
     # a wedged worker (heartbeating but not making progress) and the control
-    # plane re-hosts it. ``None`` disables renewal and the expiry sweep.
-    lease_ttl: float | None = 30.0
+    # plane re-hosts it.
+    lease_ttl: float = 30.0
 
     # --- reminders -----------------------------------------------------------
     reminder_tick: float = 0.5
@@ -193,7 +187,6 @@ class KarConfig:
             maintenance_interval=0.5,
             dedup_retention_slack=5.0,
             worker_heartbeat_interval=0.2,
-            worker_session_timeout=0.8,
             drain_timeout=5.0,
             rebalance_cooldown=0.5,
             load_halflife=0.5,

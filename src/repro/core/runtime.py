@@ -80,12 +80,11 @@ class Component:
         self.name = name
         self.actor_types = frozenset(actor_types)
         self.epoch = epoch
-        #: Hosting worker event loop, or ``None``: a client component, or
-        #: any component of an application without workers. The worker
-        #: supplies the group coordinator *view* and the event-loop cost
-        #: horizon; without one the application's own coordinator serves.
+        #: Hosting worker event loop (the event-loop cost horizon), or
+        #: ``None``: a client component, or any component of an application
+        #: without workers.
         self.worker = worker
-        self.coordinator = (worker if worker is not None else app).coordinator
+        self.coordinator = app.coordinator
         # Interned: the member id names this incarnation in every request
         # header, fence set, placement entry, and journal frame.
         self.member_id = sys.intern(f"{name}#{epoch}")
@@ -153,7 +152,7 @@ class Component:
             self.process,
             name=f"maintenance:{self.member_id}",
         )
-        if self.worker is not None and self.config.lease_ttl is not None:
+        if self.worker is not None:
             self.kernel.spawn(
                 self._lease_renewal_loop(),
                 self.process,
@@ -225,9 +224,7 @@ class Component:
         plane's lease sweep detects. Being fenced out of the lease means a
         successor took over -- paired-process termination, like any fence.
         """
-        ttl = self.config.lease_ttl
-        assert ttl is not None
-        interval = max(ttl / 4.0, 0.01)
+        interval = max(self.config.lease_ttl / 4.0, 0.01)
         try:
             while True:
                 await self.kernel.sleep(interval)
@@ -702,11 +699,9 @@ class Component:
     # ------------------------------------------------------------------
     # actor lifecycle & memory management (idle passivation, dedup GC)
     # ------------------------------------------------------------------
-    def state_cache_for(self, ref: ActorRef) -> ActorStateCache | None:
+    def state_cache_for(self, ref: ActorRef) -> ActorStateCache:
         """Write-through state cache for a *resident* instance's own state
-        (``ctx.state``); disabled by config, never used for ``state_of``."""
-        if not self.config.state_cache:
-            return None
+        (``ctx.state``); never used for ``state_of``."""
         cache = self._state_caches.get(ref)
         if cache is None:
             cache = self._state_caches[ref] = ActorStateCache()
@@ -719,8 +714,6 @@ class Component:
         writes stay coherent with it, but must not mint cache entries for
         actors hosted elsewhere (no single-writer guarantee there).
         """
-        if not self.config.state_cache:
-            return None
         return self._state_caches.get(ref)
 
     async def _maintenance_loop(self) -> None:

@@ -27,7 +27,6 @@ from repro.mq.group import (
     GenerationInfo,
     GroupCoordinator,
     GroupMember,
-    GroupState,
 )
 from repro.mq.log import BrokerLog, FileJournalLog, MemoryBrokerLog
 from repro.mq.records import Record
@@ -41,7 +40,6 @@ __all__ = [
     "GenerationInfo",
     "GroupCoordinator",
     "GroupMember",
-    "GroupState",
     "JournalLockedError",
     "JournalReadOnlyError",
     "MQError",

@@ -24,16 +24,11 @@ A member fenced while parked stays parked (nothing is owed to it) until the
 next append wakes it into :class:`FencedMemberError`; its owner has normally
 terminated it long before, from the generation that evicted it.
 
-Scale-out: the authoritative group state -- membership set, generation
-counter, pause flag, and the latest :class:`GenerationInfo` -- is one
-:class:`GroupState` object per group. Each worker event loop holds its own
-:class:`GroupCoordinator` *view* onto that object: views race generation
-bumps with a compare-and-swap (the loser adopts the winner's outcome) and
-learn of foreign generations by polling the shared state from their
-watchdog, never through each other's callbacks. All views live in one
-Python process, so the state is plain attributes. A coordinator constructed
-without an explicit state (one view, as in ``KarApplication`` and the unit
-tests) builds its own.
+One group is one :class:`GroupCoordinator`, as one Kafka group has one
+coordinator however many consumers it has: every member of an application,
+on any worker event loop, joins the same object. A membership wave is
+therefore one join window and one generation at any worker count, and a
+generation reaches every listener in the kernel event that publishes it.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from typing import Any, Callable
 
 from repro.mq.broker import Broker
 from repro.mq.errors import FencedMemberError, MQError, StaleRouteError
-from repro.mq.log import BrokerLog
 from repro.mq.records import Record
 from repro.sim import Kernel, SimFuture, SimProcess
 
@@ -52,7 +46,6 @@ __all__ = [
     "GenerationRecord",
     "GroupCoordinator",
     "GroupMember",
-    "GroupState",
 ]
 
 
@@ -85,132 +78,53 @@ class GenerationRecord:
 
 @dataclass
 class _MemberState:
-    member_id: str
-    process: SimProcess | None
     last_heartbeat: float
     member: "GroupMember"
 
 
-class GroupState:
-    """The group's authoritative state, shared by every coordinator view.
-
-    One object per group: the generation counter, the pause flag, the
-    member set, the membership snapshot of the latest generation, and the
-    latest :class:`GenerationInfo`, held as plain attributes. Membership
-    and the pause flag are *session* state -- they describe the running
-    processes, so a rebuilt state starts empty and unpaused (a cold restart
-    must never resurrect ghost members). The generation counter is *durable*
-    state: it is mirrored into the broker log's metadata and restored from
-    there, so recovery-copy epochs stay monotonic across cold restarts.
-
-    Every operation is synchronous and runs inside one kernel event, so the
-    compare-and-swap generation bump is atomic across views.
-    """
-
-    def __init__(self, log: BrokerLog, group_id: str):
-        self._log = log
-        self._meta_key = f"group:{group_id}:generation"
-        self.generation = int(log.get_meta(self._meta_key) or 0)
-        self.paused = False
-        self._members: set[str] = set()
-        #: Membership snapshot of the latest generation.
-        self.members_at_generation: frozenset[str] = frozenset()
-        #: Published outcome of the latest generation.
-        self.last_info: GenerationInfo | None = None
-
-    # -- generation ----------------------------------------------------
-    def cas_generation(self, expected: int, new: int) -> bool:
-        """Atomically bump the generation iff it still equals ``expected``.
-
-        The winner of a racing rebalance advances the counter; losers see
-        ``False`` and adopt the winner's published :class:`GenerationInfo`.
-        """
-        if self.generation != expected:
-            return False
-        self._log.set_meta(self._meta_key, new)
-        self.generation = new
-        return True
-
-    # -- membership ----------------------------------------------------
-    def member_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._members))
-
-    def is_member(self, member_id: str) -> bool:
-        return member_id in self._members
-
-    def add_member(self, member_id: str) -> None:
-        self._members.add(member_id)
-
-    def remove_member(self, member_id: str) -> None:
-        self._members.discard(member_id)
-
-
 class GroupCoordinator:
-    """One view onto the group (broker-side machinery; never fails).
+    """The group (broker-side machinery; never fails).
 
-    Every view shares the group's :class:`GroupState`; the ``members``
-    dict holds only the members *joined through this view* (their
-    heartbeat bookkeeping and handles live with the loop that runs them).
-    Membership queries (:meth:`member_ids`, :meth:`is_member`,
-    :attr:`live_members`) always consult the shared state, so append-time
-    guards and routing tables agree across views.
+    Membership and the pause flag are *session* state: they describe the
+    running processes, so a rebuilt coordinator starts empty and unpaused (a
+    cold restart must never resurrect ghost members). The generation counter
+    is *durable* state: it is written to the broker log's metadata before
+    memory moves and restored from there, so recovery-copy epochs stay
+    monotonic across cold restarts.
     """
 
-    def __init__(
-        self,
-        broker: Broker,
-        group_id: str,
-        topic_name: str,
-        state: GroupState | None = None,
-    ):
+    def __init__(self, broker: Broker, group_id: str, topic_name: str):
         self.broker = broker
         self.kernel: Kernel = broker.kernel
         self.group_id = group_id
         self.topic_name = topic_name
-        #: Members joined through *this view* (local handles + heartbeats).
+        self._meta_key = f"group:{group_id}:generation"
+        self.generation = int(broker.log.get_meta(self._meta_key) or 0)
+        self.paused = False
+        #: Every live member: its handle and last heartbeat.
         self.members: dict[str, _MemberState] = {}
-        # Generations survive the application: a coordinator rebuilt over a
-        # durable broker log resumes numbering where the old group stopped,
-        # so recovery-copy epochs stay monotonic across cold restarts.
-        self.state = state if state is not None else GroupState(broker.log, group_id)
+        #: Membership snapshot of the latest generation.
+        self._members_at_generation: frozenset[str] = frozenset()
         self._closed = False
         self.history: list[GenerationRecord] = []
         self._generation_listeners: list[Callable[[GenerationInfo], None]] = []
         self._resume_waiters: list[SimFuture] = []
         self._rebalancing = False
         self._dirty = False
-        self._trigger_time: float | None = None
+        self._trigger_time = 0.0
         self._reasons: list[str] = []
         self._watchdog_started = False
-        #: Highest generation this view has delivered to its listeners.
-        self._seen_generation = self.state.generation
-
-    # ------------------------------------------------------------------
-    # shared-state surfaces (the same answer on every view)
-    # ------------------------------------------------------------------
-    @property
-    def generation(self) -> int:
-        return self.state.generation
-
-    @property
-    def paused(self) -> bool:
-        return self.state.paused
 
     def member_ids(self) -> tuple[str, ...]:
-        """The group-wide membership (all views), sorted."""
-        return self.state.member_ids()
+        """The membership, sorted."""
+        return tuple(sorted(self.members))
 
     def is_member(self, member_id: str) -> bool:
-        return self.state.is_member(member_id)
-
-    @property
-    def live_members(self) -> tuple[str, ...]:
-        return self.state.member_ids()
+        return member_id in self.members
 
     @property
     def leader(self) -> str | None:
-        ordered = self.live_members
-        return ordered[0] if ordered else None
+        return min(self.members, default=None)
 
     # ------------------------------------------------------------------
     # membership
@@ -230,16 +144,17 @@ class GroupCoordinator:
         """Add a member; starts its heartbeat task and triggers a rebalance."""
         if self._closed:
             raise MQError(f"group {self.group_id!r} coordinator is closed")
-        if member_id in self.members or self.state.is_member(member_id):
+        if member_id in self.members:
             raise ValueError(f"duplicate member id {member_id!r}")
         if self.broker.is_fenced(member_id):
             raise FencedMemberError(member_id)
         member = GroupMember(self, member_id, process)
-        self.members[member_id] = _MemberState(
-            member_id, process, self.kernel.now, member
-        )
-        self.state.add_member(member_id)
-        self.ensure_watchdog()
+        self.members[member_id] = _MemberState(self.kernel.now, member)
+        if not self._watchdog_started:
+            self._watchdog_started = True
+            self.kernel.spawn(
+                self._watchdog_loop(), name=f"watchdog:{self.group_id}"
+            )
         self.kernel.spawn(
             self._heartbeat_loop(member_id),
             process=process,
@@ -250,8 +165,7 @@ class GroupCoordinator:
 
     def leave(self, member_id: str) -> None:
         """Graceful departure (still fences, still triggers a rebalance)."""
-        if member_id in self.members or self.state.is_member(member_id):
-            self._evict(member_id, reason="leave")
+        self.expel(member_id, reason="leave")
 
     def expel(self, member_id: str, reason: str = "expelled") -> None:
         """Administrative eviction of a *live* member.
@@ -261,8 +175,8 @@ class GroupCoordinator:
         hosting worker is wedged -- rather than waiting for the session
         watchdog to notice silence. Same fence + rebalance as any eviction.
         """
-        if member_id in self.members or self.state.is_member(member_id):
-            self._evict(member_id, reason=reason)
+        if member_id in self.members:
+            self._evict(member_id, reason)
 
     def heartbeat(self, member_id: str) -> None:
         state = self.members.get(member_id)
@@ -283,20 +197,6 @@ class GroupCoordinator:
             self.heartbeat(member_id)
             await self.kernel.sleep(interval)
 
-    def ensure_watchdog(self) -> None:
-        """Start this view's watchdog task (idempotent).
-
-        Joining starts it implicitly; a view that hosts no members but must
-        still observe foreign generations (the cluster control plane) calls
-        this directly.
-        """
-        if self._watchdog_started:
-            return
-        self._watchdog_started = True
-        self.kernel.spawn(
-            self._watchdog_loop(), name=f"watchdog:{self.group_id}"
-        )
-
     async def _watchdog_loop(self) -> None:
         config = self.broker.config
         while not self._closed:
@@ -305,64 +205,24 @@ class GroupCoordinator:
                 return
             now = self.kernel.now
             expired = [
-                state.member_id
-                for state in self.members.values()
+                member_id
+                for member_id, state in self.members.items()
                 if now - state.last_heartbeat > config.session_timeout
             ]
             for member_id in expired:
                 self._evict(member_id, reason="failure")
-            self._observe_state()
 
     def _evict(self, member_id: str, reason: str) -> None:
         """Remove and fence a member, then trigger the consensus phase."""
-        self.members.pop(member_id, None)
-        self.state.remove_member(member_id)
+        del self.members[member_id]
         self.broker.fence(member_id)
         self._request_rebalance(reason)
-
-    # ------------------------------------------------------------------
-    # state observation (how a view learns about foreign generations)
-    # ------------------------------------------------------------------
-    def _observe_state(self) -> None:
-        """Deliver generations and unpauses decided by *other* views.
-
-        This is the cross-loop propagation path: a view that neither won
-        nor raced the rebalance sees the bump here -- polled from the shared
-        state, not pushed by another view's callback.
-        """
-        if not self._rebalancing:
-            info = self.state.last_info
-            if info is not None and info.generation > self._seen_generation:
-                self._observe_generation(info)
-        if self._resume_waiters and not self.state.paused:
-            self._stamp_resumed(self.state.generation)
-            self._wake_resume_waiters()
-
-    def _observe_generation(self, info: GenerationInfo) -> None:
-        """Record and deliver one new generation on this view."""
-        self._seen_generation = info.generation
-        self.history.append(
-            GenerationRecord(
-                generation=info.generation,
-                reason=info.reason,
-                failed=info.failed,
-                joined=info.joined,
-                triggered_at=info.triggered_at,
-                completed_at=info.completed_at,
-            )
-        )
-        if not info.members:
-            # Empty group: nothing can reconcile; resume so future joiners
-            # start from a clean pause state.
-            self.resume(info.generation)
-        for listener in list(self._generation_listeners):
-            listener(info)
 
     # ------------------------------------------------------------------
     # rebalance (the paper's consensus phase)
     # ------------------------------------------------------------------
     def _request_rebalance(self, reason: str) -> None:
-        self._pause()
+        self.paused = True
         self._reasons.append(reason)
         if self._rebalancing:
             self._dirty = True
@@ -385,66 +245,55 @@ class GroupCoordinator:
                 break
         if self._closed:
             return
-        info: GenerationInfo | None = None
-        while info is None:
-            expected = self.state.generation
-            current = set(self.state.member_ids())
-            if self.state.cas_generation(expected, expected + 1):
-                info = self._publish_generation(expected + 1, current)
-            else:
-                # Another view's rebalance won the bump. If its outcome
-                # already covers the current membership (our joiners landed
-                # before its snapshot), adopt it; otherwise retry the CAS
-                # for a generation of our own.
-                latest = self.state.last_info
-                if (
-                    latest is not None
-                    and latest.generation == self.state.generation
-                    and set(latest.members) == set(self.state.member_ids())
-                ):
-                    info = latest
+        info = self._publish_generation()
         self._rebalancing = False
         self._reasons = []
-        self._trigger_time = None
-        if info.generation > self._seen_generation:
-            self._observe_generation(info)
+        self.history.append(
+            GenerationRecord(
+                generation=info.generation,
+                reason=info.reason,
+                failed=info.failed,
+                joined=info.joined,
+                triggered_at=info.triggered_at,
+                completed_at=info.completed_at,
+            )
+        )
+        if not info.members:
+            # Empty group: nothing can reconcile; resume so future joiners
+            # start from a clean pause state.
+            self.resume(info.generation)
+        for listener in list(self._generation_listeners):
+            listener(info)
 
-    def _publish_generation(
-        self, generation: int, current: set[str]
-    ) -> GenerationInfo:
-        """Winner path: compute the membership delta and publish the info."""
-        previous = self.state.members_at_generation
-        failed = tuple(sorted(previous - current))
-        joined = tuple(sorted(current - previous))
-        self.state.members_at_generation = frozenset(current)
-        if "failure" in self._reasons:
-            reason = "failure"
-        else:
-            reason = self._reasons[0] if self._reasons else "join"
-        if self._trigger_time is not None:
-            triggered_at = self._trigger_time
-        else:
-            triggered_at = self.kernel.now
+    def _bump_generation(self) -> int:
+        """Journal first, memory second: a write the log refuses leaves the
+        counter where the journal has it."""
+        generation = self.generation + 1
+        self.broker.log.set_meta(self._meta_key, generation)
+        self.generation = generation
+        return generation
+
+    def _publish_generation(self) -> GenerationInfo:
+        """Bump the counter and compute the membership delta since the last."""
+        generation = self._bump_generation()
+        current = frozenset(self.members)
+        previous = self._members_at_generation
+        self._members_at_generation = current
         ordered = tuple(sorted(current))
-        info = GenerationInfo(
+        return GenerationInfo(
             generation=generation,
             members=ordered,
             leader=ordered[0] if ordered else None,
-            failed=failed,
-            joined=joined,
-            reason=reason,
-            triggered_at=triggered_at,
+            failed=tuple(sorted(previous - current)),
+            joined=tuple(sorted(current - previous)),
+            reason="failure" if "failure" in self._reasons else self._reasons[0],
+            triggered_at=self._trigger_time,
             completed_at=self.kernel.now,
         )
-        self.state.last_info = info
-        return info
 
     # ------------------------------------------------------------------
     # pause gate
     # ------------------------------------------------------------------
-    def _pause(self) -> None:
-        self.state.paused = True
-
     def resume(self, generation: int) -> None:
         """Lift the pause for ``generation``; stale resumes are ignored.
 
@@ -452,22 +301,12 @@ class GroupCoordinator:
         failure arrived meanwhile, ``generation`` is stale and the newer
         generation's leader is responsible for resuming.
         """
-        if generation != self.state.generation or self._rebalancing:
+        if generation != self.generation or self._rebalancing:
             return
-        if not self.state.paused:
+        if not self.paused:
             return
-        self.state.paused = False
-        self._stamp_resumed(generation)
-        self._wake_resume_waiters()
-
-    def _stamp_resumed(self, generation: int) -> None:
-        for record in reversed(self.history):
-            if record.generation == generation:
-                if record.resumed_at is None:
-                    record.resumed_at = self.kernel.now
-                break
-
-    def _wake_resume_waiters(self) -> None:
+        self.paused = False
+        self.history[-1].resumed_at = self.kernel.now
         waiters, self._resume_waiters = self._resume_waiters, []
         for waiter in waiters:
             waiter.set_result(None)

@@ -59,7 +59,7 @@ def make_cluster(
     return kernel, app
 
 
-def drive_calls(kernel, app, ids, timeout=600.0):
+def spawn_calls(kernel, app, ids):
     client = app.client()
 
     async def one(n):
@@ -67,7 +67,11 @@ def drive_calls(kernel, app, ids, timeout=600.0):
             None, actor_proxy("Echo", f"a{n % 32}"), "ping", (n,), True
         )
 
-    tasks = [kernel.spawn(one(n), process=client.process) for n in ids]
+    return [kernel.spawn(one(n), process=client.process) for n in ids]
+
+
+def drive_calls(kernel, app, ids, timeout=600.0):
+    tasks = spawn_calls(kernel, app, ids)
     return kernel.run_until_complete(kernel.gather(tasks), timeout=timeout)
 
 
@@ -103,7 +107,7 @@ def test_worker_count_is_deployment_not_type():
     worker = app.control.add_worker()
     assert list(app.control.workers) == ["w0"]
     second = app.add_component("comp1", ("Echo",))
-    assert second.worker is worker and second.coordinator is worker.coordinator
+    assert second.worker is worker and second.coordinator is app.coordinator
     assert app.client().worker is None
     app.settle()
     assert sorted(drive_calls(kernel, app, range(8))) == list(range(1, 9))
@@ -170,14 +174,7 @@ def test_worker_loop_cost_serializes_executions():
 def test_worker_crash_rehosts_components_and_settles_in_flight():
     kernel, app = make_cluster(components=4, workers=2)
     victim = app.control.worker_of("comp0")
-    client = app.client()
-
-    async def one(n):
-        return await client.invoke(
-            None, actor_proxy("Echo", f"a{n % 32}"), "ping", (n,), True
-        )
-
-    tasks = [kernel.spawn(one(n), process=client.process) for n in range(40)]
+    tasks = spawn_calls(kernel, app, range(40))
     kernel.run(until=kernel.now + 0.01)  # let calls take flight
     app.control.kill_worker(victim)
     results = kernel.run_until_complete(kernel.gather(tasks), timeout=600)
@@ -225,6 +222,96 @@ def test_add_worker_migrates_ring_share():
     ]
     kernel.run(until=kernel.now + 5.0)
     assert app.stats("calls")["unsettled"] == []
+
+
+def test_the_control_loop_survives_the_death_of_the_last_worker():
+    """No survivor can take the dead worker's components: they stay down,
+    the sweeps carry on, and the next worker added re-hosts them."""
+    kernel, app = make_cluster(components=2, workers=1)
+    assert drive_calls(kernel, app, range(4)) == [1, 2, 3, 4]
+    app.control.kill_worker("w0")
+    kernel.run(until=kernel.now + 3.0)
+    assert app.control.workers_failed == ["w0"]
+    assert [name for name, c in app.components.items() if c.alive] == ["client"]
+    ticks = app.control.placement_ctl.ticks
+    kernel.run(until=kernel.now + 1.0)
+    assert app.control.placement_ctl.ticks > ticks  # still sweeping
+    kernel.check_no_crashes()
+
+    stranded = spawn_calls(kernel, app, range(4, 8))
+    kernel.run(until=kernel.now + 1.0)  # nobody hosts Echo: the calls wait
+    assert not any(task.done() for task in stranded)
+    app.control.add_worker("w1")
+    assert kernel.run_until_complete(kernel.gather(stranded), timeout=600) == [
+        5, 6, 7, 8
+    ]
+    assert {app.control.worker_of(f"comp{i}") for i in range(2)} == {"w1"}
+    assert drive_calls(kernel, app, range(8, 12)) == [9, 10, 11, 12]
+    kernel.run(until=kernel.now + 5.0)
+    assert app.stats("calls")["unsettled"] == []
+    kernel.check_no_crashes()
+
+
+# ----------------------------------------------------------------------
+# one group, one coordinator: a membership wave is one generation at any
+# worker count
+# ----------------------------------------------------------------------
+def generations(app):
+    return [
+        (record.generation, record.reason, record.failed, record.joined)
+        for record in app.coordinator.history
+    ]
+
+
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_generations_do_not_depend_on_the_worker_count(mode, tmp_path):
+    histories = {}
+    for workers in (0, 2, 4, 8):
+        kernel, app = make_cluster(
+            seed=7,
+            workers=workers,
+            components=8,
+            mode=mode,
+            tmp_path=tmp_path / str(workers),
+        )
+        assert app.coordinator.generation == 1
+        app.kill_component("comp3")
+        kernel.run(until=kernel.now + 5.0)
+        assert app.coordinator.generation == 2 and not app.coordinator.paused
+        assert all(r.resumed_at is not None for r in app.coordinator.history)
+        assert app.trace.count("reconcile.superseded") == 0
+        histories[workers] = generations(app)
+        kernel.check_no_crashes()
+        app.shutdown()
+    members = tuple(f"comp{i}#0" for i in range(8))
+    assert histories[0] == [
+        (1, "join", (), ("client#0",) + members),
+        (2, "failure", ("comp3#0",), ()),
+    ]
+    assert histories[2] == histories[4] == histories[8] == histories[0]
+
+
+def test_the_history_does_not_wait_for_a_client_to_join():
+    kernel = Kernel(seed=7)
+    spawned = []
+    spawn = kernel.spawn
+
+    def recording_spawn(coro, process=None, name="task"):
+        spawned.append(name)
+        return spawn(coro, process, name)
+
+    kernel.spawn = recording_spawn
+    app = KarApplication(kernel, KarConfig.fast_test(), "headless", workers=2)
+    app.register_actor(Echo, "Echo")
+    for index in range(4):
+        app.add_component(f"comp{index}", ("Echo",))
+    kernel.run(until=kernel.now + 2.0)
+    assert generations(app) == [
+        (1, "join", (), tuple(f"comp{i}#0" for i in range(4)))
+    ]
+    assert app.coordinator.history[0].resumed_at is not None
+    # One group, one watchdog: the workers brought none of their own.
+    assert [n for n in spawned if n.startswith("watchdog:")] == ["watchdog:headless"]
 
 
 # ----------------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_set_multiple_costs_one_round_trip():
 
 
 def test_get_multiple_costs_at_most_one_round_trip():
-    kernel, app = stateful_app(seed=221, state_cache=False)
+    kernel, app = stateful_app(seed=221)
     ref = actor_proxy("Stateful", "s")
     app.run_call(ref, "put_many", {"a": 1, "b": 2})
     before = app.store.operation_count
@@ -313,20 +313,22 @@ def test_hot_reads_served_from_write_through_cache():
 def test_get_all_agrees_warm_and_cold_for_none_and_removed_fields():
     # A stored None and a removed field must read identically through the
     # warm cache and straight from the store.
-    expectations = {}
-    for seed, state_cache in ((224, True), (225, False)):
-        kernel, app = stateful_app(seed=seed, state_cache=state_cache)
-        ref = actor_proxy("Stateful", "s")
-        app.run_call(ref, "put", "flag", None)
-        app.run_call(ref, "put", "gone", 1)
-        app.run_call(ref, "drop", "gone")
-        expectations[state_cache] = (
-            app.run_call(ref, "read_all"),
-            app.run_call(ref, "read", "flag"),
-            app.run_call(ref, "read", "gone"),
-        )
-    assert expectations[True] == expectations[False]
-    assert expectations[True][0] == {"flag": None}
+    kernel, app = stateful_app(seed=224)
+    ref = actor_proxy("Stateful", "s")
+    app.run_call(ref, "put", "flag", None)
+    app.run_call(ref, "put", "gone", 1)
+    app.run_call(ref, "drop", "gone")
+    api = app.api("client")
+
+    def cold(operation):
+        return kernel.run_until_complete(kernel.spawn(operation))
+
+    assert app.run_call(ref, "read_all") == {"flag": None}
+    assert cold(api.state_all("Stateful", "s")) == {"flag": None}
+    assert app.run_call(ref, "read", "flag") is None
+    assert cold(api.state_get("Stateful", "s", "flag")) == (True, None)
+    assert app.run_call(ref, "read", "gone") is None
+    assert cold(api.state_get("Stateful", "s", "gone")) == (False, None)
 
 
 def test_state_of_write_stays_coherent_with_resident_cache():

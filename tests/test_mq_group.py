@@ -6,9 +6,7 @@ from repro.mq import (
     Broker,
     BrokerConfig,
     FencedMemberError,
-    GenerationInfo,
     GroupCoordinator,
-    GroupState,
 )
 from repro.sim import Kernel, Latency, SimProcess
 
@@ -42,7 +40,7 @@ def test_join_creates_generation():
     group.join("m1", process)
     kernel.run(until=5.0)
     assert group.generation == 1
-    assert group.live_members == ("m1",)
+    assert group.member_ids() == ("m1",)
     assert group.leader == "m1"
     assert not group.paused
 
@@ -54,7 +52,7 @@ def test_simultaneous_joins_coalesce():
         group.join(name, SimProcess(name))
     kernel.run(until=5.0)
     assert group.generation == 1
-    assert group.live_members == ("m1", "m2", "m3")
+    assert group.member_ids() == ("m1", "m2", "m3")
 
 
 def test_duplicate_member_rejected():
@@ -65,7 +63,7 @@ def test_duplicate_member_rejected():
     # Start the tasks the first join spawned: a coroutine dropped before its
     # first step is a "never awaited" RuntimeWarning at collection time.
     kernel.run(until=1.0)
-    assert group.live_members == ("m1",)
+    assert group.member_ids() == ("m1",)
 
 
 def test_failure_detected_within_session_timeout():
@@ -82,7 +80,7 @@ def test_failure_detected_within_session_timeout():
     victim.kill()
     kernel.run(until=kill_time + 40.0)
 
-    assert group.live_members == ("survivor",)
+    assert group.member_ids() == ("survivor",)
     assert broker.is_fenced("victim")
     record = group.history[-1]
     assert record.failed == ("victim",)
@@ -197,7 +195,7 @@ def test_failure_during_rebalance_restarts_it():
     kernel.run(until=22.0)  # watchdog evicts "a", rebalance starts
     b.kill()  # second failure while first recovery is in flight
     kernel.run(until=60.0)
-    assert group.live_members == ("c",)
+    assert group.member_ids() == ("c",)
     assert not group.paused
     # Both failures eventually reflected in history.
     failed = {name for record in group.history for name in record.failed}
@@ -220,74 +218,19 @@ def test_empty_group_resumes_itself():
     kernel.run(until=5.0)
     solo.kill()
     kernel.run(until=60.0)
-    assert group.live_members == ()
+    assert group.member_ids() == ()
     assert not group.paused
 
 
 # ----------------------------------------------------------------------
-# the shared group state: views race through it, a rebuilt one starts clean
+# a rebuilt coordinator keeps the generation and nothing of the session
 # ----------------------------------------------------------------------
-class ContendedState(GroupState):
-    """A rival view's bump lands between this view's read and its CAS, once
-    (what separate round trips to a store-backed state would allow)."""
-
-    rival = None
-
-    def cas_generation(self, expected, new):
-        rival, self.rival = self.rival, None
-        if rival is not None:
-            rival()
-        return super().cas_generation(expected, new)
-
-
-def test_views_race_the_generation_bump_and_the_loser_adopts():
-    kernel, broker, _group = make_group()
-    state = ContendedState(broker.log, "app")
-    winner = GroupCoordinator(broker, "app", "app-topic", state=state)
-    loser = GroupCoordinator(broker, "app", "app-topic", state=state)
-    delivered = []
-    loser.on_generation(delivered.append)
-    loser.join("m1", SimProcess("m1"))
-    published = []
-
-    def rival():
-        members = state.member_ids()
-        assert state.cas_generation(0, 1)
-        published.append(winner._publish_generation(1, set(members)))
-
-    state.rival = rival
-    kernel.run(until=5.0)
-    assert published and state.rival is None  # the race happened
-    assert state.generation == 1  # one bump, not two
-    assert state.cas_generation(0, 1) is False and state.generation == 1
-    assert delivered == published  # the loser delivered the winner's outcome
-    assert delivered[0].members == ("m1",) and delivered[0].joined == ("m1",)
-    assert loser.history[-1].generation == 1
-
-
-def test_view_without_members_learns_generations_by_polling():
-    kernel, broker, group = make_group()
-    auto_resume(group)
-    observer = GroupCoordinator(broker, "app", "app-topic", state=group.state)
-    observer.ensure_watchdog()
-    seen = []
-    observer.on_generation(lambda info: seen.append((kernel.now, info.generation)))
-    group.join("m1", SimProcess("m1"))
-    kernel.run(until=5.0)
-    (decided,) = [record.completed_at for record in group.history]
-    # Not called back by the deciding view: found at its next watchdog tick.
-    assert [generation for _at, generation in seen] == [1]
-    assert decided < seen[0][0] <= decided + 0.5
-    assert observer.member_ids() == ("m1",) and observer.is_member("m1")
-
-
 def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
     kernel, broker, group = make_group()
     group.join("m1", SimProcess("m1"))
     kernel.run(until=5.0)
     assert group.generation == 1 and group.paused  # nobody resumed it
     assert group.member_ids() == ("m1",)
-    assert isinstance(group.state.last_info, GenerationInfo)
     group.close()
 
     rebuilt = GroupCoordinator(broker, "app", "app-topic")
@@ -295,8 +238,7 @@ def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
     # Session state describes processes that are gone: none of it survives.
     assert rebuilt.member_ids() == () and not rebuilt.is_member("m1")
     assert not rebuilt.paused
-    assert rebuilt.state.last_info is None
-    assert rebuilt.state.members_at_generation == frozenset()
+    assert rebuilt.members == {} and rebuilt.history == []
     auto_resume(rebuilt)
     rebuilt.join("m2", SimProcess("m2"))
     kernel.run(until=10.0)
@@ -395,7 +337,7 @@ def test_records_appended_under_a_pause_wait_for_resume():
     deliveries = []
     poll_into(kernel, bob, deliveries)
     kernel.run(until=6.0)
-    group._pause()
+    group.paused = True
     broker.produce_internal_batch("app-topic", [("m2", "held")])
     kernel.run(until=8.0)
     assert deliveries == [] and broker.consume_count == 0

@@ -20,7 +20,7 @@ from repro.mq import (
     Broker,
     BrokerConfig,
     FileJournalLog,
-    GroupState,
+    GroupCoordinator,
     MemoryBrokerLog,
 )
 from repro.mq.errors import StaleLeaseError
@@ -258,12 +258,12 @@ def move_lease(kernel, broker):
 
 
 def bump_generation(kernel, broker):
-    state = GroupState(broker.log, "app")
+    group = GroupCoordinator(broker, "app", "t")
     try:
-        assert state.cas_generation(0, 1)
+        assert group._bump_generation() == 1
     finally:  # refused or not, the counter is what the journal says
         journaled = broker.log.get_meta("group:app:generation")
-        assert state.generation == (journaled or 0)
+        assert group.generation == (journaled or 0)
 
 
 MUTATIONS = [append, compact, drop, set_meta, move_lease, bump_generation]
