@@ -1,15 +1,16 @@
-"""Zipfian skew: adaptive placement vs. static bounded-load hashing.
+"""Zipfian skew: adaptive placement vs. hosting by count alone.
 
-Static consistent hashing balances component *counts*; a zipfian workload
-(s = 2.0 over 8 components, so the hottest partition draws ~65% of all
-calls) pins one worker loop while three idle. The adaptive placement
-controller closes the gap live: it detects the hot component from the
-decaying load plane, splits it into sub-partitions, and spreads the
-children across workers -- mid-burst, over the same drain -> fence ->
-replay handoff that covers crashes.
+Hosting balances component *counts*; a zipfian workload (s = 2.0 over 8
+components, so the hottest partition draws ~65% of all calls) pins one
+worker loop while three idle. The placement controller closes the gap
+live: it detects the hot component from the decaying load plane, splits it
+into sub-partitions, and spreads the children across workers -- mid-burst,
+over the same drain -> fence -> replay handoff that covers crashes.
 
 Both modes run the identical closed-loop driver pool over the same call
-schedule on 4 workers; the only difference is ``adaptive_placement``.
+schedule on 4 workers; the only difference is the controller's thresholds:
+the static row sets them where it plans nothing
+(``split_threshold=inf, rebalance_threshold=1.0``).
 Gates: adaptive throughput >=
 1.5x static, zero lost and zero doubled commits in both modes, and at
 least one split actually performed in the adaptive run.
@@ -17,6 +18,7 @@ least one split actually performed in the adaptive run.
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.bench import render_table
@@ -40,7 +42,7 @@ CALLS = 3000 if FULL else 1800
 #: of replaying an unbounded open-loop queue.
 DRIVERS = 48
 
-#: Acceptance floor: adaptive placement must beat static hashing by this
+#: Acceptance floor: adaptive placement must beat static hosting by this
 #: factor under the skewed workload.
 RATIO_FLOOR = 1.5
 
@@ -64,15 +66,14 @@ def _deploy(adaptive: bool, seed: int):
     kernel = Kernel(seed=seed)
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=LOOP_COST,
-        adaptive_placement=adaptive,
         load_halflife=0.4,
         # The cooldown must outlast the load-signal lag (a few halflives):
         # acting faster than the windows decay reads yesterday's imbalance
         # as today's and over-corrects into a migration spiral.
         rebalance_cooldown=1.2,
-        split_threshold=0.35,
+        split_threshold=0.35 if adaptive else math.inf,
         split_factor=8,
-        rebalance_threshold=0.6,
+        rebalance_threshold=0.6 if adaptive else 1.0,
         # Under sustained overload the hot component never fully quiesces;
         # a short drain keeps each handoff's stop-the-partition window tight.
         drain_timeout=0.3,
@@ -217,7 +218,7 @@ def test_adaptive_beats_static_under_zipfian_skew(benchmark):
             title=(
                 f"Zipfian skew (s={ZIPF_S}, {COMPONENTS} components, "
                 f"{WORKERS} workers, loop cost {LOOP_COST * 1000:.0f}ms): "
-                "static hashing vs. adaptive placement"
+                "static hosting vs. adaptive placement"
             ),
             digits=3,
         ),

@@ -68,7 +68,7 @@ STORM_RATIO_FLOOR = 3.0
 #: (the acceptance criteria of the scale-out runtime).
 SCALEOUT_SPEEDUP_2W_FLOOR = 1.5
 SCALEOUT_SPEEDUP_4W_FLOOR = 2.0
-#: Absolute floor for adaptive placement vs static hashing under zipfian
+#: Absolute floor for adaptive placement vs static hosting under zipfian
 #: skew (the acceptance criterion of the placement controller).
 ZIPF_RATIO_FLOOR = 1.5
 #: The serving-edge acceptance criterion: the full distinct-key population

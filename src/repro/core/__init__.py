@@ -37,14 +37,17 @@ from repro.core.overload import (
     OverloadGuard,
     RetryBudget,
 )
-from repro.core.placement import PlacementService
+from repro.core.placement import (
+    PlacementService,
+    parent_partition,
+    sub_partition_names,
+)
 from repro.core.placement_ctl import PlacementController
 from repro.core.refs import ActorRef, actor_proxy
 from repro.core.reminders import ReminderAPI
 from repro.core.retention import RetentionSet
 from repro.core.router import Router
 from repro.core.runtime import Component
-from repro.core.sharding import HashRing, parent_partition, sub_partition_names
 from repro.core.state import ActorStateAPI, ActorStateCache
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "ControlPlane",
     "DeadLetter",
     "DecayingCounter",
-    "HashRing",
     "InvocationCancelled",
     "KarApi",
     "KarApplication",

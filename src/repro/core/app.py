@@ -30,6 +30,7 @@ from repro.core.config import KarConfig
 from repro.core.envelope import Request, Response
 from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
 from repro.core.refs import ActorRef
+from repro.core.reminders import REMINDERS_KEY
 from repro.core.runtime import Component
 from repro.kvstore import KVStore, StoreBackend
 from repro.mq import Broker, BrokerLog, GroupCoordinator
@@ -114,7 +115,9 @@ class KarApplication:
         self._client: Component | None = None
         self._api: KarApi | None = None
         self._shutdown = False
-        self.reminders_in_use = False
+        #: Gates the leader's reminder sweep. Read from the store, so a
+        #: reminder persisted by an earlier boot still fires after a restart.
+        self.reminders_in_use = bool(self.store.backend.hgetall(REMINDERS_KEY))
         self.external_services: list[Any] = []
         #: Serving-edge observability plane: the attached HTTP gateway's
         #: ``stats`` method (``repro.net.gateway``), surfaced as
@@ -246,7 +249,7 @@ class KarApplication:
     ) -> Component:
         """Start the next incarnation of ``name``: one epoch up (a new member
         id and queue), on ``worker`` or, for a component that hosts actors
-        while workers exist, on the one the control plane's ring assigns.
+        while workers exist, on the one the control plane assigns.
         Client components stay worker-less beside any number of workers."""
         old = self.components.get(name)
         if old is not None:
@@ -255,7 +258,7 @@ class KarApplication:
             if old.worker is not None:
                 old.worker.hosted.discard(name)
         if worker is None and types and self.control.workers:
-            worker = self.control.assign_worker(name)
+            worker = self.control.assign_workers()[0]
         epoch = self._epochs.get(name, -1) + 1
         self._epochs[name] = epoch
         self.broker.log.set_meta(f"app:{self.name}:epoch:{name}", epoch)

@@ -1,55 +1,55 @@
 """Multi-worker scale-out: N event loops over the shared durable backends.
 
 The paper's deployment (Section 5) is many sidecar processes sharing one
-Kafka and one Redis. This module reproduces that shape inside the simulator:
+Kafka and one Redis; where a sidecar runs is outside its model. Here:
 
-- a :class:`KarWorker` is one worker event loop -- its own failure domain
-  (a :class:`~repro.sim.SimProcess`) and a :class:`WorkerLoop` busy horizon
+- a :class:`KarWorker` is one worker event loop: a failure domain (a
+  :class:`~repro.sim.SimProcess`) and a :class:`WorkerLoop` busy horizon
   that serializes the CPU cost of every actor invocation it hosts
   (``KarConfig.worker_loop_cost``). With a positive cost one worker is a
-  genuine throughput ceiling, and sharding components across N workers buys
-  ~N x;
+  throughput ceiling and N workers buy ~N x;
 - a :class:`ControlPlane` is what every
-  :class:`~repro.core.app.KarApplication` builds from its ``workers=``
-  argument and holds as ``app.control``: worker lifecycle (add, graceful
-  remove, kill), consistent-hash assignment of actor-hosting components to
-  workers (:mod:`repro.core.sharding`), worker failure detection through
-  store heartbeats, the live partition-handoff protocol and the adaptive
-  placement actions. How many workers run is deployment, not type: with
-  none the control plane is inert (no task, no timer).
+  :class:`~repro.core.app.KarApplication` builds from ``workers=`` and
+  holds as ``app.control``: worker lifecycle (add, graceful remove, kill),
+  failure detection (store heartbeats, lease ages), the handoff and the
+  placement actions. With no workers it is inert (no task, no timer).
 
-The handoff protocol (drain -> fence old epoch -> replay tail -> resume):
+One rule says which worker hosts a component,
+:meth:`ControlPlane.assign_workers`: live workers sorted least busy, then
+fewest hosted, then id. It places a new component, a failed or removed
+worker's components, a migration whose target died and a split's
+children. A worker *join* levels hosted counts: the fullest worker hands
+components to the emptiest until they differ by at most one.
+
+Every move is one handoff:
 
 1. **drain** -- the leaving component finishes in-flight frames and flushes
    its send outbox (:meth:`~repro.core.runtime.Component.drain`), bounded
    by ``drain_timeout``;
-2. **fence** -- the old incarnation leaves the group (or, on a crash, is
-   evicted by the session-timeout watchdog); either way the broker fences
-   its member id, and the successor's partition-lease acquisition at
-   ``epoch + 1`` fences whatever zombie survives even a cold restart;
+2. **fence** -- the old incarnation leaves the group (on a crash, the
+   session-timeout watchdog evicts it); the broker fences its member id,
+   and the successor's partition lease at ``epoch + 1`` fences whatever
+   zombie survives even a cold restart;
 3. **replay tail** -- the rebalance elects a leader whose reconciliation
-   re-places every request stranded in the old incarnation's queue onto
-   the live membership (the paper's retry orchestration: dedup by
-   (request id, step) keeps the replay exactly-once);
-4. **resume** -- the leader lifts the group pause and traffic continues
-   against the new incarnation, whose placement entries are unchanged
-   (placement stores component *names*, so moving a component between
-   workers never invalidates where its actors live).
+   re-places every request stranded in the old incarnation's queue (the
+   paper's retry orchestration; dedup by (request id, step) keeps the
+   replay exactly-once);
+4. **resume** -- the leader lifts the group pause. Placement stores
+   component *names*, so a move never invalidates where actors live.
 
-How workers agree: every component, on any worker or none, is a member of
-the application's one :class:`~repro.mq.GroupCoordinator`, as every consumer
-of a Kafka group talks to its one coordinator. Worker *liveness* is what goes
-through ``app.store.backend``: each worker writes a heartbeat hash there and
-the control loop sweeps it.
+Every component, on any worker or none, is a member of the application's
+one :class:`~repro.mq.GroupCoordinator`. Worker *liveness* goes through
+``app.store.backend``: each worker writes a heartbeat hash there and the
+control loop sweeps it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Coroutine, Sequence
 
+from repro.core.placement import parent_partition, sub_partition_names
 from repro.core.placement_ctl import PlacementController
-from repro.core.sharding import HashRing, parent_partition, sub_partition_names
 from repro.sim import Kernel, SimProcess
 
 if TYPE_CHECKING:
@@ -291,10 +291,11 @@ class KarWorker:
 class ControlPlane:
     """The worker side of one application: who runs, and what runs where.
 
-    Shards actor-hosting components across the worker loops by consistent
-    hashing and migrates them on worker join, graceful leave, crash, and
-    load. Client components (no actor types) never land on a worker,
-    exactly like the paper's simulators driving the deployment from outside.
+    Hosts actor-hosting components on the worker loops
+    (:meth:`assign_workers`) and moves them on worker join, graceful leave,
+    crash, and load. Client components (no actor types) never land on a
+    worker, exactly like the paper's simulators driving the deployment from
+    outside.
     """
 
     def __init__(self, app: "KarApplication", worker_ids: Sequence[str]):
@@ -345,23 +346,21 @@ class ControlPlane:
             if worker.alive and not worker.retired
         ]
 
-    def assign_worker(self, name: str) -> KarWorker:
-        """Consistent-hash placement with bounded load.
-
-        Walks ``name``'s ring successors and takes the first live worker
-        whose hosted count is minimal -- ring-stable under membership
-        change, perfectly balanced under incremental adds.
-        """
-        live = self._live_workers()
+    def assign_workers(self, count: int = 1) -> list[KarWorker]:
+        """The one placement rule: ``count`` live workers, least busy first,
+        then fewest hosted, then id, cycling when ``count`` exceeds them."""
+        now = self.kernel.now
+        live = sorted(
+            self._live_workers(),
+            key=lambda worker: (
+                worker.loop.busy_rate(now),
+                len(worker.hosted),
+                worker.worker_id,
+            ),
+        )
         if not live:
             raise RuntimeError("no live workers to host components")
-        by_id = {worker.worker_id: worker for worker in live}
-        ring = HashRing(sorted(by_id))
-        floor = min(len(worker.hosted) for worker in live)
-        for worker_id in ring.successors(name):
-            if len(by_id[worker_id].hosted) <= floor:
-                return by_id[worker_id]
-        return by_id[next(iter(ring.successors(name)))]  # pragma: no cover
+        return [live[index % len(live)] for index in range(count)]
 
     def worker_of(self, component_name: str) -> str | None:
         component = self.app.components.get(component_name)
@@ -373,7 +372,7 @@ class ControlPlane:
     # worker lifecycle
     # ------------------------------------------------------------------
     def add_worker(self, worker_id: str | None = None) -> KarWorker:
-        """Start a new worker loop and migrate its ring share onto it."""
+        """Start a new worker loop and level hosted counts onto it."""
         if worker_id is None:
             index = len(self.workers)
             while f"w{index}" in self.workers:
@@ -411,12 +410,25 @@ class ControlPlane:
                 component.process.kill()
         worker.process.kill()
 
-    async def remove_worker_async(self, worker_id: str) -> None:
+    def remove_worker_async(self, worker_id: str) -> Coroutine[Any, Any, None]:
         """Graceful leave: hand off every hosted component (drain -> fence
         the old epoch -> restart elsewhere), then stop the worker loop. The
         settled set must match a crash's -- the only difference is who pays
-        (drain here, reconciliation there)."""
+        (drain here, reconciliation there).
+
+        Refused, before anything is retired, when no other live worker could
+        take what this one hosts.
+        """
         worker = self.workers[worker_id]
+        if worker.hosted and set(self._live_workers()) <= {worker}:
+            raise ValueError(
+                f"worker {worker_id!r} hosts components and is the last "
+                "live worker"
+            )
+        return self._retire_worker(worker)
+
+    async def _retire_worker(self, worker: KarWorker) -> None:
+        worker_id = worker.worker_id
         worker.retired = True
         self.trace.emit(
             "worker.retire", worker=worker_id, hosted=sorted(worker.hosted)
@@ -430,7 +442,7 @@ class ControlPlane:
                     continue
                 drained = await component.drain(self.config.drain_timeout)
                 component.stop()
-                self._rehost(name, drained, self.assign_worker(name))
+                self._rehost(name, drained, self.assign_workers()[0])
         finally:
             self._release_handoff_gate()
         worker.process.kill()
@@ -439,10 +451,8 @@ class ControlPlane:
         self, worker_id: str, timeout: float | None = 600.0
     ) -> None:
         """Synchronous driver for :meth:`remove_worker_async`."""
-        task = self.kernel.spawn(
-            self.remove_worker_async(worker_id),
-            name=f"cluster-leave:{worker_id}",
-        )
+        leave = self.remove_worker_async(worker_id)
+        task = self.kernel.spawn(leave, name=f"cluster-leave:{worker_id}")
         self.kernel.run_until_complete(task, timeout=timeout)
 
     def _rehost(self, name: str, drained: bool, target: KarWorker) -> None:
@@ -468,53 +478,50 @@ class ControlPlane:
     def _release_handoff_gate(self) -> None:
         self._handoff_active = False
 
-    def _target_worker(self, target_id: str | None, name: str) -> KarWorker:
+    def _target_worker(self, target_id: str) -> KarWorker:
         """Re-validate a migration target *after* the drain.
 
         The drain can outlast the target: a worker killed while it is the
         destination of an in-flight handoff must not strand the draining
-        component, so a dead or retired target falls back to ring
-        assignment over the current live set.
+        component, so a dead or retired target falls back to
+        :meth:`assign_workers` over the current live set.
         """
-        if target_id is not None:
-            target = self.workers.get(target_id)
-            if target is not None and target.alive and not target.retired:
-                return target
-        return self.assign_worker(name)
+        target = self.workers.get(target_id)
+        if target is not None and target.alive and not target.retired:
+            return target
+        return self.assign_workers()[0]
 
     # ------------------------------------------------------------------
     # adaptive placement actions (invoked by the placement controller)
     # ------------------------------------------------------------------
-    async def _migrate_component(
-        self, name: str, target_id: str | None
-    ) -> bool:
-        """Load-triggered move of one component: the same drain -> fence ->
-        replay handoff as a worker join, aimed at a chosen target."""
+    async def _migrate_component(self, name: str, target_id: str) -> bool:
+        """Move one component to a chosen worker: the drain -> fence -> replay
+        handoff, for the placement controller and for a worker join."""
         await self._acquire_handoff_gate()
         try:
-            component = self.app.components.get(name)
-            if (
-                component is None
-                or not component.alive
-                or component.worker is None
-            ):
-                return False
-            source = component.worker
-            drained = await component.drain(self.config.drain_timeout)
-            if not component.alive:
-                # Crashed mid-drain; the failure path owns the re-host.
-                return False
-            component.stop()
-            source.hosted.discard(name)
-            windows = source.loop.export_component(name)
-            target = self._target_worker(target_id, name)
-            self._rehost(name, drained, target)
-            # The load history moves with the component so the controller
-            # keeps seeing its true hotness across the handoff.
-            target.loop.adopt_component(name, windows)
-            return True
+            return await self._move_component(name, target_id)
         finally:
             self._release_handoff_gate()
+
+    async def _move_component(self, name: str, target_id: str) -> bool:
+        """The move itself; the caller holds the handoff gate."""
+        component = self.app.components.get(name)
+        if component is None or not component.alive or component.worker is None:
+            return False
+        source = component.worker
+        drained = await component.drain(self.config.drain_timeout)
+        if not component.alive:
+            # Crashed mid-drain; the failure path owns the re-host.
+            return False
+        component.stop()
+        source.hosted.discard(name)
+        windows = source.loop.export_component(name)
+        target = self._target_worker(target_id)
+        self._rehost(name, drained, target)
+        # The load history moves with the component so the controller
+        # keeps seeing its true hotness across the handoff.
+        target.loop.adopt_component(name, windows)
+        return True
 
     async def _split_component(self, name: str) -> bool:
         """Split a hot component into sub-partitions spread over workers.
@@ -559,7 +566,7 @@ class ControlPlane:
                 children=list(children),
                 drained=drained,
             )
-            targets = self._spread_targets(len(children))
+            targets = self.assign_workers(len(children))
             for child, target in zip(children, targets):
                 self.app.add_component(child, types, worker=target)
             return True
@@ -602,21 +609,6 @@ class ControlPlane:
             return True
         finally:
             self._release_handoff_gate()
-
-    def _spread_targets(self, count: int) -> list[KarWorker]:
-        """The ``count`` least-busy live workers, cycling if needed."""
-        now = self.kernel.now
-        live = sorted(
-            self._live_workers(),
-            key=lambda worker: (
-                worker.loop.busy_rate(now),
-                len(worker.hosted),
-                worker.worker_id,
-            ),
-        )
-        if not live:
-            raise RuntimeError("no live workers to host components")
-        return [live[index % len(live)] for index in range(count)]
 
     # ------------------------------------------------------------------
     # control loop: worker failure detection via store heartbeats
@@ -711,52 +703,45 @@ class ControlPlane:
             worker.process.kill()
 
     async def _rebalance_components(self) -> None:
-        """Migrate components whose ring assignment moved (worker join).
+        """A worker joined: re-host what went down with a failed worker no
+        survivor could relieve, then level hosted counts.
 
-        The assignment is load-weighted when the load plane has signal:
-        components carry their measured busy rates onto the ring, so a
-        join rebalance spreads *load*, not just counts (idle workers fall
-        back to the count rule). Each move re-validates its target after
-        the drain -- a worker killed while it is the target of an in-flight
-        handoff must not strand the draining component.
+        The fullest live worker hands a component to the emptiest until
+        their counts differ by at most one. Each move is chosen under the
+        handoff gate, from the counts as they then are, and names its
+        target, so every move narrows the gap and two joins at once level
+        once.
         """
-        live_ids = sorted(
-            worker.worker_id for worker in self._live_workers()
-        )
-        if not live_ids:
+        if not self._live_workers():
             return
         for name in sorted(self.app.components):
             host = self.app.components[name].worker
             failed = host is not None and host.retired and not host.alive
             if failed and name in host.hosted:
-                # Went down with its failed worker when no survivor could
-                # take it (a re-hosted component leaves ``hosted``).
+                # A re-hosted component leaves ``hosted``.
                 self.migrations += 1
                 self.app.restart_component(name)
-        hosted_names = sorted(
-            name
-            for name, component in self.app.components.items()
-            if component.worker is not None and component.alive
-        )
-        now = self.kernel.now
-        weights = {
-            name: load["busy_rate"]
-            for worker in self._live_workers()
-            for name, load in worker.loop.component_loads(now).items()
-            if name in worker.hosted
-        }
-        desired = HashRing(live_ids).assign(hosted_names, weights=weights)
-        for name in hosted_names:
-            component = self.app.components.get(name)
-            if component is None or not component.alive:
-                continue
-            current = component.worker
-            if (
-                current is not None
-                and current.worker_id == desired.get(name)
-            ):
-                continue
-            await self._migrate_component(name, desired.get(name))
+        while True:
+            await self._acquire_handoff_gate()
+            try:
+                by_count = sorted(
+                    self._live_workers(),
+                    key=lambda worker: (len(worker.hosted), worker.worker_id),
+                )
+                if not by_count:
+                    return
+                emptiest, fullest = by_count[0], by_count[-1]
+                name = min(
+                    (n for n in fullest.hosted if self.app.components[n].alive),
+                    default=None,
+                )
+                gap = len(fullest.hosted) - len(emptiest.hosted)
+                if gap <= 1 or name is None:
+                    return
+                if not await self._move_component(name, emptiest.worker_id):
+                    return
+            finally:
+                self._release_handoff_gate()
 
     # ------------------------------------------------------------------
     # evidence surface and lifecycle
@@ -764,7 +749,6 @@ class ControlPlane:
     def placement_stats(self) -> dict[str, Any]:
         """``stats("placement")``: everything at rest with no workers."""
         return {
-            "adaptive": self.config.adaptive_placement,
             "migrations": self.migrations,
             "splits": self.splits,
             "merges": self.merges,
@@ -774,7 +758,7 @@ class ControlPlane:
                 for parent, children in sorted(self.split_children.items())
             },
             "controller": self.placement_ctl.stats(),
-            "load": self.placement_ctl.load_snapshot(),
+            "load": self.placement_ctl.load,
         }
 
     def workers_stats(self) -> dict[str, Any]:

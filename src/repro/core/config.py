@@ -131,12 +131,6 @@ class KarConfig:
     drain_timeout: float = 30.0
 
     # --- adaptive placement (core/placement_ctl.py) --------------------------
-    # Master switch for the load-aware placement controller (ablation
-    # switch: the zipf benchmark measures against it). When False the
-    # control plane still samples and publishes the load plane (the evidence
-    # surface stays live) but never migrates, splits, or merges -- placement
-    # stays the static bounded-load consistent hash.
-    adaptive_placement: bool = True
     # Worker busy-rate imbalance, (max - min) / max, above which the
     # controller migrates the hottest component off the busiest worker.
     rebalance_threshold: float = 0.5

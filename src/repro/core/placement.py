@@ -15,18 +15,45 @@ pays full store cost per invocation.
 
 from __future__ import annotations
 
+import re
 import zlib
 
 from repro.core.errors import NoPlacementError
 from repro.core.refs import ActorRef
-from repro.core.sharding import parent_partition
 from repro.kvstore import StoreClient
 
-__all__ = ["PlacementService", "placement_key"]
+__all__ = [
+    "PlacementService",
+    "parent_partition",
+    "placement_key",
+    "sub_partition_names",
+]
+
+#: Trailing suffix of a sub-partition name minted by a hot-component split.
+_SUB_PARTITION_RE = re.compile(r"^(?P<parent>.+)\.s\d+$")
 
 
 def placement_key(ref: ActorRef) -> str:
     return f"placement:{ref.type}:{ref.id}"
+
+
+def sub_partition_names(parent: str, count: int) -> tuple[str, ...]:
+    """Names of the ``count`` sub-partitions a split of ``parent`` creates.
+
+    The names are ordinary component names (they join the group, hold
+    epoch-fenced partition leases, and are hosted on workers like any other
+    component); the ``.s<i>`` suffix only records lineage so the controller
+    can merge them back when the parent's load cools.
+    """
+    if count < 2:
+        raise ValueError("a split needs at least 2 sub-partitions")
+    return tuple(f"{parent}.s{index}" for index in range(count))
+
+
+def parent_partition(name: str) -> str | None:
+    """The parent component a sub-partition split from, or ``None``."""
+    match = _SUB_PARTITION_RE.match(name)
+    return match.group("parent") if match else None
 
 
 def rekey_choice(

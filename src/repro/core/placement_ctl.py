@@ -1,17 +1,14 @@
 """Load-aware placement control (the adaptive half of the scale-out story).
 
-Static bounded-load consistent hashing balances component *counts*; under
-zipfian traffic one hot component pins a single worker loop while the rest
-idle. This module closes the loop:
+Hosting by count leaves one hot component pinning a single worker loop under
+zipfian traffic while the rest idle. Each control tick closes the loop:
 
-- the **load plane**: each control tick samples every live worker's
-  decaying busy window and per-component load from its
-  :class:`~repro.core.cluster.WorkerLoop` and publishes the snapshot
-  through the shared store (``_cluster:<app>:load``), so any observer --
-  human or worker -- reads the same view of current hotness;
-- the **controller**: on the same tick it plans at most
-  ``MIGRATION_BUDGET`` placement actions, with hysteresis
-  (``rebalance_cooldown``) so it reacts to sustained skew, not noise:
+- the **load plane**: sample every live worker's decaying busy window and
+  per-component load from its :class:`~repro.core.cluster.WorkerLoop`; the
+  last sample is ``stats("placement")["load"]``;
+- the **controller**: plan at most ``MIGRATION_BUDGET`` actions from that
+  sample, with hysteresis (``rebalance_cooldown``) so it reacts to
+  sustained skew, not noise:
 
   * **merge** split children back into their parent once the busiest
     worker has idled below the merge floor for ``MERGE_PATIENCE_TICKS``
@@ -22,7 +19,9 @@ idle. This module closes the loop:
     worker imbalance ``(max - min) / max`` exceeds
     ``rebalance_threshold``.
 
-Every action rides the existing drain -> fence -> replay-tail handoff
+  ``split_threshold=inf`` with ``rebalance_threshold=1.0`` plans nothing.
+
+Every action rides the drain -> fence -> replay-tail handoff
 (:class:`~repro.core.cluster.ControlPlane`), so exactly-once settlement is
 preserved by the same machinery that covers crashes and joins.
 """
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.sharding import parent_partition
+from repro.core.placement import parent_partition
 
 if TYPE_CHECKING:
     from repro.core.cluster import ControlPlane
@@ -61,9 +60,9 @@ class PlacementController:
     def __init__(self, control: "ControlPlane"):
         self.control = control
         self.config = control.config
-        self.store_backend = control.app.store.backend
-        self.load_key = f"_cluster:{control.app.name}:load"
         self.ticks = 0
+        #: The last load-plane sample (``{}`` before the first tick).
+        self.load: dict[str, Any] = {}
         #: Actions planned, by kind (scheduled, not necessarily performed;
         #: the control plane counts performed ones).
         self.planned: dict[str, int] = {"migrate": 0, "split": 0, "merge": 0}
@@ -77,9 +76,7 @@ class PlacementController:
     def tick(self, now: float) -> None:
         self.ticks += 1
         worker_rates, component_loads = self._sample(now)
-        self._publish(worker_rates, component_loads)
-        if not self.config.adaptive_placement:
-            return
+        self.load = {"workers": worker_rates, "components": component_loads}
         if self._running:
             return
         if now - self._last_action_at < self.config.rebalance_cooldown:
@@ -107,19 +104,6 @@ class PlacementController:
                 if name in worker.hosted:
                     component_loads[name] = dict(load, worker=worker_id)
         return worker_rates, component_loads
-
-    def _publish(
-        self,
-        worker_rates: dict[str, float],
-        component_loads: dict[str, dict[str, Any]],
-    ) -> None:
-        """Whole-snapshot publish: stale entries never linger."""
-        self.store_backend.hset(self.load_key, "workers", worker_rates)
-        self.store_backend.hset(self.load_key, "components", component_loads)
-
-    def load_snapshot(self) -> dict[str, Any]:
-        """The last published load-plane snapshot (store-backed)."""
-        return dict(self.store_backend.hgetall(self.load_key))
 
     # ------------------------------------------------------------------
     # planning

@@ -17,9 +17,9 @@ from repro.core.refs import ActorRef
 if TYPE_CHECKING:
     from repro.core.runtime import Component
 
-__all__ = ["ReminderAPI", "deliver_due_reminders"]
+__all__ = ["REMINDERS_KEY", "ReminderAPI", "deliver_due_reminders"]
 
-_REMINDERS_KEY = "reminders"
+REMINDERS_KEY = "reminders"
 
 
 class ReminderAPI:
@@ -51,13 +51,13 @@ class ReminderAPI:
             "period": period,
         }
         await self._component.store_client.hset(
-            _REMINDERS_KEY, reminder_id, record
+            REMINDERS_KEY, reminder_id, record
         )
         self._component.app.reminders_in_use = True
 
     async def cancel(self, reminder_id: str) -> bool:
         return await self._component.store_client.hdel(
-            _REMINDERS_KEY, reminder_id
+            REMINDERS_KEY, reminder_id
         )
 
 
@@ -67,7 +67,7 @@ async def deliver_due_reminders(component: "Component") -> int:
     Tell first, update second: a crash in between re-fires on the next
     leader (at-least-once), never silently drops.
     """
-    table = await component.store_client.hgetall(_REMINDERS_KEY)
+    table = await component.store_client.hgetall(REMINDERS_KEY)
     fired = 0
     now = component.kernel.now
     for reminder_id, record in sorted(table.items()):
@@ -89,8 +89,8 @@ async def deliver_due_reminders(component: "Component") -> int:
             updated = dict(record)
             updated["due"] = now + record["period"]
             await component.store_client.hset(
-                _REMINDERS_KEY, reminder_id, updated
+                REMINDERS_KEY, reminder_id, updated
             )
         else:
-            await component.store_client.hdel(_REMINDERS_KEY, reminder_id)
+            await component.store_client.hdel(REMINDERS_KEY, reminder_id)
     return fired

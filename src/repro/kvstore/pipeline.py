@@ -1,13 +1,12 @@
 """Pipelined store I/O: one round trip for a turn's worth of operations.
 
-The send outbox removed the per-envelope produce round trip; this module
-does the same for the store. A :class:`PipelinedStoreClient` is the store
-connection every component uses: it has the surface of
-:class:`~repro.kvstore.store.StoreClient` (the one-operation-per-round-trip
-reference the tests compare it against) but enqueues each operation with
-its own future and lets a flusher coalesce everything issued within the
-same event-loop turn into a single backend round trip -- on SQLite one
-transaction, on the memory backend one call run.
+A :class:`PipelinedStoreClient` is the store connection every component
+uses. It is a :class:`~repro.kvstore.store.StoreClient` (the
+one-operation-per-round-trip reference the tests compare it against) that
+overrides one method, ``_submit``: each operation is queued with its own
+future and a flusher coalesces everything issued within the same event-loop
+turn into a single backend round trip -- on SQLite one transaction, on the
+memory backend one call run.
 
 Semantics are those of the reference client:
 
@@ -23,17 +22,17 @@ Semantics are those of the reference client:
   fence mid-batch fails that operation and every later one in the batch
   while the earlier results stand (the lingering-client contract).
 
-The win is round trips, which is the one cost simulated time can see: a
-component that issues N independent placement reads and evidence writes in
-one turn pays one store latency instead of N.
+The win is round trips, the one cost simulated time can see: N independent
+operations issued in one turn pay one store latency instead of N.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.kvstore.store import KVStore, StoreClient
+
 if TYPE_CHECKING:
-    from repro.kvstore.store import KVStore
     from repro.sim import SimProcess
 
 __all__ = ["PipelinedStoreClient"]
@@ -53,23 +52,21 @@ class _PendingOp:
         self.future = future
 
 
-class PipelinedStoreClient:
+class PipelinedStoreClient(StoreClient):
     """A store connection that coalesces same-turn operations.
 
-    API-compatible with :class:`~repro.kvstore.store.StoreClient`; every
-    ``Component`` builds one in ``start``. The flusher task runs on the
-    owning component's failure domain, so a dead component's queued
+    Every ``Component`` builds one in ``start``. The flusher task runs on
+    the owning component's failure domain, so a dead component's queued
     operations die with it -- just like its outbox.
     """
 
     def __init__(
         self,
-        store: "KVStore",
+        store: KVStore,
         client_id: str,
         process: "SimProcess | None" = None,
     ):
-        self.store = store
-        self.client_id = client_id
+        super().__init__(store, client_id)
         self.process = process
         self._queue: list[_PendingOp] = []
         self._flusher_running = False
@@ -78,9 +75,6 @@ class PipelinedStoreClient:
         self.ops_pipelined = 0
         self.largest_batch = 0
 
-    # ------------------------------------------------------------------
-    # the pipeline
-    # ------------------------------------------------------------------
     def _submit(self, apply: Callable[..., Any], *args: Any) -> Any:
         """Enqueue one operation; returns the future of its result."""
         future = self.store.kernel.create_future()
@@ -106,14 +100,11 @@ class PipelinedStoreClient:
             while self._queue:
                 batch = self._queue[:STORE_BATCH_MAX]
                 del self._queue[: len(batch)]
-                await self._round_trip()
+                await self.store.connection_round_trip(self.client_id)
                 self._apply_batch(batch)
         finally:
             # Whatever ends this task, the next operation starts another.
             self._flusher_running = False
-
-    async def _round_trip(self) -> None:
-        await self.store.connection_round_trip(self.client_id)
 
     def _apply_batch(self, batch: list[_PendingOp]) -> None:
         """Apply one batch inside a single kernel event.
@@ -147,41 +138,3 @@ class PipelinedStoreClient:
                 op.future.set_result(result)
             else:
                 op.future.set_exception(error)
-
-    # ------------------------------------------------------------------
-    # the StoreClient surface
-    # ------------------------------------------------------------------
-    async def get(self, key: str) -> Any:
-        return await self._submit(self.store._get, key)
-
-    async def set(self, key: str, value: Any) -> None:
-        return await self._submit(self.store._set, key, value)
-
-    async def delete(self, key: str) -> bool:
-        return await self._submit(self.store._delete, key)
-
-    async def cas(self, key: str, expected: Any, value: Any) -> bool:
-        return await self._submit(self.store._cas, key, expected, value)
-
-    async def hget(self, key: str, field: str) -> Any:
-        return await self._submit(self.store._hget, key, field)
-
-    async def hset(self, key: str, field: str, value: Any) -> None:
-        return await self._submit(self.store._hset, key, field, value)
-
-    async def hset_many(self, key: str, mapping: dict[str, Any]) -> None:
-        return await self._submit(self.store._hset_many, key, dict(mapping))
-
-    async def hget_many(
-        self, key: str, fields: tuple[str, ...]
-    ) -> dict[str, Any]:
-        return await self._submit(self.store._hget_many, key, tuple(fields))
-
-    async def hgetall(self, key: str) -> dict[str, Any]:
-        return await self._submit(self.store._hgetall, key)
-
-    async def hdel(self, key: str, field: str) -> bool:
-        return await self._submit(self.store._hdel, key, field)
-
-    async def delete_hash(self, key: str) -> bool:
-        return await self._submit(self.store._del_hash, key)

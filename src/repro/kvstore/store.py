@@ -1,21 +1,23 @@
 """Simulated Redis with latency, CAS, hashes, client fencing -- and
 pluggable storage.
 
-The store itself lives outside any application failure domain (the paper
-assumes the data store survives up to catastrophic failures, Section 3.3).
-Clients connect with an identity; fencing an identity makes every later
-operation from it fail, which implements forceful disconnection.
+The store lives outside any application failure domain (the paper assumes
+it survives up to catastrophic failures, Section 3.3). Clients connect with
+an identity; fencing an identity makes every later operation from it fail,
+which implements forceful disconnection. The fenced set is volatile service
+state: it guards against *lingering* clients, and none outlives a cold
+restart.
 
-The *service* behavior (round trips, fencing, operation accounting) lives
-here; the bytes live in a :class:`~repro.kvstore.backend.StoreBackend` --
-in-memory dicts by default, a WAL-mode SQLite file for durable runs. The
-fenced set is deliberately volatile service state: it guards against
-*lingering* clients, and no client outlives a cold restart.
+:class:`KVStore` is the service (round trips, fencing, operation
+accounting); the bytes live in its
+:class:`~repro.kvstore.backend.StoreBackend`. :class:`StoreClient` is where
+the eleven operations are defined, each one backend call handed to
+``_submit``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.kvstore.backend import MemoryStoreBackend, StoreBackend
 from repro.kvstore.errors import FencedClientError
@@ -88,15 +90,6 @@ class KVStore:
         if client_id in self._fenced:
             raise FencedClientError(client_id)
 
-    def _get(self, key: str) -> Any:
-        return self.backend.get(key)
-
-    def _set(self, key: str, value: Any) -> None:
-        self.backend.set(key, value)
-
-    def _delete(self, key: str) -> bool:
-        return self.backend.delete(key)
-
     def _cas(self, key: str, expected: Any, value: Any) -> bool:
         """Atomically set ``key`` to ``value`` iff it currently equals
         ``expected`` (``None`` meaning absent). Returns success.
@@ -109,27 +102,6 @@ class KVStore:
             return False
         self.backend.set(key, value)
         return True
-
-    def _hget(self, key: str, field: str) -> Any:
-        return self.backend.hget(key, field)
-
-    def _hset(self, key: str, field: str, value: Any) -> None:
-        self.backend.hset(key, field, value)
-
-    def _hset_many(self, key: str, mapping: dict[str, Any]) -> None:
-        self.backend.hset_many(key, mapping)
-
-    def _hget_many(self, key: str, fields: tuple[str, ...]) -> dict[str, Any]:
-        return self.backend.hget_many(key, fields)
-
-    def _hgetall(self, key: str) -> dict[str, Any]:
-        return self.backend.hgetall(key)
-
-    def _hdel(self, key: str, field: str) -> bool:
-        return self.backend.hdel(key, field)
-
-    def _del_hash(self, key: str) -> bool:
-        return self.backend.delete_hash(key)
 
     def keys(self, prefix: str = "") -> list[str]:
         """Snapshot of flat keys with the given prefix (test/inspection)."""
@@ -148,63 +120,49 @@ class StoreClient:
         self.store = store
         self.client_id = client_id
 
-    async def _round_trip(self) -> None:
+    async def _submit(self, apply: Callable[..., Any], *args: Any) -> Any:
+        """How one operation reaches the store: here, a round trip of its
+        own (the reference the pipelined client is compared against)."""
         await self.store.connection_round_trip(self.client_id)
+        self.store._check(self.client_id)
+        return apply(*args)
 
     async def get(self, key: str) -> Any:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._get(key)
+        return await self._submit(self.store.backend.get, key)
 
     async def set(self, key: str, value: Any) -> None:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        self.store._set(key, value)
+        return await self._submit(self.store.backend.set, key, value)
 
     async def delete(self, key: str) -> bool:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._delete(key)
+        return await self._submit(self.store.backend.delete, key)
 
     async def cas(self, key: str, expected: Any, value: Any) -> bool:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._cas(key, expected, value)
+        return await self._submit(self.store._cas, key, expected, value)
 
     async def hget(self, key: str, field: str) -> Any:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._hget(key, field)
+        return await self._submit(self.store.backend.hget, key, field)
 
     async def hset(self, key: str, field: str, value: Any) -> None:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        self.store._hset(key, field, value)
+        return await self._submit(self.store.backend.hset, key, field, value)
 
     async def hset_many(self, key: str, mapping: dict[str, Any]) -> None:
         """Set several hash fields in one round trip (Redis HSET/HMSET)."""
-        await self._round_trip()
-        self.store._check(self.client_id)
-        self.store._hset_many(key, dict(mapping))
+        return await self._submit(
+            self.store.backend.hset_many, key, dict(mapping)
+        )
 
     async def hget_many(self, key: str, fields: tuple[str, ...]) -> dict[str, Any]:
         """Read several hash fields in one round trip (Redis HMGET);
         missing fields map to ``None``."""
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._hget_many(key, tuple(fields))
+        return await self._submit(
+            self.store.backend.hget_many, key, tuple(fields)
+        )
 
     async def hgetall(self, key: str) -> dict[str, Any]:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._hgetall(key)
+        return await self._submit(self.store.backend.hgetall, key)
 
     async def hdel(self, key: str, field: str) -> bool:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._hdel(key, field)
+        return await self._submit(self.store.backend.hdel, key, field)
 
     async def delete_hash(self, key: str) -> bool:
-        await self._round_trip()
-        self.store._check(self.client_id)
-        return self.store._del_hash(key)
+        return await self._submit(self.store.backend.delete_hash, key)

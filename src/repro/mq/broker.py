@@ -41,14 +41,12 @@ class BrokerConfig:
     ``produce_latency`` models the full produce round trip including
     replication acks (this is what separates ClusterDev from ClusterProd in
     Table 2); ``consume_latency`` models the fetch path. Retention follows
-    Section 4.1: expiry after a configurable delay or above a configurable
-    queue size (defaults: ten minutes, unbounded size).
+    Section 4.1: expiry after a configurable delay (default: ten minutes).
     """
 
     produce_latency: Latency = Latency.fixed(0.001)
     consume_latency: Latency = Latency.fixed(0.0005)
     retention_seconds: float = 600.0
-    retention_max_records: int | None = None
     heartbeat_interval: float = 3.0
     session_timeout: float = 10.0
     watchdog_interval: float = 0.5
@@ -102,10 +100,6 @@ class Partition:
         config = self.topic.broker.config
         records = self._image.records
         keep_from = records.older_than(now - config.retention_seconds)
-        if config.retention_max_records is not None:
-            overflow = len(records) - keep_from - config.retention_max_records
-            if overflow > 0:
-                keep_from += overflow
         if keep_from:
             self._log.compact(
                 self.topic.name, self.name, records[keep_from - 1].offset + 1

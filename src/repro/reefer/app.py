@@ -125,7 +125,7 @@ class ReeferApplication:
         for port in PORTS:
             for index in range(self.config.containers_per_depot):
                 cid = container_id(port, index)
-                self.inventory._hset(INVENTORY_KEY, cid, ("depot", port))
+                self.inventory.backend.hset(INVENTORY_KEY, cid, ("depot", port))
                 self.total_containers += 1
 
     def start(self) -> "ReeferApplication":
@@ -185,7 +185,7 @@ class ReeferApplication:
         return self._call_singleton("DepotManager", "stats")
 
     def container_locations(self) -> dict:
-        return dict(self.inventory._hgetall(INVENTORY_KEY))
+        return dict(self.inventory.backend.hgetall(INVENTORY_KEY))
 
     def _call_singleton(self, actor_type: str, method: str):
         component = self.simulator_component

@@ -1,10 +1,10 @@
 """Multi-worker scale-out: sharded hosting, worker lifecycle, handoff.
 
-Covers the cluster control plane (`repro.core.cluster`): consistent-hash
-assignment of components to worker loops, the unified ``app.stats()``
-evidence surface, worker crash detection + re-hosting, graceful removal,
-live migration on worker join, and exactly-once settlement across a
-mid-workload worker kill on both store backends.
+Covers the cluster control plane (`repro.core.cluster`): the one rule that
+places components on worker loops, the unified ``app.stats()`` evidence
+surface, worker crash detection + re-hosting, graceful removal, levelling
+on worker join, and exactly-once settlement across a mid-workload worker
+kill on both store backends.
 """
 
 from __future__ import annotations
@@ -222,6 +222,85 @@ def test_add_worker_migrates_ring_share():
     ]
     kernel.run(until=kernel.now + 5.0)
     assert app.stats("calls")["unsettled"] == []
+
+
+def hosted_counts(app):
+    return sorted(
+        len(worker.hosted)
+        for worker in app.control.workers.values()
+        if worker.alive and not worker.retired
+    )
+
+
+@pytest.mark.parametrize("calls", [0, 40], ids=["quiet", "in-flight"])
+@pytest.mark.parametrize(
+    "components, workers, joins, moves",
+    [(6, 1, 1, 3), (6, 1, 2, 4), (8, 2, 2, 4), (7, 3, 1, 1)],
+)
+def test_a_join_levels_hosted_counts_with_the_fewest_moves(
+    components, workers, joins, moves, calls
+):
+    kernel, app = make_cluster(components=components, workers=workers)
+    drive_calls(kernel, app, range(100, 110))  # the load windows are not empty
+    tasks = spawn_calls(kernel, app, range(calls))
+    kernel.run(until=kernel.now + 0.01)  # the joins find the calls in flight
+    for _ in range(joins):
+        app.control.add_worker()
+    results = kernel.run_until_complete(kernel.gather(tasks), timeout=600)
+    assert results == [n + 1 for n in range(calls)]
+    kernel.run(until=kernel.now + 15.0)
+    counts = hosted_counts(app)
+    assert len(counts) == workers + joins and sum(counts) == components
+    assert counts[-1] - counts[0] <= 1
+    assert app.control.migrations == moves
+    assert app.stats("calls")["unsettled"] == []
+    kernel.check_no_crashes()
+
+
+def test_assign_workers_orders_by_busy_then_hosted_then_id():
+    kernel = Kernel(seed=1)
+    config = KarConfig.fast_test().with_overrides(worker_loop_cost=0.002)
+    app = KarApplication(kernel, config, "rule", workers=("a", "b", "c"))
+    kernel.run(until=kernel.now + 0.1)  # the heartbeat tasks start
+    control = app.control
+    workers = control.workers
+
+    def order(count=3):
+        return [worker.worker_id for worker in control.assign_workers(count)]
+
+    assert order() == ["a", "b", "c"]  # all idle and empty: by id
+    workers["a"].hosted.add("x")
+    assert order() == ["b", "c", "a"]  # fewest hosted first
+    workers["b"].loop._busy_window.add(1.0, kernel.now)
+    assert order() == ["c", "a", "b"]  # least busy beats fewest hosted
+    assert order(5) == ["c", "a", "b", "c", "a"]  # cycles past the live set
+    assert order(1) == ["c"]
+    workers["c"].retired = True
+    assert order() == ["a", "b", "a"]
+    for worker in workers.values():
+        worker.retired = True
+    with pytest.raises(RuntimeError, match="no live workers"):
+        control.assign_workers()
+    app.shutdown()
+
+
+def test_removing_the_last_live_worker_is_refused_untouched():
+    kernel, app = make_cluster(components=2, workers=1)
+    assert drive_calls(kernel, app, range(4)) == [1, 2, 3, 4]
+    epochs = {name: c.epoch for name, c in app.components.items()}
+    with pytest.raises(ValueError, match="last live worker"):
+        app.control.remove_worker("w0")
+    worker = app.control.workers["w0"]
+    assert worker.alive and not worker.retired
+    assert worker.hosted == {"comp0", "comp1"}
+    assert all(component.alive for component in app.components.values())
+    assert {name: c.epoch for name, c in app.components.items()} == epochs
+    assert app.control.migrations == 0
+    assert app.trace.count("worker.retire") == 0
+    assert drive_calls(kernel, app, range(4, 8)) == [5, 6, 7, 8]
+    kernel.run(until=kernel.now + 5.0)
+    assert app.stats("calls")["unsettled"] == []
+    kernel.check_no_crashes()
 
 
 def test_the_control_loop_survives_the_death_of_the_last_worker():

@@ -342,8 +342,8 @@ def test_incr_unsafe_can_double_increment():
 
     # Arrange a kill precisely after the store.set lands but before return:
     # instrument the external store to trigger the kill on first write.
-    store = Accumulator.store
-    original_set = store._set
+    backend = Accumulator.store.backend
+    original_set = backend.set
     state = {"armed": False, "fired": False}
 
     def instrumented(key, value):
@@ -354,14 +354,14 @@ def test_incr_unsafe_can_double_increment():
             if host is not None:
                 kernel.call_soon(app.components[host].fail)
 
-    store._set = instrumented
+    backend.set = instrumented
     state["armed"] = True
     client = app.client()
     task = kernel.spawn(
         client.invoke(None, ref, "incr_unsafe", (), True), process=client.process
     )
     assert kernel.run_until_complete(task, timeout=300.0) == "OK"
-    store._set = original_set
+    backend.set = original_set
     # The write landed, then the component died before completing the
     # request; the retry re-read (already 1) and wrote 2: double increment.
     assert app.run_call(ref, "get") == 2

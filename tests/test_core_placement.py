@@ -124,7 +124,7 @@ def test_placement_store_updated_after_failure():
     app.kill_component(host)
     kernel.run(until=kernel.now + 10.0)
     assert app.run_call(ref, "get", timeout=60.0) == 0  # rehomed, volatile
-    placed = app.store._get(placement_key(ref))
+    placed = app.store.backend.get(placement_key(ref))
     assert placed != host
 
 

@@ -1,6 +1,9 @@
 """Reminders: delayed and periodic tells, persistence across failures."""
 
-from repro.core import Actor, actor_proxy
+import pytest
+
+from repro.core import Actor, KarConfig, actor_proxy
+from repro.persist import PersistenceConfig
 
 from helpers import make_app, run
 
@@ -12,15 +15,19 @@ class Clocked(Actor):
         Clocked.fired.append((tag, ctx.now))
 
 
-def reminder_app(seed=0):
+def reminder_app(seed=0, config=None):
     Clocked.fired = []
-    kernel, app = make_app(seed)
+    kernel, app = make_app(seed, config)
     app.register_actor(Clocked)
+    populate(app)
+    return kernel, app
+
+
+def populate(app):
     app.add_component("w1", ("Clocked",))
     app.add_component("w2", ("Clocked",))
     app.client()
     app.settle()
-    return kernel, app
 
 
 def schedule(kernel, app, reminder_id, ref, method, delay, *args, period=None):
@@ -82,3 +89,23 @@ def test_reminder_survives_leader_failure():
     kernel.run(until=kernel.now + 30.0)
     tags = [tag for tag, _ in Clocked.fired]
     assert "late" in tags
+
+
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_persisted_reminder_fires_once_after_a_cold_restart(mode, tmp_path):
+    """Whether reminders are in use is read from the store, not remembered
+    by the process that scheduled one."""
+    config = KarConfig.fast_test()
+    if mode == "sqlite":
+        config = config.with_overrides(
+            persistence=PersistenceConfig.sqlite(str(tmp_path))
+        )
+    kernel, app = reminder_app(seed=5, config=config)
+    schedule(kernel, app, "r1", actor_proxy("Clocked", "c"), "tick", 3.0, "late")
+    app = app.reopen()
+    populate(app)
+    kernel.run(until=kernel.now + 20.0)
+    assert [tag for tag, _ in Clocked.fired] == ["late"]
+    assert app.store.backend.hgetall("reminders") == {}
+    kernel.check_no_crashes()
+    app.shutdown()

@@ -130,7 +130,7 @@ def test_external_service_client_bound_to_member():
     app.settle()
     member = app.run_call(actor_proxy("Uses", "u"), "stash", 5)
     assert member == app.components["w1"].member_id
-    assert service._get("k") == 5
+    assert service.backend.get("k") == 5
     # Fencing that member blocks its lingering writes.
     service.fence(member)
     from repro.kvstore import FencedClientError

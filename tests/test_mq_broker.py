@@ -76,26 +76,6 @@ def test_expiry_by_age(kernel, broker):
     assert partition.first_retained_offset == 1
 
 
-def test_expiry_by_size():
-    kernel = Kernel()
-    broker = Broker(
-        kernel,
-        BrokerConfig(
-            produce_latency=Latency.fixed(0.0),
-            retention_seconds=1e9,
-            retention_max_records=3,
-        ),
-    )
-
-    async def scenario():
-        for value in range(6):
-            await broker.produce("t", "p", value, "c")
-        records = await broker.fetch("t", "p", 0, "c")
-        return [record.value for record in records]
-
-    assert run(kernel, scenario()) == [3, 4, 5]
-
-
 def test_fenced_producer_rejected(kernel, broker):
     async def scenario():
         await broker.produce("t", "p", "ok", "victim")

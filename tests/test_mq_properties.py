@@ -7,7 +7,7 @@ from repro.mq import Broker, BrokerConfig
 from repro.sim import Kernel, Latency
 
 
-def make_broker(retention=100.0, max_records=None):
+def make_broker(retention=100.0):
     kernel = Kernel(seed=11)
     broker = Broker(
         kernel,
@@ -15,7 +15,6 @@ def make_broker(retention=100.0, max_records=None):
             produce_latency=Latency.fixed(0.0),
             consume_latency=Latency.fixed(0.0),
             retention_seconds=retention,
-            retention_max_records=max_records,
         ),
     )
     return kernel, broker
@@ -51,19 +50,6 @@ def test_expiry_drops_only_old_records(entries):
     # first_retained_offset is consistent with what remains.
     if kept:
         assert kept[0].offset == partition.first_retained_offset
-
-
-@given(st.integers(min_value=1, max_value=10),
-       st.integers(min_value=0, max_value=30))
-@settings(max_examples=30, deadline=None)
-def test_size_bound_keeps_newest(limit, count):
-    kernel, broker = make_broker(retention=1e9, max_records=limit)
-    partition = broker.topic("t").partition("p")
-    for value in range(count):
-        partition.append(value, kernel.now)
-    records = partition.read_from(0, kernel.now)
-    expected = list(range(count))[-limit:]
-    assert [record.value for record in records] == expected
 
 
 @given(st.lists(st.sampled_from(["p1", "p2", "p3"]), min_size=0, max_size=40))
