@@ -259,9 +259,11 @@ class KarApplication:
                 old.worker.hosted.discard(name)
         if worker is None and types and self.control.workers:
             worker = self.control.assign_workers()[0]
+        # Journal first, memory second: a refused write leaves the epoch
+        # where the journal has it.
         epoch = self._epochs.get(name, -1) + 1
-        self._epochs[name] = epoch
         self.broker.log.set_meta(f"app:{self.name}:epoch:{name}", epoch)
+        self._epochs[name] = epoch
         self.component_types[name] = frozenset(types)
         component = self.components[name] = Component(
             self, name, types, epoch, worker=worker

@@ -131,15 +131,11 @@ class Router:
         """The live member id answering for a component name, if any."""
         self._refresh_membership()
         if self._incarnations is None:
-            table: dict[str, str] = {}
-            for member_id in self.coordinator.member_ids():
-                # During a handoff two incarnations can momentarily coexist
-                # in the membership; the newest epoch holds the lease.
-                base, _sep, epoch = member_id.rpartition("#")
-                held = table.get(base)
-                if held is None or int(epoch) > int(held.rpartition("#")[2]):
-                    table[base] = member_id
-            self._incarnations = table
+            # One incarnation per name: a join expels the one it supersedes.
+            self._incarnations = {
+                member_id.rpartition("#")[0]: member_id
+                for member_id in self.coordinator.member_ids()
+            }
         return self._incarnations.get(component_name)
 
     @property

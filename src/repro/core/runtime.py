@@ -126,11 +126,15 @@ class Component:
     def start(self) -> "Component":
         # Claim the partition family before consuming it: acquiring at this
         # epoch fences any older incarnation still holding the lease (the
-        # handoff fence between workers). Epochs only grow, so without
-        # workers this is the supersession restart_component always implied.
-        self.broker.acquire_partition_lease(
+        # handoff fence between workers). A name has one incarnation in the
+        # group: the superseded one leaves in the generation this join
+        # makes, so reconciliation replays its stranded queue -- a tail
+        # call's lock holder first -- before anything new reaches this one.
+        superseded = self.broker.acquire_partition_lease(
             self.topic_name, self.name, self.member_id, self.epoch
         )
+        if superseded is not None:
+            self.coordinator.expel(superseded, reason="superseded")
         self.member = self.coordinator.join(self.member_id, self.process)
         # Same-turn store operations share one backend round trip; the
         # flusher lives on this component's failure domain.

@@ -233,8 +233,9 @@ class Broker:
     # ------------------------------------------------------------------
     def acquire_partition_lease(
         self, topic_name: str, base: str, owner: str, epoch: int
-    ) -> None:
-        """Claim ownership of the ``base`` partition family at ``epoch``.
+    ) -> str | None:
+        """Claim ownership of the ``base`` partition family at ``epoch``;
+        return the previous holder it supersedes, if any.
 
         A component incarnation ``base#epoch`` must hold the lease before
         consuming its queue. Acquiring at a strictly higher epoch fences the
@@ -261,6 +262,7 @@ class Broker:
             self.fence(current[0])
         self._leases[(topic_name, base)] = (owner, epoch)
         self._lease_renewed[(topic_name, base)] = self.kernel.now
+        return None if current is None else current[0]
 
     def renew_partition_lease(
         self, topic_name: str, base: str, owner: str, epoch: int

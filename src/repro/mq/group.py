@@ -241,11 +241,17 @@ class GroupCoordinator:
             await self.kernel.sleep(
                 config.rebalance_sync_latency.sample(self.kernel.rng)
             )
-            if not self._dirty:
-                break
-        if self._closed:
-            return
-        info = self._publish_generation()
+            if self._dirty:
+                continue
+            if self._closed:
+                return
+            try:
+                info = self._publish_generation()
+            except OSError:
+                # Not durable, so not published: the group stays paused and
+                # the next join window tries again.
+                continue
+            break
         self._rebalancing = False
         self._reasons = []
         self.history.append(

@@ -45,6 +45,7 @@ queued during those two passes; one pass makes the batches smaller.
 from __future__ import annotations
 
 import heapq
+import inspect
 import types
 from collections import deque
 from random import Random
@@ -174,8 +175,12 @@ class SimTask:
         """Abandon the task abruptly (fail-stop)."""
         self.alive = False
         self._settle(None, TaskKilled(self.name))
-        # Deliberately do not close the coroutine: closing would run
-        # ``finally`` blocks, which a crashed process never gets to do.
+        # A started coroutine is deliberately not closed: closing would run
+        # ``finally`` blocks, which a crashed process never gets to do. One
+        # that never started has none to run; closing it only silences
+        # "coroutine was never awaited".
+        if inspect.getcoroutinestate(self.coro) == inspect.CORO_CREATED:
+            self.coro.close()
 
     def _settle(self, value: Any, exception: BaseException | None) -> None:
         """Resolve ``completion`` (once) and leave the owning process."""
@@ -223,6 +228,12 @@ class SimTask:
 
     def __await__(self) -> Generator[SimFuture, None, Any]:
         return self.completion.__await__()
+
+
+#: The runaway guard: no run executes more events than this.
+_MAX_EVENTS = 50_000_000
+#: What a plain :meth:`Kernel.run` waits for: a future nothing resolves.
+_NEVER = SimFuture(None)  # type: ignore[arg-type]
 
 
 @types.coroutine
@@ -292,9 +303,6 @@ class Kernel:
         if process is not None:
             if not process.alive:
                 task.kill()
-                # Never started, so closing runs no ``finally`` (fail-stop
-                # holds); it only silences "coroutine was never awaited".
-                coro.close()
                 return task
             process.adopt(task)
         self._sequence = sequence = self._sequence + 1
@@ -304,7 +312,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
+    def run(self, until: float | None = None, max_events: int = _MAX_EVENTS) -> None:
         """Process events in ``(when, seq)`` order.
 
         Stops when both queues drain, simulated time passes ``until``, a
@@ -312,12 +320,53 @@ class Kernel:
         runaway guard for tests). An ``until`` in the past is a no-op: time
         never moves backwards.
         """
-        self._stop_requested = False
         if until is not None and until < self.now:
             return
+        if self._loop(_NEVER, until, max_events) and until is not None:
+            self.now = until
+
+    def stop(self) -> None:
+        """Make the :meth:`run` or :meth:`run_until_complete` in progress
+        return after the current callback.
+
+        ``now`` stays at that callback's event time and later events stay
+        queued for the next run. Outside a run this is a no-op: every run
+        starts with the request cleared.
+        """
+        self._stop_requested = True
+
+    def run_until_complete(
+        self, awaitable: SimTask | SimFuture, timeout: float | None = None
+    ) -> Any:
+        """Drive the loop until ``awaitable`` resolves; return its result.
+
+        Raises :class:`TimeoutError` when ``timeout`` simulated seconds pass
+        first, and :class:`RuntimeError` when the queues drain or a callback
+        calls :meth:`stop` first.
+        """
+        future = awaitable.completion if isinstance(awaitable, SimTask) else awaitable
+        deadline = None if timeout is None else self.now + timeout
+        if self._loop(future, deadline, _MAX_EVENTS):
+            if self._heap:
+                raise TimeoutError(f"not complete after {timeout} simulated seconds")
+            raise RuntimeError("event loop drained before completion")
+        if not future._done:
+            raise RuntimeError("kernel stopped before completion")
+        return future.result()
+
+    def _loop(self, future: SimFuture, until: float | None, max_events: int) -> bool:
+        """The one event loop: run events in ``(when, seq)`` order until
+        ``future`` resolves or a callback calls :meth:`stop` (False), or the
+        next event is past ``until`` or none is left (True).
+
+        Raises :class:`RuntimeError` once ``max_events`` events have run.
+        """
+        self._stop_requested = False
         heap, ready = self._heap, self._ready
         events = 0
         while True:
+            if future._done:
+                return False
             if ready:
                 if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
                     _when, _seq, timer, callback, args = heapq.heappop(heap)
@@ -327,60 +376,19 @@ class Kernel:
                     _seq, callback, args = ready.popleft()
             elif heap:
                 if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return
+                    return True
                 when, _seq, timer, callback, args = heapq.heappop(heap)
                 if timer.cancelled:
                     continue
                 self.now = when
             else:
-                break
+                return True
             callback(*args)
             if self._stop_requested:
-                return
+                return False
             events += 1
             if events >= max_events:
                 raise RuntimeError(f"kernel exceeded {max_events} events")
-        if until is not None:
-            self.now = until
-
-    def stop(self) -> None:
-        """Make the :meth:`run` in progress return after the current callback.
-
-        ``now`` stays at that callback's event time and later events stay
-        queued for the next ``run``. Outside a ``run`` this is a no-op: every
-        ``run`` starts with the request cleared.
-        """
-        self._stop_requested = True
-
-    def run_until_complete(
-        self, awaitable: SimTask | SimFuture, timeout: float | None = None
-    ) -> Any:
-        """Drive the loop until ``awaitable`` resolves; return its result."""
-        future = awaitable.completion if isinstance(awaitable, SimTask) else awaitable
-        deadline = None if timeout is None else self.now + timeout
-        heap, ready = self._heap, self._ready
-        while not future._done:
-            if ready:
-                if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
-                    _when, _seq, timer, callback, args = heapq.heappop(heap)
-                    if timer.cancelled:
-                        continue
-                else:
-                    _seq, callback, args = ready.popleft()
-            elif heap:
-                if deadline is not None and heap[0][0] > deadline:
-                    raise TimeoutError(
-                        f"not complete after {timeout} simulated seconds"
-                    )
-                when, _seq, timer, callback, args = heapq.heappop(heap)
-                if timer.cancelled:
-                    continue
-                self.now = when
-            else:
-                raise RuntimeError("event loop drained before completion")
-            callback(*args)
-        return future.result()
 
     def gather(self, awaitables: Iterable[SimTask | SimFuture]) -> SimFuture:
         """Future resolved with the list of results once all inputs resolve.

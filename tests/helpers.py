@@ -88,6 +88,47 @@ class Echo(Actor):
         raise ValueError(message)
 
 
+class Counter(Actor):
+    """Persistent accumulator with read-then-tail-write commit discipline."""
+
+    async def bump(self, ctx, amount):
+        total = await ctx.state.get("total", 0)
+        return ctx.tail_call(None, "commit", total + amount)
+
+    async def commit(self, ctx, total):
+        await ctx.state.set("total", total)
+        return total
+
+    async def get(self, ctx):
+        return await ctx.state.get("total", 0)
+
+
+class Flow(Actor):
+    """A root workflow that fans a tail-call chain across Tally actors."""
+
+    async def start(self, ctx, wid, hops):
+        target = actor_proxy("Tally", f"t{wid % 3}")
+        return ctx.tail_call(target, "add", wid, hops)
+
+
+class Tally(Actor):
+    """Exactly-once counting via the read-then-tail-write discipline."""
+
+    async def add(self, ctx, wid, hops):
+        total = await ctx.state.get("total", 0)
+        return ctx.tail_call(None, "commit", wid, hops, total + 1)
+
+    async def commit(self, ctx, wid, hops, new_total):
+        await ctx.state.set_multiple({"total": new_total, f"done:{wid}": True})
+        if hops > 1:
+            flow = actor_proxy("Flow", f"f{wid}")
+            return ctx.tail_call(flow, "start", wid, hops - 1)
+        return "done"
+
+    async def report(self, ctx):
+        return await ctx.state.get("total", 0)
+
+
 def two_component_app(seed=0, actor_classes=(Latch,), **overrides):
     """App with two worker components hosting all given actor types."""
     kernel, app = make_app(seed, **overrides)
@@ -103,9 +144,12 @@ def two_component_app(seed=0, actor_classes=(Latch,), **overrides):
 
 __all__ = [
     "Accumulator",
+    "Counter",
     "Echo",
+    "Flow",
     "Latch",
     "PersistentLatch",
+    "Tally",
     "actor_proxy",
     "make_app",
     "run",

@@ -15,25 +15,13 @@ from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
+from helpers import Counter
+from oracle import check_guarantee
+
 
 class Echo(Actor):
     async def ping(self, ctx, x):
         return x + 1
-
-
-class Counter(Actor):
-    """Persistent accumulator with read-then-tail-write commit discipline."""
-
-    async def bump(self, ctx, amount):
-        total = await ctx.state.get("total", 0)
-        return ctx.tail_call(None, "commit", total + amount)
-
-    async def commit(self, ctx, total):
-        await ctx.state.set("total", total)
-        return total
-
-    async def get(self, ctx):
-        return await ctx.state.get("total", 0)
 
 
 def make_cluster(
@@ -180,7 +168,6 @@ def test_worker_crash_rehosts_components_and_settles_in_flight():
     results = kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     assert results == [n + 1 for n in range(40)]
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
     assert app.control.workers_failed == [victim]
     survivors = {
         app.control.worker_of(name)
@@ -188,6 +175,7 @@ def test_worker_crash_rehosts_components_and_settles_in_flight():
         if name != "client"
     }
     assert victim not in survivors
+    check_guarantee(app)
 
 
 def test_graceful_remove_drains_and_hands_off():
@@ -205,7 +193,7 @@ def test_graceful_remove_drains_and_hands_off():
         n + 1 for n in range(10, 20)
     ]
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)
 
 
 def test_add_worker_migrates_ring_share():
@@ -221,7 +209,7 @@ def test_add_worker_migrates_ring_share():
         n + 1 for n in range(10, 30)
     ]
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)
 
 
 def hosted_counts(app):
@@ -253,8 +241,7 @@ def test_a_join_levels_hosted_counts_with_the_fewest_moves(
     assert len(counts) == workers + joins and sum(counts) == components
     assert counts[-1] - counts[0] <= 1
     assert app.control.migrations == moves
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_assign_workers_orders_by_busy_then_hosted_then_id():
@@ -299,8 +286,7 @@ def test_removing_the_last_live_worker_is_refused_untouched():
     assert app.trace.count("worker.retire") == 0
     assert drive_calls(kernel, app, range(4, 8)) == [5, 6, 7, 8]
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_the_control_loop_survives_the_death_of_the_last_worker():
@@ -327,8 +313,7 @@ def test_the_control_loop_survives_the_death_of_the_last_worker():
     assert {app.control.worker_of(f"comp{i}") for i in range(2)} == {"w1"}
     assert drive_calls(kernel, app, range(8, 12)) == [9, 10, 11, 12]
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +345,7 @@ def test_generations_do_not_depend_on_the_worker_count(mode, tmp_path):
         assert all(r.resumed_at is not None for r in app.coordinator.history)
         assert app.trace.count("reconcile.superseded") == 0
         histories[workers] = generations(app)
-        kernel.check_no_crashes()
+        check_guarantee(app)
         app.shutdown()
     members = tuple(f"comp{i}#0" for i in range(8))
     assert histories[0] == [
@@ -417,12 +402,12 @@ def test_mid_workload_worker_kill_settles_exactly_once(mode, tmp_path):
     kernel.run(until=kernel.now + 0.05)  # workflows mid-flight
     app.control.kill_worker("w0")
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
-    kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
     totals = [
         app.run_call(actor_proxy("Counter", f"c{cid}"), "get")
         for cid in range(counters)
     ]
     # Exactly once: every bump committed, none doubled by the recovery copy.
     assert totals == [bumps] * counters
+    kernel.run(until=kernel.now + 5.0)
+    check_guarantee(app)
     app.shutdown()

@@ -18,6 +18,9 @@ from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
+from helpers import Flow, Tally
+from oracle import check_guarantee
+
 MODES = ["memory", "sqlite"]
 #: (backend, worker loops); the worker-less ids are the historical ones.
 DEPLOYMENTS = [
@@ -26,32 +29,6 @@ DEPLOYMENTS = [
     pytest.param("memory", 3, id="memory-3workers"),
     pytest.param("sqlite", 3, id="sqlite-3workers"),
 ]
-
-
-class Flow(Actor):
-    """A root workflow that fans a tail-call chain across Tally actors."""
-
-    async def start(self, ctx, wid, hops):
-        target = actor_proxy("Tally", f"t{wid % 3}")
-        return ctx.tail_call(target, "add", wid, hops)
-
-
-class Tally(Actor):
-    """Exactly-once counting via the read-then-tail-write discipline."""
-
-    async def add(self, ctx, wid, hops):
-        total = await ctx.state.get("total", 0)
-        return ctx.tail_call(None, "commit", wid, hops, total + 1)
-
-    async def commit(self, ctx, wid, hops, new_total):
-        await ctx.state.set_multiple({"total": new_total, f"done:{wid}": True})
-        if hops > 1:
-            flow = actor_proxy("Flow", f"f{wid}")
-            return ctx.tail_call(flow, "start", wid, hops - 1)
-        return "done"
-
-    async def report(self, ctx):
-        return await ctx.state.get("total", 0)
 
 
 class RunCounter(Actor):
@@ -153,10 +130,10 @@ def test_reopen_settles_all_in_flight_calls_exactly_once(mode, workers, tmp_path
     readd_components(app2)
     assert_same_workers_host_the_components(app, app2)
 
-    assert drain(app2) == []
+    drain(app2)
+    # Every commit landed exactly once per workflow.
     assert total_commits(app2) == workflows * hops
-    # Every commit marker landed exactly once per workflow.
-    kernel.check_no_crashes()
+    check_guarantee(app, app2)
     app2.shutdown()
 
 
@@ -177,12 +154,12 @@ def test_completed_work_is_never_rerun_after_restart(mode, tmp_path):
 
     app2 = app.reopen()
     readd_components(app2)
-    assert drain(app2) == []
+    drain(app2)
     # The journals still retain the completed call and tell; their response
     # evidence (including the tell self-ack) keeps reconciliation from
     # re-running them, even though all in-memory dedup evidence died.
     assert app2.run_call(ref, "runs") == 2
-    kernel.check_no_crashes()
+    check_guarantee(app, app2)
     app2.shutdown()
 
 
@@ -205,8 +182,8 @@ def test_boot_epochs_and_generation_are_monotonic(mode, tmp_path):
     app3 = app2.reopen()
     readd_components(app3)
     assert app3.boot == 3
-    assert drain(app3) == []
-    kernel.check_no_crashes()
+    drain(app3)
+    check_guarantee(app, app2, app3)
     app3.shutdown()
 
 
@@ -225,7 +202,7 @@ def test_sqlite_reopen_restores_state_and_placement(tmp_path):
     # actor state comes back from the database file.
     assert app2.store.backend.get("placement:Tally:t0") == placement_before
     assert app2.run_call(ref, "report") == 5
-    kernel.check_no_crashes()
+    check_guarantee(app, app2)
     app2.shutdown()
 
 

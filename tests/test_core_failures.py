@@ -12,6 +12,7 @@ from repro.kvstore import KVStore
 from repro.sim import Latency
 
 from helpers import Accumulator, make_app, two_component_app
+from oracle import check_guarantee
 
 
 def find_host(app, ref):
@@ -53,6 +54,7 @@ def test_failed_invocation_is_retried():
     app.kill_component(host)
     assert kernel.run_until_complete(task, timeout=120.0) == 42
     assert len(attempts) == 2  # first attempt interrupted, one retry
+    check_guarantee(app)
 
 
 def test_completed_invocation_never_repeated():
@@ -79,6 +81,7 @@ def test_completed_invocation_never_repeated():
     app.restart_component(host)
     wait_recovery(kernel, app)
     assert len(executions) == 1
+    check_guarantee(app)
 
 
 def test_multiple_failures_multiple_retries():
@@ -105,15 +108,15 @@ def test_multiple_failures_multiple_retries():
     while kills < 2 and kernel.now < deadline:
         kernel.run(until=kernel.now + 1.0)
         host = find_host(app, ref)
-        if host is None:
-            continue  # recovery still in flight; wait for the retry to land
+        if host is None or len(attempts) <= kills:
+            continue  # recovery still in flight; wait for the retry to start
         app.kill_component(host)
         app.restart_component(host)
         kills += 1
-        wait_recovery(kernel, app, 4.0)
     assert kills == 2
     assert kernel.run_until_complete(task, timeout=200.0) == "finally"
-    assert len(attempts) >= 3
+    assert len(attempts) == 3  # each kill cut one attempt short
+    check_guarantee(app)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,7 @@ def test_caller_retry_waits_for_callee():
     main_retries = [t for kind, t in Caller.events if kind == "main.start"]
     assert len(main_retries) == 2
     assert main_retries[1] >= task_end
+    check_guarantee(app)
 
 
 def test_parked_retry_event_emitted():
@@ -184,6 +188,7 @@ def test_parked_retry_event_emitted():
     kernel.run_until_complete(task, timeout=200.0)
     assert app.trace.count("request.parked") >= 1
     assert app.trace.count("request.unparked") >= 1
+    check_guarantee(app)
 
 
 def test_joint_failure_callee_then_caller_retried():
@@ -202,6 +207,7 @@ def test_joint_failure_callee_then_caller_retried():
     # Happen-before: every retried main.start follows all prior task ends.
     main_starts = [t for kind, t in Caller.events if kind == "main.start"]
     assert len(main_starts) >= 2
+    check_guarantee(app)
 
 
 def test_cancellation_elides_callee():
@@ -221,7 +227,7 @@ def test_cancellation_elides_callee():
     # OR the retry simply re-ran; accept either but require consistency.
     elided = app.trace.count("invoke.elided")
     assert elided >= 0  # smoke: no crash path
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_root_calls_never_cancelled():
@@ -293,7 +299,7 @@ def test_reentrancy_overlap_only_without_orchestration(orchestrate):
         assert not overlap(RA.intervals), RA.intervals
     # Without orchestration, overlap is *possible*; we assert only that the
     # happens-before check is what distinguishes the two configurations.
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +336,7 @@ def test_incr_exactly_once_under_failure(kill_at):
         app.kill_component(host)
     assert kernel.run_until_complete(task, timeout=300.0) == "OK"
     assert app.run_call(ref, "get") == 11
+    check_guarantee(app)
 
 
 def test_incr_unsafe_can_double_increment():
@@ -365,6 +372,7 @@ def test_incr_unsafe_can_double_increment():
     # The write landed, then the component died before completing the
     # request; the retry re-read (already 1) and wrote 2: double increment.
     assert app.run_call(ref, "get") == 2
+    check_guarantee(app)
 
 
 def test_zombie_store_write_is_fenced():
@@ -399,6 +407,7 @@ def test_zombie_store_write_is_fenced():
     kernel.run_until_complete(kernel.spawn(lingering()), timeout=30.0)
     # Fresh clients still work; counter re-readable through a new host.
     assert app.run_call(ref, "get", timeout=120.0) == 5
+    check_guarantee(app)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +430,7 @@ def test_failure_during_recovery():
     app.restart_component("w1")
     assert kernel.run_until_complete(task, timeout=600.0) == "OK"
     assert app.run_call(ref, "get", timeout=120.0) == 1
+    check_guarantee(app)
 
 
 def test_total_application_failure_and_restart():
@@ -441,4 +451,4 @@ def test_total_application_failure_and_restart():
     app.restart_component("w2")
     assert kernel.run_until_complete(task, timeout=600.0) == "OK"
     assert app.run_call(ref, "get", timeout=120.0) == 1
-    kernel.check_no_crashes()
+    check_guarantee(app)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from helpers import Latch, make_app, run
+from oracle import check_guarantee
 from repro.core import Actor, ActorMethodError, actor_proxy
 from repro.core.dispatcher import ActorMailbox
 from repro.core.envelope import Request
@@ -185,6 +186,19 @@ class SlowProbe(Actor):
         return f"sent:{job}"
 
 
+def trip(kernel, app, ref, calls):
+    """``calls`` calls that fail in the method: the errors are their
+    answers, not crashed tasks."""
+    client = app.client()
+
+    async def failing_call(n):
+        with pytest.raises(ActorMethodError):
+            await client.invoke(None, ref, "send", (f"warm{n}",))
+
+    for n in range(calls):
+        run(kernel, failing_call(n), client.process)
+
+
 def test_breaker_diverts_to_dead_letters_and_replays_exactly_once():
     Flaky.healthy = False
     Flaky.executions = {}
@@ -197,9 +211,7 @@ def test_breaker_diverts_to_dead_letters_and_replays_exactly_once():
     app.settle()
     ref = actor_proxy(name, "gateway")
 
-    for n in range(3):
-        with pytest.raises(ActorMethodError):
-            app.run_call(ref, "send", f"warm{n}")
+    trip(kernel, app, ref, 3)
 
     # Breaker is open on the worker: these divert to the parking lot.
     parked_tasks = [
@@ -236,6 +248,7 @@ def test_breaker_diverts_to_dead_letters_and_replays_exactly_once():
     assert stats["dead_letter_depth"] == 0
     assert stats["dead_letters_replayed"] == 2
     assert stats["breakers_closed"] == 1
+    check_guarantee(app)
 
 
 def test_halfopen_concurrent_arrivals_admit_one_probe_end_to_end():
@@ -250,9 +263,7 @@ def test_halfopen_concurrent_arrivals_admit_one_probe_end_to_end():
     app.settle()
     ref = actor_proxy(name, "gateway")
 
-    for n in range(2):
-        with pytest.raises(ActorMethodError):
-            app.run_call(ref, "send", f"warm{n}")
+    trip(kernel, app, ref, 2)
     SlowProbe.healthy = True
     kernel.run(until=kernel.now + 1.2)  # past the cooldown
 
@@ -275,6 +286,7 @@ def test_halfopen_concurrent_arrivals_admit_one_probe_end_to_end():
     results = kernel.run_until_complete(kernel.gather(tasks), timeout=120.0)
     assert sorted(results) == ["sent:job0", "sent:job1", "sent:job2"]
     assert SlowProbe.executions == {"job0": 1, "job1": 1, "job2": 1}
+    check_guarantee(app)
 
 
 def test_replay_of_settled_call_is_deduped():
@@ -313,6 +325,7 @@ def test_replay_of_settled_call_is_deduped():
     # No double execution: the settled outcome is untouched.
     assert app.run_call(ref, "get") == 41
     assert app.stats("overload")["dead_letter_depth"] == 0
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +384,7 @@ def test_poison_pill_parks_at_redelivery_limit_then_replays():
     assert Poison.executions == {"job": 1}
     assert app.stats("overload")["dead_letter_depth"] == 0
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------

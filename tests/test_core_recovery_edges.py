@@ -1,12 +1,16 @@
 """Edge cases in recovery: unplaceable types, duplicate copies, expiry,
 superseded reconciliations, leader failover."""
 
+import errno
+
 import pytest
 
 from repro.core import Actor, actor_proxy
 from repro.core.reconciler import UNPLACED_PARTITION
+from repro.persist import PersistenceConfig
 
 from helpers import Latch, make_app, two_component_app
+from oracle import check_guarantee
 
 
 def test_call_waits_for_type_to_become_available():
@@ -40,6 +44,7 @@ def test_call_waits_for_type_to_become_available():
     assert unplaced is not None and len(unplaced) >= 1
     app.restart_component("only")
     assert kernel.run_until_complete(task, timeout=120.0) == 0  # volatile
+    check_guarantee(app)
 
 
 def test_leader_failover_restarts_reconciliation():
@@ -62,7 +67,7 @@ def test_leader_failover_restarts_reconciliation():
     kernel.run(until=kernel.now + 15.0)
     assert not app.coordinator.paused
     assert app.run_call(ref, "get", timeout=120.0) in (0, 9)
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_duplicate_recovery_copies_are_skipped():
@@ -106,6 +111,7 @@ def test_duplicate_recovery_copies_are_skipped():
     # The retried attempt ran at most twice in total (original + retry);
     # duplicate copies were skipped, not re-executed.
     assert len(executions) == 2
+    check_guarantee(app)
 
 
 def test_completed_work_not_rerun_after_multiple_failures():
@@ -147,6 +153,7 @@ def test_completed_work_not_rerun_after_multiple_failures():
         app.restart_component(victim)
         kernel.run(until=kernel.now + 4.0)
     assert runs == ["first"]  # never re-executed
+    check_guarantee(app)
 
 
 def test_superseded_reconciliation_aborts_cleanly():
@@ -161,7 +168,7 @@ def test_superseded_reconciliation_aborts_cleanly():
     assert not app.coordinator.paused
     supersessions = app.trace.count("reconcile.superseded")
     assert supersessions >= 0  # may or may not race; must not crash
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_fenced_component_terminates_itself():
@@ -177,4 +184,66 @@ def test_fenced_component_terminates_itself():
     kernel.run(until=kernel.now + 10.0)
     assert not app.components["w1"].alive  # paired-process termination
     assert app.trace.count("component.fenced_exit", member=member_id) >= 0
-    kernel.check_no_crashes()
+    check_guarantee(app)
+
+
+# ----------------------------------------------------------------------
+# a metadata write that fails (ENOSPC) wedges nothing
+# ----------------------------------------------------------------------
+def failing_set_meta(app, prefix, times=1):
+    """Make the broker log's next ``times`` writes of a key starting with
+    ``prefix`` fail as a full disk would; returns the refused keys."""
+    log = app.broker.log
+    set_meta = log.set_meta
+    refused = []
+
+    def write(key, value):
+        if key.startswith(prefix) and len(refused) < times:
+            refused.append(key)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        set_meta(key, value)
+
+    log.set_meta = write
+    return refused
+
+
+def durable_app(mode, tmp_path, seed):
+    if mode == "sqlite":
+        persistence = PersistenceConfig.sqlite(str(tmp_path))
+        return two_component_app(seed=seed, persistence=persistence)
+    return two_component_app(seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_a_refused_generation_write_is_retried_not_wedged(mode, tmp_path):
+    kernel, app = durable_app(mode, tmp_path, seed=57)
+    ref = actor_proxy("Latch", "x")
+    app.run_call(ref, "set", 3)
+    generation = app.coordinator.generation
+    refused = failing_set_meta(app, "group:", times=2)
+    app.kill_component("w1")
+    app.restart_component("w1")
+    assert app.run_call(ref, "get", timeout=60.0) in (0, 3)
+    assert refused == ["group:app:generation"] * 2
+    assert app.coordinator.generation == generation + 1
+    assert app.broker.log.get_meta("group:app:generation") == generation + 1
+    check_guarantee(app)
+    app.shutdown()
+
+
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_a_refused_epoch_write_leaves_the_epoch_where_the_journal_has_it(
+    mode, tmp_path
+):
+    kernel, app = durable_app(mode, tmp_path, seed=58)
+    refused = failing_set_meta(app, "app:app:epoch:")
+    app.kill_component("w1")
+    with pytest.raises(OSError):
+        app.restart_component("w1")
+    assert refused == ["app:app:epoch:w1"]
+    assert app.broker.log.get_meta("app:app:epoch:w1") == 0
+    assert app.restart_component("w1").member_id == "w1#1"
+    assert app.run_call(actor_proxy("Latch", "x"), "get", timeout=60.0) == 0
+    kernel.run(until=kernel.now + 2.0)
+    check_guarantee(app)
+    app.shutdown()

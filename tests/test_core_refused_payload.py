@@ -13,6 +13,8 @@ from repro.core import Actor, ActorMethodError, KarApplication, KarConfig, actor
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
+from oracle import check_guarantee
+
 
 class Unframeable:
     """Holds a lambda, which the journal's pickle fallback cannot encode."""
@@ -69,10 +71,8 @@ def assert_healthy(kernel, app, same, other):
     """The transport, both actors and the call table still work."""
     assert call(kernel, app, same, "echo", "again") == "again"
     assert call(kernel, app, other, "echo", "other") == "other"
-    assert kernel.crashes == []
-    assert app.stats("calls")["unsettled"] == []
-    for component in app.components.values():
-        assert component.alive and component.quiescent
+    assert all(component.alive for component in app.components.values())
+    check_guarantee(app)
 
 
 def test_refused_argument_fails_only_its_caller(durable_app):

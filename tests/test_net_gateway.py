@@ -19,6 +19,7 @@ import time
 import pytest
 
 from helpers import Echo, Latch, PersistentLatch, make_app
+from oracle import check_guarantee
 from repro.core import (
     Actor,
     ActorMethodError,
@@ -354,8 +355,7 @@ def test_exactly_once_settlement_across_mid_request_kill_sqlite(tmp_path):
 
     try:
         asyncio.run(scenario())
-        kernel.check_no_crashes()
-        assert app.stats("calls")["unsettled"] == []
+        check_guarantee(app)
     finally:
         app.shutdown()  # releases the journal's lock file
 

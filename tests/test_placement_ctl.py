@@ -17,23 +17,11 @@ What must hold:
 
 from __future__ import annotations
 
-from repro.core import Actor, DecayingCounter, KarApplication, KarConfig, actor_proxy
+from repro.core import DecayingCounter, KarApplication, KarConfig, actor_proxy
 from repro.sim import Kernel
 
-
-class Counter(Actor):
-    """Read-then-tail-write commit discipline (exactly-once evidence)."""
-
-    async def bump(self, ctx, amount):
-        total = await ctx.state.get("total", 0)
-        return ctx.tail_call(None, "commit", total + amount)
-
-    async def commit(self, ctx, total):
-        await ctx.state.set("total", total)
-        return total
-
-    async def get(self, ctx):
-        return await ctx.state.get("total", 0)
+from helpers import Counter
+from oracle import check_guarantee
 
 
 def make_cluster(seed=0, workers=2, components=4, **overrides):
@@ -168,8 +156,7 @@ def test_hot_component_migrates_off_busiest_worker():
     # The two hot components no longer share a worker.
     assert len({app.control.worker_of(name) for name in hot_comps}) == 2
     assert totals_of(app, ids) == {actor_id: 25 for actor_id in ids}
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 def test_hot_component_splits_and_merges_back_exactly_once():
@@ -197,8 +184,7 @@ def test_hot_component_splits_and_merges_back_exactly_once():
     assert app.components["comp2"].alive
     # Exactly once across split + merge: every bump landed exactly once.
     assert totals_of(app, ids) == {actor_id: 25 for actor_id in ids}
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +215,7 @@ def test_wedged_worker_loses_partitions_within_lease_ttl():
     for comp in hosted:
         assert app.control.worker_of(comp) != victim_id
     assert totals_of(app, ids) == {actor_id: 3 for actor_id in ids}
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)
 
 
 def test_healthy_cluster_never_expires_leases():

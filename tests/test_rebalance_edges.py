@@ -28,20 +28,8 @@ from repro.mq import (
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 
-
-class Counter(Actor):
-    """Read-then-tail-write commit discipline (exactly-once evidence)."""
-
-    async def bump(self, ctx, amount):
-        total = await ctx.state.get("total", 0)
-        return ctx.tail_call(None, "commit", total + amount)
-
-    async def commit(self, ctx, total):
-        await ctx.state.set("total", total)
-        return total
-
-    async def get(self, ctx):
-        return await ctx.state.get("total", 0)
+from helpers import Counter
+from oracle import check_guarantee
 
 
 class Relay(Actor):
@@ -120,7 +108,7 @@ def test_handoff_while_retry_parked_settles_exactly_once():
     kernel.run(until=kernel.now + 5.0)
     assert app.trace.count("request.parked") >= 2
     assert app.trace.count("request.unparked") >= 1
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------
@@ -224,21 +212,20 @@ def run_leave_scenario(graceful: bool):
     else:
         app.control.kill_worker("w0")
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
-    kernel.run(until=kernel.now + 5.0)
     totals = tuple(
         app.run_call(actor_proxy("Counter", f"c{cid}"), "get")
         for cid in range(counters)
     )
-    unsettled = tuple(app.stats("calls")["unsettled"])
-    expected = (bumps,) * counters
-    return totals, unsettled, expected
+    kernel.run(until=kernel.now + 5.0)
+    return app, totals, (bumps,) * counters
 
 
 def test_graceful_and_crash_leave_settle_identically():
-    graceful_totals, graceful_unsettled, expected = run_leave_scenario(True)
-    crash_totals, crash_unsettled, _ = run_leave_scenario(False)
-    assert graceful_unsettled == crash_unsettled == ()
+    graceful, graceful_totals, expected = run_leave_scenario(True)
+    crash, crash_totals, _ = run_leave_scenario(False)
     assert graceful_totals == crash_totals == expected
+    check_guarantee(graceful)
+    check_guarantee(crash)
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +286,7 @@ def test_skewed_burst_splits_midflight_and_settles_exactly_once(
         for actor_id in ids
     }
     assert totals == {actor_id: bumps for actor_id in ids}
-    assert app.stats("calls")["unsettled"] == []
-    kernel.check_no_crashes()
+    check_guarantee(app)
     app.shutdown()
 
 
@@ -346,4 +332,4 @@ def test_migration_target_killed_mid_drain_lands_on_live_worker():
     # The in-flight call settles exactly once on the re-hosted component.
     assert kernel.run_until_complete(task, timeout=300.0) == 2
     kernel.run(until=kernel.now + 5.0)
-    assert app.stats("calls")["unsettled"] == []
+    check_guarantee(app)

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import inspect
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Kernel, SimFuture, SimProcess, TaskKilled
+from repro.sim import kernel as kernel_module
 
 
 def test_time_starts_at_zero():
@@ -330,6 +332,60 @@ def test_event_loop_drained_error():
     future = kernel.create_future()
     with pytest.raises(RuntimeError):
         kernel.run_until_complete(future)
+
+
+def test_stop_ends_run_until_complete_and_leaves_later_events_queued():
+    kernel = Kernel()
+    seen = []
+    future = kernel.create_future()
+
+    def stopper():
+        seen.append("stopper")
+        kernel.stop()
+
+    kernel.schedule(1.0, stopper)
+    kernel.schedule(1.0, seen.append, "same-time")
+    kernel.schedule(2.0, future.set_result, "done")
+    with pytest.raises(RuntimeError, match="stopped before completion"):
+        kernel.run_until_complete(future)
+    assert seen == ["stopper"] and kernel.now == 1.0 and not future.done()
+    assert kernel.run_until_complete(future) == "done"
+    assert seen == ["stopper", "same-time"] and kernel.now == 2.0
+
+
+def test_runaway_guard_trips_inside_run_until_complete(monkeypatch):
+    monkeypatch.setattr(kernel_module, "_MAX_EVENTS", 100)
+    kernel = Kernel()
+
+    def again():
+        kernel.call_soon(again)
+
+    kernel.call_soon(again)
+    with pytest.raises(RuntimeError, match="exceeded 100 events"):
+        kernel.run_until_complete(kernel.create_future())
+
+
+def test_kill_closes_a_coroutine_that_never_started_and_no_other():
+    kernel = Kernel()
+    progress = []
+
+    async def worker():
+        try:
+            progress.append("started")
+            await kernel.sleep(1.0)
+        finally:
+            progress.append("finally")
+
+    started = kernel.spawn(worker())
+    kernel.run(until=0.5)
+    fresh = kernel.spawn(worker())
+    started.kill()
+    fresh.kill()
+    # Closing the fresh one silences "never awaited" and runs nothing; the
+    # started one is abandoned mid-flight, its ``finally`` never runs.
+    assert inspect.getcoroutinestate(fresh.coro) == inspect.CORO_CLOSED
+    assert inspect.getcoroutinestate(started.coro) == inspect.CORO_SUSPENDED
+    assert progress == ["started"]
 
 
 # ----------------------------------------------------------------------
