@@ -27,7 +27,7 @@ from repro.core.actor import Actor, ActorRegistry
 from repro.core.api import KarApi
 from repro.core.cluster import ControlPlane, KarWorker
 from repro.core.config import KarConfig
-from repro.core.envelope import Request, Response
+from repro.core.envelope import envelope_id
 from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
 from repro.core.refs import ActorRef
 from repro.core.reminders import REMINDERS_KEY
@@ -423,17 +423,16 @@ class KarApplication:
         return {"unsettled": unsettled, "unsettled_count": len(unsettled)}
 
     def _journal_call_ids(self) -> tuple[set[str], set[str]]:
-        """Ids with a retained request record, and ids with a response."""
+        """Ids with a retained request record, and ids with a response
+        (read from the ids alone: no replayed envelope is decoded)."""
         requested: set[str] = set()
         responded: set[str] = set()
         topic = self.broker.topics.get(self.topic_name)
         if topic is not None:
             for record in topic.snapshot_unexpired(self.kernel.now):
-                envelope = record.value
-                if isinstance(envelope, Response):
-                    responded.add(envelope.request_id)
-                elif isinstance(envelope, Request):
-                    requested.add(envelope.request_id)
+                key = envelope_id(record)
+                if key is not None:
+                    (responded if key[0] else requested).add(key[1])
         return requested, responded
 
     def _gateway_stats(self) -> dict[str, Any]:

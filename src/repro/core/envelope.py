@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.refs import ActorRef
+from repro.mq.records import Record, ReplayedRecord
 from repro.persist.framing import (
     REQUEST_TYPE_ID,
     RESPONSE_TYPE_ID,
     register_frame_type,
 )
 
-__all__ = ["Request", "Response", "TailCall"]
+__all__ = ["Request", "Response", "TailCall", "envelope_id"]
 
 #: Binary-frame table id for TailCall (ids below 64 are runtime-reserved).
 TAILCALL_TYPE_ID = 4
@@ -153,3 +154,17 @@ class TailCall:
 register_frame_type(Request, REQUEST_TYPE_ID)
 register_frame_type(Response, RESPONSE_TYPE_ID)
 register_frame_type(TailCall, TAILCALL_TYPE_ID)
+
+
+def envelope_id(record: Record) -> tuple[bool, str] | None:
+    """``(is a response, request id)`` of a request or response record, or
+    None for any other record. A replayed record answers from its frame
+    bytes: which calls are settled is known without decoding them."""
+    if type(record) is ReplayedRecord:
+        return record.envelope_key
+    envelope = record.value
+    if isinstance(envelope, Response):
+        return True, envelope.request_id
+    if isinstance(envelope, Request):
+        return False, envelope.request_id
+    return None

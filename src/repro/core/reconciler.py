@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.envelope import Request, Response
+from repro.core.envelope import Request, envelope_id
 from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
-from repro.mq import GenerationInfo
+from repro.mq import GenerationInfo, Record
 
 if TYPE_CHECKING:
     from repro.core.runtime import Component
@@ -69,35 +69,41 @@ class Reconciler:
         await self.kernel.sleep(scan_cost)
 
         live_members = set(info.members)
+        # Pass 1 reads request ids only, so a settled call's records are
+        # never decoded. Pass 2 weighs only unsettled requests: the stranded
+        # set and each caller's first unsettled child come out as they would
+        # if settled requests were weighed too.
         responses: set[str] = set()
+        requests: list[tuple[str, Record]] = []
+        for record in catalog:
+            key = envelope_id(record)
+            if key is not None:
+                if key[0]:
+                    responses.add(key[1])
+                else:
+                    requests.append((key[1], record))
         latest_request: dict[str, tuple[str, Request]] = {}
         children: dict[str, list[str]] = {}
-        for record in catalog:
+        for request_id, record in requests:
+            if request_id in responses:
+                continue
             envelope = record.value
-            if isinstance(envelope, Response):
-                responses.add(envelope.request_id)
-            elif isinstance(envelope, Request):
-                current = latest_request.get(envelope.request_id)
-                if current is None or self._supersedes(
-                    record.partition, envelope, current[0], current[1], live_members
-                ):
-                    latest_request[envelope.request_id] = (
-                        record.partition,
-                        envelope,
-                    )
-                if envelope.return_address is not None:
-                    children.setdefault(envelope.return_address, [])
-                    if envelope.request_id not in children[envelope.return_address]:
-                        children[envelope.return_address].append(
-                            envelope.request_id
-                        )
+            current = latest_request.get(request_id)
+            if current is None or self._supersedes(
+                record.partition, envelope, current[0], current[1], live_members
+            ):
+                latest_request[request_id] = (record.partition, envelope)
+            if envelope.return_address is not None:
+                siblings = children.setdefault(envelope.return_address, [])
+                if request_id not in siblings:
+                    siblings.append(request_id)
 
-        # Pending = no matching response; stranded = latest record sits in a
-        # queue whose owner is no longer a group member.
+        # Stranded = pending (no matching response) and the latest record
+        # sits in a queue whose owner is no longer a group member.
         stranded = [
             (partition, request)
-            for request_id, (partition, request) in latest_request.items()
-            if request_id not in responses and partition not in live_members
+            for partition, request in latest_request.values()
+            if partition not in live_members
         ]
         # Formal (tail-self) ordering: tail calls that own their actor's lock
         # recover first, then everything else in arrival order.

@@ -167,7 +167,6 @@ class SqliteStoreBackend(StoreBackend):
         self.path = path
         self._closed = False
         self._in_batch = False
-        self._frame_cache = framing.FrameCache()
         self._conn = sqlite3.connect(path, isolation_level=None)
         if synchronous.upper() not in ("OFF", "NORMAL", "FULL", "EXTRA"):
             raise ValueError(f"bad synchronous pragma {synchronous!r}")
@@ -297,8 +296,9 @@ class SqliteStoreBackend(StoreBackend):
         ).fetchall()
         return {field: self._decode(value) for field, value in rows}
 
-    def _encode(self, value: Any) -> bytes:
-        return framing.dumps_frame(value, cache=self._frame_cache)
+    @staticmethod
+    def _encode(value: Any) -> bytes:
+        return framing.dumps_frame(value)
 
     @staticmethod
     def _decode(stored: bytes) -> Any:

@@ -10,13 +10,14 @@ read and append through without keeping anything of their own.
 - :class:`MemoryBrokerLog` is that image and nothing else. It survives an
   application ``shutdown``/``reopen`` as a live object (the message service
   outliving the app), not a process death.
-- :class:`FileJournalLog` additionally appends one length-prefixed binary
+- :class:`FileJournalLog` additionally appends one checksummed binary
   frame per record to a journal file, with retention expiry recorded as
   compaction markers and the whole file rewritten once enough expired
   records accumulate (retention-driven compaction). Replay is
   offset-indexed: entries carry explicit offsets, so a cold restart
   reconstructs every partition's ``first_retained_offset`` /
-  ``end_offset`` exactly.
+  ``end_offset`` exactly. It decodes only each record's header; values
+  stay frame bytes until something reads them.
 
 The log also stores a small metadata map (group generation, component
 epochs, boot counter, partition leases) that must outlive the application
@@ -29,10 +30,11 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import zlib
 from typing import Any, Iterator
 
 from repro.mq.errors import JournalLockedError, JournalReadOnlyError
-from repro.mq.records import Record, RetainedRecords
+from repro.mq.records import Record, ReplayedRecord, RetainedRecords
 from repro.persist import framing
 
 try:  # advisory file locking is POSIX-only; elsewhere the guard is a no-op
@@ -40,10 +42,17 @@ try:  # advisory file locking is POSIX-only; elsewhere the guard is a no-op
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["BrokerLog", "FileJournalLog", "MemoryBrokerLog"]
+__all__ = ["BrokerLog", "FileJournalLog", "JOURNAL_HEADER", "MemoryBrokerLog"]
 
-#: Length prefix for journal frames.
-_U32 = struct.Struct("<I")
+#: Journal version 3: every frame carries a CRC-32 of its payload. (The
+#: value encoding inside the frames is still framing's version 2.)
+JOURNAL_VERSION = 3
+#: The four bytes that open a journal file.
+JOURNAL_HEADER = framing.MAGIC + bytes((JOURNAL_VERSION,))
+#: A frame's header: payload length, then CRC-32 of the payload.
+_FRAME_HEAD = struct.Struct("<II")
+#: How every ``r`` payload starts: a 6-tuple opener and the kind string.
+_RECORD_HEAD = framing.encode_value(("r",) + (None,) * 5)[:-5]
 
 
 class _PartitionImage:
@@ -184,9 +193,9 @@ class MemoryBrokerLog(BrokerLog):
 class FileJournalLog(BrokerLog):
     """Append-only file journal with offset-indexed replay and compaction.
 
-    The file is a 4-byte header (the frame magic plus version byte)
-    followed by length-prefixed frames, each one entry tuple in the binary
-    framing codec::
+    The file is :data:`JOURNAL_HEADER` (the frame magic plus journal
+    version 3) followed by frames ``<u32 length><u32 crc32(payload)>
+    <payload>``, each payload one entry tuple in the binary framing codec::
 
         ("r", topic, partition, offset, ts, value)   # record
         ("c", topic, partition, keep_from)           # compaction
@@ -194,10 +203,19 @@ class FileJournalLog(BrokerLog):
         ("s", topic, partition, first, next)         # bounds (after rewrite)
         ("m", key, value)                            # metadata (last one wins)
 
+    Replay verifies every frame's CRC and decodes an ``r`` frame's header
+    only: its record is a :class:`~repro.mq.records.ReplayedRecord` whose
+    value is decoded when first read, and which :meth:`rewrite` copies
+    verbatim. A frame that fails its CRC is a torn tail when it is the
+    last thing in the file (see :meth:`_torn`): the appender truncates it
+    and an observer stops there. Anywhere else it is refused as a corrupt
+    journal frame.
+
     A non-empty file that does not start with that header is refused with a
-    ``ValueError`` naming the path, and is left untouched. So is a journal
-    with a ``<journal>.meta.json`` beside it: metadata was a JSON sidecar up
-    to PR 20, there is no migration, and nothing here reads one.
+    ``ValueError`` naming the path, and is left untouched: that includes a
+    version-2 journal (no frame checksums), which is neither read nor
+    migrated. So is a journal with a ``<journal>.meta.json`` beside it:
+    metadata used to be that JSON sidecar, and nothing here reads one.
 
     Locking: the single appender holds an *exclusive* ``flock`` on the
     ``<journal>.lock`` sidecar for its whole lifetime (a second appender is
@@ -234,8 +252,6 @@ class FileJournalLog(BrokerLog):
         self._compact_ratio = compact_ratio
         #: Record entries sitting in the file since the last rewrite.
         self._disk_records = 0
-        #: Request-core memo shared by every frame this journal encodes.
-        self._frame_cache = framing.FrameCache()
         #: Full-file rewrites performed (the compaction evidence counter).
         self.rewrites = 0
         if read_only:
@@ -253,7 +269,7 @@ class FileJournalLog(BrokerLog):
         try:
             found = self._load()
             if not found and not read_only:
-                self._file.write(framing.HEADER)
+                self._file.write(JOURNAL_HEADER)
                 self._flush_file()
         except BaseException:
             # A refused journal must not keep the append lock: a retry in
@@ -326,35 +342,40 @@ class FileJournalLog(BrokerLog):
             data = handle.read()
         if not data:
             return False
-        if not data.startswith(framing.HEADER):
+        if not data.startswith(JOURNAL_HEADER):
+            if data.startswith(framing.HEADER):
+                raise ValueError(
+                    f"{self.path!r} is a version-2 journal, written before "
+                    "frame checksums; it is neither read nor migrated"
+                )
             raise ValueError(
-                f"{self.path!r} is not a version-2 framed journal "
-                f"(it starts with {data[:4]!r})"
+                f"{self.path!r} is not a version-{JOURNAL_VERSION} framed "
+                f"journal (it starts with {data[:4]!r})"
             )
-        pos = 4
+        view = memoryview(data)
+        pos = len(JOURNAL_HEADER)
         total = len(data)
-        while pos < total:
-            if pos + 4 > total:
-                break  # torn length prefix at the tail
-            (size,) = _U32.unpack_from(data, pos)
-            end = pos + 4 + size
-            if end > total:
-                break  # torn frame payload at the tail
-            try:
-                entry, consumed = framing.decode_value(data, pos + 4)
-                if consumed != end:
-                    raise framing.FramingError("frame length mismatch")
-            except framing.FramingError:
-                # A bad final frame is the torn residue of a crash mid-write
-                # (the record it carried was never acknowledged): truncate
-                # and recover. A bad frame *followed by* intact bytes is
-                # real corruption -- refuse to guess.
-                if end == total:
+        # The loop also stops with fewer bytes left than a frame header:
+        # that is a torn header at the tail.
+        while pos + _FRAME_HEAD.size <= total:
+            size, crc = _FRAME_HEAD.unpack_from(data, pos)
+            start = pos + _FRAME_HEAD.size
+            end = start + size
+            if end > total or zlib.crc32(view[start:end]) != crc:
+                # The torn residue of a crash mid-write (never acknowledged)
+                # is truncated; a damaged frame with intact ones after it is
+                # corruption, and replay refuses to guess.
+                if self._torn(view, start, end, crc):
                     break
                 raise ValueError(
                     f"corrupt journal frame at byte {pos} in {self.path!r}"
+                )
+            try:
+                self._replay_frame(data, pos, start, end)
+            except framing.FramingError:
+                raise ValueError(
+                    f"corrupt journal frame at byte {pos} in {self.path!r}"
                 ) from None
-            self._apply(entry)
             pos = end
         if pos < total and not self.read_only:
             # The torn entry was never acknowledged; drop it. (Observers
@@ -363,23 +384,62 @@ class FileJournalLog(BrokerLog):
                 handle.truncate(pos)
         return True
 
+    @staticmethod
+    def _torn(view: memoryview, start: int, end: int, crc: int) -> bool:
+        """Whether a frame whose payload ``start:end`` failed its CRC is the
+        torn tail of the file rather than damage in the middle of it.
+
+        It is torn when its bytes run to the end of the file, by its length
+        or by its CRC, and no shorter run of them matches its CRC (that run
+        would be the real payload behind a damaged length, with intact
+        frames after it). So one flipped bit anywhere in a frame with
+        frames after it is refused, and one in the last frame truncates it.
+        """
+        total = len(view)
+        if end < total:
+            # Bytes follow the frame's claimed end: only a last frame whose
+            # length was shortened has a CRC over exactly the rest.
+            return zlib.crc32(view[start:]) == crc
+        running = 0
+        for stop in range(start, total - 1):
+            running = zlib.crc32(view[stop : stop + 1], running)
+            if running == crc:
+                return False
+        return True
+
+    def _replay_frame(self, data: bytes, pos: int, start: int, end: int) -> None:
+        """Apply the checksummed frame ``data[pos:end]`` (payload from
+        ``start``) to the image; a record keeps its value undecoded."""
+        if not data.startswith(_RECORD_HEAD, start):
+            # decode_values, not decode_value: the latter is left to record
+            # values alone, so counting its calls counts values decoded.
+            (entry,), stop = framing.decode_values(data, start, 1)
+            if stop != end:
+                raise framing.FramingError("frame length mismatch")
+            self._apply(entry)
+            return
+        (topic, partition, offset, timestamp), value_at = framing.decode_values(
+            data, start + len(_RECORD_HEAD), 4
+        )
+        # One topic/partition string is shared by thousands of entries:
+        # interning keeps replay memory flat and key comparisons cheap.
+        partition = sys.intern(partition)
+        image = self.image(sys.intern(topic), partition)
+        image.records.append(
+            ReplayedRecord(partition, offset, timestamp, data[pos:end], value_at - pos)
+        )
+        image.next_offset = offset + 1
+        self._disk_records += 1
+
     def _apply(self, entry: tuple) -> None:
-        """Apply one replayed journal entry to the in-memory image."""
+        """Apply one replayed non-record journal entry to the image."""
         kind = entry[0]
         if kind == "m":
             self._meta[entry[1]] = entry[2]
             return
-        # One topic/partition string is shared by thousands of entries:
-        # interning keeps replay memory flat and key comparisons cheap.
         topic = sys.intern(entry[1])
         partition = sys.intern(entry[2])
-        if kind == "r":
-            image = self.image(topic, partition)
-            record = Record(partition, entry[3], entry[4], entry[5])
-            image.records.append(record)
-            image.next_offset = record.offset + 1
-            self._disk_records += 1
-        elif kind == "c":
+        if kind == "c":
             image = self.image(topic, partition)
             if entry[3] > image.first_retained_offset:
                 image.trim(entry[3])
@@ -395,7 +455,7 @@ class FileJournalLog(BrokerLog):
     # ------------------------------------------------------------------
     # durability hooks
     # ------------------------------------------------------------------
-    def _record_line(self, topic: str, record: Record) -> bytes:
+    def _record_frame(self, topic: str, record: Record) -> bytes:
         return self._frame_bytes(
             (
                 "r",
@@ -407,16 +467,17 @@ class FileJournalLog(BrokerLog):
             )
         )
 
-    def _frame_bytes(self, entry: tuple) -> bytes:
-        payload = framing.encode_value(entry, self._frame_cache)
-        return _U32.pack(len(payload)) + payload
+    @staticmethod
+    def _frame_bytes(entry: tuple) -> bytes:
+        payload = framing.encode_value(entry)
+        return _FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
     def _persist_append(self, topic: str, records: list[Record]) -> None:
         # Every frame is encoded before the first byte is written (an
         # unencodable payload fails the append with the file untouched),
         # and one write + flush covers the whole produce round trip.
         self._assert_writable()
-        self._file.write(b"".join([self._record_line(topic, r) for r in records]))
+        self._file.write(b"".join([self._record_frame(topic, r) for r in records]))
         self._flush_file()
         self._disk_records += len(records)
 
@@ -443,11 +504,15 @@ class FileJournalLog(BrokerLog):
         self.rewrite()
 
     def rewrite(self) -> None:
-        """Rewrite the journal with only the retained image (in place)."""
+        """Rewrite the journal with only the retained image (in place).
+
+        A replayed record is copied as its frame bytes, checksum and all:
+        compaction never decodes a value.
+        """
         self._assert_writable()
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as handle:
-            handle.write(framing.HEADER)
+            handle.write(JOURNAL_HEADER)
             for item in self._meta.items():
                 handle.write(self._frame_bytes(("m", *item)))
             for (topic, partition), image in sorted(self._parts.items()):
@@ -463,7 +528,11 @@ class FileJournalLog(BrokerLog):
                     )
                 )
                 for record in image.records.tail():
-                    handle.write(self._record_line(topic, record))
+                    handle.write(
+                        record.frame
+                        if type(record) is ReplayedRecord
+                        else self._record_frame(topic, record)
+                    )
             handle.flush()
             if self._fsync:
                 os.fsync(handle.fileno())

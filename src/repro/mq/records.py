@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.persist.framing import register_frame_type
+from repro.persist import framing
 
-__all__ = ["Record", "RetainedRecords"]
+__all__ = ["Record", "ReplayedRecord", "RetainedRecords"]
 
 #: Binary-frame table id for Record (ids below 64 are runtime-reserved).
 RECORD_TYPE_ID = 5
@@ -31,7 +31,62 @@ class Record:
         return f"Record({self.partition}@{self.offset} t={self.timestamp:.3f})"
 
 
-register_frame_type(Record, RECORD_TYPE_ID)
+framing.register_frame_type(Record, RECORD_TYPE_ID)
+
+#: ``Record``'s own storage for ``value``, which ``ReplayedRecord`` shadows
+#: with a property and uses as the cache of the decoded value.
+_VALUE_SLOT = Record.__dict__["value"]
+_UNREAD = object()
+
+
+class ReplayedRecord(Record):
+    """A record replayed from a journal frame; its value stays bytes until
+    something reads it.
+
+    ``frame`` is the record's whole journal frame (already checksummed) and
+    ``value_at`` where the value's encoding starts in it. The first read of
+    ``value`` decodes it through ``framing.decode_value`` and keeps it.
+    ``envelope_key`` is "a response or a request, for which id", peeked
+    from the bytes (``framing.peek_envelope``), and ``frame`` lets a journal
+    rewrite copy the record without decoding it. It compares equal to, and
+    hashes like, the :class:`Record` that was appended.
+    """
+
+    __slots__ = ("frame", "_value_at", "envelope_key")
+
+    def __init__(
+        self, partition: str, offset: int, timestamp: float, frame: bytes, value_at: int
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "partition", partition)
+        setattr_(self, "offset", offset)
+        setattr_(self, "timestamp", timestamp)
+        setattr_(self, "frame", frame)
+        setattr_(self, "_value_at", value_at)
+        setattr_(self, "envelope_key", framing.peek_envelope(frame, value_at))
+        _VALUE_SLOT.__set__(self, _UNREAD)
+
+    @property
+    def value(self) -> Any:  # type: ignore[override]
+        value = _VALUE_SLOT.__get__(self)
+        if value is _UNREAD:
+            value, end = framing.decode_value(self.frame, self._value_at)
+            if end != len(self.frame):
+                raise framing.FramingError("journal record frame length mismatch")
+            _VALUE_SLOT.__set__(self, value)
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Record):
+            return NotImplemented
+        return (self.partition, self.offset, self.timestamp, self.value) == (
+            other.partition,
+            other.offset,
+            other.timestamp,
+            other.value,
+        )
+
+    __hash__ = Record.__hash__
 
 
 class RetainedRecords:

@@ -29,10 +29,13 @@ types the runtime actually persists:
 - ``ActorRef`` / ``Request`` / ``Response`` get dedicated opcodes;
   hot identifier fields (method names, member ids, actor types) are
   interned on decode so replay shares one string object per distinct id;
-- a :class:`FrameCache` memoizes the encoded immutable core of each
-  ``Request`` so retry and recovery copies -- which change only the retry
-  header (``after_callee``/``copy_epoch``/``attempts``/``attempt_log``) --
-  never re-encode the unchanged fields;
+- an optional :class:`FrameCache` memoizes the encoded immutable core of
+  each ``Request`` so retry and recovery copies -- which change only the
+  retry header (``after_callee``/``copy_epoch``/``attempts``/
+  ``attempt_log``) -- never re-encode the unchanged fields (the durable
+  backends pass none: on their workloads it never hit);
+- :func:`peek_envelope` reads an encoded envelope's request id, and
+  :func:`decode_values` a run of leading values, without decoding the rest;
 - unregistered dataclasses fall back to import-path encoding and anything
   else to raw pickle bytes.
 """
@@ -56,9 +59,11 @@ __all__ = [
     "MAGIC",
     "VERSION_BINARY",
     "decode_value",
+    "decode_values",
     "dumps_frame",
     "encode_value",
     "loads_frame",
+    "peek_envelope",
     "register_frame_type",
 ]
 
@@ -729,6 +734,34 @@ def decode_value(data: bytes, pos: int = 0) -> tuple[Any, int]:
         raise FramingError(f"truncated binary frame: {error}") from error
     except UnicodeDecodeError as error:
         raise FramingError(f"malformed string in frame: {error}") from error
+
+
+def decode_values(data: bytes, pos: int, count: int) -> tuple[list, int]:
+    """Decode ``count`` consecutive values starting at ``pos``; returns
+    (values, end), so a caller can stop before the values it skips."""
+    try:
+        return _decode_many(data, pos, count)
+    except (IndexError, struct.error) as error:
+        raise FramingError(f"truncated binary frame: {error}") from error
+    except UnicodeDecodeError as error:
+        raise FramingError(f"malformed string in frame: {error}") from error
+
+
+def peek_envelope(data: bytes, pos: int = 0) -> tuple[bool, str] | None:
+    """``(is a response, request id)`` of the ``Request`` or ``Response``
+    encoded at ``pos``, or None for any other value.
+
+    Only the id is decoded: it is wire field 0 of both envelopes (the first
+    core field of a ``Request``, the first field of a ``Response``).
+    """
+    op = data[pos]
+    if op != _OP_REQUEST and op != _OP_RESPONSE:
+        return None
+    try:
+        request_id, _end = _decode_str(data, pos + 1)
+    except (IndexError, struct.error, UnicodeDecodeError) as error:
+        raise FramingError(f"malformed envelope frame: {error}") from error
+    return op == _OP_RESPONSE, sys.intern(request_id)
 
 
 def dumps_frame(value: Any, cache: FrameCache | None = None) -> bytes:

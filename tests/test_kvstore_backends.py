@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 import sqlite3
+import struct
 
 import pytest
 
@@ -580,15 +581,21 @@ def test_binary_journal_refuses_mid_file_corruption(tmp_path):
     run(kernel, broker.produce("t", "p1", "second", "prod"))
     harness.log.close()
     path = tmp_path / "conformance.journal"
-    data = bytearray(path.read_bytes())
-    intact = bytes(data)
-    data[8] = 0xFF  # first frame's leading opcode (after header + length)
-    path.write_bytes(bytes(data))
-    # The refusal releases the append lock: a retry in this process sees
-    # the same error again (not JournalLockedError) ...
-    for _ in range(2):
-        with pytest.raises(ValueError, match="corrupt journal frame"):
-            harness.open()
+    intact = path.read_bytes()
+    (size,) = struct.unpack_from("<I", intact, 4)
+    first_frame_end = 4 + 8 + size  # header, then length + CRC + payload
+    # The first frame's leading opcode (after header, length and CRC), and
+    # the last byte of its value ("first"): without a checksum the second
+    # one would be read as a different record.
+    for at in (12, first_frame_end - 1):
+        data = bytearray(intact)
+        data[at] ^= 0xFF
+        path.write_bytes(bytes(data))
+        # The refusal releases the append lock: a retry in this process
+        # sees the same error again (not JournalLockedError) ...
+        for _ in range(2):
+            with pytest.raises(ValueError, match="corrupt journal frame at byte 4"):
+                harness.open()
     # ... and once the file is repaired the journal opens.
     path.write_bytes(intact)
     log = harness.open()
@@ -603,14 +610,14 @@ def test_journal_refuses_unframed_file_and_leaves_it_untouched(tmp_path):
     text = b'{"k":"r","t":"t","p":"p1","o":0,"ts":0.1,"v":"first"}\n'
     path.write_bytes(text)
     harness = LogHarness("journal", tmp_path)
-    with pytest.raises(ValueError, match="conformance.journal.*not a version-2"):
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-3"):
         harness.open()
     assert path.read_bytes() == text
     # A frame header with a version this reader does not know is refused
     # the same way.
     versioned = MAGIC + bytes((1,)) + text
     path.write_bytes(versioned)
-    with pytest.raises(ValueError, match="conformance.journal.*not a version-2"):
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-3"):
         harness.open()
     assert path.read_bytes() == versioned
 

@@ -1,0 +1,199 @@
+"""Checksummed journal frames, and a replay that decodes only what is read.
+
+A journal frame is ``<u32 length><u32 crc32(payload)><payload>``. Replay
+verifies every frame's CRC and decodes a record's header only; the value
+is decoded when something first reads it. Reconciliation and
+``stats("calls")`` read a settled call by its request id alone, so a cold
+restart decodes the unsettled requests and nothing else.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import pytest
+
+from repro.core import KarApplication, KarConfig, actor_proxy
+from repro.core.envelope import Request
+from repro.mq import FileJournalLog, Record
+from repro.mq.log import JOURNAL_HEADER
+from repro.mq.records import ReplayedRecord
+from repro.persist import PersistenceConfig, framing
+from repro.sim import Kernel
+
+from helpers import Counter, Flow, Tally
+from oracle import check_guarantee
+
+TYPES = ("Counter", "Flow", "Tally")
+
+
+def deploy(app: KarApplication) -> KarApplication:
+    app.add_component("w1", TYPES)
+    app.add_component("w2", TYPES)
+    app.client()
+    app.settle()
+    return app
+
+
+def durable_app(root, seed: int = 0) -> KarApplication:
+    config = KarConfig.fast_test().with_overrides(
+        persistence=PersistenceConfig.sqlite(str(root))
+    )
+    app = KarApplication.fresh(Kernel(seed=seed), config, name="app")
+    for cls in (Counter, Flow, Tally):
+        app.register_actor(cls)
+    return deploy(app)
+
+
+def frames(data: bytes) -> list[tuple[int, int, str]]:
+    """``(start, end, kind)`` of every frame after the journal header."""
+    spans, pos = [], len(JOURNAL_HEADER)
+    while pos < len(data):
+        (size,) = struct.unpack_from("<I", data, pos)
+        end = pos + 8 + size
+        entry, _ = framing.decode_value(data, pos + 8)
+        spans.append((pos, end, entry[0]))
+        pos = end
+    return spans
+
+
+@pytest.fixture
+def counted_decodes(monkeypatch) -> list[int]:
+    """Every ``framing.decode_value`` call from here on, one entry each."""
+    calls: list[int] = []
+    original = framing.decode_value
+
+    def counting(data, pos=0):
+        calls.append(pos)
+        return original(data, pos)
+
+    monkeypatch.setattr(framing, "decode_value", counting)
+    return calls
+
+
+@pytest.fixture
+def ledger_journal(tmp_path):
+    """A small real journal: three settled read-then-tail-write calls."""
+    app = durable_app(tmp_path / "durable")
+    for amount in (1, 2, 3):
+        app.run_call(actor_proxy("Counter", "c1"), "bump", amount)
+    app.shutdown()
+    return tmp_path / "durable" / "app.journal"
+
+
+def test_every_bit_flip_in_a_frame_with_frames_after_it_is_refused(ledger_journal):
+    intact = ledger_journal.read_bytes()
+    spans = frames(intact)
+    flips = 0
+    for start, end, kind in spans[:-1]:
+        if kind != "r":
+            continue
+        for at in range(start, end):
+            damaged = bytearray(intact)
+            damaged[at] ^= 1 << (at % 8)
+            ledger_journal.write_bytes(bytes(damaged))
+            with pytest.raises(ValueError, match=f"corrupt journal frame at byte {start} "):
+                FileJournalLog(str(ledger_journal))
+            assert ledger_journal.read_bytes() == bytes(damaged)  # untouched
+            flips += 1
+    assert flips > 500  # every byte of every mid-file record frame
+
+
+def test_a_bit_flip_in_the_last_frame_truncates_it_as_a_torn_tail(ledger_journal):
+    log = FileJournalLog(str(ledger_journal))
+    retained = log.retained_records()
+    log.append_many("app-topic", [Record("tail#0", 0, 1.0, "tail")])
+    log.close()
+    intact = ledger_journal.read_bytes()
+    start, end, kind = frames(intact)[-1]
+    assert (kind, end) == ("r", len(intact))
+    for at in range(start, end):
+        damaged = bytearray(intact)
+        damaged[at] ^= 1 << (at % 8)
+        ledger_journal.write_bytes(bytes(damaged))
+        log = FileJournalLog(str(ledger_journal))
+        assert log.retained_records() == retained
+        log.close()
+        assert ledger_journal.read_bytes() == intact[:start]
+
+
+def test_replayed_records_equal_the_appended_ones_and_decode_on_first_read(
+    tmp_path, counted_decodes
+):
+    path = str(tmp_path / "app.journal")
+    appended = [Record("p", offset, offset / 2, f"v{offset}") for offset in range(3)]
+    log = FileJournalLog(path)
+    log.append_many("t", appended)
+    log.close()
+    log = FileJournalLog(path)
+    ((_, _, _, _, replayed),) = log.replay()
+    log.close()
+    assert all(type(record) is ReplayedRecord for record in replayed)
+    assert counted_decodes == []
+    assert replayed[1].value == "v1"
+    assert replayed[1].value == "v1"  # decoded once, then kept
+    assert len(counted_decodes) == 1
+    assert replayed == appended and appended == replayed
+    assert [hash(record) for record in replayed] == [hash(r) for r in appended]
+    assert len(counted_decodes) == 3
+
+
+def test_compaction_copies_replayed_frames_without_decoding(tmp_path, counted_decodes):
+    journal = tmp_path / "app.journal"
+    path = str(journal)
+    log = FileJournalLog(path)
+    log.set_meta("app:app:boot", 1)
+    log.append_many("t", [Record("p", offset, 0.0, ("v", offset)) for offset in range(6)])
+    log.compact("t", "p", 2)
+    log.close()
+    log = FileJournalLog(path)
+    image = list(log.replay())
+    log.rewrite()
+    log.close()
+    assert counted_decodes == []
+    log = FileJournalLog(path)
+    assert list(log.replay()) == image
+    assert log.meta_items() == {"app:app:boot": 1}
+    assert [kind for _, _, kind in frames(journal.read_bytes())] == list("msrrrr")
+    log.close()
+
+
+def test_a_cold_restart_decodes_only_the_unsettled_requests(tmp_path, counted_decodes):
+    """ROADMAP item 6's count: nothing is decoded inside ``reopen()``, and
+    recovery decodes no more values than the in-flight requests' records."""
+    app = durable_app(tmp_path / "durable", seed=21)
+    kernel, client = app.kernel, app.client()
+    for amount in range(8):  # settled calls the replay must read through
+        app.run_call(actor_proxy("Counter", f"c{amount}"), "bump", amount)
+    workflows, hops = 6, 4
+    for wid in range(workflows):
+        kernel.spawn(
+            client.invoke(None, actor_proxy("Flow", f"f{wid}"), "start", (wid, hops)),
+            client.process,
+        )
+    kernel.run(until=kernel.now + 0.02)  # mid-workflow
+    unsettled = set(app.stats("calls")["unsettled"])
+    assert unsettled  # the crash interrupted real work
+    topic = app.broker.topic(app.topic_name)
+    in_flight_records = sum(
+        1
+        for record in topic.snapshot_unexpired(kernel.now)
+        if isinstance(record.value, Request) and record.value.request_id in unsettled
+    )
+    retained = app.broker.log.retained_records()
+
+    del counted_decodes[:]
+    recovered = app.reopen()
+    assert counted_decodes == []
+    assert recovered.restored_records == retained > in_flight_records
+    deploy(recovered)
+    deadline = kernel.now + 180.0
+    while recovered.stats("calls")["unsettled"] and kernel.now < deadline:
+        kernel.run(until=kernel.now + 1.0)
+    assert 0 < len(counted_decodes) <= in_flight_records
+    assert sum(
+        recovered.run_call(actor_proxy("Tally", f"t{index}"), "report")
+        for index in range(3)
+    ) == workflows * hops
+    check_guarantee(app, recovered)
+    recovered.shutdown()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import errno
 import gc
 import os
+import struct
+import zlib
 from collections import Counter
 
 import pytest
@@ -24,7 +26,7 @@ from repro.mq import (
     MemoryBrokerLog,
 )
 from repro.mq.errors import StaleLeaseError
-from repro.mq.log import _U32
+from repro.mq.log import JOURNAL_HEADER
 from repro.mq.records import Record, RetainedRecords
 from repro.persist import CodecError, framing
 from repro.sim import Kernel
@@ -307,12 +309,13 @@ def test_a_failing_hook_leaves_memory_where_the_file_is(mutate, flavor, tmp_path
 def frames(path) -> list[tuple]:
     with open(path, "rb") as handle:
         data = handle.read()
-    assert data.startswith(framing.HEADER)
+    assert data.startswith(JOURNAL_HEADER)
     entries, pos = [], 4
     while pos < len(data):
-        (size,) = _U32.unpack_from(data, pos)
-        entry, end = framing.decode_value(data, pos + 4)
-        assert end == pos + 4 + size
+        size, crc = struct.unpack_from("<II", data, pos)
+        assert zlib.crc32(data[pos + 8 : pos + 8 + size]) == crc
+        entry, end = framing.decode_value(data, pos + 8)
+        assert end == pos + 8 + size
         entries.append(entry)
         pos = end
     return entries

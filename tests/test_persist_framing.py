@@ -3,8 +3,9 @@
 Hypothesis drives arbitrary nested values -- every scalar and container
 the runtime puts on the wire, plus the registered hot-path dataclasses --
 through encode/decode and asserts exact round trips, type preservation
-and deterministic bytes. Golden-bytes tests pin the version-2 encoding, and
-rejection tests pin that nothing else is accepted as a frame.
+and deterministic bytes. Golden-bytes tests pin the version-2 encoding and
+the version-3 journal frames around it, and rejection tests pin that
+nothing else is accepted as a frame.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.persist.framing import (
     dumps_frame,
     encode_value,
     loads_frame,
+    peek_envelope,
 )
 
 # ----------------------------------------------------------------------
@@ -279,10 +281,13 @@ GOLDEN_RESPONSE = Response("r42", value={"result": (1, None)})
 GOLDEN_RESPONSE_FRAME = bytes.fromhex(
     "ab4b52021708037234320e010000000806726573756c740c020301000002"
 )
-#: Length prefix + ("r", "app.topic", "w1#0", 5, 12.25, GOLDEN_RESPONSE).
+#: The journal file header: frame magic + journal version 3.
+GOLDEN_JOURNAL_HEADER = bytes.fromhex("ab4b5203")
+#: Length prefix + CRC-32 of the payload + the payload
+#: ("r", "app.topic", "w1#0", 5, 12.25, GOLDEN_RESPONSE).
 GOLDEN_JOURNAL_ENTRY = bytes.fromhex(
-    "3b0000000c0608017208096170702e746f70696308047731233003050700000000"
-    "008028401708037234320e010000000806726573756c740c020301000002"
+    "3b000000dd681e5f0c0608017208096170702e746f7069630804773123300305070000"
+    "0000008028401708037234320e010000000806726573756c740c020301000002"
 )
 
 
@@ -294,14 +299,24 @@ def test_golden_request_and_response_frames():
     assert loads_frame(GOLDEN_RESPONSE_FRAME) == GOLDEN_RESPONSE
 
 
+def test_request_id_is_wire_field_zero_of_both_envelopes():
+    """Replay reads a settled call by its request id alone, peeking at wire
+    field 0 of the encoded envelope: this pins that layout."""
+    assert dataclasses.fields(Request)[0].name == "request_id"
+    assert dataclasses.fields(Response)[0].name == "request_id"
+    assert peek_envelope(GOLDEN_REQUEST_FRAME, 4) == (False, "r42")
+    assert peek_envelope(GOLDEN_RESPONSE_FRAME, 4) == (True, "r42")
+    assert peek_envelope(encode_value(("r42", 1))) is None
+
+
 def test_golden_journal_file_bytes(tmp_path):
     path = tmp_path / "golden.journal"
     log = FileJournalLog(str(path))
     log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
     log.close()
-    golden_file = bytes.fromhex("ab4b5202") + GOLDEN_JOURNAL_ENTRY
+    golden_file = GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY
     assert path.read_bytes() == golden_file
-    # And the pinned bytes replay: a journal from that commit still opens.
+    # And the pinned bytes replay: a journal written by them still opens.
     path.write_bytes(golden_file)
     log = FileJournalLog(str(path))
     ((topic, partition, first, next_offset, records),) = log.replay()
@@ -309,13 +324,26 @@ def test_golden_journal_file_bytes(tmp_path):
     assert (topic, partition, first, next_offset) == ("app.topic", "w1#0", 0, 6)
     assert records[0].value == GOLDEN_RESPONSE
     assert (records[0].offset, records[0].timestamp) == (5, 12.25)
+    assert records[0] == Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)
 
 
-#: Length prefix + ("m", "lease:app.topic:w1", ["app.topic", "w1", "w1#3", 3]):
-#: broker metadata is a frame of the journal itself, not a sidecar file.
+def test_a_version_2_journal_is_refused_by_name_and_left_untouched(tmp_path):
+    """Journals written before frame checksums (the same entry, no CRC) are
+    neither read nor migrated."""
+    path = tmp_path / "old.journal"
+    unchecked = HEADER + GOLDEN_JOURNAL_ENTRY[:4] + GOLDEN_JOURNAL_ENTRY[8:]
+    path.write_bytes(unchecked)
+    with pytest.raises(ValueError, match="old.journal.*version-2 journal"):
+        FileJournalLog(str(path))
+    assert path.read_bytes() == unchecked
+
+
+#: Length prefix + CRC-32 +
+#: ("m", "lease:app.topic:w1", ["app.topic", "w1", "w1#3", 3]): broker
+#: metadata is a frame of the journal itself, not a sidecar file.
 GOLDEN_META_ENTRY = bytes.fromhex(
-    "350000000c0308016d08126c656173653a6170702e746f7069633a77310b04000000"
-    "08096170702e746f706963080277310804773123330303"
+    "35000000f34469900c0308016d08126c656173653a6170702e746f7069633a77310b04"
+    "00000008096170702e746f706963080277310804773123330303"
 )
 
 
@@ -326,9 +354,7 @@ def test_golden_journal_metadata_frame(tmp_path):
     log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
     log.set_meta("lease:app.topic:w1", lease)
     log.close()
-    golden_file = (
-        bytes.fromhex("ab4b5202") + GOLDEN_JOURNAL_ENTRY + GOLDEN_META_ENTRY
-    )
+    golden_file = GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY + GOLDEN_META_ENTRY
     assert path.read_bytes() == golden_file
     # The pinned bytes replay, and the record entry beside it is unmoved.
     path.write_bytes(golden_file)
