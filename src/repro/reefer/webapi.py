@@ -17,10 +17,10 @@ the browser UI. Two halves live here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Awaitable, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.kvstore.errors import FencedClientError
-from repro.net.gateway import KarGateway, _Reply, _Request
+from repro.net.gateway import KarGateway, _Reply, _Request, _Route
 from repro.sim import Kernel, Latency
 
 if TYPE_CHECKING:
@@ -83,9 +83,7 @@ class ReeferWebAPI(KarGateway):
         super().__init__(reefer.app, **kwargs)
         self.reefer = reefer
 
-    def _match(
-        self, request: _Request
-    ) -> tuple[str, str | None, str | None, Callable[[], Awaitable[_Reply]]] | None:
+    def _match(self, request: _Request) -> _Route | None:
         matched = super()._match(request)
         if matched is not None:
             return matched
@@ -112,7 +110,7 @@ class ReeferWebAPI(KarGateway):
                 params[name] = value
         return params
 
-    async def _do_notifications(self, request: _Request) -> _Reply:
+    def _do_notifications(self, request: _Request) -> _Reply:
         params = self._query(request)
         kind = params.get("kind")
         try:
@@ -129,6 +127,6 @@ class ReeferWebAPI(KarGateway):
             200, {"total": len(rows), "notifications": rows[-limit:]}
         )
 
-    async def _do_orders(self) -> _Reply:
+    def _do_orders(self) -> _Reply:
         metrics = self.reefer.metrics
         return _Reply(200, metrics.summary())

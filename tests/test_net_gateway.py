@@ -646,3 +646,207 @@ def test_stats_tree_rejects_unknown_family():
     kernel, app = build_app()
     with pytest.raises(KeyError):
         app.stats("nope")
+
+
+# ----------------------------------------------------------------------
+# the protocol edge: timeouts, framing, no tasks
+# ----------------------------------------------------------------------
+
+
+class Sleeper(Actor):
+    async def nap(self, ctx):
+        await ctx.sleep(1e9)  # ~4e9 busy slices: never settles in a test
+
+
+def test_call_past_sync_timeout_answers_504_and_keeps_the_connection(caplog):
+    kernel, app = build_app(actor_classes=(Sleeper,))
+
+    async def scenario():
+        gw = KarGateway(app, port=0, sync_timeout=0.2)
+        host, port = await gw.start()
+        async with KeepAliveClient(host, port) as client:
+            started = time.monotonic()
+            status, body, _ = await client.request("POST", "/actor/Sleeper/s/call/nap")
+            assert (status, body["error"]["code"]) == (504, "timeout")
+            assert time.monotonic() - started < 1.0
+            status, _, _ = await client.request("GET", "/system/health")
+            assert status == 200
+            # The call still runs in the kernel; stop does not wait for it.
+            assert gw.bridge.pending == 1
+            started = time.monotonic()
+            await asyncio.wait_for(gw.stop(), timeout=5.0)
+            assert time.monotonic() - started < 1.0
+            assert gw.bridge.pending == 1
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        asyncio.run(scenario())
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    kernel.check_no_crashes()
+
+
+def test_killed_operation_settles_after_its_future_was_answered():
+    # A 504 answers the future while the call runs on; when the gateway's
+    # process is then killed the bridge must still count it settled, or its
+    # pump would run busy slices for ever.
+    kernel, app = build_app(actor_classes=(Sleeper,))
+    api = app.api("gateway")
+
+    async def scenario():
+        bridge = KernelBridge(kernel)
+        bridge.start()
+        try:
+            future = bridge.submit(
+                api.call("Sleeper", "s", "nap"), api.endpoint().process
+            )
+            future.set_exception(asyncio.TimeoutError())
+            assert isinstance(future.exception(), asyncio.TimeoutError)
+            await asyncio.sleep(0.01)
+            app.kill_component("gateway")
+            deadline = time.monotonic() + 5.0
+            while bridge.pending:
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.001)
+            assert bridge.settled == 1
+        finally:
+            await bridge.stop()
+
+    asyncio.run(scenario())
+
+
+def _echo_request(value, connection="keep-alive"):
+    body = json.dumps({"args": [value]}).encode()
+    head = (
+        f"POST /actor/Echo/e/call/echo HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: {connection}\r\n\r\n"
+    )
+    return head.encode() + body
+
+
+_OVERSIZED = 256 * 1024
+FRAMINGS = {
+    "two_requests_in_one_write": (
+        [_echo_request("one") + _echo_request("two", "close")],
+        False,
+        [(200, "one"), (200, "two")],
+    ),
+    "one_byte_at_a_time": (
+        [bytes([byte]) for byte in _echo_request("hi", "close")],
+        False,
+        [(200, "hi")],
+    ),
+    "oversized_body_in_chunks": (
+        [
+            b"POST /actor/Echo/e/call/echo HTTP/1.1\r\nHost: t\r\n"
+            + f"Content-Length: {_OVERSIZED}\r\n\r\n".encode()
+        ]
+        + [b"x" * 4096] * (_OVERSIZED // 4096),
+        False,
+        [(413, "body_too_large")],
+    ),
+    "eof_in_mid_head": (
+        [b"GET /system/health HTTP/1.1\r\nHost: t\r\n"],
+        True,
+        [(400, "bad_request")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMINGS))
+def test_wire_framing_over_one_buffer(case):
+    chunks, half_close, expected = FRAMINGS[case]
+    kernel, app = build_app()
+
+    async def scenario():
+        gw = KarGateway(app, port=0, max_body=1024)
+        host, port = await gw.start()
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                await asyncio.sleep(0)  # the gateway reads each chunk apart
+            if half_close:
+                writer.write_eof()
+            data = await reader.read()  # to EOF: a reset would raise here
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await gw.stop()
+        answers = []
+        while data:
+            head, _, rest = data.partition(b"\r\n\r\n")
+            status, _, headers = parse_response(head)
+            length = int(headers["content-length"])
+            body = json.loads(rest[:length])
+            answers.append(
+                (status, body["value"] if status == 200 else body["error"]["code"])
+            )
+            data = rest[length:]
+        assert answers == expected
+        assert headers["connection"] == "close"
+
+    asyncio.run(scenario())
+    kernel.check_no_crashes()
+
+
+def test_the_edge_creates_no_asyncio_task():
+    # Connections are protocols, replies come from done-callbacks and the
+    # pump is a chain of loop callbacks: no coroutine of ``repro.net`` is
+    # ever wrapped in a task, however many requests are served.
+    kernel, app = build_app()
+    modules = []
+
+    def factory(loop, coro, **kwargs):
+        modules.append(coro.cr_frame.f_globals["__name__"])
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def lane(host, port, index):
+        async with KeepAliveClient(host, port) as client:
+            for n in range(50):
+                status, body, _ = await client.request(
+                    "POST", f"/actor/Echo/e{index}/call/echo", {"args": [n]}
+                )
+                assert (status, body) == (200, {"value": n})
+
+    async def scenario():
+        asyncio.get_running_loop().set_task_factory(factory)
+        gw, host, port = await serve(app)
+        try:
+            await asyncio.gather(lane(host, port, 0), lane(host, port, 1))
+            status, _, _ = await request(host, port, "GET", "/system/health")
+            assert status == 200
+            status, _, _ = await request(host, port, "GET", "/actor/Echo/e0/state")
+            assert status == 200
+        finally:
+            await gw.stop()
+        assert gw.bridge.settled == 101
+
+    asyncio.run(scenario())
+    assert __name__ in modules  # the factory saw the lanes
+    assert [name for name in modules if name.startswith("repro.net")] == []
+
+
+def test_stop_with_half_a_request_head_buffered(caplog):
+    kernel, app = build_app()
+
+    async def scenario():
+        gw, host, port = await serve(app)
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"GET /system/health HTTP/1.1\r\nHo")
+        await writer.drain()
+        deadline = time.monotonic() + 5.0
+        while not any(c.buffer for c in gw._connections):
+            assert time.monotonic() < deadline
+            await asyncio.sleep(0.001)
+        started = time.monotonic()
+        await asyncio.wait_for(gw.stop(), timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        assert await reader.read() == b""  # closed, with nothing to answer
+        writer.close()
+        await writer.wait_closed()
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        asyncio.run(scenario())
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    kernel.check_no_crashes()
