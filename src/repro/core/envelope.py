@@ -22,6 +22,7 @@ from repro.persist.framing import (
     RESPONSE_TYPE_ID,
     register_frame_type,
 )
+from repro.persist.valuetypes import slot_init
 
 __all__ = ["Request", "Response", "TailCall", "envelope_id"]
 
@@ -29,6 +30,7 @@ __all__ = ["Request", "Response", "TailCall", "envelope_id"]
 TAILCALL_TYPE_ID = 4
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Request:
     """An invocation request bound for the callee component's queue."""
@@ -127,6 +129,7 @@ class Request:
         )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Response:
     """A result (or propagated error / synthetic cancellation) message."""

@@ -77,9 +77,12 @@ class Partition:
         # below the replayed suffix, or the append-order-implies-timestamp-
         # order invariant (which snapshot_unexpired's k-way merge relies
         # on) would break.
+        # The backing list, not ``RetainedRecords``: it is empty exactly
+        # when nothing is retained, and its last entry is the newest record.
         image = self._image
-        if image.records:
-            timestamp = max(timestamp, image.records[-1].timestamp)
+        items = image.records._items
+        if items:
+            timestamp = max(timestamp, items[-1].timestamp)
         return image.next_offset, timestamp
 
     def append(self, value: Any, timestamp: float) -> Record:
@@ -109,11 +112,20 @@ class Partition:
     def read_from(
         self, offset: int, now: float, limit: int | None = None
     ) -> list[Record]:
-        """Records at offsets >= ``offset`` that are still retained."""
-        self.expire(now)
+        """Records at offsets >= ``offset`` that are still retained.
+
+        Expiry runs only when it is due: when the oldest retained record is
+        older than the retention cutoff. Inside the window a read costs no
+        scan and no compaction.
+        """
         image = self._image
+        records = image.records
+        items, head = records._items, records._head
+        cutoff = now - self.topic.broker.config.retention_seconds
+        if head < len(items) and items[head].timestamp < cutoff:
+            self.expire(now)
         skip = max(offset - image.first_retained_offset, 0)
-        return image.records.tail(skip, limit)
+        return records.tail(skip, limit)
 
     def unexpired(self, now: float) -> list[Record]:
         self.expire(now)
@@ -145,6 +157,7 @@ class Topic:
         if partition is None:
             partition = Partition(self, name)
             self.partitions[name] = partition
+            self.broker._partitions[(self.name, name)] = partition
         return partition
 
     def drop_partition(self, name: str) -> None:
@@ -152,6 +165,7 @@ class Topic:
         if name in self.partitions:
             self.broker.log.drop_partition(self.name, name)
             del self.partitions[name]
+            del self.broker._partitions[(self.name, name)]
 
     def snapshot_unexpired(self, now: float) -> list[Record]:
         """All retained records across partitions -- the reconciliation
@@ -181,6 +195,10 @@ class Broker:
         self.config = config or BrokerConfig()
         self.log = log if log is not None else MemoryBrokerLog()
         self.topics: dict[str, Topic] = {}
+        #: Every partition of every topic, by ``(topic, partition)``: the
+        #: produce, fetch and end-offset paths find theirs in one probe.
+        #: ``Topic.partition`` and ``Topic.drop_partition`` keep it current.
+        self._partitions: dict[tuple[str, str], Partition] = {}
         self._fenced: set[str] = set()
         #: Per-partition-family ownership: (topic, base name) -> (owner
         #: member id, epoch). See :meth:`acquire_partition_lease`.
@@ -341,7 +359,7 @@ class Broker:
         backend) raises out of here before anything was published, counted
         or woken: the producer sees a failed send and the offsets are free.
         """
-        topic = self.topic(topic_name)
+        partitions = self._partitions
         now = self.kernel.now
         # partition -> [next offset, timestamp]. A dict, not a set: parked
         # consumers wake in first-appearance order, never string-hash order.
@@ -350,7 +368,10 @@ class Broker:
         for partition_name, value in entries:
             stamp = stamps.get(partition_name)
             if stamp is None:
-                stamp = list(topic.partition(partition_name)._stamp(now))
+                partition = partitions.get((topic_name, partition_name))
+                if partition is None:
+                    partition = self.topic(topic_name).partition(partition_name)
+                stamp = list(partition._stamp(now))
                 stamps[partition_name] = stamp
             records.append(Record(partition_name, stamp[0], stamp[1], value))
             stamp[0] += 1
@@ -384,7 +405,9 @@ class Broker:
             raise MQError(f"append guard rejected {partition_name!r}")
         self.produce_count += 1
         # The direct single-record path: Partition.append plus the wake.
-        partition = self.topic(topic_name).partition(partition_name)
+        partition = self._partitions.get((topic_name, partition_name))
+        if partition is None:
+            partition = self.topic(topic_name).partition(partition_name)
         record = partition.append(value, self.kernel.now)
         self.produce_record_count += 1
         self._wake_append_waiters(topic_name, partition_name)
@@ -471,9 +494,8 @@ class Broker:
     def end_offset(self, topic_name: str, partition_name: str) -> int:
         """Offset the next append will get; 0 for a partition nobody has
         produced to yet. A peek: it creates nothing and expires nothing."""
-        topic = self.topics.get(topic_name)
-        partition = None if topic is None else topic.partitions.get(partition_name)
-        return 0 if partition is None else partition.end_offset
+        partition = self._partitions.get((topic_name, partition_name))
+        return 0 if partition is None else partition._image.next_offset
 
     def wait_for_append(self, topic_name: str, partition_name: str):
         """Future resolved at the next append to the given partition."""
@@ -482,9 +504,10 @@ class Broker:
         return waiter
 
     def _wake_append_waiters(self, topic_name: str, partition_name: str) -> None:
-        waiters = self._append_waiters.pop((topic_name, partition_name), [])
-        for waiter in waiters:
-            waiter.set_result(None)
+        waiters = self._append_waiters.pop((topic_name, partition_name), None)
+        if waiters is not None:
+            for waiter in waiters:
+                waiter.set_result(None)
 
     async def fetch(
         self,
@@ -506,5 +529,7 @@ class Broker:
             raise FencedMemberError(client_id)
         self._check_lease(topic_name, client_id)
         self.consume_count += 1
-        partition = self.topic(topic_name).partition(partition_name)
+        partition = self._partitions.get((topic_name, partition_name))
+        if partition is None:
+            partition = self.topic(topic_name).partition(partition_name)
         return partition.read_from(offset, self.kernel.now, limit)

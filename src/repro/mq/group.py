@@ -345,10 +345,6 @@ class GroupMember:
         self.process = process
         self.position = 0
 
-    def _check_fenced(self) -> None:
-        if self.broker.is_fenced(self.member_id):
-            raise FencedMemberError(self.member_id)
-
     async def send(self, partition_name: str, value: Any) -> Record:
         """Durably append ``value`` to another member's queue.
 
@@ -359,7 +355,8 @@ class GroupMember:
         """
         if self.coordinator.paused:
             await self.coordinator.wait_unpaused()
-        self._check_fenced()
+        if self.member_id in self.broker._fenced:
+            raise FencedMemberError(self.member_id)
         try:
             return await self.broker.produce(
                 self.topic_name,
@@ -389,7 +386,8 @@ class GroupMember:
         """
         if self.coordinator.paused:
             await self.coordinator.wait_unpaused()
-        self._check_fenced()
+        if self.member_id in self.broker._fenced:
+            raise FencedMemberError(self.member_id)
         guards: dict[str, Callable[[], bool]] = {
             partition: (
                 lambda p=partition: self.coordinator.is_member(p)  # type: ignore[misc]
@@ -412,7 +410,8 @@ class GroupMember:
         """Atomically append to several queues (see produce_transaction)."""
         if self.coordinator.paused:
             await self.coordinator.wait_unpaused()
-        self._check_fenced()
+        if self.member_id in self.broker._fenced:
+            raise FencedMemberError(self.member_id)
         try:
             return await self.broker.produce_transaction(
                 self.topic_name,
@@ -442,7 +441,8 @@ class GroupMember:
         while True:
             if self.coordinator.paused:
                 await self.coordinator.wait_unpaused()
-            self._check_fenced()
+            if member_id in broker._fenced:
+                raise FencedMemberError(member_id)
             if broker.end_offset(topic_name, member_id) <= self.position:
                 await broker.wait_for_append(topic_name, member_id)
                 continue

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.persist import framing
+from repro.persist.valuetypes import slot_init
 
 __all__ = ["Record", "ReplayedRecord", "RetainedRecords"]
 
@@ -13,6 +14,7 @@ __all__ = ["Record", "ReplayedRecord", "RetainedRecords"]
 RECORD_TYPE_ID = 5
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Record:
     """One message at a fixed offset within a partition.

@@ -214,9 +214,11 @@ class SimTask:
                     # The timer's own event is the resume.
                     kernel.schedule(yielded, self._on_future, kernel._started)
                 else:
-                    # Two ready-queue passes (see the module docstring).
-                    kernel.call_soon(
-                        kernel.call_soon, self._on_future, kernel._started
+                    # Two ready-queue passes (see the module docstring); the
+                    # first is ``call_soon(call_soon, ...)`` without the call.
+                    kernel._sequence = sequence = kernel._sequence + 1
+                    kernel._ready.append(
+                        (sequence, kernel.call_soon, (self._on_future, kernel._started))
                     )
             elif isinstance(yielded, SimFuture):
                 # ``SimFuture.__await__`` yields only an unresolved future.

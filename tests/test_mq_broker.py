@@ -1,8 +1,12 @@
 """Unit tests for partitions, topics, expiry, and producer fencing."""
 
+import os
+
 import pytest
 
 from repro.mq import Broker, BrokerConfig, FencedMemberError
+from repro.mq.broker import Partition
+from repro.mq.log import FileJournalLog, MemoryBrokerLog
 from repro.sim import Kernel, Latency
 
 
@@ -164,3 +168,119 @@ def test_single_record_expiry_is_amortised_and_matches_a_naive_reference():
             assert partition.snapshot() == history[step:]
             assert list(broker.log.replay()) == [("t", "p", step, total, history[step:])]
     assert trims <= 10
+
+
+@pytest.mark.parametrize("journal", [False, True], ids=["memory", "journal"])
+def test_reads_expire_only_when_the_head_is_past_retention(
+    journal, tmp_path, monkeypatch
+):
+    """A read inside the retention window neither scans for expired records
+    nor compacts: ``compactions`` stays 0 and the journal does not grow by
+    a byte. The first read after the head's timestamp plus retention
+    compacts exactly the expired prefix, with one ``c`` frame."""
+    path = str(tmp_path / "expiry.journal")
+    log = FileJournalLog(path) if journal else MemoryBrokerLog()
+    try:
+        check_expiry_when_due(log, path if journal else None, monkeypatch)
+    finally:
+        log.close()
+
+
+def check_expiry_when_due(log, path, monkeypatch):
+    journal = path is not None
+    kernel = Kernel()
+    broker = Broker(kernel, BrokerConfig(retention_seconds=10.0), log=log)
+    expiries = []
+    expire = Partition.expire
+
+    def counted(partition, now):
+        expiries.append(now)
+        return expire(partition, now)
+
+    monkeypatch.setattr(Partition, "expire", counted)
+    partition = broker.topic("t").partition("p")
+    history = [partition.append(index, float(index)) for index in range(5)]
+    size = os.path.getsize(path) if journal else 0
+
+    async def fetch():
+        return await broker.fetch("t", "p", 0, "c")
+
+    # Up to and including head + retention (0.0 + 10.0): nothing is due.
+    for step in range(1, 1_001):
+        now = step / 100
+        assert partition.read_from(0, now) == history
+        assert partition.read_from(3, now, limit=1) == history[3:4]
+    while kernel.now < 9.5:  # a fetch reads a consume latency later
+        kernel.run(until=kernel.now + 0.25)
+        assert kernel.run_until_complete(kernel.spawn(fetch())) == history
+    assert expiries == []
+    assert log.compactions == 0
+    assert partition.first_retained_offset == 0
+    if journal:
+        assert os.path.getsize(path) == size
+
+    # Records stamped 0, 1 and 2 are older than 12.5 - 10.
+    assert partition.read_from(0, 12.5) == history[3:]
+    assert expiries == [12.5]
+    assert log.compactions == 1
+    assert partition.first_retained_offset == 3
+    assert partition.read_from(0, 12.75) == history[3:]
+    assert expiries == [12.5]  # the new head (3.0) is not due yet
+    if journal:
+        log.flush()
+        frame = FileJournalLog._frame_bytes(("c", "t", "p", 3))
+        assert os.path.getsize(path) == size + len(frame)
+        with open(path, "rb") as handle:
+            assert handle.read()[size:] == frame
+
+
+def test_a_dropped_partition_comes_back_fresh_under_its_name(kernel, broker):
+    async def produce(value):
+        return await broker.produce("t", "p", value, "c")
+
+    assert [run(kernel, produce(v)).offset for v in "abc"] == [0, 1, 2]
+    old = broker.topic("t").partition("p")
+    broker.topic("t").drop_partition("p")
+    assert broker.end_offset("t", "p") == 0
+    record = run(kernel, produce("fresh"))
+    assert record.offset == 0
+    partition = broker.topic("t").partition("p")
+    assert partition is not old
+    assert broker.end_offset("t", "p") == 1
+    fetched = run(kernel, broker.fetch("t", "p", 0, "c"))
+    assert [(r.offset, r.value) for r in fetched] == [(0, "fresh")]
+
+
+def test_restore_from_log_registers_every_replayed_partition(tmp_path):
+    path = str(tmp_path / "restore.journal")
+    kernel = Kernel()
+    broker = Broker(kernel, log=FileJournalLog(path))
+    names = [("t", "p1"), ("t", "p2"), ("u", "q")]
+
+    async def scenario():
+        for topic, partition in names:
+            for value in range(3):
+                await broker.produce(topic, partition, value, "c")
+
+    run(kernel, scenario())
+    broker.log.close()
+
+    restored = Broker(Kernel(), log=FileJournalLog(path))
+    assert restored.restore_from_log() == 9
+    for topic, partition in names:
+        # Read through the index alone: nothing has asked the topic yet.
+        assert restored.end_offset(topic, partition) == 3
+        fetched = run(restored.kernel, restored.fetch(topic, partition, 1, "c"))
+        assert [record.value for record in fetched] == [1, 2]
+        assert restored.topics[topic].partitions[partition].end_offset == 3
+    restored.log.close()
+
+
+def test_end_offset_of_an_unknown_partition_is_zero_and_creates_nothing(broker):
+    assert broker.end_offset("t", "nobody") == 0
+    assert broker.end_offset("nowhere", "nobody") == 0
+    assert broker.topics == {}
+    assert broker.log.partitions() == []
+    broker.topic("t")
+    assert broker.end_offset("t", "nobody") == 0
+    assert broker.topic("t").partitions == {}
