@@ -1,10 +1,13 @@
-"""Every crash point of the golden workflow, under every kill, on both backends.
+"""Every crash point of the golden workflow, under every kill, on both
+backends; and every point of a worker removal's drain.
 
 The workflow, the four kills and the checks are ``tests/crash_sweep.py``'s:
 ``kernel.run(max_events=k)`` for every ``k`` in ``1 .. 1,063`` (the six
 audits take 1,064 events), then one kill, settle, and the oracle of
-``tests/oracle.py`` plus the tally check. Tier-1 runs a strided slice; this
-runs all 8,504 points (about 2.5 minutes on one core)::
+``tests/oracle.py`` plus the tally check. The removal sweep kills every
+other worker at each of the removal's 594 events, adds a worker, and checks
+the oracle and every counter's total. Tier-1 runs strided slices; this runs
+all 8,504 + 594 points (about 2.5 minutes on one core)::
 
     PYTHONPATH=src python benchmarks/bench_crash_sweep.py
     PYTHONPATH=src python -m pytest -q benchmarks/bench_crash_sweep.py
@@ -18,7 +21,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from crash_sweep import EVENTS, KILLS, MODES, sweep  # noqa: E402
+from crash_sweep import (  # noqa: E402
+    EVENTS,
+    KILLS,
+    MODES,
+    REMOVAL_EVENTS,
+    removal_sweep,
+    sweep,
+)
 from repro.bench import render_table  # noqa: E402
 
 from _shared import emit  # noqa: E402
@@ -31,18 +41,28 @@ def sweep_all() -> dict[tuple[str, str], dict[int, list[str]]]:
         for mode in MODES:
             for kill in KILLS:
                 failures[mode, kill] = sweep(mode, f"{root}/{mode}-{kill}", kill)
+    failures["memory", "removal"] = removal_sweep()
     return failures
 
 
 def report(failures: dict[tuple[str, str], dict[int, list[str]]]) -> str:
     rows = [
-        (mode, kill, EVENTS - 1, len(failed), min(failed, default="-"))
+        (
+            mode,
+            kill,
+            REMOVAL_EVENTS if kill == "removal" else EVENTS - 1,
+            len(failed),
+            min(failed, default="-"),
+        )
         for (mode, kill), failed in failures.items()
     ]
     return render_table(
         ["Backend", "Kill", "Crash points", "Failing", "First failing k"],
         rows,
-        title="Golden workflow (seed 1503), every crash point",
+        title=(
+            "Golden workflow (seed 1503), every crash point; "
+            "removal drain (seed 3), every event"
+        ),
     )
 
 

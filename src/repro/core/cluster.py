@@ -11,8 +11,8 @@ Kafka and one Redis; where a sidecar runs is outside its model. Here:
 - a :class:`ControlPlane` is what every
   :class:`~repro.core.app.KarApplication` builds from ``workers=`` and
   holds as ``app.control``: worker lifecycle (add, graceful remove, kill),
-  failure detection (store heartbeats, lease ages), the handoff and the
-  placement actions. With no workers it is inert (no task, no timer).
+  failure detection (store heartbeats), the handoff and the placement
+  actions. With no workers it is inert (no task, no timer).
 
 One rule says which worker hosts a component,
 :meth:`ControlPlane.assign_workers`: live workers sorted least busy, then
@@ -38,9 +38,11 @@ Every move is one handoff:
    component *names*, so a move never invalidates where actors live.
 
 Every component, on any worker or none, is a member of the application's
-one :class:`~repro.mq.GroupCoordinator`. Worker *liveness* goes through
-``app.store.backend``: each worker writes a heartbeat hash there and the
-control loop sweeps it.
+one :class:`~repro.mq.GroupCoordinator`. Worker *liveness* has one signal:
+each worker's loop writes a heartbeat hash on ``app.store.backend`` and the
+control loop sweeps it, so a dead loop and a stalled (wedged) one fail
+alike. Components no live worker can take stay down until the next
+:meth:`ControlPlane.add_worker`.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ class WorkerLoop:
         self.busy_until = 0.0
         self.calls_charged = 0
         self.busy_seconds_total = 0.0
-        #: Set when the hosting worker wedges: charges stall forever (the
-        #: loop stops making progress) while heartbeats keep flowing.
+        #: Set when the hosting worker wedges: charges stall forever and the
+        #: worker's heartbeat, written by this loop, stops with them.
         self.stalled = False
         self._busy_window = DecayingCounter(halflife)
         self._component_busy: dict[str, DecayingCounter] = {}
@@ -169,12 +171,6 @@ class WorkerLoop:
             }
         return loads
 
-    def forget_component(self, name: str) -> None:
-        """Drop a migrated-away component's windows so its old host stops
-        reporting phantom load for it."""
-        self._component_busy.pop(name, None)
-        self._component_calls.pop(name, None)
-
     def export_component(
         self, name: str
     ) -> tuple[DecayingCounter | None, DecayingCounter | None]:
@@ -183,7 +179,9 @@ class WorkerLoop:
         A migration must *carry* the component's load history: resetting
         it on every move makes the hottest component look perpetually cool
         right after each handoff, so the controller keeps migrating the
-        hotspot instead of ever seeing it cross the split threshold.
+        hotspot instead of ever seeing it cross the split threshold. A
+        component that leaves for good (split, merged) drops what this
+        returns, so its old host stops reporting phantom load for it.
         """
         return (
             self._component_busy.pop(name, None),
@@ -206,9 +204,9 @@ class WorkerLoop:
 class KarWorker:
     """One worker event loop: a failure domain hosting components.
 
-    The worker heartbeats into the shared store (`_cluster:<app>:heartbeats`)
-    so the control plane detects its death the same way the group detects a
-    member's -- by silence, observed through the shared backend.
+    The worker's loop heartbeats into the shared store (`_cluster:<app>:
+    heartbeats`) so the control plane detects its death or stall the same
+    way the group detects a member's -- by silence, through the backend.
     """
 
     def __init__(self, control: "ControlPlane", worker_id: str):
@@ -221,10 +219,6 @@ class KarWorker:
             app.config.worker_loop_cost,
             halflife=app.config.load_halflife,
         )
-        #: A wedged worker keeps heartbeating (its processes are alive) but
-        #: its loop stalls and its leases stop renewing -- the failure mode
-        #: only the lease TTL sweep can detect.
-        self.wedged = False
         #: Component names currently hosted on this loop.
         self.hosted: set[str] = set()
         #: Set on graceful removal; a retired worker takes no new components.
@@ -239,22 +233,24 @@ class KarWorker:
     def alive(self) -> bool:
         return self.process.alive
 
+    @property
+    def wedged(self) -> bool:
+        return self.loop.stalled
+
     async def _heartbeat_loop(self, key: str) -> None:
         interval = self.app.config.worker_heartbeat_interval
         backend = self.app.store.backend
-        while True:
+        while not self.loop.stalled:
             backend.hset(key, self.worker_id, self.kernel.now)
             await self.kernel.sleep(interval)
 
     def wedge(self) -> None:
-        """Wedge this worker: heartbeats keep flowing, progress stops.
+        """Wedge this worker: its processes live on, its loop stops.
 
         Models a live-but-stuck event loop (GC death spiral, hung syscall
-        on the hot path): the heartbeat task still runs, so session-timeout
-        detection never fires; only the partition leases going unrenewed
-        reveals the worker is not actually doing work.
+        on the hot path). The loop writes the heartbeat, so it stops too and
+        the worker is declared failed exactly as if it had died.
         """
-        self.wedged = True
         self.loop.stalled = True
         self.app.trace.emit("worker.wedge", worker=self.worker_id)
 
@@ -314,8 +310,6 @@ class ControlPlane:
         #: Hot-component splits / cool-down merges performed.
         self.splits = 0
         self.merges = 0
-        #: Leases the control plane expired (wedged-worker detections).
-        self.lease_expirations = 0
         #: parent component -> its live sub-partition names, while split.
         self.split_children: dict[str, tuple[str, ...]] = {}
         #: Serializes drain->fence->restart handoffs: concurrent movers
@@ -428,24 +422,21 @@ class ControlPlane:
         return self._retire_worker(worker)
 
     async def _retire_worker(self, worker: KarWorker) -> None:
-        worker_id = worker.worker_id
+        """Move each hosted component as a migration does, then stop the
+        worker; what the moves leave is handled as a failed worker's is."""
         worker.retired = True
         self.trace.emit(
-            "worker.retire", worker=worker_id, hosted=sorted(worker.hosted)
+            "worker.retire", worker=worker.worker_id, hosted=sorted(worker.hosted)
         )
         await self._acquire_handoff_gate()
         try:
             for name in sorted(worker.hosted):
-                component = self.app.components.get(name)
-                if component is None or component.worker is not worker:
-                    worker.hosted.discard(name)
-                    continue
-                drained = await component.drain(self.config.drain_timeout)
-                component.stop()
-                self._rehost(name, drained, self.assign_workers()[0])
+                if name in worker.hosted:  # not restarted elsewhere meanwhile
+                    await self._move_component(name)
         finally:
             self._release_handoff_gate()
         worker.process.kill()
+        self._restart_hosted(worker)
 
     def remove_worker(
         self, worker_id: str, timeout: float | None = 600.0
@@ -454,18 +445,6 @@ class ControlPlane:
         leave = self.remove_worker_async(worker_id)
         task = self.kernel.spawn(leave, name=f"cluster-leave:{worker_id}")
         self.kernel.run_until_complete(task, timeout=timeout)
-
-    def _rehost(self, name: str, drained: bool, target: KarWorker) -> None:
-        """The handoff's last step: the drained, fenced component restarts on
-        ``target`` one epoch up (reconciliation replays the tail)."""
-        self.trace.emit(
-            "component.handoff",
-            component=name,
-            drained=drained,
-            to_worker=target.worker_id,
-        )
-        self.migrations += 1
-        self.app.restart_component(name, worker=target)
 
     # ------------------------------------------------------------------
     # the handoff gate (one drain->fence->restart mover at a time)
@@ -478,18 +457,19 @@ class ControlPlane:
     def _release_handoff_gate(self) -> None:
         self._handoff_active = False
 
-    def _target_worker(self, target_id: str) -> KarWorker:
+    def _target_worker(self, target_id: str | None) -> KarWorker | None:
         """Re-validate a migration target *after* the drain.
 
         The drain can outlast the target: a worker killed while it is the
         destination of an in-flight handoff must not strand the draining
-        component, so a dead or retired target falls back to
-        :meth:`assign_workers` over the current live set.
+        component, so a dead, retired or unnamed target falls back to
+        :meth:`assign_workers` over the current live set, if any.
         """
+        live = self._live_workers()
         target = self.workers.get(target_id)
-        if target is not None and target.alive and not target.retired:
+        if target in live:
             return target
-        return self.assign_workers()[0]
+        return self.assign_workers()[0] if live else None
 
     # ------------------------------------------------------------------
     # adaptive placement actions (invoked by the placement controller)
@@ -503,8 +483,10 @@ class ControlPlane:
         finally:
             self._release_handoff_gate()
 
-    async def _move_component(self, name: str, target_id: str) -> bool:
-        """The move itself; the caller holds the handoff gate."""
+    async def _move_component(self, name: str, target_id: str | None = None) -> bool:
+        """The move itself; the caller holds the handoff gate. With no live
+        worker to take it, the stopped component stays in its host's
+        ``hosted`` until the next :meth:`add_worker`."""
         component = self.app.components.get(name)
         if component is None or not component.alive or component.worker is None:
             return False
@@ -514,10 +496,18 @@ class ControlPlane:
             # Crashed mid-drain; the failure path owns the re-host.
             return False
         component.stop()
-        source.hosted.discard(name)
-        windows = source.loop.export_component(name)
         target = self._target_worker(target_id)
-        self._rehost(name, drained, target)
+        if target is None:
+            return False
+        windows = source.loop.export_component(name)
+        self.trace.emit(
+            "component.handoff",
+            component=name,
+            drained=drained,
+            to_worker=target.worker_id,
+        )
+        self.migrations += 1
+        self.app.restart_component(name, worker=target)
         # The load history moves with the component so the controller
         # keeps seeing its true hotness across the handoff.
         target.loop.adopt_component(name, windows)
@@ -557,7 +547,7 @@ class ControlPlane:
                 return False
             component.stop()
             source.hosted.discard(name)
-            source.loop.forget_component(name)
+            source.loop.export_component(name)
             self.split_children[name] = children
             self.splits += 1
             self.trace.emit(
@@ -595,7 +585,7 @@ class ControlPlane:
                     component.stop()
                 if component is not None and component.worker is not None:
                     component.worker.hosted.discard(child)
-                    component.worker.loop.forget_component(child)
+                    component.worker.loop.export_component(child)
                 # Forget the child entirely so no failure path resurrects
                 # it after the merge.
                 self.app.components.pop(child, None)
@@ -629,55 +619,11 @@ class ControlPlane:
                 last = float(beats.get(worker_id, 0.0))
                 if now - last > session_timeout:
                     self._on_worker_failed(worker)
-            self._sweep_expired_leases(self.kernel.now)
             self.placement_ctl.tick(self.kernel.now)
 
-    def _sweep_expired_leases(self, now: float) -> None:
-        """Expire partition ownership the holder stopped renewing.
-
-        Heartbeats prove the worker's processes are scheduled; lease
-        renewal proves its loop still makes progress. A hosted component
-        whose lease age exceeds ``lease_ttl`` therefore sits on a wedged
-        worker: expel its member from the group at once and declare the
-        worker failed, which re-hosts everything it carried (the successor
-        incarnations fence the zombies at epoch + 1).
-        """
-        ttl = self.config.lease_ttl
-        for worker in list(self.workers.values()):
-            if not worker.alive or worker.retired:
-                continue
-            for name in sorted(worker.hosted):
-                component = self.app.components.get(name)
-                if (
-                    component is None
-                    or not component.alive
-                    or component.worker is not worker
-                ):
-                    continue
-                age = self.app.broker.lease_renewal_age(
-                    self.app.topic_name, name, now
-                )
-                if age is None or age <= ttl:
-                    continue
-                self.lease_expirations += 1
-                self.trace.emit(
-                    "lease.expired",
-                    component=name,
-                    worker=worker.worker_id,
-                    age=round(age, 6),
-                )
-                self.app.coordinator.expel(
-                    component.member_id, reason="lease_expired"
-                )
-                self._on_worker_failed(worker)
-                break
-
     def _on_worker_failed(self, worker: KarWorker) -> None:
-        """Re-host a silent worker's components on the survivors.
-
-        With no survivor they stay down, still listed as ``hosted`` by the
-        dead worker, until the next :meth:`add_worker` re-hosts them.
-        """
+        """Declare a silent worker -- dead or wedged -- failed and re-host
+        its components on the survivors."""
         worker.retired = True
         self.workers_failed.append(worker.worker_id)
         self.trace.emit(
@@ -685,6 +631,12 @@ class ControlPlane:
             worker=worker.worker_id,
             hosted=sorted(worker.hosted),
         )
+        self._restart_hosted(worker)
+        worker.process.kill()
+
+    def _restart_hosted(self, worker: KarWorker) -> None:
+        """Restart, undrained, what a retired ``worker`` still hosts; with
+        no survivor it stays listed there until the next :meth:`add_worker`."""
         survivors = bool(self._live_workers())
         for name in sorted(worker.hosted):
             component = self.app.components.get(name)
@@ -699,8 +651,6 @@ class ControlPlane:
             if survivors:
                 self.migrations += 1
                 self.app.restart_component(name)
-        if worker.alive:
-            worker.process.kill()
 
     async def _rebalance_components(self) -> None:
         """A worker joined: re-host what went down with a failed worker no
@@ -712,15 +662,9 @@ class ControlPlane:
         target, so every move narrows the gap and two joins at once level
         once.
         """
-        if not self._live_workers():
-            return
-        for name in sorted(self.app.components):
-            host = self.app.components[name].worker
-            failed = host is not None and host.retired and not host.alive
-            if failed and name in host.hosted:
-                # A re-hosted component leaves ``hosted``.
-                self.migrations += 1
-                self.app.restart_component(name)
+        for worker in list(self.workers.values()):
+            if worker.retired and not worker.alive:
+                self._restart_hosted(worker)
         while True:
             await self._acquire_handoff_gate()
             try:
@@ -752,7 +696,6 @@ class ControlPlane:
             "migrations": self.migrations,
             "splits": self.splits,
             "merges": self.merges,
-            "lease_expirations": self.lease_expirations,
             "split_children": {
                 parent: list(children)
                 for parent, children in sorted(self.split_children.items())

@@ -146,11 +146,6 @@ class KarConfig:
     # Half-life of the exponentially decaying load counters behind
     # KarWorker.stats() busy_seconds and the per-component load plane.
     load_halflife: float = 5.0
-    # Partition-lease liveness: a holder renews every lease_ttl / 4; a
-    # hosted component whose lease goes unrenewed for lease_ttl is owned by
-    # a wedged worker (heartbeating but not making progress) and the control
-    # plane re-hosts it.
-    lease_ttl: float = 30.0
 
     # --- reminders -----------------------------------------------------------
     reminder_tick: float = 0.5
@@ -184,5 +179,4 @@ class KarConfig:
             drain_timeout=5.0,
             rebalance_cooldown=0.5,
             load_halflife=0.5,
-            lease_ttl=2.0,
         )

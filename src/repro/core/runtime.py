@@ -126,7 +126,9 @@ class Component:
     def start(self) -> "Component":
         # Claim the partition family before consuming it: acquiring at this
         # epoch fences any older incarnation still holding the lease (the
-        # handoff fence between workers). A name has one incarnation in the
+        # handoff fence between workers). The lease never expires; only a
+        # later epoch takes it, and whether a worker still runs is its
+        # heartbeat's business. A name has one incarnation in the
         # group: the superseded one leaves in the generation this join
         # makes, so reconciliation replays its stranded queue -- a tail
         # call's lock holder first -- before anything new reaches this one.
@@ -156,12 +158,6 @@ class Component:
             self.process,
             name=f"maintenance:{self.member_id}",
         )
-        if self.worker is not None:
-            self.kernel.spawn(
-                self._lease_renewal_loop(),
-                self.process,
-                name=f"lease-renew:{self.member_id}",
-            )
         self.trace.emit("component.start", member=self.member_id)
         return self
 
@@ -218,27 +214,6 @@ class Component:
         if self.process.alive:
             self.trace.emit("component.fenced_exit", member=self.member_id)
             self.process.kill()
-
-    async def _lease_renewal_loop(self) -> None:
-        """The partition lease's TTL heartbeat (worker-hosted components).
-
-        Renewal is deliberately *not* tied to the worker's store heartbeat:
-        a wedged worker keeps heartbeating (its processes are alive) but
-        stops renewing, which is exactly the liveness gap the control
-        plane's lease sweep detects. Being fenced out of the lease means a
-        successor took over -- paired-process termination, like any fence.
-        """
-        interval = max(self.config.lease_ttl / 4.0, 0.01)
-        try:
-            while True:
-                await self.kernel.sleep(interval)
-                if self.worker is not None and self.worker.wedged:
-                    continue
-                self.broker.renew_partition_lease(
-                    self.topic_name, self.name, self.member_id, self.epoch
-                )
-        except _FENCE_ERRORS:
-            self._suicide()
 
     # ------------------------------------------------------------------
     # invocation entry point (used by ActorContext and external clients)

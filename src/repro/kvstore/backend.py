@@ -92,6 +92,12 @@ class StoreBackend:
     def end_batch(self) -> None:
         """Close the bracket opened by ``begin_batch``."""
 
+    def op_failed(self, error: Exception) -> bool:
+        """An operation inside the open batch raised ``error``; return
+        whether that dooms the batch. A doomed batch runs none of its later
+        operations, and its ``end_batch`` keeps nothing of it and raises."""
+        return False
+
     def flush(self) -> None:
         """Durability barrier: persist everything accepted so far."""
 
@@ -167,6 +173,8 @@ class SqliteStoreBackend(StoreBackend):
         self.path = path
         self._closed = False
         self._in_batch = False
+        #: The SQLite error that doomed the open batch (:meth:`op_failed`).
+        self._doomed: sqlite3.Error | None = None
         self._conn = sqlite3.connect(path, isolation_level=None)
         if synchronous.upper() not in ("OFF", "NORMAL", "FULL", "EXTRA"):
             raise ValueError(f"bad synchronous pragma {synchronous!r}")
@@ -260,11 +268,25 @@ class SqliteStoreBackend(StoreBackend):
 
     def end_batch(self) -> None:
         self._in_batch = False
+        doomed, self._doomed = self._doomed, None
         try:
+            if doomed is not None:
+                raise doomed
             self._conn.execute("COMMIT")
         except sqlite3.Error:
             self._rollback()
             raise
+
+    def op_failed(self, error: Exception) -> bool:
+        # A statement that failed inside the batch may have kept part of
+        # its work in the batch's transaction (an ``executemany`` stopped
+        # half-way keeps its first rows) or SQLite may have rolled the
+        # transaction back, so that later writes would autocommit. Either
+        # way the batch cannot commit as issued.
+        if isinstance(error, sqlite3.Error):
+            self._doomed = error
+            return True
+        return False
 
     def _rollback(self) -> None:
         """A failed bracket keeps nothing of its batch and leaves the

@@ -113,7 +113,8 @@ class PipelinedStoreClient(StoreClient):
         operation still passes the server-side fence check and fails on its
         own. Futures resolve, in issue order, only once ``end_batch`` has
         returned: no caller is told of a write before the commit covering
-        it. A bracket that raises fails every operation of the batch.
+        it. A bracket that raises fails every operation of the batch, and so
+        does an operation whose error dooms it (``StoreBackend.op_failed``).
         """
         self.batches_flushed += 1
         self.ops_pipelined += len(batch)
@@ -128,6 +129,8 @@ class PipelinedStoreClient(StoreClient):
                     outcomes.append((op.apply(*op.args), None))
                 except Exception as error:  # noqa: BLE001 - routed to caller
                     outcomes.append((None, error))
+                    if backend.op_failed(error):
+                        break
             backend.end_batch()
         except Exception as error:  # noqa: BLE001 - routed to every caller
             outcomes = [(None, error)] * len(batch)

@@ -203,10 +203,6 @@ class Broker:
         #: Per-partition-family ownership: (topic, base name) -> (owner
         #: member id, epoch). See :meth:`acquire_partition_lease`.
         self._leases: dict[tuple[str, str], tuple[str, int]] = {}
-        #: Last renewal stamp per leased partition family. Session state,
-        #: not journaled: liveness evidence for the control plane's wedge
-        #: detector, while ownership itself stays in the durable lease.
-        self._lease_renewed: dict[tuple[str, str], float] = {}
         #: Client id -> parsed ``(base, epoch)``, or ``None`` for ids that
         #: are not ``base#epoch``. One entry per incarnation, like the fence
         #: set; saves re-parsing the id on every produce and fetch.
@@ -240,10 +236,6 @@ class Broker:
             if key.startswith("lease:"):
                 lease_topic, base, owner, epoch = value
                 self._leases[(lease_topic, base)] = (owner, int(epoch))
-                # A cold restart stamps every restored lease as freshly
-                # renewed: the new holders have not had a chance to renew
-                # yet, and expiring them at boot would thrash.
-                self._lease_renewed[(lease_topic, base)] = self.kernel.now
         return restored
 
     # ------------------------------------------------------------------
@@ -279,36 +271,7 @@ class Broker:
         if current is not None:
             self.fence(current[0])
         self._leases[(topic_name, base)] = (owner, epoch)
-        self._lease_renewed[(topic_name, base)] = self.kernel.now
         return None if current is None else current[0]
-
-    def renew_partition_lease(
-        self, topic_name: str, base: str, owner: str, epoch: int
-    ) -> None:
-        """Refresh the lease's liveness stamp (the TTL heartbeat).
-
-        Only the current holder may renew; a superseded incarnation gets
-        :class:`StaleLeaseError` and must terminate. Renewal is session
-        state, not an ownership change, so it is never journaled -- a
-        restarted broker stamps restored leases as renewed at boot.
-        """
-        current = self._leases.get((topic_name, base))
-        if current != (owner, epoch):
-            raise StaleLeaseError(
-                f"{owner!r} cannot renew lease for {base!r} at epoch "
-                f"{epoch}; lease is {current!r}"
-            )
-        self._lease_renewed[(topic_name, base)] = self.kernel.now
-
-    def lease_renewal_age(
-        self, topic_name: str, base: str, now: float
-    ) -> float | None:
-        """Seconds since the ``base`` lease was last renewed (``None`` if
-        the family holds no lease)."""
-        renewed = self._lease_renewed.get((topic_name, base))
-        if renewed is None:
-            return None
-        return now - renewed
 
     def partition_lease(self, topic_name: str, base: str) -> tuple[str, int] | None:
         return self._leases.get((topic_name, base))

@@ -170,10 +170,11 @@ class GroupCoordinator:
     def expel(self, member_id: str, reason: str = "expelled") -> None:
         """Administrative eviction of a *live* member.
 
-        The control plane uses this when it has out-of-band evidence a
-        member must go -- e.g. its partition lease expired because the
-        hosting worker is wedged -- rather than waiting for the session
-        watchdog to notice silence. Same fence + rebalance as any eviction.
+        For when the caller knows a member must go rather than waiting for
+        the session watchdog to notice silence: a graceful :meth:`leave`,
+        or a restarted incarnation whose partition lease supersedes the
+        member (``reason="superseded"``). Same fence + rebalance as any
+        eviction.
         """
         if member_id in self.members:
             self._evict(member_id, reason)

@@ -10,8 +10,15 @@ events, so a crash point is a number ``k`` in ``1 .. EVENTS - 1``:
 oracle (``tests/oracle.py``) and one workload check: no ``Tally`` lost an
 increment (see :func:`violations`).
 
-``python benchmarks/bench_crash_sweep.py`` sweeps every point; tier-1 runs
-the named counterexamples and a strided slice (``tests/test_crash_sweep.py``).
+The second sweep is a worker removal's drain (:func:`removal_point`): three
+workers host six components, the ones on the leaving worker take load, and
+at event ``k`` of the removal every other worker is killed. A worker is
+then added, and the run must pass the oracle and leave every counter at
+exactly its number of bumps (:func:`removal_violations`).
+
+``python benchmarks/bench_crash_sweep.py`` sweeps every point of both;
+tier-1 runs the named counterexamples and strided slices
+(``tests/test_crash_sweep.py``).
 """
 
 from __future__ import annotations
@@ -22,14 +29,20 @@ from repro.sim import Kernel, Latency, SimTask
 
 from oracle import guarantee_violations
 from test_golden_schedule import Auditor, Flow, Tally
+from test_placement_ctl import actor_ids_on, make_cluster, pump, totals_of
 
 __all__ = [
     "EVENTS",
     "KILLS",
     "MODES",
+    "REMOVAL_EVENTS",
     "boot",
     "crash_point",
+    "removal_point",
+    "removal_sweep",
+    "removal_violations",
     "spawn_audits",
+    "start_removal",
     "sweep",
     "violations",
 ]
@@ -158,6 +171,79 @@ def sweep(
         boots = crash_point(mode, root, k, kill)
         found = violations(boots)
         boots[-1].shutdown()
+        if found:
+            failures[k] = found
+    return failures
+
+
+#: Kernel events the removal takes, from its spawn to its end.
+REMOVAL_EVENTS = 594
+#: Sequential bumps per counter in the removal-drain scenario.
+REMOVAL_BUMPS = 5
+
+
+def start_removal(
+    app: KarApplication,
+) -> tuple[str, list[str], SimTask, list[SimTask]]:
+    """Bump two counters per component of ``comp0``'s worker for 0.05 s,
+    so the drains have work to finish, then spawn that worker's removal.
+    Returns the leaving worker's id, the counters' actor ids, the removal
+    and the bump drivers."""
+    kernel, control = app.kernel, app.control
+    victim = control.worker_of("comp0")
+    ids = [
+        actor_id
+        for name in sorted(control.workers[victim].hosted)
+        for actor_id in actor_ids_on(app, name, 2)
+    ]
+    bumps = pump(kernel, app.client(), ids, REMOVAL_BUMPS)
+    kernel.run(until=kernel.now + 0.05)
+    leave = kernel.spawn(control.remove_worker_async(victim), name="leave")
+    return victim, ids, leave, bumps
+
+
+def removal_point(k: int) -> tuple[KarApplication, list[str]]:
+    """Run ``k`` events of the removal, kill every worker but the leaving
+    one, let the removal end, add a worker and settle. Returns the
+    application and the counters' actor ids."""
+    kernel, app = make_cluster(seed=3, workers=3, components=6)
+    control = app.control
+    victim, ids, leave, bumps = start_removal(app)
+    if k:
+        try:
+            kernel.run(max_events=k)
+        except RuntimeError:
+            pass  # the runaway guard is the stopwatch
+    for worker_id, worker in list(control.workers.items()):
+        if worker_id != victim and worker.alive:
+            control.kill_worker(worker_id)
+    deadline = kernel.now + 60.0
+    while not leave.done() and kernel.now < deadline:
+        kernel.run(until=kernel.now + 0.5)
+    control.add_worker()
+    kernel.run_until_complete(kernel.gather(bumps), timeout=600.0)
+    kernel.run(until=kernel.now + 5.0)
+    return app, ids
+
+
+def removal_violations(app: KarApplication, ids: list[str]) -> list[str]:
+    """The oracle's verdict, plus any counter not at exactly its bumps."""
+    found = guarantee_violations(app)
+    for actor_id, total in sorted(totals_of(app, ids).items()):
+        if total != REMOVAL_BUMPS:
+            found.append(
+                f"Counter[{actor_id}] holds {total} after {REMOVAL_BUMPS} bumps"
+            )
+    return found
+
+
+def removal_sweep(points: range = range(REMOVAL_EVENTS)) -> dict[int, list[str]]:
+    """The violations at every removal point in ``points`` that has some."""
+    failures = {}
+    for k in points:
+        app, ids = removal_point(k)
+        found = removal_violations(app, ids)
+        app.shutdown()
         if found:
             failures[k] = found
     return failures

@@ -1,9 +1,11 @@
-"""The golden workflow crashed at enumerated points (``tests/crash_sweep.py``).
+"""The golden workflow and a worker removal crashed at enumerated points
+(``tests/crash_sweep.py``).
 
-Tier-1 runs every 7th crash point, each under one of the eight
-(backend, kill) pairs in turn, and the counterexamples the full sweep found,
-named by ``(seed 1503, k, kill)``. ``python benchmarks/bench_crash_sweep.py``
-runs all 1,063 points under every pair.
+Tier-1 runs every 7th crash point of the golden workflow, each under one of
+the eight (backend, kill) pairs in turn, every 13th point of the removal's
+drain, and the counterexamples the full sweeps found, named by
+``(seed, k, kill)``. ``python benchmarks/bench_crash_sweep.py`` runs all
+1,063 golden points under every pair and every removal point.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from crash_sweep import (
     EVENTS,
     KILLS,
     MODES,
+    REMOVAL_EVENTS,
     boot,
     crash_point,
+    removal_point,
+    removal_sweep,
+    removal_violations,
     spawn_audits,
+    start_removal,
     sweep,
     violations,
 )
 from repro.core import actor_proxy
+from test_placement_ctl import make_cluster
 
 PAIRS = list(itertools.product(MODES, KILLS))
 STRIDE = 7
@@ -86,3 +94,35 @@ def test_seed1503_k246_restart_w1_loses_no_increment(mode, tmp_path):
     assert app.run_call(actor_proxy("Tally", "t0"), "report") == 6
     assert violations(boots) == []
     app.shutdown()
+
+
+def test_the_removal_takes_exactly_the_swept_number_of_events():
+    kernel, app = make_cluster(seed=3, workers=3, components=6)
+    _victim, _ids, leave, _bumps = start_removal(app)
+    with pytest.raises(RuntimeError, match="exceeded"):
+        kernel.run(max_events=REMOVAL_EVENTS - 1)
+    assert not leave.done()
+    with pytest.raises(RuntimeError, match="exceeded"):
+        kernel.run(max_events=1)
+    assert leave.done()
+    kernel.run(until=kernel.now + 1.0)  # start what the last event spawned
+    app.shutdown()
+
+
+def test_seed3_k0_removal_whose_survivors_die_waits_for_the_next_worker():
+    """Every other worker killed before the removal's first event: the
+    removal used to crash with "no live workers to host components". Its
+    components now stay down on the leaving worker until ``add_worker``,
+    which re-hosts all six there."""
+    app, ids = removal_point(0)
+    assert app.kernel.crashes == []
+    (joined,) = [worker for worker in app.control.workers.values() if worker.alive]
+    assert joined.hosted == {
+        name for name, types in app.component_types.items() if types
+    }
+    assert removal_violations(app, ids) == []
+    app.shutdown()
+
+
+def test_every_thirteenth_removal_point_keeps_the_guarantee():
+    assert removal_sweep(range(13, REMOVAL_EVENTS, 13)) == {}

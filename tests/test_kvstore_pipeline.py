@@ -18,7 +18,9 @@ from repro.kvstore import (
     PipelinedStoreClient,
     SqliteStoreBackend,
 )
+from repro.kvstore.backend import _UPSERT_HASH
 from repro.kvstore.errors import FencedClientError
+from repro.persist import CodecError
 from repro.sim import Kernel, Latency
 
 from helpers import run
@@ -228,4 +230,123 @@ def test_failed_bracket_fails_its_batch_and_the_next_goes_through(
     backend.close()
     reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
     assert reopened.hgetall("h") == {"x": 2}
+    reopened.close()
+
+
+async def outcome_of(operation):
+    """The operation's result, or the error it failed with."""
+    try:
+        return await operation
+    except Exception as error:  # noqa: BLE001 - the error is the result
+        return error
+
+
+def test_a_statement_failing_inside_a_batch_dooms_the_batch(tmp_path):
+    """An ``hset_many`` that SQLite stops half-way (a trigger aborts on
+    field ``boom``) used to keep its first rows in the batch's transaction,
+    so the batch committed ``{'a': 1, 'after': 3, 'before': 0}``. A SQLite
+    error inside a batch now dooms it: nothing of it is stored, every
+    operation of it fails, and the next batch commits."""
+    backend = make_backend("sqlite", tmp_path)
+    backend._conn.execute(
+        "CREATE TRIGGER boom BEFORE INSERT ON kv_hash WHEN NEW.field = 'boom'"
+        " BEGIN SELECT RAISE(ABORT, 'boom refused'); END"
+    )
+    kernel = Kernel(seed=6)
+    store = KVStore(kernel, Latency.fixed(0.0005), backend=backend)
+    client = PipelinedStoreClient(store, "c1")
+
+    async def scenario():
+        operations = [
+            client.hset("h", "before", 0),
+            client.hset_many("h", {"a": 1, "boom": 2, "c": 3}),
+            client.hset("h", "after", 3),
+        ]
+        lost = await kernel.gather(
+            [kernel.spawn(outcome_of(op)) for op in operations]
+        )
+        assert [type(error) for error in lost] == [sqlite3.IntegrityError] * 3
+        await client.hset("h", "next", 4)
+
+    run(kernel, scenario())
+    assert kernel.crashes == []
+    assert client.batches_flushed == 2
+    backend.close()
+    reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
+    assert reopened.hgetall("h") == {"next": 4}
+    reopened.close()
+
+
+def test_a_fenced_or_unencodable_operation_fails_alone(tmp_path):
+    """Only SQLite's own errors doom a batch: an operation refused by the
+    fence or by the codec fails by itself, and the rest of its batch
+    commits."""
+    backend = make_backend("sqlite", tmp_path)
+    kernel = Kernel(seed=7)
+    store = KVStore(kernel, Latency.fixed(0.0005), backend=backend)
+    client = PipelinedStoreClient(store, "c1")
+
+    async def fence():
+        await client._submit(store.fence, "c1")  # lands mid-batch
+
+    async def scenario():
+        operations = [
+            client.hset("h", "kept", 1),
+            client.hset("h", "unencodable", lambda: None),
+            client.hset("h", "also kept", 2),
+            fence(),
+            client.hset("h", "fenced", 3),
+        ]
+        return await kernel.gather(
+            [kernel.spawn(outcome_of(op)) for op in operations]
+        )
+
+    kept, unencodable, also_kept, fence_set, fenced = run(kernel, scenario())
+    assert kept is None and also_kept is None and fence_set is None
+    assert isinstance(unencodable, CodecError)
+    assert isinstance(fenced, FencedClientError)
+    assert client.batches_flushed == 1
+    backend.close()
+    reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
+    assert reopened.hgetall("h") == {"kept": 1, "also kept": 2}
+    reopened.close()
+
+
+class RollingBackConnection(FailingConnection):
+    """Fails one statement the way SQLite fails on an I/O error: the whole
+    transaction is rolled back before the error is raised."""
+
+    def execute(self, sql, *parameters):
+        if sql == self._statement:
+            self._statement = None
+            self._conn.execute("ROLLBACK")
+            raise sqlite3.OperationalError("disk I/O error")
+        return self._conn.execute(sql, *parameters)
+
+
+def test_no_write_of_a_doomed_batch_runs_outside_its_transaction(tmp_path):
+    """After SQLite rolled the batch's transaction back, a later write of
+    the same batch would run in autocommit mode and be stored at once; a
+    doomed batch runs none of its later operations."""
+    backend = make_backend("sqlite", tmp_path)
+    backend._conn = RollingBackConnection(backend._conn, _UPSERT_HASH)
+    kernel = Kernel(seed=8)
+    store = KVStore(kernel, Latency.fixed(0.0005), backend=backend)
+    client = PipelinedStoreClient(store, "c1")
+
+    async def scenario():
+        operations = [
+            client.set("before", 0),
+            client.hset("h", "x", 1),
+            client.set("after", 2),
+        ]
+        return await kernel.gather(
+            [kernel.spawn(outcome_of(op)) for op in operations]
+        )
+
+    lost = run(kernel, scenario())
+    assert [type(error) for error in lost] == [sqlite3.OperationalError] * 3
+    backend.close()
+    reopened = SqliteStoreBackend(str(tmp_path / "pipeline.store.sqlite3"))
+    assert reopened.keys() == [] and reopened.hgetall("h") == {}
     reopened.close()

@@ -1,4 +1,4 @@
-"""Adaptive placement: the load plane, the controller, and lease TTLs.
+"""Adaptive placement: the load plane, the controller, and wedged workers.
 
 What must hold:
 
@@ -10,9 +10,10 @@ What must hold:
   busiest worker; a component too hot for any single worker splits into
   sub-partitions and merges back when it cools -- with every call settling
   exactly once across the moves;
-- a wedged worker (heartbeating but not renewing its leases) loses
-  partition ownership within ``lease_ttl`` and its calls settle exactly
-  once on the new owner.
+- a wedged worker's loop stops its own heartbeat, so the heartbeat sweep
+  declares it failed within five heartbeat intervals, its components move
+  to the other workers and its calls settle exactly once there; a healthy
+  idle cluster fails no worker.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def test_hot_component_splits_and_merges_back_exactly_once():
 
 
 # ----------------------------------------------------------------------
-# lease TTL: the wedged-worker failure mode
+# the wedged-worker failure mode: one liveness signal
 # ----------------------------------------------------------------------
-def test_wedged_worker_loses_partitions_within_lease_ttl():
+def test_wedged_worker_stops_its_heartbeat_and_is_failed_over():
     kernel, app = make_cluster(seed=15, workers=2, components=4)
     victim_id = app.control.worker_of("comp0")
     victim = app.control.workers[victim_id]
@@ -201,29 +202,31 @@ def test_wedged_worker_loses_partitions_within_lease_ttl():
 
     victim.wedge()
     wedged_at = kernel.now
-    # The worker still heartbeats: the session-timeout detector must NOT
-    # fire for it; only the lease sweep may.
-    kernel.run(until=wedged_at + app.config.lease_ttl + 0.5)
-    assert app.control.lease_expirations >= 1
+    interval = app.config.worker_heartbeat_interval
+    # The stalled loop writes no heartbeat: the one sweep that catches a
+    # dead worker catches this one too, its processes still alive.
+    kernel.run(until=wedged_at + 5 * interval)
+    assert victim.wedged and not victim.alive
     assert victim_id in app.control.workers_failed
-    expired = app.trace.of_kind("lease.expired")
-    assert expired and expired[0].time - wedged_at <= app.config.lease_ttl + 0.5
+    failed = app.trace.where("worker.failed", worker=victim_id)
+    assert failed and failed[0].time - wedged_at <= 5 * interval
     # Re-hosted off the wedged worker; every in-flight call settles
     # exactly once on the new owners.
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     kernel.run(until=kernel.now + 3.0)
     for comp in hosted:
         assert app.control.worker_of(comp) != victim_id
+        assert app.components[comp].alive
     assert totals_of(app, ids) == {actor_id: 3 for actor_id in ids}
     check_guarantee(app)
 
 
-def test_healthy_cluster_never_expires_leases():
+def test_healthy_idle_cluster_fails_no_worker():
     kernel, app = make_cluster(seed=16)
     ids = actor_ids_on(app, "comp0", 3)
     tasks = pump(kernel, app.client(), ids, 5)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
-    # Idle well past several TTLs: renewal keeps every lease fresh.
-    kernel.run(until=kernel.now + 4 * app.config.lease_ttl)
-    assert app.control.lease_expirations == 0
+    # Idle for fifty heartbeat intervals: every loop keeps beating.
+    kernel.run(until=kernel.now + 50 * app.config.worker_heartbeat_interval)
     assert app.control.workers_failed == []
+    assert all(worker.alive for worker in app.control.workers.values())
