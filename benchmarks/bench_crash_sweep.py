@@ -5,9 +5,10 @@ The workflow, the four kills and the checks are ``tests/crash_sweep.py``'s:
 ``kernel.run(max_events=k)`` for every ``k`` in ``1 .. 1,063`` (the six
 audits take 1,064 events), then one kill, settle, and the oracle of
 ``tests/oracle.py`` plus the tally check. The removal sweep kills every
-other worker at each of the removal's 594 events, adds a worker, and checks
-the oracle and every counter's total. Tier-1 runs strided slices; this runs
-all 8,504 + 594 points (about 2.5 minutes on one core)::
+other worker at each of the removal's 594 events and at 166 points of its
+aftermath, adds a worker, and checks the oracle and every counter's total.
+Tier-1 runs strided slices; this runs all 8,504 + 760 points (about 2.5
+minutes on one core)::
 
     PYTHONPATH=src python benchmarks/bench_crash_sweep.py
     PYTHONPATH=src python -m pytest -q benchmarks/bench_crash_sweep.py
@@ -25,7 +26,7 @@ from crash_sweep import (  # noqa: E402
     EVENTS,
     KILLS,
     MODES,
-    REMOVAL_EVENTS,
+    REMOVAL_POINTS,
     removal_sweep,
     sweep,
 )
@@ -50,7 +51,7 @@ def report(failures: dict[tuple[str, str], dict[int, list[str]]]) -> str:
         (
             mode,
             kill,
-            REMOVAL_EVENTS if kill == "removal" else EVENTS - 1,
+            REMOVAL_POINTS if kill == "removal" else EVENTS - 1,
             len(failed),
             min(failed, default="-"),
         )
@@ -61,7 +62,7 @@ def report(failures: dict[tuple[str, str], dict[int, list[str]]]) -> str:
         rows,
         title=(
             "Golden workflow (seed 1503), every crash point; "
-            "removal drain (seed 3), every event"
+            "removal drain and aftermath (seed 3), every point"
         ),
     )
 

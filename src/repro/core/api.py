@@ -80,8 +80,11 @@ class KarApi:
         Returns ``None`` when no hosting component's breaker blocks the
         invocation (closed, cooled down enough to admit a probe, or
         breakers disabled). Read-only: the probe admission itself stays
-        with the executing component.
+        with the executing component. With no breaker open anywhere it is
+        one check, not a scan of the components.
         """
+        if not self._app._open_breakers.count:
+            return None
         now = self.kernel.now
         worst: float | None = None
         for component in self._app.components.values():

@@ -28,7 +28,7 @@ from repro.core.api import KarApi
 from repro.core.cluster import ControlPlane, KarWorker
 from repro.core.config import KarConfig
 from repro.core.envelope import envelope_id
-from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
+from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter, _OpenBreakers
 from repro.core.refs import ActorRef
 from repro.core.reminders import REMINDERS_KEY
 from repro.core.runtime import Component
@@ -110,6 +110,9 @@ class KarApplication:
         self.trace = TraceRecorder(kernel)
         self.ids = _IdGenerator("r" if self.boot == 1 else f"r{self.boot}.")
         self.components: dict[str, Component] = {}
+        #: Open circuit breakers across every component's guard: admission
+        #: scans the components only while this is non-zero.
+        self._open_breakers = _OpenBreakers()
         self.component_types: dict[str, frozenset[str]] = {}
         self._epochs: dict[str, int] = self._restore_epochs()
         self._client: Component | None = None

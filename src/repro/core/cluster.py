@@ -223,6 +223,10 @@ class KarWorker:
         self.hosted: set[str] = set()
         #: Set on graceful removal; a retired worker takes no new components.
         self.retired = False
+        # The first beat is written now, not when the loop's task first
+        # runs: a heartbeat sweep due at this instant runs before that task,
+        # and a worker with no beat would read as silent since time zero.
+        app.store.backend.hset(control.heartbeat_key, worker_id, self.kernel.now)
         self.kernel.spawn(
             self._heartbeat_loop(control.heartbeat_key),
             self.process,
@@ -240,9 +244,11 @@ class KarWorker:
     async def _heartbeat_loop(self, key: str) -> None:
         interval = self.app.config.worker_heartbeat_interval
         backend = self.app.store.backend
-        while not self.loop.stalled:
-            backend.hset(key, self.worker_id, self.kernel.now)
+        while True:
             await self.kernel.sleep(interval)
+            if self.loop.stalled:
+                return
+            backend.hset(key, self.worker_id, self.kernel.now)
 
     def wedge(self) -> None:
         """Wedge this worker: its processes live on, its loop stops.

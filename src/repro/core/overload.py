@@ -143,8 +143,11 @@ class RetryBudget:
 
     def deposit(self, now: float) -> None:
         """Record a first attempt (never throttled; earns retry credit)."""
-        self._refill(now)
-        self._tokens = min(self._burst, self._tokens + self._ratio)
+        tokens = self._tokens
+        if now > self._stamp:  # ``_refill``, without the call
+            tokens = min(self._burst, tokens + (now - self._stamp) * self._floor)
+            self._stamp = now
+        self._tokens = min(self._burst, tokens + self._ratio)
         self.first_attempts += 1
 
     def try_spend(self, now: float) -> bool:
@@ -160,6 +163,21 @@ class RetryBudget:
     def balance(self, now: float) -> float:
         self._refill(now)
         return self._tokens
+
+
+class _OpenBreakers:
+    """How many of one application's circuit breakers are open.
+
+    Every guard of the application shares one, and each breaker moves it on
+    a transition into or out of open, so admission (``KarApi``) skips its
+    scan of the components while it reads zero. Breakers of incarnations
+    that died open stay counted; that only sends admission to the scan.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 class CircuitBreaker:
@@ -178,6 +196,7 @@ class CircuitBreaker:
     """
 
     __slots__ = (
+        "_open",
         "consecutive_failures",
         "cooldown",
         "opened_at",
@@ -188,7 +207,14 @@ class CircuitBreaker:
         "transitions",
     )
 
-    def __init__(self, threshold: int, cooldown: float, history_limit: int = 16):
+    def __init__(
+        self,
+        threshold: int,
+        cooldown: float,
+        history_limit: int = 16,
+        open_breakers: _OpenBreakers | None = None,
+    ):
+        self._open = _OpenBreakers() if open_breakers is None else open_breakers
         self.threshold = threshold
         self.cooldown = cooldown
         self.state = BREAKER_CLOSED
@@ -205,6 +231,10 @@ class CircuitBreaker:
     def _move(self, state: str, now: float) -> str:
         transition = f"{self.state}->{state}"
         self.transitions.append((now, transition))
+        if state == BREAKER_OPEN:
+            self._open.count += 1
+        elif self.state == BREAKER_OPEN:
+            self._open.count -= 1
         self.state = state
         return transition
 
@@ -311,8 +341,17 @@ class OverloadGuard:
     place: every caller talks to one policy object, never to ``None``.
     """
 
-    def __init__(self, config: "KarConfig", kernel: "Kernel"):
+    def __init__(
+        self,
+        config: "KarConfig",
+        kernel: "Kernel",
+        open_breakers: _OpenBreakers | None = None,
+    ):
         self.kernel = kernel
+        #: The application's count of open breakers, shared by its guards.
+        self._open_breakers = (
+            _OpenBreakers() if open_breakers is None else open_breakers
+        )
         #: Bound on each mailbox's pending queue (``None`` = unbounded) and
         #: on recovery copies per stranded request (``None`` = forever).
         self.mailbox_capacity = config.mailbox_capacity
@@ -349,14 +388,21 @@ class OverloadGuard:
         breaker = self.breakers.get(key)
         if breaker is None:
             breaker = self.breakers[key] = CircuitBreaker(
-                self.breaker_threshold, self.breaker_cooldown
+                self.breaker_threshold,
+                self.breaker_cooldown,
+                open_breakers=self._open_breakers,
             )
         return breaker
 
     def breaker_diverts(self, request: "Request", now: float) -> CircuitBreaker | None:
         """The breaker that diverts ``request``, or None to admit it."""
-        breaker = self._breaker(request.actor.type, request.method)
-        if breaker is None or breaker.admit(request.request_id, now):
+        if self.breaker_threshold is None:
+            return None
+        breaker = self.breakers.get((request.actor.type, request.method))
+        if breaker is None:
+            breaker = self._breaker(request.actor.type, request.method)
+        # A closed breaker admits without the call.
+        if breaker.state == BREAKER_CLOSED or breaker.admit(request.request_id, now):
             return None
         self.diverted += 1
         return breaker
@@ -368,8 +414,14 @@ class OverloadGuard:
         return breaker.record_failure(request.request_id, now, error)
 
     def record_success(self, request: "Request", now: float) -> str | None:
-        breaker = self._breaker(request.actor.type, request.method)
+        if self.breaker_threshold is None:
+            return None
+        breaker = self.breakers.get((request.actor.type, request.method))
         if breaker is None:
+            breaker = self._breaker(request.actor.type, request.method)
+        if breaker.state == BREAKER_CLOSED:
+            # ``CircuitBreaker.record_success`` for a closed breaker.
+            breaker.consecutive_failures = 0
             return None
         return breaker.record_success(request.request_id, now)
 
@@ -453,8 +505,13 @@ class Unguarded(OverloadGuard):
     the actor type and is immediate otherwise -- no breakers, no redelivery
     cap, unbounded mailboxes, and nothing to report."""
 
-    def __init__(self, config: "KarConfig", kernel: "Kernel"):
-        super().__init__(config, kernel)
+    def __init__(
+        self,
+        config: "KarConfig",
+        kernel: "Kernel",
+        open_breakers: _OpenBreakers | None = None,
+    ):
+        super().__init__(config, kernel, open_breakers)
         self.breaker_threshold = None
         self.mailbox_capacity = self.redelivery_limit = None
 

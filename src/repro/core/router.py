@@ -109,13 +109,10 @@ class Router:
         self._candidates.clear()
         self._incarnations = None
 
-    def _refresh_membership(self) -> None:
-        if self.coordinator.generation != self._generation_seen:
-            self.invalidate_membership()
-
     def live_candidates(self, actor_type: str) -> list[str]:
         """Sorted live component names announcing ``actor_type``."""
-        self._refresh_membership()
+        if self.coordinator.generation != self._generation_seen:
+            self.invalidate_membership()
         cached = self._candidates.get(actor_type)
         if cached is None:
             names = {m.rsplit("#", 1)[0] for m in self.coordinator.member_ids()}
@@ -129,7 +126,8 @@ class Router:
 
     def live_incarnation(self, component_name: str) -> str | None:
         """The live member id answering for a component name, if any."""
-        self._refresh_membership()
+        if self.coordinator.generation != self._generation_seen:
+            self.invalidate_membership()
         if self._incarnations is None:
             # One incarnation per name: a join expels the one it supersedes.
             self._incarnations = {
@@ -247,7 +245,7 @@ class Router:
     async def route_request(self, request: "Request") -> None:
         """Resolve placement and durably enqueue; retries stale routes,
         each retry paced by the component's overload policy."""
-        guard = self.component.overload
+        guard, placement = self.component.overload, self.component.placement
         if request.copy_epoch == 0 and request.attempts == 0:
             guard.first_attempt(self.kernel.now)
         attempt = 0
@@ -259,17 +257,17 @@ class Router:
                 await guard.pace_unplaceable(attempt)
                 attempt += 1
                 continue
-            target_name = await self.placement.resolve(request.actor, candidates)
+            target_name = await placement.resolve(request.actor, candidates)
             target_member = self.live_incarnation(target_name)
             if target_member is None:
-                self.placement.invalidate_components({target_name})
+                placement.invalidate_components({target_name})
                 await guard.pace_retry(attempt)
                 attempt += 1
                 continue
             try:
                 await self.send_durable(target_member, request)
             except StaleRouteError:
-                self.placement.invalidate_components({target_name})
+                placement.invalidate_components({target_name})
                 await guard.pace_retry(attempt)
                 attempt += 1
                 continue

@@ -45,7 +45,7 @@ from repro.core.state import ActorStateCache
 from repro.kvstore import FencedClientError, PipelinedStoreClient
 from repro.mq import FencedMemberError, GenerationInfo, GroupMember
 from repro.persist import CodecError
-from repro.sim import SimProcess
+from repro.sim import SimProcess, _sleep
 
 if TYPE_CHECKING:
     from repro.core.app import KarApplication
@@ -114,7 +114,9 @@ class Component:
         # per-incarnation state, sharing the component's fate like dedup
         # evidence does.
         policy = OverloadGuard if app.config.overload_guard else Unguarded
-        self.overload: OverloadGuard = policy(app.config, app.kernel)
+        self.overload: OverloadGuard = policy(
+            app.config, app.kernel, app._open_breakers
+        )
 
     @property
     def alive(self) -> bool:
@@ -237,11 +239,15 @@ class Component:
         # are back to back with nothing observable between them, so both are
         # sampled here and slept as one timer: same simulated time per call,
         # one kernel event and one task resume fewer.
-        rng = self.kernel.rng
-        await self.kernel.sleep(
-            self.config.sidecar_latency.sample(rng)
-            + self.config.invoke_overhead.sample(rng)
-        )
+        # A fixed latency is read, not sampled: it draws nothing either way.
+        config = self.config
+        hop = config.sidecar_latency.fixed
+        if hop is None:
+            hop = config.sidecar_latency.sample(self.kernel.rng)
+        work = config.invoke_overhead.fixed
+        if work is None:
+            work = config.invoke_overhead.sample(self.kernel.rng)
+        await _sleep(hop + work)
         request_id = self.app.ids.fresh()
         if expects_reply and caller is not None:
             return_address = caller.request_id
@@ -339,13 +345,15 @@ class Component:
             self._admit(parked)
 
     def _handle_request(self, request: Request) -> None:
-        if request.dedup_key in self._handled:
+        # ``request.dedup_key``, built once.
+        dedup_key = (request.request_id, request.step)
+        if dedup_key in self._handled:
             # A reconciliation restart copied this request twice (Section
             # 4.3: "request messages already copied ... are skipped").
             # Observing the duplicate also refreshes the evidence's
             # retention stamp: the copy proves an unexpired record still
             # exists that could be copied again.
-            self._handled.observe(request.dedup_key, self.kernel.now)
+            self._handled.observe(dedup_key, self.kernel.now)
             self.trace.emit(
                 "request.duplicate", request=request.request_id, step=request.step
             )
@@ -359,7 +367,7 @@ class Component:
             # reconciliation copy.
             self._park_dead_letter(request, "breaker_open", breaker)
             return
-        self._handled.observe(request.dedup_key, self.kernel.now)
+        self._handled.observe(dedup_key, self.kernel.now)
         if (
             request.after_callee is not None
             and request.after_callee not in self._settled
@@ -475,7 +483,8 @@ class Component:
                 # serialize on its busy horizon (no-op at zero cost). The
                 # component name attributes the charge to the load plane.
                 await self.worker.loop.charge(self.name)
-            self.overload.clear_shed(request.dedup_key)
+            if self.overload._shed_attempts:  # only a shed request has one
+                self.overload.clear_shed(request.dedup_key)
             kind, payload = await self._run_method(request)
             self._record_outcome(request, kind, payload)
             await self._hop()  # app -> sidecar with the outcome
@@ -813,7 +822,9 @@ class Component:
     # latency charges (out-of-process runtime architecture, Section 4.1)
     # ------------------------------------------------------------------
     def _hop(self) -> Awaitable[None]:
-        return self.kernel.sleep(self.config.sidecar_latency.sample(self.kernel.rng))
+        latency = self.config.sidecar_latency
+        delay = latency.fixed
+        return _sleep(latency.sample(self.kernel.rng) if delay is None else delay)
 
     def __repr__(self) -> str:
         state = "alive" if self.process.alive else "dead"

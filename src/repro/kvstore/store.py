@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from repro.kvstore.backend import MemoryStoreBackend, StoreBackend
 from repro.kvstore.errors import FencedClientError
-from repro.sim import Kernel, Latency
+from repro.sim import Kernel, Latency, _sleep
 
 __all__ = ["KVStore", "StoreClient"]
 
@@ -73,14 +73,16 @@ class KVStore:
         packing a whole event-loop turn's operations into one trip.
         """
         self.round_trips += 1
-        latency = self.latency.sample(self.kernel.rng)
+        latency = self.latency.fixed
+        if latency is None:
+            latency = self.latency.sample(self.kernel.rng)
         now = self.kernel.now
         start = self._conn_free.get(client_id, 0.0)
         if start < now:
             start = now
         finish = start + latency
         self._conn_free[client_id] = finish
-        await self.kernel.sleep(finish - now)
+        await _sleep(finish - now)
 
     # ------------------------------------------------------------------
     # synchronous core (used by clients after the latency wait)

@@ -29,7 +29,7 @@ from typing import Any
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
 from repro.mq.records import Record
-from repro.sim import Kernel, Latency
+from repro.sim import Kernel, Latency, _sleep
 
 __all__ = ["Broker", "BrokerConfig", "Partition", "Topic"]
 
@@ -86,7 +86,12 @@ class Partition:
         return image.next_offset, timestamp
 
     def append(self, value: Any, timestamp: float) -> Record:
-        record = Record(self.name, *self._stamp(timestamp), value)
+        # ``_stamp``, without the call.
+        image = self._image
+        items = image.records._items
+        if items and items[-1].timestamp > timestamp:
+            timestamp = items[-1].timestamp
+        record = Record(self.name, image.next_offset, timestamp, value)
         self._log.append_many(self.topic.name, [record])
         return record
 
@@ -360,7 +365,9 @@ class Broker:
         result raises :class:`MQError` (typically wrapped by the caller as a
         stale route) and nothing is appended.
         """
-        await self.kernel.sleep(self.config.produce_latency.sample(self.kernel.rng))
+        latency = self.config.produce_latency
+        delay = latency.fixed
+        await _sleep(latency.sample(self.kernel.rng) if delay is None else delay)
         if client_id in self._fenced:
             raise FencedMemberError(client_id)
         self._check_lease(topic_name, client_id)
@@ -397,7 +404,9 @@ class Broker:
         """
         if not entries:
             return []
-        await self.kernel.sleep(self.config.produce_latency.sample(self.kernel.rng))
+        latency = self.config.produce_latency
+        delay = latency.fixed
+        await _sleep(latency.sample(self.kernel.rng) if delay is None else delay)
         if client_id in self._fenced:
             raise FencedMemberError(client_id)
         # A stale-epoch producer rejects the whole batch, exactly like a
@@ -445,7 +454,9 @@ class Broker:
         completion in the callee's own queue. Either all entries land or
         none do; one produce round trip is charged.
         """
-        await self.kernel.sleep(self.config.produce_latency.sample(self.kernel.rng))
+        latency = self.config.produce_latency
+        delay = latency.fixed
+        await _sleep(latency.sample(self.kernel.rng) if delay is None else delay)
         if client_id in self._fenced:
             raise FencedMemberError(client_id)
         self._check_lease(topic_name, client_id)
@@ -487,7 +498,9 @@ class Broker:
         everything between ``offset`` and the end offset; a consumer that
         peeks :meth:`end_offset` first never pays for an empty fetch.
         """
-        await self.kernel.sleep(self.config.consume_latency.sample(self.kernel.rng))
+        latency = self.config.consume_latency
+        delay = latency.fixed
+        await _sleep(latency.sample(self.kernel.rng) if delay is None else delay)
         if client_id in self._fenced:
             raise FencedMemberError(client_id)
         self._check_lease(topic_name, client_id)

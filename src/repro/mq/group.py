@@ -34,6 +34,8 @@ generation reaches every listener in the kernel event that publishes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import contains
 from typing import Any, Callable
 
 from repro.mq.broker import Broker
@@ -364,7 +366,9 @@ class GroupMember:
                 partition_name,
                 value,
                 self.member_id,
-                guard=lambda: self.coordinator.is_member(partition_name),
+                # ``coordinator.is_member(partition_name)``, with no Python
+                # frame: the membership dict is never rebound.
+                guard=partial(contains, self.coordinator.members, partition_name),
             )
         except FencedMemberError:
             raise
@@ -389,10 +393,9 @@ class GroupMember:
             await self.coordinator.wait_unpaused()
         if self.member_id in self.broker._fenced:
             raise FencedMemberError(self.member_id)
+        members = self.coordinator.members
         guards: dict[str, Callable[[], bool]] = {
-            partition: (
-                lambda p=partition: self.coordinator.is_member(p)  # type: ignore[misc]
-            )
+            partition: partial(contains, members, partition)
             for partition, _value in entries
         }
         outcomes = await self.broker.produce_batch(
@@ -439,12 +442,15 @@ class GroupMember:
         by the next call without parking.
         """
         broker, topic_name, member_id = self.broker, self.topic_name, self.member_id
+        key = (topic_name, member_id)
         while True:
             if self.coordinator.paused:
                 await self.coordinator.wait_unpaused()
             if member_id in broker._fenced:
                 raise FencedMemberError(member_id)
-            if broker.end_offset(topic_name, member_id) <= self.position:
+            # ``broker.end_offset``, without the call.
+            partition = broker._partitions.get(key)
+            if partition is None or partition._image.next_offset <= self.position:
                 await broker.wait_for_append(topic_name, member_id)
                 continue
             records = await broker.fetch(

@@ -113,9 +113,13 @@ class BrokerLog:
         """Journal, then publish, freshly stamped records (one produce
         round trip)."""
         self._persist_append(topic, records)
+        parts = self._parts
         for record in records:
-            image = self.image(topic, record.partition)
-            image.records.append(record)
+            image = parts.get((topic, record.partition))
+            if image is None:
+                image = self.image(topic, record.partition)
+            # ``RetainedRecords.append``, without the call.
+            image.records._items.append(record)
             image.next_offset = record.offset + 1
         self.records_logged += len(records)
 

@@ -7,6 +7,7 @@ can be killed abruptly (fail-stop, per the paper's failure rule in Section 3.3).
 """
 
 from repro.sim.kernel import Kernel, SimFuture, SimTask, TaskKilled
+from repro.sim.kernel import _sleep  # the runtime's unchecked sleep
 from repro.sim.latency import Latency
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceEvent, TraceRecorder

@@ -208,7 +208,12 @@ class SimTask:
             self._settle(None, error)
             self.kernel._record_crash(self, error)
         else:
-            if isinstance(yielded, (float, int)):  # a sleep, the common case
+            # By exact type first: a sleep's float delay, then a future; only
+            # anything else (an int delay, a subclass) pays for isinstance.
+            kind = type(yielded)
+            if kind is float or (
+                kind is not SimFuture and isinstance(yielded, (float, int))
+            ):
                 kernel = self.kernel
                 if yielded > 0:
                     # The timer's own event is the resume.
@@ -220,7 +225,7 @@ class SimTask:
                     kernel._ready.append(
                         (sequence, kernel.call_soon, (self._on_future, kernel._started))
                     )
-            elif isinstance(yielded, SimFuture):
+            elif kind is SimFuture or isinstance(yielded, SimFuture):
                 # ``SimFuture.__await__`` yields only an unresolved future.
                 yielded._callbacks.append(self._on_future)
             else:
@@ -240,7 +245,13 @@ _NEVER = SimFuture(None)  # type: ignore[arg-type]
 
 @types.coroutine
 def _sleep(delay: float) -> Generator[float, None, None]:
-    """Hand ``delay`` to the task driving this await (``SimTask._on_future``)."""
+    """Hand ``delay`` to the task driving this await (``SimTask._on_future``).
+
+    :meth:`Kernel.sleep` without its argument check. The runtime's own
+    sleeps await it directly: their delays are non-negative by construction
+    (a latency's sample, or a store connection's free time minus ``now``),
+    and the check would be one more Python call per hop.
+    """
     yield delay
 
 

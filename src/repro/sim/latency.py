@@ -23,6 +23,13 @@ class Latency:
     samples never go below ``floor`` (defaults to half the base, and never
     below zero). Medians therefore sit at ``base``, matching how the paper
     reports medians.
+
+    On an instance, ``fixed`` is the delay every sample returns -- ``base``
+    when there is no jitter -- or ``None`` when samples vary. A fixed
+    latency never draws from the generator, so the runtime's hot paths read
+    ``fixed`` and call :meth:`sample` only when it is ``None``; no draw
+    moves. (On the class, ``Latency.fixed(seconds)`` is the constructor of
+    such a latency.)
     """
 
     base: float
@@ -34,6 +41,11 @@ class Latency:
             raise ValueError(f"negative base latency: {self.base}")
         if self.jitter < 0:
             raise ValueError(f"negative jitter: {self.jitter}")
+        if self.floor is not None and self.floor < 0:
+            raise ValueError(f"negative latency floor: {self.floor}")
+        # Not a field: derived, so ``replace`` and ``scaled`` recompute it
+        # and equality, hashing and ``repr`` ignore it.
+        object.__setattr__(self, "fixed", self.base if self.jitter == 0.0 else None)
 
     def sample(self, rng: Random) -> float:
         if self.jitter == 0.0:

@@ -14,7 +14,9 @@ The second sweep is a worker removal's drain (:func:`removal_point`): three
 workers host six components, the ones on the leaving worker take load, and
 at event ``k`` of the removal every other worker is killed. A worker is
 then added, and the run must pass the oracle and leave every counter at
-exactly its number of bumps (:func:`removal_violations`).
+exactly its number of bumps (:func:`removal_violations`). Its points run
+past the removal's end into the aftermath (:data:`REMOVAL_POINTS`), where
+the surviving workers' heartbeats and the control plane's sweeps go on.
 
 ``python benchmarks/bench_crash_sweep.py`` sweeps every point of both;
 tier-1 runs the named counterexamples and strided slices
@@ -36,6 +38,7 @@ __all__ = [
     "KILLS",
     "MODES",
     "REMOVAL_EVENTS",
+    "REMOVAL_POINTS",
     "boot",
     "crash_point",
     "removal_point",
@@ -178,6 +181,8 @@ def sweep(
 
 #: Kernel events the removal takes, from its spawn to its end.
 REMOVAL_EVENTS = 594
+#: Removal points swept: the removal's events and 166 of its aftermath.
+REMOVAL_POINTS = REMOVAL_EVENTS + 166
 #: Sequential bumps per counter in the removal-drain scenario.
 REMOVAL_BUMPS = 5
 
@@ -237,12 +242,18 @@ def removal_violations(app: KarApplication, ids: list[str]) -> list[str]:
     return found
 
 
-def removal_sweep(points: range = range(REMOVAL_EVENTS)) -> dict[int, list[str]]:
-    """The violations at every removal point in ``points`` that has some."""
+def removal_sweep(points: range = range(REMOVAL_POINTS)) -> dict[int, list[str]]:
+    """The violations at every removal point in ``points`` that has some; a
+    point whose run raises (a call that never settles times out) fails with
+    the error as its one violation."""
     failures = {}
     for k in points:
-        app, ids = removal_point(k)
-        found = removal_violations(app, ids)
+        try:
+            app, ids = removal_point(k)
+            found = removal_violations(app, ids)
+        except Exception as error:  # noqa: BLE001 - a failing point
+            failures[k] = [f"raised: {error!r}"]
+            continue
         app.shutdown()
         if found:
             failures[k] = found

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import Latch, make_app, run
 from oracle import check_guarantee
-from repro.core import Actor, ActorMethodError, actor_proxy
+from repro.core import Actor, ActorMethodError, KarConfig, actor_proxy
 from repro.core.dispatcher import ActorMailbox
 from repro.core.envelope import Request
 from repro.core.overload import (
@@ -18,11 +18,13 @@ from repro.core.overload import (
     BackoffPolicy,
     CircuitBreaker,
     DeadLetter,
+    OverloadGuard,
     RetryBudget,
     UNPLACEABLE_RETRY_DELAY,
     Unguarded,
 )
 from repro.core.refs import ActorRef
+from repro.sim import Kernel
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +119,80 @@ def test_halfopen_admits_exactly_one_probe_and_ignores_stragglers():
     assert breaker.record_success("c0", 2.3) == "half_open->closed"
 
 
+def guard_with(**overrides) -> OverloadGuard:
+    return OverloadGuard(KarConfig.fast_test().with_overrides(**overrides), Kernel())
+
+
+def test_guard_admits_and_records_success_inline_while_closed():
+    """``OverloadGuard`` answers a closed breaker itself (no
+    ``CircuitBreaker.admit`` / ``record_success`` call); the state machine
+    it skips must still hold: a success clears the failure streak."""
+    guard = guard_with(breaker_threshold=3, breaker_cooldown=10.0)
+    request = _request("c0")
+    assert guard.breaker_diverts(request, 0.0) is None  # made on first use
+    breaker = guard.breakers[("T", "m")]
+    assert breaker.state == BREAKER_CLOSED
+    guard.record_failure(request, "boom", 0.1)
+    guard.record_failure(request, "boom", 0.2)
+    assert guard.record_success(request, 0.3) is None
+    assert breaker.consecutive_failures == 0
+    guard.record_failure(request, "boom", 0.4)
+    guard.record_failure(request, "boom", 0.5)
+    assert breaker.state == BREAKER_CLOSED  # the streak restarted at 0.3
+    assert guard.diverted == 0 and breaker.transitions == []
+
+
+def test_guard_open_diverts_and_half_open_admits_exactly_one_probe():
+    guard = guard_with(breaker_threshold=1, breaker_cooldown=1.0)
+    counted = guard._open_breakers
+    assert counted.count == 0
+    assert guard.record_failure(_request("r0"), "boom", 0.0) == "closed->open"
+    breaker = guard.breakers[("T", "m")]
+    assert counted.count == 1
+    assert guard.breaker_diverts(_request("early"), 0.5) is breaker
+    # Past the cooldown: the first arrival is the one probe.
+    outcomes = [guard.breaker_diverts(_request(f"c{n}"), 2.0) for n in range(3)]
+    assert outcomes == [None, breaker, breaker]
+    assert breaker.state == BREAKER_HALF_OPEN and counted.count == 0
+    assert guard.diverted == 3
+    # A non-probe's success moves nothing; the probe's closes the circuit.
+    assert guard.record_success(_request("c1"), 2.1) is None
+    assert breaker.state == BREAKER_HALF_OPEN
+    assert guard.record_success(_request("c0"), 2.2) == "half_open->closed"
+    assert guard.breaker_diverts(_request("after"), 2.3) is None
+    # Open again, then force-closed by redelivery: the count follows.
+    guard.record_failure(_request("r1"), "boom", 3.0)
+    assert counted.count == 1
+    assert guard.reset_breakers(3.1) == 1 and counted.count == 0
+
+
+def test_admission_reads_no_component_while_no_breaker_is_open(monkeypatch):
+    """``KarApi`` admission is one check while no breaker is open anywhere;
+    once one opens it scans the components for it, and a reset ends that."""
+    kernel, app = make_app(seed=17, breaker_threshold=1, breaker_cooldown=60.0)
+    name = app.register_actor(Latch)
+    worker = app.add_component("w1", (name,))
+    api = app.api()
+    app.settle()
+    scans = []
+    monkeypatch.setattr(
+        type(worker), "alive", property(lambda self: scans.append(self) or True)
+    )
+    assert api.breaker_retry_after(name, "set") is None
+    assert scans == []
+    worker.overload.record_failure(
+        Request("r", 0, actor_proxy(name, "x"), "set", (), None, None, None, None),
+        "boom",
+        kernel.now,
+    )
+    assert api.breaker_retry_after(name, "set") == pytest.approx(60.0)
+    assert scans  # the open breaker is found by the scan
+    app.redeliver_dead_letters()  # force-closes every breaker
+    scans.clear()
+    assert api.breaker_retry_after(name, "set") is None
+    assert scans == []
+
+
 # ----------------------------------------------------------------------
 # unit: mailbox admission control
 # ----------------------------------------------------------------------
@@ -158,6 +234,29 @@ def test_mailbox_sheds_oldest_retries_never_first_attempts():
     for n in range(10):
         unbounded.try_admit(_request(f"c{n}", copy_epoch=1))
     assert unbounded.shed_overflow() == []
+
+
+def test_a_shed_request_clears_its_shed_count_when_it_runs():
+    """``_execute`` clears a shed count only when the guard holds one; a
+    shed retry that finally runs must still clear its own."""
+    kernel, app = make_app(seed=18)
+    name = app.register_actor(Latch)
+    worker = app.add_component("w1", (name,))
+    app.settle()
+    ref = actor_proxy(name, "x")
+    app.run_call(ref, "set", 1)
+    guard = worker.overload
+    assert guard._shed_attempts == {}
+    request = Request("shed", 0, ref, "set", (7,), None, None, None, None, copy_epoch=1)
+    worker._handled.observe(request.dedup_key, kernel.now)  # as when it was shed
+    kernel.spawn(worker._requeue_shed(request), worker.process)
+    kernel.run(until=kernel.now)
+    assert guard._shed_attempts == {("shed", 0): 1}
+    kernel.run(until=kernel.now + 5.0)
+    assert guard._shed_attempts == {}
+    assert (guard.sheds, guard.shed_requeues) == (1, 1)
+    assert app.run_call(ref, "get") == 7
+    check_guarantee(app)
 
 
 # ----------------------------------------------------------------------

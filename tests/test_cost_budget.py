@@ -36,19 +36,19 @@ from cost_probe import PACKAGES, probe
 
 #: Python calls per operation under ``src/repro``, by package.
 CEILINGS: dict[str, dict[str, float]] = {
-    "echo": {"sim": 98.56, "mq": 51.18, "core": 74.18},
+    "echo": {"sim": 81.56, "mq": 37.18, "core": 64.18},
     "ledger": {
-        "sim": 114.04,
-        "mq": 32.32,
-        "core": 131.67,
+        "sim": 98.04,
+        "mq": 23.57,
+        "core": 111.67,
         "kvstore": 11.0,
         "persist": 70.75,
     },
-    "gateway": {"sim": 112.04, "mq": 51.2, "core": 92.32, "net": 43.0},
+    "gateway": {"sim": 95.04, "mq": 37.2, "core": 77.32, "net": 43.0},
     "recover": {
-        "sim": 2239.0,
-        "mq": 2066.0,
-        "core": 2375.0,
+        "sim": 2079.0,
+        "mq": 1957.0,
+        "core": 2184.0,
         "kvstore": 606.0,
         "persist": 2533.0,
     },

@@ -3,7 +3,7 @@
 
 Tier-1 runs every 7th crash point of the golden workflow, each under one of
 the eight (backend, kill) pairs in turn, every 13th point of the removal's
-drain, and the counterexamples the full sweeps found, named by
+drain and aftermath, and the counterexamples the full sweeps found, named by
 ``(seed, k, kill)``. ``python benchmarks/bench_crash_sweep.py`` runs all
 1,063 golden points under every pair and every removal point.
 """
@@ -19,6 +19,7 @@ from crash_sweep import (
     KILLS,
     MODES,
     REMOVAL_EVENTS,
+    REMOVAL_POINTS,
     boot,
     crash_point,
     removal_point,
@@ -29,8 +30,9 @@ from crash_sweep import (
     sweep,
     violations,
 )
+from oracle import check_guarantee
 from repro.core import actor_proxy
-from test_placement_ctl import make_cluster
+from test_placement_ctl import make_cluster, totals_of
 
 PAIRS = list(itertools.product(MODES, KILLS))
 STRIDE = 7
@@ -124,5 +126,24 @@ def test_seed3_k0_removal_whose_survivors_die_waits_for_the_next_worker():
     app.shutdown()
 
 
+def test_seed3_k609_a_worker_added_as_the_sweep_is_due_is_not_failed():
+    """Past the removal's end, ``add_worker()`` ran at the instant a
+    heartbeat sweep was due. The sweep ran before the new worker's loop had
+    beaten once and read it as silent since time zero: it was failed with
+    nothing hosted, the components were never re-hosted, and the bumps
+    timed out. A worker now writes its first beat when it is built."""
+    app, ids = removal_point(609)
+    control = app.control
+    assert sorted(control.workers_failed) == ["w1", "w2"]  # the two killed
+    (joined,) = [worker for worker in control.workers.values() if worker.alive]
+    assert joined.worker_id not in control.workers_failed
+    assert joined.hosted == {
+        name for name, types in app.component_types.items() if types
+    }
+    assert set(totals_of(app, ids).values()) == {5}
+    check_guarantee(app)
+    app.shutdown()
+
+
 def test_every_thirteenth_removal_point_keeps_the_guarantee():
-    assert removal_sweep(range(13, REMOVAL_EVENTS, 13)) == {}
+    assert removal_sweep(range(13, REMOVAL_POINTS, 13)) == {}
