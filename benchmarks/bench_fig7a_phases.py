@@ -14,6 +14,7 @@ def test_fig7a_recovery_phase_series(benchmark):
     result = benchmark.pedantic(
         single_failure_campaign, rounds=1, iterations=1
     )
+    assert not result.guarantee_violations, result.guarantee_violations
     points = [
         (
             record.index + 1,

@@ -15,6 +15,7 @@ def test_fig7b_max_order_latency(benchmark):
     result = benchmark.pedantic(
         single_failure_campaign, rounds=1, iterations=1
     )
+    assert not result.guarantee_violations, result.guarantee_violations
     points = [
         (record.index + 1, record.max_order_latency, record.total)
         for record in result.records

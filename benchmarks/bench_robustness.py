@@ -31,6 +31,7 @@ from _shared import (
 def measure_paired() -> tuple[str, list[tuple]]:
     result = paired_failure_campaign()
     assert not result.invariant_violations, result.invariant_violations
+    assert not result.guarantee_violations, result.guarantee_violations
     stats = result.phase_stats()
     # Every injected incident eventually recovered.
     assert len(result.records) == PAIRED_FAILURES
@@ -52,6 +53,7 @@ def measure_total() -> tuple[str, list[tuple]]:
     )
     assert outcome["recovered"] == outcome["iterations"]
     assert not outcome["violations"], outcome["violations"]
+    assert not outcome["guarantee_violations"], outcome["guarantee_violations"]
     title = (
         "Complete application failure: kill everything but the simulators, "
         "wait 30 s, restart"

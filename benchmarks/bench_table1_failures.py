@@ -19,6 +19,7 @@ def test_table1_failure_phase_statistics(benchmark):
         single_failure_campaign, rounds=1, iterations=1
     )
     assert not result.invariant_violations, result.invariant_violations
+    assert not result.guarantee_violations, result.guarantee_violations
     assert len(result.records) == SINGLE_FAILURES
 
     stats = result.phase_stats()

@@ -123,6 +123,10 @@ def main():
           f"{result.orders_completed} completed")
     print("invariants:", "ALL HOLD" if not result.invariant_violations
           else result.invariant_violations)
+    print("guarantee (Theorem 3.1):", "HOLDS" if not result.guarantee_violations
+          else result.guarantee_violations)
+    if result.invariant_violations or result.guarantee_violations:
+        sys.exit("the campaign broke an invariant or the guarantee")
 
     overload_guard_scenario()
 

@@ -15,6 +15,9 @@ Per failure it records the three outage phases (Figure 7a / Table 1):
 - **reconciliation** -- generation to the leader resuming the group;
 
 plus the maximum order latency in the surrounding window (Figure 7b).
+
+Tracing stays on, so the result carries the guarantee monitor's verdict too;
+nothing here reads the recorded list, so it is cleared after each failure.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.bench.configs import campaign_kar_config
 from repro.bench.stats import summary_stats
 from repro.core import KarConfig
+from repro.obs import guarantee_violations
 from repro.reefer import (
     ReeferApplication,
     ReeferConfig,
@@ -58,6 +62,7 @@ class CampaignResult:
     records: list[FailureRecord] = field(default_factory=list)
     invariant_violations: list[str] = field(default_factory=list)
     invariant_details: dict = field(default_factory=dict)
+    guarantee_violations: list[str] = field(default_factory=list)
     orders_submitted: int = 0
     orders_completed: int = 0
     wall_seconds: float = 0.0
@@ -107,8 +112,6 @@ class FailureCampaign:
             or ReeferConfig(order_rate=0.5, anomaly_rate=0.02,
                             containers_per_depot=200),
         )
-        # Campaigns run long: tracing every invocation would dominate memory.
-        self.reefer.app.trace.enabled = False
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
@@ -159,11 +162,13 @@ class FailureCampaign:
 
             gap = kernel.rng.uniform(self.min_gap, self.max_gap)
             kernel.run(until=kernel.now + gap)
+            reefer.app.trace.events.clear()
 
         reefer.drain(max_wait=600.0)
         report = check_invariants(reefer)
         result.invariant_violations = report.violations
         result.invariant_details = report.details
+        result.guarantee_violations = guarantee_violations(reefer.app)
         result.orders_submitted = len(reefer.metrics.submitted)
         result.orders_completed = len(reefer.metrics.completed)
         result.sim_seconds = kernel.now
@@ -256,7 +261,6 @@ def run_total_failure_iterations(
         ReeferConfig(order_rate=0.5, anomaly_rate=0.0,
                      containers_per_depot=200),
     )
-    reefer.app.trace.enabled = False
     reefer.start()
     kernel.run(until=kernel.now + 20.0)
     survived = 0
@@ -271,6 +275,7 @@ def run_total_failure_iterations(
         if not reefer.app.coordinator.paused:
             survived += 1
         kernel.run(until=kernel.now + 20.0)
+        reefer.app.trace.events.clear()
     reefer.drain(max_wait=600.0)
     report = check_invariants(reefer)
     return {
@@ -278,4 +283,5 @@ def run_total_failure_iterations(
         "recovered": survived,
         "violations": report.violations,
         "details": report.details,
+        "guarantee_violations": guarantee_violations(reefer.app),
     }

@@ -34,6 +34,7 @@ from repro.core.reminders import REMINDERS_KEY
 from repro.core.runtime import Component
 from repro.kvstore import KVStore, StoreBackend
 from repro.mq import Broker, BrokerLog, GroupCoordinator
+from repro.obs import GuaranteeMonitor
 from repro.persist import build_persistence, reopen_persistence, wipe_persistence
 from repro.sim import Kernel, TraceRecorder
 
@@ -108,6 +109,12 @@ class KarApplication:
         self.coordinator = GroupCoordinator(self.broker, name, self.topic_name)
         self.registry = ActorRegistry()
         self.trace = TraceRecorder(kernel)
+        #: Theorem 3.1's trace clauses, checked on each event
+        #: (``repro.obs.guarantee``); every boot shares the first one's.
+        self.guarantee = GuaranteeMonitor(
+            self.config.broker.retention_seconds + self.config.dedup_retention_slack
+        )
+        self.trace.subscribers.append(self.guarantee)
         self.ids = _IdGenerator("r" if self.boot == 1 else f"r{self.boot}.")
         self.components: dict[str, Component] = {}
         #: Open circuit breakers across every component's guard: admission
@@ -196,9 +203,12 @@ class KarApplication:
             broker_log=broker_log,
         )
         # What the durable backends do not carry: the actor registry (it is
-        # code) and whether tracing is on.
+        # code), whether tracing is on, and who listens to it -- the
+        # guarantee monitor among them, so one monitor sees every boot.
         successor.registry = self.registry
         successor.trace.enabled = self.trace.enabled
+        successor.trace.subscribers = self.trace.subscribers
+        successor.guarantee = self.guarantee
         return successor
 
     def _restore_epochs(self) -> dict[str, int]:

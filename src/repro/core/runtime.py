@@ -651,6 +651,9 @@ class Component:
     # ------------------------------------------------------------------
     def _on_generation(self, info: GenerationInfo) -> None:
         if not self.process.alive or self.member is None:
+            # A restart is a new incarnation: still subscribed, this dead one
+            # and everything it holds would live as long as the coordinator.
+            self.coordinator.off_generation(self._on_generation)
             return
         if self.member_id not in info.members:
             self._suicide()

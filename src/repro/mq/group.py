@@ -191,6 +191,9 @@ class GroupCoordinator:
     ) -> None:
         self._generation_listeners.append(listener)
 
+    def off_generation(self, listener: Callable[[GenerationInfo], None]) -> None:
+        self._generation_listeners.remove(listener)
+
     # ------------------------------------------------------------------
     # heartbeats and the eviction watchdog
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ recovery-conscious discipline the paper's programming model enables.
 from __future__ import annotations
 
 from repro.core import Actor, actor_proxy
-from repro.reefer.domain import ROUTES, OrderState, voyage_plan
+from repro.reefer.domain import ROUTES, OrderState, Route, voyage_plan
 
 __all__ = ["DepotManager", "OrderManager", "ScheduleManager", "VoyageManager"]
 
@@ -105,7 +105,9 @@ class ScheduleManager(Actor):
             raise ValueError(f"no route {origin} -> {destination}")
         booked = await ctx.state.get("booked", {})
         count = await ctx.state.get(f"count:{origin}:{destination}", 0)
-        ordinal = 0
+        # No earlier sailing departs after ``after``; capped at ``count``,
+        # every ordinal from the stored count on is still written.
+        ordinal = min(count, _ordinal_at(route, after - self.FIRST_DEPARTURE))
         while True:
             if ordinal >= count:
                 count = ordinal + 1
@@ -133,16 +135,19 @@ class ScheduleManager(Actor):
         await ctx.state.set("booked", booked)
         await ctx.state.set("seen", seen)
 
-    async def schedule_horizon(self, ctx, until: float):
-        """All plans departing up to ``until`` (drives the ship simulator)."""
+    async def schedule_horizon(self, ctx, until: float, since: float):
+        """Plans departing by ``until`` and arriving from ``since`` on."""
         plans = []
         for route in ROUTES:
-            ordinal = 0
+            ordinal = _ordinal_at(
+                route, since - route.transit_seconds - self.FIRST_DEPARTURE
+            )
             while True:
                 plan = voyage_plan(route, ordinal, self.FIRST_DEPARTURE)
                 if plan["departure"] > until:
                     break
-                plans.append(plan)
+                if plan["arrival"] >= since:
+                    plans.append(plan)
                 ordinal += 1
         key = "count:{}:{}"
         for route in ROUTES:
@@ -157,6 +162,11 @@ class ScheduleManager(Actor):
                     key.format(route.origin, route.destination), horizon_count
                 )
         return plans
+
+
+def _ordinal_at(route: Route, offset: float) -> int:
+    """The last ordinal departing at most ``offset`` after the first, or 0."""
+    return max(0, int(offset // route.cadence_seconds))
 
 
 class VoyageManager(Actor):

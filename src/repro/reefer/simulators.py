@@ -101,6 +101,9 @@ class ShipSimulator:
         self.running = False
         self.departed: set[str] = set()
         self.arrived: set[str] = set()
+        #: The earliest arrival not yet handled: the schedule is asked only
+        #: for plans from here on, not the whole voyage history.
+        self.since = 0.0
 
     def start(self) -> None:
         self.running = True
@@ -118,10 +121,11 @@ class ShipSimulator:
             if not self.running:
                 return
             now = kernel.now
+            until = now + self.horizon
             try:
                 plans = await self.component.invoke(
                     None, _SCHEDULE_MANAGER, "schedule_horizon",
-                    (now + self.horizon,), True,
+                    (until, self.since), True,
                 )
             except KarError:
                 continue
@@ -161,6 +165,9 @@ class ShipSimulator:
                         self.metrics.arrivals_seen += 1
                 except KarError:
                     continue  # outage window: retry on the next tick
+            # A plan not listed yet departs after ``until``, so arrives later.
+            pending = [plan for plan in plans if plan["voyage_id"] not in self.arrived]
+            self.since = min((plan["arrival"] for plan in pending), default=until)
 
 
 class AnomalySimulator:

@@ -1,9 +1,10 @@
 """Structured event tracing.
 
-The runtime, substrates, and the Reefer application emit trace events; tests
-and benchmark harnesses consume them to check guarantees (exactly-once
-completion, happen-before) and to regenerate the paper's figures (workflow
-diagrams, outage phase breakdowns).
+The runtime, substrates, and the Reefer application emit trace events. The
+guarantee monitor (``repro.obs``) checks exactly-once completion and
+happen-before on each event as it is emitted; tests and benchmark harnesses
+read the recorded list to regenerate the paper's figures (workflow diagrams,
+outage phase breakdowns).
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ class TraceRecorder:
 
     def __init__(self, kernel: Any = None, enabled: bool = True):
         self._kernel = kernel
-        #: Long-running campaigns disable tracing to bound memory.
+        #: Off, :meth:`emit` records nothing and feeds no subscriber, so the
+        #: guarantee monitor an application subscribes checks nothing. A long
+        #: run keeps it on and bounds memory by clearing :attr:`events`,
+        #: which no subscriber reads.
         self.enabled = enabled
         self.events: list[TraceEvent] = []
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
+        #: Called with each event; ``reopen()`` hands them to the next boot.
+        self.subscribers: list[Callable[[TraceEvent], None]] = []
 
     def emit(self, kind: str, **fields: Any) -> TraceEvent | None:
         if not self.enabled:
@@ -45,12 +50,9 @@ class TraceRecorder:
         time = self._kernel.now if self._kernel is not None else 0.0
         event = TraceEvent(time, kind, fields)
         self.events.append(event)
-        for subscriber in self._subscribers:
+        for subscriber in self.subscribers:
             subscriber(event)
         return event
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.append(callback)
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:
         wanted = set(kinds)

@@ -234,8 +234,9 @@ def test_shutdown_is_idempotent_and_blocks_joins(tmp_path):
 
 @pytest.mark.parametrize("mode, workers", DEPLOYMENTS)
 def test_reopen_inherits_tracing_off(mode, workers, tmp_path):
-    """A long campaign switches the recorder off to bound memory; the next
-    boot must not quietly switch it back on and record the whole recovery."""
+    """A caller that switches the recorder off (a wall-clock benchmark) must
+    find it off in the next boot too, not quietly on and recording the whole
+    recovery; and every boot feeds the first boot's guarantee monitor."""
     kernel = Kernel(seed=25)
     app = boot_app(kernel, make_config(mode, tmp_path), workers=workers)
     app.trace.enabled = False
@@ -252,11 +253,15 @@ def test_reopen_inherits_tracing_off(mode, workers, tmp_path):
     assert drain(app2) == []
     assert app2.trace.enabled is False
     assert len(app2.trace) == 0
-    # ...and a recorder left on stays on.
+    assert app2.guarantee is app.guarantee and not app.guarantee.ended
+    # ...and a recorder left on stays on, feeding the same monitor.
     app2.trace.enabled = True
     app3 = app2.reopen()
     readd_components(app3)
     assert_same_workers_host_the_components(app, app3)
     assert len(app3.trace) > 0
+    assert app3.guarantee is app.guarantee
+    assert app3.trace.subscribers == [app.guarantee]
+    assert len(app.guarantee.ended) == app3.trace.count("invoke.end")
     kernel.check_no_crashes()
     app3.shutdown()

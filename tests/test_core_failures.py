@@ -26,6 +26,34 @@ def wait_recovery(kernel, app, extra=15.0):
     kernel.run(until=kernel.now + extra)
 
 
+def test_a_killed_incarnation_stops_listening_to_the_group():
+    """The next generation unsubscribes a killed incarnation, so the
+    coordinator does not keep it (its dedup evidence, mailboxes and actors)
+    alive: a campaign of kills holds no more than the live incarnations do."""
+
+    class Tick(Actor):
+        async def tick(self, ctx):
+            ticks = await ctx.state.get("n", 0) + 1
+            await ctx.state.set("n", ticks)
+            return ticks
+
+    kernel, app = two_component_app(seed=3, actor_classes=(Tick,))
+    refs = [actor_proxy("Tick", f"t{index}") for index in range(4)]
+    assert [app.run_call(ref, "tick") for ref in refs] == [1, 1, 1, 1]
+    killed = app.components["w1"]
+    app.kill_component("w1")
+    wait_recovery(kernel, app)
+    app.restart_component("w1")
+    wait_recovery(kernel, app)
+    listening = [each.__self__ for each in app.coordinator._generation_listeners]
+    assert killed not in listening
+    assert sorted(listening, key=id) == sorted(
+        (c for c in app.components.values() if c.alive), key=id
+    )
+    assert [app.run_call(ref, "tick") for ref in refs] == [2, 2, 2, 2]
+    check_guarantee(app)
+
+
 # ---------------------------------------------------------------------------
 # basic retry (Figure 1, scenario 3: failure hits the callee)
 # ---------------------------------------------------------------------------

@@ -163,6 +163,6 @@ def test_trace_disabled_records_nothing():
 def test_trace_subscribers():
     trace = TraceRecorder()
     seen = []
-    trace.subscribe(seen.append)
+    trace.subscribers.append(seen.append)
     trace.emit("evt", v=1)
     assert len(seen) == 1 and seen[0].kind == "evt"

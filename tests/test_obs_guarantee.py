@@ -1,0 +1,104 @@
+"""The guarantee monitor's clauses, one synthetic trace apiece.
+
+Each test feeds :class:`~repro.obs.GuaranteeMonitor` hand-built
+``TraceEvent``s in emission order, the way a ``TraceRecorder`` does, and
+reads the verdict; the runtime's own traces reach the same monitor through
+``check_guarantee`` in every failure test.
+"""
+
+from __future__ import annotations
+
+from repro.obs import GuaranteeMonitor
+from repro.sim import TraceEvent
+
+
+def start(time, request, step=0, actor="A[a]"):
+    return TraceEvent(
+        time, "invoke.start", {"request": request, "step": step, "actor": actor}
+    )
+
+
+def end(time, request, step=0, actor="A[a]", outcome="value", tail_to_self=False):
+    fields = {"request": request, "step": step, "actor": actor, "outcome": outcome}
+    if tail_to_self:
+        fields["tail_to_self"] = True
+    return TraceEvent(time, "invoke.end", fields)
+
+
+def verdict(*events, horizon=100.0):
+    monitor = GuaranteeMonitor(horizon)
+    for event in events:
+        monitor(event)
+    return monitor.violations()
+
+
+def test_a_clean_chain_has_no_violation():
+    assert verdict(
+        start(0.0, "r1"),
+        end(1.0, "r1", tail_to_self=True),
+        start(1.5, "r1", 1),
+        end(2.0, "r1", 1),
+        start(2.5, "r2"),
+        end(3.0, "r2"),
+    ) == []
+
+
+def test_retry_after_success():
+    assert verdict(start(0.0, "r1"), end(1.0, "r1"), start(2.0, "r1")) == [
+        "retry after success: ('r1', 0) started at 2.0 after it ended at 1.0"
+    ]
+
+
+def test_ended_twice():
+    assert verdict(end(1.0, "r1"), end(2.0, "r1")) == [
+        "ended twice: ('r1', 0) at 1.0 and 2.0"
+    ]
+
+
+def test_start_while_parked():
+    parked = TraceEvent(0.5, "request.parked", {"request": "r2"})
+    assert verdict(parked, start(1.0, "r2")) == [
+        "happen-before: ('r2', 0) started at 1.0 while parked"
+    ]
+    released = TraceEvent(0.8, "request.unparked", {"request": "r2"})
+    assert verdict(parked, released, start(1.0, "r2")) == []
+
+
+def test_tail_lock_breach():
+    assert verdict(
+        end(1.0, "r1", tail_to_self=True),
+        start(1.2, "r2"),
+        start(1.3, "r3", actor="A[b]"),  # another actor: not inside the lock
+        end(2.0, "r1", 1),
+    ) == [
+        "tail lock: r2 at 1.2 started on A[a] after r1 step 0 tail-called "
+        "itself at 1.0, before step 1 ended"
+    ]
+
+
+def test_an_elided_successor_releases_the_lock():
+    assert verdict(
+        end(1.0, "r1", tail_to_self=True),
+        start(1.2, "r2"),
+        end(2.0, "r1", 1, outcome="cancelled"),
+    ) == []
+
+
+def test_a_window_left_open_at_the_end():
+    assert verdict(end(1.0, "r1", tail_to_self=True), start(1.2, "r2")) == [
+        "tail lock: r2 at 1.2 started on A[a] after r1 step 0 tail-called "
+        "itself at 1.0, before step 1 ended"
+    ]
+
+
+def test_an_ended_key_is_forgotten_past_the_horizon():
+    monitor = GuaranteeMonitor(10.0)
+    monitor(end(0.0, "r1"))
+    monitor(end(10.0, "r2"))  # exactly one horizon later: r1 is kept
+    monitor(end(10.0, "r1"))  # a duplicate inside the horizon is flagged
+    assert monitor.violations() == ["ended twice: ('r1', 0) at 0.0 and 10.0"]
+    assert monitor.ended == {("r1", 0): 10.0, ("r2", 0): 10.0}
+    monitor(end(20.5, "r3"))  # r1 (again) and r2 ended 10.5 ago
+    assert list(monitor.ended) == list(monitor.expiry) == [("r3", 0)]
+    monitor(start(21.0, "r1"))  # past the horizon: not reported
+    assert len(monitor.violations()) == 1

@@ -97,12 +97,22 @@ def test_voyage_booked_is_idempotent_per_order(reefer):
 
 
 def test_schedule_horizon_lists_all_routes(reefer):
-    plans = invoke(reefer, "ScheduleManager", "schedule_horizon", 100.0)
+    plans = invoke(reefer, "ScheduleManager", "schedule_horizon", 100.0, 0.0)
     origins = {plan["origin"] for plan in plans}
     assert origins == {route.origin for route in ROUTES}
     for plan in plans:
         assert plan["departure"] <= 100.0
         assert plan["arrival"] > plan["departure"]
+
+
+def test_schedule_horizon_lists_only_plans_arriving_since(reefer):
+    everything = invoke(reefer, "ScheduleManager", "schedule_horizon", 400.0, 0.0)
+    for since in (80.0, 110.0, 200.5):  # 80 and 110: arrivals, exactly
+        plans = invoke(
+            reefer, "ScheduleManager", "schedule_horizon", 400.0, since
+        )
+        assert plans == [p for p in everything if p["arrival"] >= since]
+        assert any(p["arrival"] == since for p in plans) is (since != 200.5)
 
 
 def test_voyage_plan_is_deterministic():
