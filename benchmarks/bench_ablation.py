@@ -9,12 +9,6 @@ parametrised test runs, renders and checks them all.
   queued. With cancellation the runtime elides the execution and answers
   synthetically; without it the orphaned invocation runs to completion
   ("the computation of a result that is not needed anymore", Section 3.6).
-- **completion_log** (Section 4.3, future work): "An alternative to
-  reconciliation could use Kafka transactions to atomically (1) send the
-  caller the call result via the caller's queue and (2) log its completion
-  in the callee's queue". One extra record per call buys locally-verifiable
-  completions, so failed components' queues are discarded at reconciliation
-  instead of lingering until retention expiry.
 - **reconciliation** (Section 4.3): "Reconciliation time increases with the
   number of recent messages hence application components." The order rate
   sets the retained backlog; mean reconciliation time must grow with it.
@@ -22,6 +16,10 @@ parametrised test runs, renders and checks them all.
   semantically is both a request and a response." A two-step operation
   built from a nested call pays two extra queue trips; the tail-call
   version pays one message per link.
+
+Section 4.3's transactional completion log has no row: the runtime keeps
+one kind of completion evidence, a response or superseding tail call that
+waits out retention in a dead queue.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import pytest
 from repro.bench import (
     CLUSTER_PROD,
     FailureCampaign,
-    campaign_kar_config,
     render_table,
 )
 from repro.core import Actor, KarApplication, KarConfig, actor_proxy
@@ -122,56 +119,6 @@ def check_cancellation(rows: list[tuple]) -> None:
     assert elided_on > 0
     assert elided_off == 0
     assert executed_on < executed_off  # wasted work avoided
-
-
-# ----------------------------------------------------------------------
-# transactional completion log
-# ----------------------------------------------------------------------
-COMPLETION_LOG_FAILURES = 10 if FULL else 4
-
-
-def run_completion_log_campaign(completion_log: bool) -> tuple[float, int, float]:
-    """``(messages per simulated second, retained backlog, reconciliation
-    avg)``. The two campaigns inject the same failures but run for
-    different simulated times, so message totals do not compare."""
-    campaign = FailureCampaign(
-        seed=321,
-        failures=COMPLETION_LOG_FAILURES,
-        kar_config=campaign_kar_config().with_overrides(
-            completion_log=completion_log
-        ),
-        reefer_config=ReeferConfig(
-            order_rate=0.5, anomaly_rate=0.0, containers_per_depot=300
-        ),
-    )
-    result = campaign.run()
-    assert not result.invariant_violations, result.invariant_violations
-    if not completion_log:  # with it, a known counterexample (ROADMAP item 14)
-        assert not result.guarantee_violations, result.guarantee_violations
-    broker = campaign.reefer.app.broker
-    backlog = sum(
-        len(partition)
-        for partition in broker.topics[campaign.reefer.app.topic_name]
-        .partitions.values()
-    )
-    reconciliation = result.phase_stats()["Reconciliation"]
-    rate = broker.produce_record_count / result.sim_seconds
-    return rate, backlog, reconciliation["avg"]
-
-
-def measure_completion_log() -> list[tuple]:
-    return [
-        ("transactional completion log", *run_completion_log_campaign(True)),
-        ("retention-based (default)", *run_completion_log_campaign(False)),
-    ]
-
-
-def check_completion_log(rows: list[tuple]) -> None:
-    with_log, without_log = rows
-    # The transaction writes more messages for the same work...
-    assert with_log[1] > without_log[1]
-    # ...but dead queues are discarded eagerly, shrinking the live backlog.
-    assert with_log[2] <= without_log[2]
 
 
 # ----------------------------------------------------------------------
@@ -288,15 +235,6 @@ ABLATIONS = (
         ("Cancellation", "Runs", "Orphaned executions", "Elisions"),
         measure_cancellation,
         check_cancellation,
-    ),
-    Ablation(
-        "completion_log",
-        "Ablation: transactional completion log vs retention-based "
-        f"evidence ({COMPLETION_LOG_FAILURES} failures, same workload)",
-        ("Mode", "Messages / simulated s", "Retained backlog",
-         "Reconciliation avg (s)"),
-        measure_completion_log,
-        check_completion_log,
     ),
     Ablation(
         "reconciliation",

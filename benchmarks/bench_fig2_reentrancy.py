@@ -9,11 +9,14 @@ callback from the previous attempt.
 
 Executions are tagged with the attempt number, so a callback belonging to
 attempt N overlapping a main of attempt M > N is exactly the Figure 2b
-race.
+race. That interval check is the independent reference for the guarantee
+monitor (``repro.obs``), which reads only the trace: it must flag every
+baseline run that shows the race and no orchestrated run.
 """
 
 from repro.bench import render_table
 from repro.core import Actor, KarConfig, KarApplication, actor_proxy
+from repro.obs import guarantee_violations
 from repro.sim import Kernel
 
 from _shared import FULL, emit
@@ -89,34 +92,49 @@ def run_once(seed, orchestrate):
     app.kill_component(host)  # only A's host dies; the chain survives on rb
     value = kernel.run_until_complete(task, timeout=600.0)
     assert value == 7
-    return stale_overlap(RA.intervals)
+    kernel.run(until=kernel.now + 5.0)  # settle: live components go quiescent
+    return stale_overlap(RA.intervals), bool(guarantee_violations(app))
 
 
 def _sweep():
-    kar_overlaps = sum(run_once(seed, True) for seed in SEEDS)
-    baseline_overlaps = sum(run_once(seed, False) for seed in SEEDS)
-    return kar_overlaps, baseline_overlaps
+    return {
+        orchestrate: [run_once(seed, orchestrate) for seed in SEEDS]
+        for orchestrate in (True, False)
+    }
 
 
 def test_fig2_overlap_with_and_without_orchestration(benchmark):
-    kar_overlaps, baseline_overlaps = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1
-    )
+    runs = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     rows = [
-        ("KAR (retry orchestration)", len(SEEDS), kar_overlaps),
-        ("at-least-once baseline", len(SEEDS), baseline_overlaps),
+        (
+            label,
+            len(SEEDS),
+            sum(overlap for overlap, _ in runs[orchestrate]),
+            sum(flagged for _, flagged in runs[orchestrate]),
+        )
+        for label, orchestrate in (
+            ("KAR (retry orchestration)", True),
+            ("at-least-once baseline", False),
+        )
     ]
     emit(
         "fig2_reentrancy.txt",
         render_table(
-            ["Runtime", "Runs", "Stale main/callback overlaps"],
+            ["Runtime", "Runs", "Stale main/callback overlaps",
+             "Flagged by the guarantee monitor"],
             rows,
             title="Figure 2: reentrancy under caller failure",
         ),
     )
+    (_, _, kar_overlaps, kar_flagged), (_, _, baseline_overlaps, _) = rows
     benchmark.extra_info.update(
         kar_overlaps=kar_overlaps, baseline_overlaps=baseline_overlaps
     )
     # Figure 2a: KAR never overlaps. Figure 2b: the baseline does.
     assert kar_overlaps == 0
     assert baseline_overlaps > 0
+    # The monitor sees what the intervals show: every baseline race, and
+    # nothing in an orchestrated run.
+    assert kar_flagged == 0
+    for seed, (overlap, flagged) in zip(SEEDS, runs[False]):
+        assert flagged or not overlap, f"seed {seed}: race not flagged"

@@ -5,6 +5,9 @@ and store latencies (the ClusterDev / ClusterProd / Managed configurations of
 Table 2), the sidecar hop cost, the failure-detection parameters (heartbeat,
 session timeout), reconciliation cost coefficients, and the feature flags the
 paper discusses (placement cache, cancellation, retry orchestration).
+
+Completion evidence has one mechanism and no switch: a response or a
+superseding tail call, kept in a dead queue until retention expires.
 """
 
 from __future__ import annotations
@@ -53,12 +56,6 @@ class KarConfig:
     placement_cache: bool = True  # Table 2 "no cache" disables this
     cancellation: bool = True  # Section 4.4: elide callees of dead callers
     orchestrate_retries: bool = True  # False = at-least-once baseline (Fig 2b)
-    # Section 4.3's future-work alternative: atomically (1) send the caller
-    # the result and (2) log its completion in the callee's queue, using a
-    # message-queue transaction. Completion evidence then lives in the same
-    # queue as the request it completes, so failed components' queues can be
-    # discarded eagerly instead of waiting for retention expiry.
-    completion_log: bool = False
 
     # --- reconciliation cost model (Section 4.3) ---------------------------
     # Leader-side work: fixed setup plus a per-catalogued-message scan cost

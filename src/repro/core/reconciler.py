@@ -188,6 +188,7 @@ class Reconciler:
                 step=request.step,
                 target=target_member,
                 after_callee=request.after_callee,
+                caller=request.return_address,
             )
 
         # Park poison-pill suspects durably (their own topic, outside this
@@ -244,14 +245,6 @@ class Reconciler:
             self.app.broker.fence(partition)
             for service in self.app.external_services:
                 service.fence(partition)
-            if self.config.completion_log:
-                # Every request carries its completion evidence in its own
-                # queue (the transactional completion log), and stranded
-                # requests were just copied out -- so the dead queue can be
-                # discarded immediately.
-                topic.drop_partition(partition)
-                dropped += 1
-                continue
             remaining = topic.partition(partition).unexpired(self.kernel.now)
             if not remaining:
                 topic.drop_partition(partition)

@@ -33,8 +33,8 @@ Semantics are those of the unbatched transport:
   batch appended nothing and is carried again entry by entry;
 - tail calls remain a single record that atomically completes the current
   request while issuing the next one (Section 2.3);
-- completion-log mode keeps using ``send_transaction`` so the caller's
-  response and the local completion record stay atomic (Section 4.3).
+- a response is one record in the caller's queue: it, or a superseding
+  tail call, is the completion evidence reconciliation reads (Section 4.3).
 
 The routing tables derived from group membership (which component names
 are live, which member incarnation answers for a name) are memoized per
@@ -280,6 +280,7 @@ class Router:
                     method=request.method,
                     target=target_member,
                     sender=self.component.member_id,
+                    caller=request.return_address,
                 )
             return
 
@@ -306,9 +307,6 @@ class Router:
                 )
             return
         if request.reply_to is None:
-            return
-        if self.config.completion_log:
-            await self._send_response_transactional(request, response)
             return
         attempt = 0
         while True:
@@ -388,38 +386,3 @@ class Router:
                 attempt += 1
                 continue
             return target, resolved_name
-
-    async def _send_response_transactional(
-        self, request: "Request", response: "Response"
-    ) -> None:
-        """Completion-log mode (Section 4.3's future-work alternative):
-        one message-queue transaction atomically (1) sends the caller the
-        result and (2) logs the completion in this component's own queue.
-        The local completion record lets reconciliation discard this queue
-        eagerly on failure without ever re-running completed work."""
-        member = self.component.member
-        assert member is not None  # only a started component executes
-        member_id = self.component.member_id
-        while True:
-            target, resolved_name = await self._resolve_response_target(request)
-            if target is None:
-                self.trace.emit("response.dropped", request=response.request_id)
-                # Still log the completion locally so the request is never
-                # retried for a caller that no longer exists.
-                await member.send(member_id, response)
-                return
-            try:
-                await member.send_transaction(
-                    [(target, response), (member_id, response)]
-                )
-            except StaleRouteError:
-                if resolved_name is not None:
-                    self.placement.invalidate_components({resolved_name})
-                continue
-            self.trace.emit(
-                "response.sent",
-                request=response.request_id,
-                target=target,
-                completion_logged=True,
-            )
-            return

@@ -449,10 +449,10 @@ class Broker:
     ) -> list[Record]:
         """Atomically append several messages (a Kafka transaction, KIP-98).
 
-        Used by the completion-log mode of Section 4.3's future-work
-        alternative: one transaction both answers the caller and logs the
-        completion in the callee's own queue. Either all entries land or
-        none do; one produce round trip is charged.
+        The runtime sends nothing through it: a response is one record in
+        the caller's queue. It is kept because the wall-clock benchmark's
+        span recorder wraps it by name. Either all entries land or none do;
+        one produce round trip is charged.
         """
         latency = self.config.produce_latency
         delay = latency.fixed

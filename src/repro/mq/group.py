@@ -411,30 +411,6 @@ class GroupMember:
             for index, outcome in enumerate(outcomes)
         ]
 
-    async def send_transaction(
-        self, entries: list[tuple[str, Any]]
-    ) -> list[Record]:
-        """Atomically append to several queues (see produce_transaction)."""
-        if self.coordinator.paused:
-            await self.coordinator.wait_unpaused()
-        if self.member_id in self.broker._fenced:
-            raise FencedMemberError(self.member_id)
-        try:
-            return await self.broker.produce_transaction(
-                self.topic_name,
-                entries,
-                self.member_id,
-                guard=lambda: all(
-                    self.coordinator.is_member(partition)
-                    or partition == self.member_id
-                    for partition, _value in entries
-                ),
-            )
-        except FencedMemberError:
-            raise
-        except MQError:
-            raise StaleRouteError([p for p, _ in entries]) from None
-
     async def poll(self, max_records: int | None = None) -> list[Record]:
         """Block until records are available on this member's own queue.
 

@@ -2,13 +2,22 @@
 
 Each application subscribes one :class:`GuaranteeMonitor` to its trace
 (``app.guarantee``), and ``reopen()`` hands it to the next boot. Event by
-event it checks: no ``(request, step)`` ends twice or starts after it ended;
-a parked retry does not start before its ``request.unparked`` (happen-before,
-Sections 2.2 and 3.4); between the end of a tail call to self at ``(r, s)``
-and the end of ``(r, s + 1)`` no other request starts on that actor, unless
-``(r, s + 1)`` was elided (the tail lock). :func:`guarantee_violations` adds
-the running boot's end state: nothing unsettled in the journal, no crashed
-task, every live component quiescent.
+event it checks: no ``(request, step)`` ends twice, starts after it ended or
+starts while it runs (Theorem 3.3); a parked retry does not start before its
+``request.unparked``, and a caller's recovery copy (``copy_epoch`` > 0) does
+not start while a callee of an earlier attempt is queued or running
+(happen-before, Theorem 3.4); no callee is elided while the execution that
+called it runs (Section 4.4); between the end of a tail call to self at
+``(r, s)`` and the end of ``(r, s + 1)`` no other request starts on that
+actor, unless ``(r, s + 1)`` was elided (the tail lock).
+:func:`guarantee_violations` adds the running boot's end state: nothing
+unsettled in the journal, no crashed task, every live component quiescent.
+
+An execution runs until its ``invoke.end`` or its component's death (the
+kinds in ``_DEATHS``). A callee is queued from its ``request.sent`` or
+``reconcile.copy`` (both name its ``caller``) until it starts; one whose
+execution died is neither until it is copied again, since its response may
+be durable.
 
 The limit: an ended key is forgotten once it ended more than
 ``broker.retention_seconds + dedup_retention_slack`` ago, the cutoff at which
@@ -27,6 +36,10 @@ from repro.sim import TraceEvent
 
 __all__ = ["GuaranteeMonitor", "guarantee_violations"]
 
+#: Trace kinds after which a component's executions no longer run.
+_DEATHS = frozenset({"component.fail", "component.stop", "component.fenced_exit",
+                     "worker.kill", "worker.failed", "app.shutdown"})
+
 
 @dataclass(eq=False)
 class GuaranteeMonitor:
@@ -39,6 +52,12 @@ class GuaranteeMonitor:
     #: (iterating a dict from a front emptied by deletions scans every slot).
     expiry: deque[tuple[str, int]] = field(default_factory=deque)
     parked: set[str] = field(default_factory=set)
+    #: (request, step) -> the member running it.
+    running: dict[tuple[str, int], str] = field(default_factory=dict)
+    #: Unanswered nested call -> its caller's request id.
+    callers: dict[str, str] = field(default_factory=dict)
+    #: Callees durably queued and not started since.
+    queued: set[str] = field(default_factory=set)
     #: (lock holder, its next step) -> [actor, tail end time, starts inside]
     windows: dict[tuple[str, int], list] = field(default_factory=dict)
     found: list[str] = field(default_factory=list)
@@ -47,6 +66,22 @@ class GuaranteeMonitor:
         kind, fields, time = event.kind, event.fields, event.time
         if kind == "invoke.start":
             key = (fields["request"], fields["step"])
+            member, running = fields["member"], self.running
+            if key in running:
+                self.found.append(
+                    f"overlap: {key} started on {member} at {time} while "
+                    f"running on {running[key]}"
+                )
+            if fields["copy_epoch"]:
+                busy = self.queued | {request for request, _ in running}
+                for callee, caller in self.callers.items():
+                    if caller == key[0] and callee in busy:
+                        self.found.append(
+                            f"stale callee: {key} copy started at {time} while "
+                            f"{callee}, called by an earlier attempt, is pending"
+                        )
+            running[key] = member
+            self.queued.discard(key[0])
             if key in self.ended:
                 self.found.append(
                     f"retry after success: {key} started at {time} "
@@ -67,6 +102,10 @@ class GuaranteeMonitor:
             else:
                 self.expiry.append(key)
             ended[key] = time
+            self.running.pop(key, None)
+            if fields["outcome"] != "tail":
+                self.callers.pop(key[0], None)
+                self.queued.discard(key[0])
             window = self.windows.pop(key, None)
             if window and window[2] and fields["outcome"] != "cancelled":
                 self.found.append(_tail_lock_violation(key, window))
@@ -76,11 +115,29 @@ class GuaranteeMonitor:
             cutoff, expiry = time - self.horizon, self.expiry
             while ended[expiry[0]] < cutoff:
                 del ended[expiry.popleft()]
+        elif kind == "invoke.elided":
+            caller, at = self.callers.get(fields["request"]), fields["caller_member"]
+            if (caller, at) in [(r, m) for (r, _), m in self.running.items()]:
+                self.found.append(
+                    f"cancelled: {fields['request']} elided at {time} while its "
+                    f"caller {caller} runs on {at}"
+                )
         elif kind == "request.parked":
             self.parked.add(fields["request"])
         elif kind in ("request.unparked", "reconcile.copy"):
             # A fresh recovery copy replaces a parked one whose holder died.
             self.parked.discard(fields["request"])
+        if kind in ("request.sent", "reconcile.copy") and fields["caller"]:
+            self.callers[fields["request"]] = fields["caller"]
+            self.queued.add(fields["request"])
+        elif kind in _DEATHS:
+            member, hosted = fields.get("member"), fields.get("hosted", ())
+            for key, where in list(self.running.items()):
+                name = where.rpartition("#")[0]
+                if kind == "app.shutdown" or where == member or name in hosted:
+                    del self.running[key]
+                    if key[0] not in self.queued:
+                        self.callers.pop(key[0], None)
 
     def violations(self) -> list[str]:
         """Found so far, then each open tail-lock window another entered."""

@@ -18,6 +18,10 @@ exactly its number of bumps (:func:`removal_violations`). Its points run
 past the removal's end into the aftermath (:data:`REMOVAL_POINTS`), where
 the surviving workers' heartbeats and the control plane's sweeps go on.
 
+The golden sweep runs under any switch a caller names: :func:`boot`,
+:func:`crash_point` and :func:`sweep` take ``overrides``, a dict of
+``KarConfig`` fields over the golden config (``{}`` for the golden one).
+
 ``python benchmarks/bench_crash_sweep.py`` sweeps every point of both;
 tier-1 runs the named counterexamples and strided slices
 (``tests/test_crash_sweep.py``).
@@ -63,8 +67,8 @@ KILLS = ("restart-at-once", "restart-after", "all-restart", "reopen")
 MODES = ("memory", "sqlite")
 
 
-def boot(mode: str, root: str) -> KarApplication:
-    """The golden application, settled and idle."""
+def boot(mode: str, root: str, overrides: dict) -> KarApplication:
+    """The golden application under ``overrides``, settled and idle."""
     persistence = (
         PersistenceConfig.sqlite(root) if mode == "sqlite" else PersistenceConfig()
     )
@@ -73,6 +77,7 @@ def boot(mode: str, root: str) -> KarApplication:
         sidecar_latency=Latency.around(0.0002, 0.0001),
         store_latency=Latency.around(0.0005, 0.0002),
         invoke_overhead=Latency.around(0.0002, 0.0001),
+        **overrides,
     )
     app = KarApplication.fresh(Kernel(seed=SEED), config, name="golden")
     for cls in (Flow, Tally, Auditor):
@@ -101,10 +106,12 @@ def spawn_audits(app: KarApplication) -> list[SimTask]:
     ]
 
 
-def crash_point(mode: str, root: str, k: int, kill: str) -> list[KarApplication]:
+def crash_point(
+    mode: str, root: str, k: int, kill: str, overrides: dict
+) -> list[KarApplication]:
     """Run the audits for ``k`` events, strike with ``kill``, settle; return
     every boot, the running one last."""
-    app = boot(mode, root)
+    app = boot(mode, root, overrides)
     kernel = app.kernel
     audits = spawn_audits(app)
     try:
@@ -166,12 +173,12 @@ def violations(boots: list[KarApplication]) -> list[str]:
 
 
 def sweep(
-    mode: str, root: str, kill: str, points: range = range(1, EVENTS)
+    mode: str, root: str, kill: str, overrides: dict, points: range = range(1, EVENTS)
 ) -> dict[int, list[str]]:
     """The violations at every crash point in ``points`` that has some."""
     failures = {}
     for k in points:
-        boots = crash_point(mode, root, k, kill)
+        boots = crash_point(mode, root, k, kill, overrides)
         found = violations(boots)
         boots[-1].shutdown()
         if found:

@@ -1,7 +1,5 @@
 """Smoke tests for the benchmark harnesses (small scales)."""
 
-import pytest
-
 from repro.bench import (
     CLUSTER_DEV,
     CLUSTER_PROD,
@@ -53,26 +51,6 @@ def test_total_failure_helper():
     assert outcome["recovered"] == 1
     assert not outcome["violations"]
     assert not outcome["guarantee_violations"], outcome["guarantee_violations"]
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="completion_log=True leaves a chain unsettled (ROADMAP item 14)",
-)
-def test_completion_log_campaign_keeps_the_guarantee():
-    """``bench_ablation``'s completion-log campaign (seed 321, 4 failures):
-    the reefer invariants hold, but the guarantee check reports
-    ``unsettled: r002597``. With the flag off the same campaign is clean."""
-    campaign = FailureCampaign(
-        seed=321,
-        failures=4,
-        kar_config=campaign_kar_config().with_overrides(completion_log=True),
-        reefer_config=ReeferConfig(
-            order_rate=0.5, anomaly_rate=0.0, containers_per_depot=300
-        ),
-    )
-    result = campaign.run()
-    assert not result.guarantee_violations, result.guarantee_violations
 
 
 def test_latency_harness_orderings():

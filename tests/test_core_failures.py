@@ -12,7 +12,7 @@ from repro.kvstore import KVStore
 from repro.sim import Latency
 
 from helpers import Accumulator, make_app, two_component_app
-from oracle import check_guarantee
+from oracle import check_guarantee, guarantee_violations
 
 
 def find_host(app, ref):
@@ -269,42 +269,49 @@ def test_root_calls_never_cancelled():
 # ---------------------------------------------------------------------------
 
 class RA(Actor):
-    intervals = []  # (begin, end, label)
+    intervals = []  # (label, attempt, begin, end)
+    attempt = 0
 
     async def main(self, ctx, v):
-        begin = ctx.now
-        result = await ctx.call(actor_proxy("RB", "b"), "task", v)
-        RA.intervals.append((begin, ctx.now, "main"))
+        RA.attempt += 1
+        attempt, begin = RA.attempt, ctx.now
+        result = await ctx.call(actor_proxy("RB", "b"), "task", v, attempt)
+        RA.intervals.append(("main", attempt, begin, ctx.now))
         return result
 
-    async def callback(self, ctx, v):
+    async def callback(self, ctx, v, attempt):
         begin = ctx.now
         await ctx.sleep(3.0)
-        RA.intervals.append((begin, ctx.now, "callback"))
+        RA.intervals.append(("callback", attempt, begin, ctx.now))
         return v
 
 
 class RB(Actor):
-    async def task(self, ctx, v):
+    async def task(self, ctx, v, attempt):
         await ctx.sleep(2.0)
-        return await ctx.call(actor_proxy("RA", "a"), "callback", v)
+        return await ctx.call(actor_proxy("RA", "a"), "callback", v, attempt)
 
 
-def overlap(intervals):
-    mains = [(b, e) for b, e, label in intervals if label == "main"]
-    callbacks = [(b, e) for b, e, label in intervals if label == "callback"]
-    for mb, me in mains:
-        for cb, ce in callbacks:
-            if mb < ce and cb < me and not (cb >= mb and ce <= me):
-                return True
-    return False
+def stale_overlap(intervals):
+    """A callback of an older attempt runs while a newer main does: the
+    Figure 2b race."""
+    return any(
+        callback[1] < main[1] and main[2] < callback[3] and callback[2] < main[3]
+        for main in intervals
+        if main[0] == "main"
+        for callback in intervals
+        if callback[0] == "callback"
+    )
 
 
 @pytest.mark.parametrize("orchestrate", [True, False])
 def test_reentrancy_overlap_only_without_orchestration(orchestrate):
-    """Figure 2: with retry orchestration the retried main never overlaps
-    the in-flight callback; the at-least-once baseline permits overlap."""
-    RA.intervals = []
+    """Figure 2: only A's host dies, while B.task runs on ``rb`` and is about
+    to call back into A. With retry orchestration the retried main waits for
+    the chain of its first attempt (2a); the at-least-once baseline starts it
+    at once, so the stale callback runs beside it (2b), and the guarantee
+    monitor flags the retry."""
+    RA.intervals, RA.attempt = [], 0
     kernel, app = make_app(seed=9, orchestrate_retries=orchestrate,
                            cancellation=False)
     app.register_actor(RA)
@@ -314,20 +321,20 @@ def test_reentrancy_overlap_only_without_orchestration(orchestrate):
     app.add_component("rb", ("RB",))
     client = app.client()
     app.settle()
+    ref = actor_proxy("RA", "a")
     task = kernel.spawn(
-        client.invoke(None, actor_proxy("RA", "a"), "main", (7,), True),
-        process=client.process,
+        client.invoke(None, ref, "main", (7,), True), process=client.process
     )
-    kernel.run(until=kernel.now + 1.0)  # main started, task sleeping
-    app.kill_component("ra-1")
-    app.kill_component("ra-2")
-    app.restart_component("ra-1")  # give RA somewhere to be retried
+    kernel.run(until=kernel.now + 0.8)  # B.task is mid-sleep on rb
+    app.kill_component(find_host(app, ref))
     assert kernel.run_until_complete(task, timeout=300.0) == 7
+    kernel.run(until=kernel.now + 5.0)
+    assert stale_overlap(RA.intervals) is not orchestrate, RA.intervals
     if orchestrate:
-        assert not overlap(RA.intervals), RA.intervals
-    # Without orchestration, overlap is *possible*; we assert only that the
-    # happens-before check is what distinguishes the two configurations.
-    check_guarantee(app)
+        check_guarantee(app)
+    else:
+        violations = guarantee_violations(app)
+        assert [line for line in violations if line.startswith("stale callee: ")]
 
 
 # ---------------------------------------------------------------------------

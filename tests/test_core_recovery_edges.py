@@ -156,6 +156,34 @@ def test_completed_work_not_rerun_after_multiple_failures():
     check_guarantee(app)
 
 
+def test_completed_call_not_rerun_after_multiple_failures():
+    """The same for a call: its response sits in the client's queue, not in
+    the executing component's, and the dead queues it passed through wait
+    out retention, so no later reconciliation re-runs it."""
+    runs = []
+
+    class Effect(Actor):
+        async def apply(self, ctx, tag):
+            runs.append(tag)
+            return tag
+
+    kernel, app = make_app(seed=75)
+    app.register_actor(Effect)
+    app.add_component("w1", ("Effect",))
+    app.add_component("w2", ("Effect",))
+    app.client()
+    app.settle()
+    assert app.run_call(actor_proxy("Effect", "e"), "apply", "once") == "once"
+    for victim in ("w1", "w2", "w1"):
+        if app.components[victim].alive:
+            app.kill_component(victim)
+        kernel.run(until=kernel.now + 4.0)
+        app.restart_component(victim)
+        kernel.run(until=kernel.now + 4.0)
+    assert runs == ["once"]
+    check_guarantee(app)
+
+
 def test_superseded_reconciliation_aborts_cleanly():
     kernel, app = two_component_app(seed=55)
     app.run_call(actor_proxy("Latch", "x"), "set", 1)

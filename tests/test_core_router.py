@@ -184,31 +184,6 @@ def test_tail_call_is_still_one_record_under_linger():
 
 
 # ---------------------------------------------------------------------------
-# completion-log mode is unaffected by the outbox
-# ---------------------------------------------------------------------------
-
-def test_completion_log_still_transactional_with_linger():
-    kernel, app = one_worker_app(
-        46, Latch, completion_log=True, send_linger=0.005
-    )
-    ref = actor_proxy("Latch", "x")
-    app.run_call(ref, "set", 9)
-    assert app.run_call(ref, "get") == 9
-    member_id = app.components["w1"].member_id
-    partition = app.broker.topic(app.topic_name).partition(member_id)
-    local_responses = [
-        record.value
-        for record in partition.unexpired(kernel.now)
-        if isinstance(record.value, Response)
-    ]
-    # Each call's completion was logged in the executing component's own
-    # queue by the message-queue transaction, outbox or not.
-    assert len(local_responses) == 2
-    assert app.trace.where("response.sent", completion_logged=True)
-    kernel.check_no_crashes()
-
-
-# ---------------------------------------------------------------------------
 # ordering: linger never reorders two sends to the same partition
 # ---------------------------------------------------------------------------
 

@@ -39,7 +39,7 @@ STRIDE = 7
 
 
 def test_the_audits_take_exactly_the_swept_number_of_events(tmp_path):
-    app = boot("memory", str(tmp_path))
+    app = boot("memory", str(tmp_path), {})
     audits = spawn_audits(app)
     with pytest.raises(RuntimeError, match="exceeded"):
         app.kernel.run(max_events=EVENTS - 1)
@@ -55,7 +55,7 @@ def test_every_seventh_crash_point_keeps_the_guarantee(mode, kill, tmp_path):
     """Point ``1 + 7 i`` runs under pair ``i mod 8``."""
     offset = STRIDE * PAIRS.index((mode, kill))
     points = range(1 + offset, EVENTS, STRIDE * len(PAIRS))
-    assert sweep(mode, str(tmp_path), kill, points) == {}
+    assert sweep(mode, str(tmp_path), kill, {}, points) == {}
 
 
 def starts_on(boots, actor, after_kind):
@@ -75,7 +75,7 @@ def test_seed1503_k231_restart_w1_runs_the_stranded_commit_first(mode, tmp_path)
     """Killed after ``r000007``'s ``add`` on ``Tally[t0]`` tail-called its
     ``commit`` and restarted at once, ``w1#1`` used to serve ``r000014`` and
     ``r000013`` on that actor while the commit sat in ``w1#0``'s queue."""
-    boots = crash_point(mode, str(tmp_path), 231, "restart-at-once")
+    boots = crash_point(mode, str(tmp_path), 231, "restart-at-once", {})
     assert starts_on(boots, "Tally[t0]", "component.fail")[0] == ("r000007", 2)
     assert violations(boots) == []
     boots[-1].shutdown()
@@ -86,7 +86,7 @@ def test_seed1503_k246_restart_w1_loses_no_increment(mode, tmp_path):
     """The same kill later: the late ``commit`` wrote the stale 1 its
     ``add`` computed over two newer increments, and ``Tally[t0]`` read 4
     after six commits."""
-    boots = crash_point(mode, str(tmp_path), 246, "restart-at-once")
+    boots = crash_point(mode, str(tmp_path), 246, "restart-at-once", {})
     app = boots[-1]
     commits = {
         (event["request"], event["step"])
@@ -96,6 +96,26 @@ def test_seed1503_k246_restart_w1_loses_no_increment(mode, tmp_path):
     assert app.run_call(actor_proxy("Tally", "t0"), "report") == 6
     assert violations(boots) == []
     app.shutdown()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with send_linger > 0 a whole-application kill breaks the tail "
+    "lock (ROADMAP item 14)",
+)
+@pytest.mark.parametrize(
+    "mode, kill", [("memory", "all-restart"), ("sqlite", "reopen")]
+)
+def test_seed1503_k259_send_linger_keeps_the_tail_lock(mode, kill, tmp_path):
+    """``send_linger=0.002``, every component killed after 259 events:
+    ``r000009`` step 1 on ``Tally[t1]`` tail-called itself at 0.520, and
+    eighteen other requests started there before step 2 ended. Point 100
+    of the same sweep is clean."""
+    boots = crash_point(mode, str(tmp_path), 259, kill, {"send_linger": 0.002})
+    try:
+        check_guarantee(*boots)
+    finally:
+        boots[-1].shutdown()
 
 
 def test_the_removal_takes_exactly_the_swept_number_of_events():
