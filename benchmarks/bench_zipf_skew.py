@@ -8,9 +8,9 @@ into sub-partitions, and spreads the children across workers -- mid-burst,
 over the same drain -> fence -> replay handoff that covers crashes.
 
 Both modes run the identical closed-loop driver pool over the same call
-schedule on 4 workers; the only difference is the controller's thresholds:
-the static row sets them where it plans nothing
-(``split_threshold=inf, rebalance_threshold=1.0``).
+schedule on 4 workers; the only difference is the controller: the static
+row runs none (``app.control.placement_ctl = None``), the adaptive row runs
+the policy of ``repro.core.placement_ctl``.
 Gates: adaptive throughput >=
 1.5x static, zero lost and zero doubled commits in both modes, and at
 least one split actually performed in the adaptive run.
@@ -18,7 +18,6 @@ least one split actually performed in the adaptive run.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.bench import render_table
@@ -62,18 +61,10 @@ class TallyActor(Actor):
         return await ctx.state.get("total", 0)
 
 
-def _deploy(adaptive: bool, seed: int):
+def _deploy(seed: int):
     kernel = Kernel(seed=seed)
     config = KarConfig.fast_test().with_overrides(
         worker_loop_cost=LOOP_COST,
-        load_halflife=0.4,
-        # The cooldown must outlast the load-signal lag (a few halflives):
-        # acting faster than the windows decay reads yesterday's imbalance
-        # as today's and over-corrects into a migration spiral.
-        rebalance_cooldown=1.2,
-        split_threshold=0.35 if adaptive else math.inf,
-        split_factor=8,
-        rebalance_threshold=0.6 if adaptive else 1.0,
         # Under sustained overload the hot component never fully quiesces;
         # a short drain keeps each handoff's stop-the-partition window tight.
         drain_timeout=0.3,
@@ -128,7 +119,9 @@ def _zipf_schedule(pools: list[list[str]], seed: int) -> list[str]:
 
 
 def run_mode(adaptive: bool) -> dict:
-    kernel, app = _deploy(adaptive, seed=17)
+    kernel, app = _deploy(seed=17)
+    if not adaptive:
+        app.control.placement_ctl = None
     client = app.client()
     pools = _actor_pools(app)
     schedule = _zipf_schedule(pools, seed=99)

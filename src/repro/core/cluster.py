@@ -50,8 +50,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Coroutine, Sequence
 
-from repro.core.placement import parent_partition, sub_partition_names
-from repro.core.placement_ctl import PlacementController
+from repro.core.placement import sub_partition_names
+from repro.core.placement_ctl import LOAD_HALFLIFE, PlacementController
 from repro.sim import Kernel, SimProcess
 
 if TYPE_CHECKING:
@@ -105,17 +105,16 @@ class WorkerLoop:
     the load plane's signal: current hotness, not accumulated history.
     """
 
-    def __init__(self, kernel: Kernel, cost: float, halflife: float = 5.0):
+    def __init__(self, kernel: Kernel, cost: float):
         self.kernel = kernel
         self.cost = cost
-        self.halflife = halflife
         self.busy_until = 0.0
         self.calls_charged = 0
         self.busy_seconds_total = 0.0
         #: Set when the hosting worker wedges: charges stall forever and the
         #: worker's heartbeat, written by this loop, stops with them.
         self.stalled = False
-        self._busy_window = DecayingCounter(halflife)
+        self._busy_window = DecayingCounter(LOAD_HALFLIFE)
         self._component_busy: dict[str, DecayingCounter] = {}
         self._component_calls: dict[str, DecayingCounter] = {}
 
@@ -144,7 +143,7 @@ class WorkerLoop:
     ) -> DecayingCounter:
         window = windows.get(component)
         if window is None:
-            window = windows[component] = DecayingCounter(self.halflife)
+            window = windows[component] = DecayingCounter(LOAD_HALFLIFE)
         return window
 
     # ------------------------------------------------------------------
@@ -214,11 +213,7 @@ class KarWorker:
         self.worker_id = worker_id
         self.kernel = app.kernel
         self.process = SimProcess(f"worker:{worker_id}")
-        self.loop = WorkerLoop(
-            app.kernel,
-            app.config.worker_loop_cost,
-            halflife=app.config.load_halflife,
-        )
+        self.loop = WorkerLoop(app.kernel, app.config.worker_loop_cost)
         #: Component names currently hosted on this loop.
         self.hosted: set[str] = set()
         #: Set on graceful removal; a retired worker takes no new components.
@@ -323,7 +318,8 @@ class ControlPlane:
         #: must not drain or restart the same component at once.
         self._handoff_active = False
         self._sweeping = False
-        self.placement_ctl = PlacementController(self)
+        #: The load-driven placement policy; ``None`` is a static cluster.
+        self.placement_ctl: PlacementController | None = PlacementController(self)
         for worker_id in worker_ids:
             self.workers[worker_id] = KarWorker(self, worker_id)
         self._ensure_control_loop()
@@ -478,21 +474,13 @@ class ControlPlane:
         return self.assign_workers()[0] if live else None
 
     # ------------------------------------------------------------------
-    # adaptive placement actions (invoked by the placement controller)
+    # moves; the caller holds the handoff gate
     # ------------------------------------------------------------------
-    async def _migrate_component(self, name: str, target_id: str) -> bool:
-        """Move one component to a chosen worker: the drain -> fence -> replay
-        handoff, for the placement controller and for a worker join."""
-        await self._acquire_handoff_gate()
-        try:
-            return await self._move_component(name, target_id)
-        finally:
-            self._release_handoff_gate()
-
     async def _move_component(self, name: str, target_id: str | None = None) -> bool:
-        """The move itself; the caller holds the handoff gate. With no live
-        worker to take it, the stopped component stays in its host's
-        ``hosted`` until the next :meth:`add_worker`."""
+        """Move one component: the drain -> fence -> replay handoff, for a
+        migration, a worker join and a removal. With no live worker to take
+        it, the stopped component stays in its host's ``hosted`` until the
+        next :meth:`add_worker`."""
         component = self.app.components.get(name)
         if component is None or not component.alive or component.worker is None:
             return False
@@ -519,55 +507,43 @@ class ControlPlane:
         target.loop.adopt_component(name, windows)
         return True
 
-    async def _split_component(self, name: str) -> bool:
+    async def _split_component(self, name: str, parts: int) -> bool:
         """Split a hot component into sub-partitions spread over workers.
 
         Drain -> fence the parent (it leaves the group; its lease family
-        stays fenced at its final epoch) -> start ``split_factor`` children
+        stays fenced at its final epoch) -> start ``parts`` children
         announcing the same actor types. Placement re-keys the parent's
         actors by id over the new candidate set on the next send, and
         reconciliation replays whatever the drain left stranded in the
         parent's queue -- the split rides the exact machinery a crash does,
         so exactly-once settlement is preserved by construction.
         """
-        await self._acquire_handoff_gate()
-        try:
-            component = self.app.components.get(name)
-            if (
-                component is None
-                or not component.alive
-                or component.worker is None
-                or name in self.split_children
-                or parent_partition(name) is not None
-            ):
-                return False
-            types = tuple(sorted(self.app.component_types.get(name, ())))
-            if not types:
-                return False
-            children = sub_partition_names(
-                name, max(2, self.config.split_factor)
-            )
-            source = component.worker
-            drained = await component.drain(self.config.drain_timeout)
-            if not component.alive:
-                return False
-            component.stop()
-            source.hosted.discard(name)
-            source.loop.export_component(name)
-            self.split_children[name] = children
-            self.splits += 1
-            self.trace.emit(
-                "component.split",
-                component=name,
-                children=list(children),
-                drained=drained,
-            )
-            targets = self.assign_workers(len(children))
-            for child, target in zip(children, targets):
-                self.app.add_component(child, types, worker=target)
-            return True
-        finally:
-            self._release_handoff_gate()
+        component = self.app.components.get(name)
+        if component is None or not component.alive or component.worker is None:
+            return False
+        types = tuple(sorted(self.app.component_types.get(name, ())))
+        if not types:
+            return False
+        children = sub_partition_names(name, parts)
+        source = component.worker
+        drained = await component.drain(self.config.drain_timeout)
+        if not component.alive:
+            return False
+        component.stop()
+        source.hosted.discard(name)
+        source.loop.export_component(name)
+        self.split_children[name] = children
+        self.splits += 1
+        self.trace.emit(
+            "component.split",
+            component=name,
+            children=list(children),
+            drained=drained,
+        )
+        targets = self.assign_workers(len(children))
+        for child, target in zip(children, targets):
+            self.app.add_component(child, types, worker=target)
+        return True
 
     async def _merge_component(self, name: str) -> bool:
         """Merge a cooled component's sub-partitions back into the parent.
@@ -575,36 +551,32 @@ class ControlPlane:
         Children drain and leave one by one; the parent restarts at its
         next epoch and the actors re-key back as child placements die.
         """
-        await self._acquire_handoff_gate()
-        try:
-            children = self.split_children.get(name)
-            if children is None:
-                return False
-            for child in children:
-                component = self.app.components.get(child)
-                if component is not None and component.alive:
-                    await component.drain(self.config.drain_timeout)
-                # The drain may have raced a failure re-host; fence
-                # whichever incarnation is current now.
-                component = self.app.components.get(child)
-                if component is not None and component.alive:
-                    component.stop()
-                if component is not None and component.worker is not None:
-                    component.worker.hosted.discard(child)
-                    component.worker.loop.export_component(child)
-                # Forget the child entirely so no failure path resurrects
-                # it after the merge.
-                self.app.components.pop(child, None)
-                self.app.component_types.pop(child, None)
-            self.split_children.pop(name, None)
-            self.merges += 1
-            self.trace.emit(
-                "component.merge", component=name, children=list(children)
-            )
-            self.app.restart_component(name)
-            return True
-        finally:
-            self._release_handoff_gate()
+        children = self.split_children.get(name)
+        if children is None:
+            return False
+        for child in children:
+            component = self.app.components.get(child)
+            if component is not None and component.alive:
+                await component.drain(self.config.drain_timeout)
+            # The drain may have raced a failure re-host; fence
+            # whichever incarnation is current now.
+            component = self.app.components.get(child)
+            if component is not None and component.alive:
+                component.stop()
+            if component is not None and component.worker is not None:
+                component.worker.hosted.discard(child)
+                component.worker.loop.export_component(child)
+            # Forget the child entirely so no failure path resurrects
+            # it after the merge.
+            self.app.components.pop(child, None)
+            self.app.component_types.pop(child, None)
+        self.split_children.pop(name, None)
+        self.merges += 1
+        self.trace.emit(
+            "component.merge", component=name, children=list(children)
+        )
+        self.app.restart_component(name)
+        return True
 
     # ------------------------------------------------------------------
     # control loop: worker failure detection via store heartbeats
@@ -625,7 +597,8 @@ class ControlPlane:
                 last = float(beats.get(worker_id, 0.0))
                 if now - last > session_timeout:
                     self._on_worker_failed(worker)
-            self.placement_ctl.tick(self.kernel.now)
+            if self.placement_ctl is not None:
+                self.placement_ctl.tick(now)
 
     def _on_worker_failed(self, worker: KarWorker) -> None:
         """Declare a silent worker -- dead or wedged -- failed and re-host
@@ -697,7 +670,9 @@ class ControlPlane:
     # evidence surface and lifecycle
     # ------------------------------------------------------------------
     def placement_stats(self) -> dict[str, Any]:
-        """``stats("placement")``: everything at rest with no workers."""
+        """``stats("placement")``: everything at rest with no workers; a
+        static cluster (no controller) reports no controller and no load."""
+        ctl = self.placement_ctl
         return {
             "migrations": self.migrations,
             "splits": self.splits,
@@ -706,8 +681,8 @@ class ControlPlane:
                 parent: list(children)
                 for parent, children in sorted(self.split_children.items())
             },
-            "controller": self.placement_ctl.stats(),
-            "load": self.placement_ctl.load,
+            "controller": ctl.stats() if ctl is not None else None,
+            "load": ctl.load if ctl is not None else {},
         }
 
     def workers_stats(self) -> dict[str, Any]:

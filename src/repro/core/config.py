@@ -127,23 +127,6 @@ class KarConfig:
     # in-flight work before fencing the old incarnation anyway.
     drain_timeout: float = 30.0
 
-    # --- adaptive placement (core/placement_ctl.py) --------------------------
-    # Worker busy-rate imbalance, (max - min) / max, above which the
-    # controller migrates the hottest component off the busiest worker.
-    rebalance_threshold: float = 0.5
-    # Minimum seconds between controller actions (hysteresis against
-    # thrashing on a load signal that has not settled since the last move).
-    rebalance_cooldown: float = 5.0
-    # A single component whose busy rate exceeds this fraction of one
-    # worker's capacity cannot be helped by migration (it saturates any
-    # worker alone) and is split into sub-partitions instead.
-    split_threshold: float = 0.6
-    # Sub-partitions a hot component splits into.
-    split_factor: int = 4
-    # Half-life of the exponentially decaying load counters behind
-    # KarWorker.stats() busy_seconds and the per-component load plane.
-    load_halflife: float = 5.0
-
     # --- reminders -----------------------------------------------------------
     reminder_tick: float = 0.5
 
@@ -174,6 +157,4 @@ class KarConfig:
             dedup_retention_slack=5.0,
             worker_heartbeat_interval=0.2,
             drain_timeout=5.0,
-            rebalance_cooldown=0.5,
-            load_halflife=0.5,
         )

@@ -6,20 +6,23 @@ zipfian traffic while the rest idle. Each control tick closes the loop:
 - the **load plane**: sample every live worker's decaying busy window and
   per-component load from its :class:`~repro.core.cluster.WorkerLoop`; the
   last sample is ``stats("placement")["load"]``;
-- the **controller**: plan at most ``MIGRATION_BUDGET`` actions from that
-  sample, with hysteresis (``rebalance_cooldown``) so it reacts to
-  sustained skew, not noise:
+- the **controller**: plan at most one action from that sample, the first
+  of these that applies, with hysteresis (``REBALANCE_COOLDOWN``) so it
+  reacts to sustained skew, not noise:
 
   * **merge** split children back into their parent once the busiest
     worker has idled below the merge floor for ``MERGE_PATIENCE_TICKS``
     consecutive ticks (the skew subsided cluster-wide);
-  * **split** a component whose own busy rate exceeds ``split_threshold``
-    -- it saturates any single worker, so no migration can help it;
+  * **split** a component whose own busy rate exceeds ``SPLIT_THRESHOLD``
+    into ``SPLIT_FACTOR`` children -- it saturates any single worker, so no
+    migration can help it;
   * **migrate** the hottest movable component off the busiest worker when
     worker imbalance ``(max - min) / max`` exceeds
-    ``rebalance_threshold``.
+    ``REBALANCE_THRESHOLD``.
 
-  ``split_threshold=inf`` with ``rebalance_threshold=1.0`` plans nothing.
+The policy is these module constants, not configuration. A static cluster
+runs no controller: ``app.control.placement_ctl = None`` stops the ticks
+and ``stats("placement")`` reports no controller and no load sample.
 
 Every action rides the drain -> fence -> replay-tail handoff
 (:class:`~repro.core.cluster.ControlPlane`), so exactly-once settlement is
@@ -37,16 +40,32 @@ if TYPE_CHECKING:
 
 __all__ = ["PlacementController"]
 
+#: Worker busy-rate imbalance, ``(max - min) / max``, above which the hottest
+#: movable component migrates off the busiest worker.
+REBALANCE_THRESHOLD = 0.6
+
+#: Minimum seconds between controller actions. It must outlast the load
+#: signal's lag (a few half-lives): acting faster reads the last imbalance
+#: as the current one and over-corrects into a migration spiral.
+REBALANCE_COOLDOWN = 1.2
+
+#: A component whose own busy rate exceeds this fraction of one worker
+#: saturates any worker alone; it splits instead of migrating.
+SPLIT_THRESHOLD = 0.35
+
+#: Sub-partitions a hot component splits into.
+SPLIT_FACTOR = 8
+
+#: Half-life (seconds) of the decaying busy and call windows behind
+#: ``KarWorker.stats()`` ``busy_seconds`` and the per-component load plane.
+LOAD_HALFLIFE = 0.4
+
 #: Consecutive cold ticks before split children merge back; patience keeps
 #: a briefly idle hot component from flapping split -> merge -> split.
 MERGE_PATIENCE_TICKS = 4
 
-#: Upper bound on placement actions (migrations/splits/merges) started per
-#: control tick.
-MIGRATION_BUDGET = 1
-
 #: Merge hysteresis: split children fold back once the busiest worker stays
-#: below ``split_threshold * SPLIT_MERGE_RATIO``.
+#: below ``SPLIT_THRESHOLD * SPLIT_MERGE_RATIO``.
 SPLIT_MERGE_RATIO = 0.25
 
 #: Ignore imbalance while the busiest worker is under this busy rate: an
@@ -59,7 +78,6 @@ class PlacementController:
 
     def __init__(self, control: "ControlPlane"):
         self.control = control
-        self.config = control.config
         self.ticks = 0
         #: The last load-plane sample (``{}`` before the first tick).
         self.load: dict[str, Any] = {}
@@ -77,17 +95,20 @@ class PlacementController:
         self.ticks += 1
         worker_rates, component_loads = self._sample(now)
         self.load = {"workers": worker_rates, "components": component_loads}
-        if self._running:
+        if self._running or now - self._last_action_at < REBALANCE_COOLDOWN:
             return
-        if now - self._last_action_at < self.config.rebalance_cooldown:
+        action = (
+            self._plan_merge(worker_rates)
+            or self._plan_split(component_loads)
+            or self._plan_migration(worker_rates, component_loads)
+        )
+        if action is None:
             return
-        actions = self._plan(worker_rates, component_loads)
-        if not actions:
-            return
+        self.planned[action[0]] += 1
         self._last_action_at = now
         self._running = True
         self.control.kernel.spawn(
-            self._run(actions),
+            self._run(action),
             name=f"placement-ctl:{self.control.app.name}",
         )
 
@@ -106,30 +127,9 @@ class PlacementController:
         return worker_rates, component_loads
 
     # ------------------------------------------------------------------
-    # planning
+    # planning: each planner returns its action or None
     # ------------------------------------------------------------------
-    def _plan(
-        self,
-        worker_rates: dict[str, float],
-        component_loads: dict[str, dict[str, Any]],
-    ) -> list[tuple[str, ...]]:
-        budget = MIGRATION_BUDGET
-        actions: list[tuple[str, ...]] = []
-        self._plan_merges(worker_rates, actions, budget)
-        if len(actions) < budget:
-            self._plan_splits(component_loads, actions, budget)
-        if len(actions) < budget:
-            self._plan_migration(worker_rates, component_loads, actions)
-        for action in actions:
-            self.planned[action[0]] += 1
-        return actions
-
-    def _plan_merges(
-        self,
-        worker_rates: dict[str, float],
-        actions: list[tuple[str, ...]],
-        budget: int,
-    ) -> None:
+    def _plan_merge(self, worker_rates: dict[str, float]) -> tuple[str, ...] | None:
         """Merge split children back once the *cluster* has cooled.
 
         The cool signal is deliberately not the children's own load: after
@@ -141,98 +141,85 @@ class PlacementController:
         fold back only when the busiest worker idles below the merge floor
         for ``MERGE_PATIENCE_TICKS`` consecutive ticks.
         """
-        floor = self.config.split_threshold * SPLIT_MERGE_RATIO
+        floor = SPLIT_THRESHOLD * SPLIT_MERGE_RATIO
         peak = max(worker_rates.values(), default=0.0)
+        action = None
         for parent in sorted(self.control.split_children):
             if peak >= floor:
                 self._cold_ticks[parent] = 0
                 continue
             self._cold_ticks[parent] = self._cold_ticks.get(parent, 0) + 1
-            if (
-                self._cold_ticks[parent] >= MERGE_PATIENCE_TICKS
-                and len(actions) < budget
-            ):
+            if self._cold_ticks[parent] >= MERGE_PATIENCE_TICKS and action is None:
                 self._cold_ticks[parent] = 0
-                actions.append(("merge", parent))
+                action = ("merge", parent)
+        return action
 
-    def _plan_splits(
-        self,
-        component_loads: dict[str, dict[str, Any]],
-        actions: list[tuple[str, ...]],
-        budget: int,
-    ) -> None:
-        candidates = sorted(
+    def _plan_split(
+        self, component_loads: dict[str, dict[str, Any]]
+    ) -> tuple[str, ...] | None:
+        hottest = max(
             (
                 (load["busy_rate"], name)
                 for name, load in component_loads.items()
-                if load["busy_rate"] > self.config.split_threshold
+                if load["busy_rate"] > SPLIT_THRESHOLD
                 and name not in self.control.split_children
                 and parent_partition(name) is None
             ),
-            reverse=True,
+            default=None,
         )
-        for _rate, name in candidates:
-            if len(actions) >= budget:
-                return
-            actions.append(("split", name))
+        return None if hottest is None else ("split", hottest[1])
 
     def _plan_migration(
         self,
         worker_rates: dict[str, float],
         component_loads: dict[str, dict[str, Any]],
-        actions: list[tuple[str, ...]],
-    ) -> None:
+    ) -> tuple[str, ...] | None:
         if len(worker_rates) < 2:
-            return
+            return None
         busiest = max(worker_rates, key=lambda wid: (worker_rates[wid], wid))
         coolest = min(worker_rates, key=lambda wid: (worker_rates[wid], wid))
         peak, trough = worker_rates[busiest], worker_rates[coolest]
-        if peak <= MIN_ACTIONABLE_RATE:
-            return
-        if (peak - trough) / peak <= self.config.rebalance_threshold:
-            return
-        splitting = {action[1] for action in actions}
+        if peak <= MIN_ACTIONABLE_RATE or (peak - trough) / peak <= REBALANCE_THRESHOLD:
+            return None
         hosted = sorted(
             (
                 (load["busy_rate"], name)
                 for name, load in component_loads.items()
-                if load["worker"] == busiest and name not in splitting
+                if load["worker"] == busiest
             ),
             reverse=True,
         )
         if len(hosted) < 2:
             # A lone component *is* the worker's load; moving it only
             # relocates the hotspot (splitting is the cure, handled above).
-            return
+            return None
         gap = peak - trough
         # Largest component that fits in the gap -- moving it must not
         # just swap which worker is hottest.
         for rate, name in hosted:
             if rate <= gap:
-                actions.append(("migrate", name, coolest))
-                return
+                return ("migrate", name, coolest)
+        return None
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    async def _run(self, actions: list[tuple[str, ...]]) -> None:
+    async def _run(self, action: tuple[str, ...]) -> None:
         control = self.control
+        await control._acquire_handoff_gate()
         try:
-            for action in actions:
-                try:
-                    if action[0] == "merge":
-                        await control._merge_component(action[1])
-                    elif action[0] == "split":
-                        await control._split_component(action[1])
-                    else:
-                        await control._migrate_component(action[1], action[2])
-                except Exception as error:  # keep the control plane alive
-                    control.trace.emit(
-                        "placement.error",
-                        action=list(action),
-                        error=repr(error),
-                    )
+            if action[0] == "merge":
+                await control._merge_component(action[1])
+            elif action[0] == "split":
+                await control._split_component(action[1], SPLIT_FACTOR)
+            else:
+                await control._move_component(action[1], action[2])
+        except Exception as error:  # keep the control plane alive
+            control.trace.emit(
+                "placement.error", action=list(action), error=repr(error)
+            )
         finally:
+            control._release_handoff_gate()
             self._running = False
 
     def stats(self) -> dict[str, Any]:

@@ -41,9 +41,53 @@ _DEATHS = frozenset({"component.fail", "component.stop", "component.fenced_exit"
                      "worker.kill", "worker.failed", "app.shutdown"})
 
 
+#: Trace kinds by which recovery places a request: a copy, a parking or the
+#: queue for types with no live host.
+_REQUEUES = frozenset({"reconcile.copy", "reconcile.unplaced",
+                       "reconcile.already_parked", "deadletter.parked"})
+
+
+@dataclass(slots=True)
+class _Window:
+    """The lock a tail call to self at ``(holder, step - 1)`` holds on
+    ``actor`` from ``since`` until ``(holder, step)`` ends."""
+
+    actor: str
+    since: float
+    #: Other requests' starts on ``actor`` inside the window.
+    starts: list[str] = field(default_factory=list)
+    #: How many of ``starts`` came before the held step first started.
+    early: int | None = None
+    #: The member whose death cut the held step short ("" for a shutdown),
+    #: until recovery places the held step; None while nothing died.
+    dead: str | None = None
+    #: A reconciliation that handles that death is running.
+    reconciling: bool = False
+
+    def violation(self, key: tuple[str, int], starts: list[str]) -> str:
+        holder, step = key
+        return (
+            f"tail lock: {', '.join(starts)} started on {self.actor} after "
+            f"{holder} step {step - 1} tail-called itself at {self.since}, "
+            f"before step {step} ended"
+        )
+
+
 @dataclass(eq=False)
 class GuaranteeMonitor:
-    """The trace clauses, fed one event at a time; ``horizon`` is the limit."""
+    """The trace clauses, fed one event at a time; ``horizon`` is the limit.
+
+    A tail-lock window stays open until its held step ends, an end traced
+    only once the step's completion record (its response, or its tail
+    call's successor) is durable. A death in between leaves a completed
+    step unended, so two rules also close a window, and only the starts
+    inside it before the held step first started then count:
+
+    - a later step of the holder is copied, parked or started;
+    - the reconciliation handling the held step's death (the next whose
+      ``reconcile.start`` names its member failed; after a shutdown, the
+      next boot's first) ends without copying, parking or unplacing it.
+    """
 
     horizon: float
     #: (request, step) -> when it last ended.
@@ -58,8 +102,8 @@ class GuaranteeMonitor:
     callers: dict[str, str] = field(default_factory=dict)
     #: Callees durably queued and not started since.
     queued: set[str] = field(default_factory=set)
-    #: (lock holder, its next step) -> [actor, tail end time, starts inside]
-    windows: dict[tuple[str, int], list] = field(default_factory=dict)
+    #: (lock holder, its next step) -> the lock it holds.
+    windows: dict[tuple[str, int], _Window] = field(default_factory=dict)
     found: list[str] = field(default_factory=list)
 
     def __call__(self, event: TraceEvent) -> None:
@@ -91,9 +135,14 @@ class GuaranteeMonitor:
                 self.found.append(
                     f"happen-before: {key} started at {time} while parked"
                 )
-            for (holder, _step), window in self.windows.items():
-                if window[0] == fields["actor"] and holder != key[0]:
-                    window[2].append(f"{key[0]} at {time}")
+            for (holder, step), window in list(self.windows.items()):
+                if holder != key[0]:
+                    if window.actor == fields["actor"]:
+                        window.starts.append(f"{key[0]} at {time}")
+                elif key[1] > step:
+                    self._release((holder, step))
+                elif window.early is None:
+                    window.early = len(window.starts)
         elif kind == "invoke.end":
             ended = self.ended
             key = (fields["request"], fields["step"])
@@ -107,10 +156,10 @@ class GuaranteeMonitor:
                 self.callers.pop(key[0], None)
                 self.queued.discard(key[0])
             window = self.windows.pop(key, None)
-            if window and window[2] and fields["outcome"] != "cancelled":
-                self.found.append(_tail_lock_violation(key, window))
+            if window and window.starts and fields["outcome"] != "cancelled":
+                self.found.append(window.violation(key, window.starts))
             if fields.get("tail_to_self"):
-                self.windows[(key[0], key[1] + 1)] = [fields["actor"], time, []]
+                self.windows[(key[0], key[1] + 1)] = _Window(fields["actor"], time)
             # Stops at the latest at ``key``, which just ended.
             cutoff, expiry = time - self.horizon, self.expiry
             while ended[expiry[0]] < cutoff:
@@ -127,6 +176,23 @@ class GuaranteeMonitor:
         elif kind in ("request.unparked", "reconcile.copy"):
             # A fresh recovery copy replaces a parked one whose holder died.
             self.parked.discard(fields["request"])
+        if kind in _REQUEUES:
+            # Recovery placed the lock holder somewhere: a later step proves
+            # the held step completed; the held step itself keeps the lock.
+            for (holder, step), window in list(self.windows.items()):
+                if holder == fields["request"]:
+                    if fields.get("step", step) > step:
+                        self._release((holder, step))
+                    else:
+                        window.dead, window.reconciling = None, False
+        elif kind == "reconcile.start":
+            for window in self.windows.values():
+                if window.dead == "" or window.dead in fields["failed"]:
+                    window.reconciling = True
+        elif kind == "reconcile.end":
+            for key, window in list(self.windows.items()):
+                if window.reconciling:
+                    self._release(key)
         if kind in ("request.sent", "reconcile.copy") and fields["caller"]:
             self.callers[fields["request"]] = fields["caller"]
             self.queued.add(fields["request"])
@@ -138,13 +204,22 @@ class GuaranteeMonitor:
                     del self.running[key]
                     if key[0] not in self.queued:
                         self.callers.pop(key[0], None)
+                    if key in self.windows:
+                        self.windows[key].dead = "" if kind == "app.shutdown" else where
+
+    def _release(self, key: tuple[str, int]) -> None:
+        """Close a window whose held step completed untraced: only the starts
+        before that step began broke the lock."""
+        window = self.windows.pop(key)
+        if window.early:
+            self.found.append(window.violation(key, window.starts[: window.early]))
 
     def violations(self) -> list[str]:
         """Found so far, then each open tail-lock window another entered."""
         return self.found + [
-            _tail_lock_violation(key, window)
+            window.violation(key, window.starts)
             for key, window in self.windows.items()
-            if window[2]
+            if window.starts
         ]
 
 
@@ -161,12 +236,3 @@ def guarantee_violations(app: Any) -> list[str]:
         if component.alive and not component.quiescent
     ]
     return violations
-
-
-def _tail_lock_violation(key: tuple[str, int], window: list) -> str:
-    (holder, step), (actor, since, starts) = key, window
-    return (
-        f"tail lock: {', '.join(starts)} started on {actor} after "
-        f"{holder} step {step - 1} tail-called itself at {since}, before "
-        f"step {step} ended"
-    )

@@ -21,6 +21,10 @@ the surviving workers' heartbeats and the control plane's sweeps go on.
 The golden sweep runs under any switch a caller names: :func:`boot`,
 :func:`crash_point` and :func:`sweep` take ``overrides``, a dict of
 ``KarConfig`` fields over the golden config (``{}`` for the golden one).
+:data:`SWITCHES` names every non-default setting that claims the guarantee;
+:data:`NOT_SWEPT` says why each other ``KarConfig`` field is left out.
+:data:`BASELINE`, the at-least-once baseline, is the negative control: a
+sweep that cannot flag it checks nothing.
 
 ``python benchmarks/bench_crash_sweep.py`` sweeps every point of both;
 tier-1 runs the named counterexamples and strided slices
@@ -38,11 +42,14 @@ from test_golden_schedule import Auditor, Flow, Tally
 from test_placement_ctl import actor_ids_on, make_cluster, pump, totals_of
 
 __all__ = [
+    "BASELINE",
     "EVENTS",
     "KILLS",
     "MODES",
+    "NOT_SWEPT",
     "REMOVAL_EVENTS",
     "REMOVAL_POINTS",
+    "SWITCHES",
     "boot",
     "crash_point",
     "removal_point",
@@ -65,6 +72,57 @@ COMPONENTS = ("w1", "w2", "w3")
 #: ``reopen()``.
 KILLS = ("restart-at-once", "restart-after", "all-restart", "reopen")
 MODES = ("memory", "sqlite")
+
+#: Every non-default setting that claims the guarantee, by name, as the
+#: ``overrides`` that select it.
+SWITCHES = {
+    "cancellation=False": {"cancellation": False},
+    "placement_cache=False": {"placement_cache": False},
+    "idle_passivation_timeout=0.05": {
+        "idle_passivation_timeout": 0.05,
+        "maintenance_interval": 0.05,
+    },
+    "overload_guard=False": {"overload_guard": False},
+    "mailbox_capacity=2": {"mailbox_capacity": 2},
+    "breaker_threshold=1": {"breaker_threshold": 1, "breaker_cooldown": 0.05},
+    "send_linger=0.002": {"send_linger": 0.002},
+}
+
+_LATENCY = "a latency or cost: it moves the schedule, not a mechanism"
+
+#: Each ``KarConfig`` field no switch sets, and why it is not swept.
+NOT_SWEPT = {
+    "orchestrate_retries": "False is the at-least-once baseline (BASELINE)",
+    "redelivery_limit": "parks a poison pill unsettled until redelivered by hand",
+    "persistence": "every sweep runs on both backends",
+    "send_batch_max": "bounds the batches send_linger forms; swept at its "
+    "default under that switch",
+    "retry_budget_burst": "paces retries only; overload_guard=False sweeps "
+    "without the budget",
+    "retry_budget_floor_per_sec": "paces retries only; overload_guard=False "
+    "sweeps without the budget",
+    "dedup_retention_slack": "a horizon far beyond a swept run's length",
+    "reminder_tick": "the golden workflow sets no reminder",
+    "worker_loop_cost": "the golden workflow runs no workers; the removal "
+    "sweep does",
+    "worker_heartbeat_interval": "the golden workflow runs no workers",
+    "drain_timeout": "the golden workflow moves no component",
+    **dict.fromkeys(
+        (
+            "broker",
+            "store_latency",
+            "sidecar_latency",
+            "invoke_overhead",
+            "reconcile_base",
+            "reconcile_per_message",
+            "reconcile_per_copy",
+        ),
+        _LATENCY,
+    ),
+}
+
+#: The negative control: the at-least-once baseline of Figure 2b.
+BASELINE = {"orchestrate_retries": False}
 
 
 def boot(mode: str, root: str, overrides: dict) -> KarApplication:

@@ -4,22 +4,29 @@
 Tier-1 runs every 7th crash point of the golden workflow, each under one of
 the eight (backend, kill) pairs in turn, every 13th point of the removal's
 drain and aftermath, and the counterexamples the full sweeps found, named by
-``(seed, k, kill)``. ``python benchmarks/bench_crash_sweep.py`` runs all
-1,063 golden points under every pair and every removal point.
+``(seed, k, kill)``. Under each of ``SWITCHES`` it runs every 89th point per
+kill on memory, and it checks that the at-least-once baseline is flagged
+somewhere under every kill. ``python benchmarks/bench_crash_sweep.py`` runs
+all 1,063 golden points under every pair and every removal point, and with
+``--switches`` every golden point under each switch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from crash_sweep import (
+    BASELINE,
     EVENTS,
     KILLS,
     MODES,
+    NOT_SWEPT,
     REMOVAL_EVENTS,
     REMOVAL_POINTS,
+    SWITCHES,
     boot,
     crash_point,
     removal_point,
@@ -31,11 +38,13 @@ from crash_sweep import (
     violations,
 )
 from oracle import check_guarantee
-from repro.core import actor_proxy
+from repro.core import KarConfig, actor_proxy
 from test_placement_ctl import make_cluster, totals_of
 
 PAIRS = list(itertools.product(MODES, KILLS))
 STRIDE = 7
+#: A switch's slice: every this-many-th point under each of the four kills.
+SWITCH_STRIDE = 89
 
 
 def test_the_audits_take_exactly_the_swept_number_of_events(tmp_path):
@@ -98,24 +107,83 @@ def test_seed1503_k246_restart_w1_loses_no_increment(mode, tmp_path):
     app.shutdown()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="with send_linger > 0 a whole-application kill breaks the tail "
-    "lock (ROADMAP item 14)",
-)
+LINGER = SWITCHES["send_linger=0.002"]
+
+
 @pytest.mark.parametrize(
     "mode, kill", [("memory", "all-restart"), ("sqlite", "reopen")]
 )
 def test_seed1503_k259_send_linger_keeps_the_tail_lock(mode, kill, tmp_path):
     """``send_linger=0.002``, every component killed after 259 events:
-    ``r000009`` step 1 on ``Tally[t1]`` tail-called itself at 0.520, and
-    eighteen other requests started there before step 2 ended. Point 100
-    of the same sweep is clean."""
-    boots = crash_point(mode, str(tmp_path), 259, kill, {"send_linger": 0.002})
+    ``r000009`` step 2 on ``Tally[t1]``, inside the lock its step 1 took by
+    tail-calling itself, tail-called ``Flow[f1]``; the kill struck after
+    that successor was durable and before step 2's ``invoke.end``.
+    Recovery copies step 3, which proves step 2 completed, so the requests
+    that then started on ``Tally[t1]`` broke no lock. They used to be
+    reported as a tail-lock break."""
+    boots = crash_point(mode, str(tmp_path), 259, kill, LINGER)
+    copies = [
+        (event["request"], event["step"])
+        for app in boots
+        for event in app.trace.where("reconcile.copy", request="r000009")
+    ]
+    assert copies == [("r000009", 3)]
     try:
         check_guarantee(*boots)
     finally:
         boots[-1].shutdown()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_seed1503_k501_send_linger_response_durable_as_w1_dies(mode, tmp_path):
+    """``send_linger=0.002``, ``w1`` killed after 501 events and restarted
+    at once: ``r000010`` step 5 (``commit`` on ``Tally[t0]``, inside the
+    lock its step 4 took) answered, and its outbox batch holding the final
+    ``Response`` was appended in the same instant as ``component.fail``,
+    before the step's ``invoke.end``. The reconciliation that handles the
+    death finds the response and copies nothing of ``r000010``: a durable
+    completion released the lock. It used to be reported as a tail-lock
+    break."""
+    boots = crash_point(mode, str(tmp_path), 501, "restart-at-once", LINGER)
+    app = boots[-1]
+    assert not app.trace.where("reconcile.copy", request="r000010")
+    try:
+        check_guarantee(*boots)
+    finally:
+        app.shutdown()
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_every_switch_keeps_the_guarantee_on_a_strided_slice(switch, tmp_path):
+    """Every ``SWITCH_STRIDE``-th point under each kill, memory backend,
+    offset per switch so the switches cover different points."""
+    offset = 1 + list(SWITCHES).index(switch) * 11
+    failures = {
+        kill: sweep(
+            "memory",
+            str(tmp_path),
+            kill,
+            SWITCHES[switch],
+            range(offset + index * 3, EVENTS, SWITCH_STRIDE),
+        )
+        for index, kill in enumerate(KILLS)
+    }
+    assert {kill: failed for kill, failed in failures.items() if failed} == {}
+
+
+def test_every_config_field_is_swept_or_excused():
+    swept = {name for overrides in SWITCHES.values() for name in overrides}
+    names = {field.name for field in dataclasses.fields(KarConfig)}
+    assert swept.isdisjoint(NOT_SWEPT)
+    assert swept | set(NOT_SWEPT) == names
+
+
+@pytest.mark.parametrize("kill", KILLS)
+def test_the_baseline_is_flagged_on_a_strided_slice(kill, tmp_path):
+    """The negative control: without retry orchestration the same checks
+    must fail somewhere, or they check nothing."""
+    points = range(1 + KILLS.index(kill), EVENTS, 97)
+    assert sweep("memory", str(tmp_path), kill, BASELINE, points)
 
 
 def test_the_removal_takes_exactly_the_swept_number_of_events():

@@ -168,3 +168,62 @@ def test_an_elided_callee_of_a_live_caller():
         "cancelled: r2 elided at 0.2 while its caller r1 runs on a#0"
     ]
     assert verdict(*caller, died(0.15, "a#0"), elided) == []
+
+
+def copy(time, request, step):
+    fields = {"request": request, "step": step, "caller": None}
+    return TraceEvent(time, "reconcile.copy", fields)
+
+
+def reconcile(time, *failed):
+    return (
+        TraceEvent(time, "reconcile.start", {"failed": list(failed)}),
+        TraceEvent(time + 0.1, "reconcile.end", {}),
+    )
+
+
+#: ``r1`` step 0 tail-calls itself; step 1 starts on ``w1#0``, which dies
+#: before step 1's end is traced; ``r2`` then starts on the same actor.
+HOLDER_DIES = (
+    end(1.0, "r1", tail_to_self=True),
+    start(1.1, "r1", 1, member="w1#0"),
+    died(1.3, "w1#0"),
+    start(1.4, "r2", member="w1#1"),
+)
+
+BREACH = (
+    "tail lock: r2 at 1.4 started on A[a] after r1 step 0 tail-called itself "
+    "at 1.0, before step 1 ended"
+)
+
+
+def test_a_later_step_of_the_holder_closes_its_window():
+    # The held step's successor was durable: recovery copies it, or it runs.
+    assert verdict(*HOLDER_DIES, copy(1.5, "r1", 2)) == []
+    assert verdict(*HOLDER_DIES, start(1.5, "r1", 2, actor="B[b]")) == []
+    # A copy of the held step itself keeps the lock.
+    assert verdict(*HOLDER_DIES, copy(1.5, "r1", 1), end(1.6, "r1", 1)) == [BREACH]
+    # A start before the held step began broke the lock whatever came after.
+    early = (end(1.0, "r1", tail_to_self=True), start(1.05, "r2"))
+    assert verdict(*early, *HOLDER_DIES[1:3], copy(1.5, "r1", 2)) == [
+        "tail lock: r2 at 1.05 started on A[a] after r1 step 0 tail-called "
+        "itself at 1.0, before step 1 ended"
+    ]
+
+
+def test_a_holder_recovery_leaves_in_place_released_its_lock():
+    # The reconciliation that handles the death places nothing of r1: a
+    # completion record (its response) was durable, so the window closes.
+    assert verdict(*HOLDER_DIES, *reconcile(1.5, "w1#0")) == []
+    shutdown = TraceEvent(1.3, "app.shutdown", {"name": "app", "boot": 0})
+    assert verdict(*HOLDER_DIES[:2], shutdown, *HOLDER_DIES[3:], *reconcile(1.5)) == []
+    # It copies, unplaces or parks the held step: the starts stay breaches.
+    start_, end_ = reconcile(1.5, "w1#0")
+    for placed in (
+        copy(1.55, "r1", 1),
+        TraceEvent(1.55, "reconcile.unplaced", {"request": "r1", "actor_type": "A"}),
+        TraceEvent(1.55, "deadletter.parked", {"request": "r1", "step": 1}),
+    ):
+        assert verdict(*HOLDER_DIES, start_, placed, end_) == [BREACH]
+    # A reconciliation that does not handle w1#0's death decides nothing.
+    assert verdict(*HOLDER_DIES, *reconcile(1.5, "w2#0")) == [BREACH]

@@ -9,7 +9,8 @@ What must hold:
 - sustained skew triggers a migration of the hottest component off the
   busiest worker; a component too hot for any single worker splits into
   sub-partitions and merges back when it cools -- with every call settling
-  exactly once across the moves;
+  exactly once across the moves; a cluster without a controller moves
+  nothing;
 - a wedged worker's loop stops its own heartbeat, so the heartbeat sweep
   declares it failed within five heartbeat intervals, its components move
   to the other workers and its calls settle exactly once there; a healthy
@@ -18,7 +19,13 @@ What must hold:
 
 from __future__ import annotations
 
-from repro.core import DecayingCounter, KarApplication, KarConfig, actor_proxy
+from repro.core import (
+    DecayingCounter,
+    KarApplication,
+    KarConfig,
+    actor_proxy,
+    placement_ctl,
+)
 from repro.sim import Kernel
 
 from helpers import Counter
@@ -103,7 +110,7 @@ def test_busy_seconds_is_windowed_not_lifetime():
         for wid, w in app.stats()["workers"].items()
     }
     # Idle for many half-lives: the window decays away, the total does not.
-    kernel.run(until=kernel.now + 20 * app.config.load_halflife)
+    kernel.run(until=kernel.now + 20 * placement_ctl.LOAD_HALFLIFE)
     stats = app.stats()["workers"]
     assert all(w["busy_seconds"] < 1e-3 for w in stats.values())
     assert {
@@ -112,9 +119,9 @@ def test_busy_seconds_is_windowed_not_lifetime():
     assert sum(totals_before.values()) > 0
 
 
-def test_control_loop_publishes_load_plane_through_store(
-):
-    kernel, app = make_cluster(seed=12, split_threshold=10.0)
+def test_control_loop_publishes_load_plane_through_store(monkeypatch):
+    monkeypatch.setattr(placement_ctl, "SPLIT_THRESHOLD", 10.0)
+    kernel, app = make_cluster(seed=12)
     ids = actor_ids_on(app, "comp1", 4)
     tasks = pump(kernel, app.client(), ids, 8)
     kernel.run(until=kernel.now + 0.5)  # a few control ticks mid-burst
@@ -131,16 +138,11 @@ def test_control_loop_publishes_load_plane_through_store(
 # ----------------------------------------------------------------------
 # migration and splitting
 # ----------------------------------------------------------------------
-def test_hot_component_migrates_off_busiest_worker():
+def test_hot_component_migrates_off_busiest_worker(monkeypatch):
     # Splitting is disabled (unreachable threshold): pure migration path.
-    kernel, app = make_cluster(
-        seed=13,
-        workers=2,
-        components=4,
-        split_threshold=10.0,
-        rebalance_threshold=0.4,
-        drain_timeout=0.5,
-    )
+    monkeypatch.setattr(placement_ctl, "SPLIT_THRESHOLD", 10.0)
+    monkeypatch.setattr(placement_ctl, "REBALANCE_THRESHOLD", 0.4)
+    kernel, app = make_cluster(seed=13, workers=2, components=4, drain_timeout=0.5)
     # Heat *both* components of one worker so a migration (not a swap of
     # the hotspot) is the fix.
     busiest = app.control.worker_of("comp0")
@@ -160,16 +162,10 @@ def test_hot_component_migrates_off_busiest_worker():
     check_guarantee(app)
 
 
-def test_hot_component_splits_and_merges_back_exactly_once():
-    kernel, app = make_cluster(
-        seed=14,
-        workers=4,
-        components=4,
-        split_threshold=0.35,
-        split_factor=4,
-        rebalance_cooldown=0.3,
-        drain_timeout=0.4,
-    )
+def test_hot_component_splits_and_merges_back_exactly_once(monkeypatch):
+    monkeypatch.setattr(placement_ctl, "SPLIT_FACTOR", 4)
+    monkeypatch.setattr(placement_ctl, "REBALANCE_COOLDOWN", 0.3)
+    kernel, app = make_cluster(seed=14, workers=4, components=4, drain_timeout=0.4)
     ids = actor_ids_on(app, "comp2", 12)
     tasks = pump(kernel, app.client(), ids, 25)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
@@ -184,6 +180,25 @@ def test_hot_component_splits_and_merges_back_exactly_once():
     assert not any("comp2.s" in name for name in app.components)
     assert app.components["comp2"].alive
     # Exactly once across split + merge: every bump landed exactly once.
+    assert totals_of(app, ids) == {actor_id: 25 for actor_id in ids}
+    check_guarantee(app)
+
+
+def test_a_static_cluster_runs_no_controller():
+    """The burst that splits ``comp2`` above, on a cluster without a
+    controller: nothing moves, and the placement surface still answers."""
+    kernel, app = make_cluster(seed=14, workers=4, components=4, drain_timeout=0.4)
+    app.control.placement_ctl = None
+    moves_before = app.control.migrations
+    ids = actor_ids_on(app, "comp2", 12)
+    tasks = pump(kernel, app.client(), ids, 25)
+    kernel.run_until_complete(kernel.gather(tasks), timeout=600)
+    kernel.run(until=kernel.now + 8.0)
+    placement = app.stats("placement")
+    assert placement["migrations"] == moves_before
+    assert (placement["splits"], placement["merges"]) == (0, 0)
+    assert placement["controller"] is None and placement["load"] == {}
+    assert app.trace.of_kind("component.split") == []
     assert totals_of(app, ids) == {actor_id: 25 for actor_id in ids}
     check_guarantee(app)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Actor, KarApplication, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy, placement_ctl
 from repro.mq import (
     Broker,
     BrokerConfig,
@@ -248,14 +248,11 @@ def skewed_ids(app, component_name, count):
 
 @pytest.mark.parametrize("mode", ["memory", "sqlite"])
 def test_skewed_burst_splits_midflight_and_settles_exactly_once(
-    mode, tmp_path
+    mode, tmp_path, monkeypatch
 ):
-    overrides = dict(
-        split_threshold=0.35,
-        split_factor=4,
-        rebalance_cooldown=0.3,
-        drain_timeout=0.4,
-    )
+    monkeypatch.setattr(placement_ctl, "SPLIT_FACTOR", 4)
+    monkeypatch.setattr(placement_ctl, "REBALANCE_COOLDOWN", 0.3)
+    overrides = dict(drain_timeout=0.4)
     if mode == "sqlite":
         overrides["persistence"] = PersistenceConfig(
             mode="sqlite", root=str(tmp_path / "durable")
@@ -320,7 +317,7 @@ def test_migration_target_killed_mid_drain_lands_on_live_worker():
         for wid in sorted(app.control.workers)
         if wid != source and app.control.workers[wid].alive
     )
-    move = kernel.spawn(app.control._migrate_component("callees", target))
+    move = kernel.spawn(app.control._move_component("callees", target))
     kernel.run(until=kernel.now + 1.0)  # migration is draining
     app.control.kill_worker(target)
     kernel.run_until_complete(move, timeout=60.0)
