@@ -61,8 +61,6 @@ def churn_config() -> KarConfig:
             retention_seconds=20.0,
         ),
         idle_passivation_timeout=2.0,
-        maintenance_interval=0.5,
-        dedup_retention_slack=5.0,
     )
 
 

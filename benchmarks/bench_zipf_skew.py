@@ -68,13 +68,6 @@ def _deploy(seed: int):
         # Under sustained overload the hot component never fully quiesces;
         # a short drain keeps each handoff's stop-the-partition window tight.
         drain_timeout=0.3,
-        # The retry budget's default floor (2/s) is sized for failure
-        # storms. A *planned* handoff strands a window of in-flight calls
-        # whose resends are all retries; pacing that recovery at the storm
-        # floor would stall every placement action for seconds. Both modes
-        # run the same budget, so the comparison stays fair.
-        retry_budget_floor_per_sec=200.0,
-        retry_budget_burst=500.0,
     )
     app = KarApplication(kernel, config, "zipf", workers=WORKERS)
     app.register_actor(TallyActor, name="Tally")

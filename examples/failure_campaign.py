@@ -39,9 +39,7 @@ def overload_guard_scenario():
     FlakyGateway.healthy = False
     FlakyGateway.deliveries = {}
     kernel = Kernel(seed=7)
-    config = KarConfig.fast_test().with_overrides(
-        breaker_threshold=3, breaker_cooldown=300.0
-    )
+    config = KarConfig.fast_test().with_overrides(breaker_threshold=3)
     app = KarApplication.fresh(kernel, config, name="guards")
     name = app.register_actor(FlakyGateway)
     app.add_component("worker", (name,))

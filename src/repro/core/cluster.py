@@ -61,6 +61,11 @@ __all__ = ["ControlPlane", "DecayingCounter", "KarWorker", "WorkerLoop"]
 
 _LN2 = math.log(2.0)
 
+#: Seconds between a worker's heartbeats into the shared store; four silent
+#: intervals and the control plane declares the worker dead and re-hosts
+#: its components on the survivors.
+WORKER_HEARTBEAT_INTERVAL = 0.2
+
 
 class DecayingCounter:
     """An exponentially decaying accumulator (half-life in seconds).
@@ -237,10 +242,9 @@ class KarWorker:
         return self.loop.stalled
 
     async def _heartbeat_loop(self, key: str) -> None:
-        interval = self.app.config.worker_heartbeat_interval
         backend = self.app.store.backend
         while True:
-            await self.kernel.sleep(interval)
+            await self.kernel.sleep(WORKER_HEARTBEAT_INTERVAL)
             if self.loop.stalled:
                 return
             backend.hset(key, self.worker_id, self.kernel.now)
@@ -582,11 +586,10 @@ class ControlPlane:
     # control loop: worker failure detection via store heartbeats
     # ------------------------------------------------------------------
     async def _control_loop(self) -> None:
-        config = self.config
         backend = self.app.store.backend
-        session_timeout = 4.0 * config.worker_heartbeat_interval
+        session_timeout = 4.0 * WORKER_HEARTBEAT_INTERVAL
         while self._sweeping:
-            await self.kernel.sleep(config.worker_heartbeat_interval)
+            await self.kernel.sleep(WORKER_HEARTBEAT_INTERVAL)
             if not self._sweeping:
                 return
             beats = backend.hgetall(self.heartbeat_key)

@@ -87,29 +87,18 @@ class KarConfig:
     # ``overload.Unguarded`` -- a fixed sleep when no component supports an
     # actor type, unbounded mailboxes, no breakers and no dead-lettering.
     overload_guard: bool = True
-    # Token-bucket retry budget: each first attempt deposits
-    # ``overload.RETRY_BUDGET_RATIO`` tokens (capped at ``burst``), each
-    # retry spends one, and a dry bucket defers the retry through further
-    # backoff rounds. ``floor_per_sec`` trickles tokens in on the clock so
-    # recovery cannot deadlock when first-attempt traffic has stopped.
-    retry_budget_burst: float = 50.0
-    retry_budget_floor_per_sec: float = 2.0
     # Circuit breakers per (actor type, method): open after ``threshold``
-    # consecutive execution failures, half-open after ``cooldown`` seconds
-    # admitting exactly one probe. ``None`` disables breakers (the divert
-    # path changes failure semantics, so it is opt-in).
+    # consecutive execution failures, half-open after
+    # ``overload.BREAKER_COOLDOWN`` seconds admitting exactly one probe.
+    # ``None`` disables breakers (the divert path changes failure
+    # semantics, so it is opt-in).
     breaker_threshold: int | None = None
-    breaker_cooldown: float = 30.0
     # Reconciliation redelivery cap: a stranded request that has already
     # been recovery-copied this many times is parked in the dead-letter
     # topic instead of being copied again -- the poison-pill bound that
     # ends crash-reconcile amplification loops. ``None`` keeps the paper's
     # retry-forever contract (the default).
     redelivery_limit: int | None = None
-    # Mailbox admission control: pending queues beyond this depth shed
-    # their oldest *retries* (recovery copies) back to the budget-paced
-    # backoff path; first attempts are never shed. ``None`` = unbounded.
-    mailbox_capacity: int | None = 256
 
     # --- worker event loops (KarApplication(workers=N), core/cluster.py) -----
     # CPU cost charged to the hosting worker's event loop per actor
@@ -119,10 +108,6 @@ class KarConfig:
     # charges nothing and adds no kernel event. None of this section applies
     # to an application without workers.
     worker_loop_cost: float = 0.0
-    # Worker heartbeat cadence into the shared store; four silent intervals
-    # and the application's control plane declares the worker dead and
-    # re-hosts its components on the survivors.
-    worker_heartbeat_interval: float = 1.0
     # How long a graceful handoff waits for the component to drain its
     # in-flight work before fencing the old incarnation anyway.
     drain_timeout: float = 30.0
@@ -148,13 +133,11 @@ class KarConfig:
                 rebalance_sync_latency=Latency.around(0.05, 0.02),
                 retention_seconds=600.0,
             ),
-            store_latency=Latency.fixed(0.0005),
             reconcile_base=Latency.fixed(0.05),
             reconcile_per_message=0.0001,
             reconcile_per_copy=0.0005,
             reminder_tick=0.1,
             maintenance_interval=0.5,
             dedup_retention_slack=5.0,
-            worker_heartbeat_interval=0.2,
             drain_timeout=5.0,
         )

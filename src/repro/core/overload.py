@@ -46,13 +46,17 @@ if TYPE_CHECKING:
 __all__ = [
     "BACKOFF",
     "BREAKER_CLOSED",
+    "BREAKER_COOLDOWN",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "BackoffPolicy",
     "CircuitBreaker",
     "DEAD_LETTER_PARTITION",
     "DeadLetter",
+    "MAILBOX_CAPACITY",
     "OverloadGuard",
+    "RETRY_BUDGET_BURST",
+    "RETRY_BUDGET_FLOOR_PER_SEC",
     "RETRY_BUDGET_RATIO",
     "RetryBudget",
     "UNPLACEABLE_RETRY_DELAY",
@@ -92,8 +96,19 @@ class BackoffPolicy:
 #: ``Retry-After`` for transient routing failures).
 BACKOFF = BackoffPolicy(base=0.05, cap=2.0)
 
-#: Retry tokens each first attempt deposits into a :class:`RetryBudget`.
+#: Retry tokens each first attempt deposits into a :class:`RetryBudget`,
+#: the most it holds, and the tokens it regains a second without traffic.
 RETRY_BUDGET_RATIO = 0.1
+RETRY_BUDGET_BURST = 50.0
+RETRY_BUDGET_FLOOR_PER_SEC = 2.0
+
+#: Seconds an open :class:`CircuitBreaker` waits before its half-open probe.
+BREAKER_COOLDOWN = 30.0
+
+#: Bound on a mailbox's pending queue: beyond it the oldest *retries*
+#: (recovery copies) are shed back to the budget-paced backoff path; first
+#: attempts are never shed.
+MAILBOX_CAPACITY = 256
 
 #: The :class:`Unguarded` policy's fixed delay before re-checking for a live
 #: component supporting an actor type ("KAR queues requests to unavailable
@@ -211,7 +226,6 @@ class CircuitBreaker:
         self,
         threshold: int,
         cooldown: float,
-        history_limit: int = 16,
         open_breakers: _OpenBreakers | None = None,
     ):
         self._open = _OpenBreakers() if open_breakers is None else open_breakers
@@ -224,7 +238,7 @@ class CircuitBreaker:
         #: (time, error) of the most recent failures -- attached to every
         #: dead letter this breaker diverts, so parked calls carry the
         #: evidence of *why* the circuit tripped.
-        self.recent_failures: deque[tuple[float, str]] = deque(maxlen=history_limit)
+        self.recent_failures: deque[tuple[float, str]] = deque(maxlen=16)
         #: (time, "from->to") state transitions (evidence surface).
         self.transitions: list[tuple[float, str]] = []
 
@@ -354,15 +368,13 @@ class OverloadGuard:
         )
         #: Bound on each mailbox's pending queue (``None`` = unbounded) and
         #: on recovery copies per stranded request (``None`` = forever).
-        self.mailbox_capacity = config.mailbox_capacity
+        self.mailbox_capacity: int | None = MAILBOX_CAPACITY
         self.redelivery_limit = config.redelivery_limit
         self.budget = RetryBudget(
-            RETRY_BUDGET_RATIO,
-            config.retry_budget_burst,
-            config.retry_budget_floor_per_sec,
+            RETRY_BUDGET_RATIO, RETRY_BUDGET_BURST, RETRY_BUDGET_FLOOR_PER_SEC
         )
         self.breaker_threshold = config.breaker_threshold
-        self.breaker_cooldown = config.breaker_cooldown
+        self.breaker_cooldown = BREAKER_COOLDOWN
         self.breakers: dict[tuple[str, str], CircuitBreaker] = {}
         #: Requests diverted to the parking lot by an open breaker.
         self.diverted = 0

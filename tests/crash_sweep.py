@@ -21,6 +21,9 @@ the surviving workers' heartbeats and the control plane's sweeps go on.
 The golden sweep runs under any switch a caller names: :func:`boot`,
 :func:`crash_point` and :func:`sweep` take ``overrides``, a dict of
 ``KarConfig`` fields over the golden config (``{}`` for the golden one).
+:func:`crash_point` and :func:`sweep` also take ``"module.NAME"`` keys: a
+constant of that ``repro.core`` module, set for the point and restored
+after it.
 :data:`SWITCHES` names every non-default setting that claims the guarantee;
 :data:`NOT_SWEPT` says why each other ``KarConfig`` field is left out.
 :data:`BASELINE`, the at-least-once baseline, is the negative control: a
@@ -32,6 +35,10 @@ tier-1 runs the named counterexamples and strided slices
 """
 
 from __future__ import annotations
+
+import importlib
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.core import KarApplication, KarConfig, actor_proxy
 from repro.persist import PersistenceConfig
@@ -51,6 +58,7 @@ __all__ = [
     "REMOVAL_POINTS",
     "SWITCHES",
     "boot",
+    "constants",
     "crash_point",
     "removal_point",
     "removal_sweep",
@@ -83,8 +91,11 @@ SWITCHES = {
         "maintenance_interval": 0.05,
     },
     "overload_guard=False": {"overload_guard": False},
-    "mailbox_capacity=2": {"mailbox_capacity": 2},
-    "breaker_threshold=1": {"breaker_threshold": 1, "breaker_cooldown": 0.05},
+    "mailbox_capacity=2": {"overload.MAILBOX_CAPACITY": 2},
+    "breaker_threshold=1": {
+        "breaker_threshold": 1,
+        "overload.BREAKER_COOLDOWN": 0.05,
+    },
     "send_linger=0.002": {"send_linger": 0.002},
 }
 
@@ -97,15 +108,10 @@ NOT_SWEPT = {
     "persistence": "every sweep runs on both backends",
     "send_batch_max": "bounds the batches send_linger forms; swept at its "
     "default under that switch",
-    "retry_budget_burst": "paces retries only; overload_guard=False sweeps "
-    "without the budget",
-    "retry_budget_floor_per_sec": "paces retries only; overload_guard=False "
-    "sweeps without the budget",
     "dedup_retention_slack": "a horizon far beyond a swept run's length",
     "reminder_tick": "the golden workflow sets no reminder",
     "worker_loop_cost": "the golden workflow runs no workers; the removal "
     "sweep does",
-    "worker_heartbeat_interval": "the golden workflow runs no workers",
     "drain_timeout": "the golden workflow moves no component",
     **dict.fromkeys(
         (
@@ -164,35 +170,55 @@ def spawn_audits(app: KarApplication) -> list[SimTask]:
     ]
 
 
+@contextmanager
+def constants(overrides: dict) -> Iterator[dict]:
+    """Set each ``"module.NAME"`` entry of ``overrides`` on that
+    ``repro.core`` module, yield the rest (the ``KarConfig`` fields), and
+    restore every constant on the way out, also on an error."""
+    saved = []
+    try:
+        for key, value in overrides.items():
+            if "." in key:
+                module_name, name = key.split(".")
+                module = importlib.import_module(f"repro.core.{module_name}")
+                saved.append((module, name, getattr(module, name)))
+                setattr(module, name, value)
+        yield {key: value for key, value in overrides.items() if "." not in key}
+    finally:
+        for module, name, value in reversed(saved):
+            setattr(module, name, value)
+
+
 def crash_point(
     mode: str, root: str, k: int, kill: str, overrides: dict
 ) -> list[KarApplication]:
     """Run the audits for ``k`` events, strike with ``kill``, settle; return
     every boot, the running one last."""
-    app = boot(mode, root, overrides)
-    kernel = app.kernel
-    audits = spawn_audits(app)
-    try:
-        kernel.run(max_events=k)
-    except RuntimeError:
-        pass  # the runaway guard is the stopwatch
-    if kill == "reopen":
-        boots = [app, app.reopen()]
-        add_components(boots[-1])
-        drain(boots[-1])
-    else:
-        victims = ("w1",) if kill.startswith("restart") else COMPONENTS
-        for name in victims:
-            app.kill_component(name)
-        if kill != "restart-after":
+    with constants(overrides) as fields:
+        app = boot(mode, root, fields)
+        kernel = app.kernel
+        audits = spawn_audits(app)
+        try:
+            kernel.run(max_events=k)
+        except RuntimeError:
+            pass  # the runaway guard is the stopwatch
+        if kill == "reopen":
+            boots = [app, app.reopen()]
+            add_components(boots[-1])
+            drain(boots[-1])
+        else:
+            victims = ("w1",) if kill.startswith("restart") else COMPONENTS
             for name in victims:
-                app.restart_component(name)
-        kernel.run_until_complete(kernel.gather(audits), timeout=600.0)
-        if kill == "restart-after":
-            app.restart_component("w1")
-        boots = [app]
-    kernel.run(until=kernel.now + 5.0)
-    return boots
+                app.kill_component(name)
+            if kill != "restart-after":
+                for name in victims:
+                    app.restart_component(name)
+            kernel.run_until_complete(kernel.gather(audits), timeout=600.0)
+            if kill == "restart-after":
+                app.restart_component("w1")
+            boots = [app]
+        kernel.run(until=kernel.now + 5.0)
+        return boots
 
 
 def drain(app: KarApplication, max_wait: float = 180.0) -> None:

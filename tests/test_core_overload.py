@@ -8,7 +8,7 @@ import pytest
 
 from helpers import Latch, make_app, run
 from oracle import check_guarantee
-from repro.core import Actor, ActorMethodError, KarConfig, actor_proxy
+from repro.core import Actor, ActorMethodError, KarConfig, actor_proxy, overload
 from repro.core.dispatcher import ActorMailbox
 from repro.core.envelope import Request
 from repro.core.overload import (
@@ -127,7 +127,7 @@ def test_guard_admits_and_records_success_inline_while_closed():
     """``OverloadGuard`` answers a closed breaker itself (no
     ``CircuitBreaker.admit`` / ``record_success`` call); the state machine
     it skips must still hold: a success clears the failure streak."""
-    guard = guard_with(breaker_threshold=3, breaker_cooldown=10.0)
+    guard = guard_with(breaker_threshold=3)
     request = _request("c0")
     assert guard.breaker_diverts(request, 0.0) is None  # made on first use
     breaker = guard.breakers[("T", "m")]
@@ -142,8 +142,9 @@ def test_guard_admits_and_records_success_inline_while_closed():
     assert guard.diverted == 0 and breaker.transitions == []
 
 
-def test_guard_open_diverts_and_half_open_admits_exactly_one_probe():
-    guard = guard_with(breaker_threshold=1, breaker_cooldown=1.0)
+def test_guard_open_diverts_and_half_open_admits_exactly_one_probe(monkeypatch):
+    monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 1.0)
+    guard = guard_with(breaker_threshold=1)
     counted = guard._open_breakers
     assert counted.count == 0
     assert guard.record_failure(_request("r0"), "boom", 0.0) == "closed->open"
@@ -169,7 +170,7 @@ def test_guard_open_diverts_and_half_open_admits_exactly_one_probe():
 def test_admission_reads_no_component_while_no_breaker_is_open(monkeypatch):
     """``KarApi`` admission is one check while no breaker is open anywhere;
     once one opens it scans the components for it, and a reset ends that."""
-    kernel, app = make_app(seed=17, breaker_threshold=1, breaker_cooldown=60.0)
+    kernel, app = make_app(seed=17, breaker_threshold=1)
     name = app.register_actor(Latch)
     worker = app.add_component("w1", (name,))
     api = app.api()
@@ -185,7 +186,9 @@ def test_admission_reads_no_component_while_no_breaker_is_open(monkeypatch):
         "boom",
         kernel.now,
     )
-    assert api.breaker_retry_after(name, "set") == pytest.approx(60.0)
+    assert api.breaker_retry_after(name, "set") == pytest.approx(
+        overload.BREAKER_COOLDOWN
+    )
     assert scans  # the open breaker is found by the scan
     app.redeliver_dead_letters()  # force-closes every breaker
     scans.clear()
@@ -301,9 +304,7 @@ def trip(kernel, app, ref, calls):
 def test_breaker_diverts_to_dead_letters_and_replays_exactly_once():
     Flaky.healthy = False
     Flaky.executions = {}
-    kernel, app = make_app(
-        seed=11, breaker_threshold=3, breaker_cooldown=300.0
-    )
+    kernel, app = make_app(seed=11, breaker_threshold=3)
     name = app.register_actor(Flaky)
     app.add_component("w1", (name,))
     client = app.client()
@@ -350,12 +351,11 @@ def test_breaker_diverts_to_dead_letters_and_replays_exactly_once():
     check_guarantee(app)
 
 
-def test_halfopen_concurrent_arrivals_admit_one_probe_end_to_end():
+def test_halfopen_concurrent_arrivals_admit_one_probe_end_to_end(monkeypatch):
     SlowProbe.healthy = False
     SlowProbe.executions = {}
-    kernel, app = make_app(
-        seed=12, breaker_threshold=2, breaker_cooldown=1.0
-    )
+    monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 1.0)
+    kernel, app = make_app(seed=12, breaker_threshold=2)
     name = app.register_actor(SlowProbe)
     app.add_component("w1", (name,))
     client = app.client()

@@ -216,6 +216,79 @@ def test_fenced_component_terminates_itself():
 
 
 # ----------------------------------------------------------------------
+# (tail-self) recovery order: a held tail chain resumes before arrivals
+# ----------------------------------------------------------------------
+class Hop(Actor):
+    async def start(self, ctx, wid, hops):
+        return ctx.tail_call(actor_proxy("Total", f"t{wid % 8}"), "add", wid, hops)
+
+
+class Total(Actor):
+    """``add`` reads and tail-calls itself to ``commit`` the read plus one:
+    anything that runs on the actor between the two loses an increment."""
+
+    async def add(self, ctx, wid, hops):
+        total = await ctx.state.get("total", 0)
+        return ctx.tail_call(None, "commit", wid, hops, total + 1)
+
+    async def commit(self, ctx, wid, hops, new_total):
+        await ctx.state.set("total", new_total)
+        if hops > 1:
+            return ctx.tail_call(actor_proxy("Hop", f"f{wid}"), "start", wid, hops - 1)
+        return "done"
+
+    async def report(self, ctx):
+        return await ctx.state.get("total", 0)
+
+
+@pytest.mark.parametrize("mode", ["memory", "sqlite"])
+def test_tail_self_copies_recover_before_other_stranded_requests(mode, tmp_path):
+    """Sixteen four-hop chains, two per ``Total`` actor, killed with every
+    process 0.035 s in and reopened. Among the stranded requests, the
+    reconciler copies the ``commit`` tail calls that hold their actor's lock
+    first; copied in request-id order instead, a waiting chain's ``add``
+    slips in between another's ``add`` and ``commit``: two commits are
+    lost and the oracle reports two "tail lock" lines."""
+    persistence = (
+        PersistenceConfig.sqlite(str(tmp_path))
+        if mode == "sqlite"
+        else PersistenceConfig()
+    )
+    kernel, app = make_app(seed=3, persistence=persistence)
+    app.register_actor(Hop)
+    app.register_actor(Total)
+
+    def deploy(boot):
+        for name in ("w0", "w1"):
+            boot.add_component(name, ("Hop", "Total"))
+        client = boot.client()
+        boot.settle()
+        return client
+
+    client = deploy(app)
+    for wid in range(16):
+        kernel.spawn(
+            client.invoke(None, actor_proxy("Hop", f"f{wid}"), "start", (wid, 4), True),
+            client.process,
+        )
+    kernel.run(until=kernel.now + 0.035)
+    assert app.stats("calls")["unsettled"]  # the kill strands work
+    reopened = app.reopen()
+    deploy(reopened)
+    deadline = kernel.now + 120.0
+    while reopened.stats("calls")["unsettled"] and kernel.now < deadline:
+        kernel.run(until=kernel.now + 0.5)
+    kernel.run(until=kernel.now + 5.0)
+    totals = [
+        reopened.run_call(actor_proxy("Total", f"t{index}"), "report")
+        for index in range(8)
+    ]
+    assert totals == [8] * 8  # two chains of four commits each
+    check_guarantee(app, reopened)
+    reopened.shutdown()
+
+
+# ----------------------------------------------------------------------
 # a metadata write that fails (ENOSPC) wedges nothing
 # ----------------------------------------------------------------------
 def failing_set_meta(app, prefix, times=1):

@@ -14,6 +14,7 @@ all 1,063 golden points under every pair and every removal point, and with
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import itertools
 
 import pytest
@@ -28,6 +29,7 @@ from crash_sweep import (
     REMOVAL_POINTS,
     SWITCHES,
     boot,
+    constants,
     crash_point,
     removal_point,
     removal_sweep,
@@ -38,7 +40,7 @@ from crash_sweep import (
     violations,
 )
 from oracle import check_guarantee
-from repro.core import KarConfig, actor_proxy
+from repro.core import KarConfig, actor_proxy, overload
 from test_placement_ctl import make_cluster, totals_of
 
 PAIRS = list(itertools.product(MODES, KILLS))
@@ -172,10 +174,25 @@ def test_every_switch_keeps_the_guarantee_on_a_strided_slice(switch, tmp_path):
 
 
 def test_every_config_field_is_swept_or_excused():
-    swept = {name for overrides in SWITCHES.values() for name in overrides}
+    keys = {key for overrides in SWITCHES.values() for key in overrides}
+    swept = {key for key in keys if "." not in key}
     names = {field.name for field in dataclasses.fields(KarConfig)}
     assert swept.isdisjoint(NOT_SWEPT)
     assert swept | set(NOT_SWEPT) == names
+    for key in keys - swept:  # a module constant: it must exist
+        module_name, name = key.split(".")
+        assert hasattr(importlib.import_module(f"repro.core.{module_name}"), name)
+
+
+def test_a_switched_constant_is_restored_after_the_point_also_on_an_error():
+    capacity = overload.MAILBOX_CAPACITY
+    overrides = {**SWITCHES["mailbox_capacity=2"], "cancellation": False}
+    with pytest.raises(KeyError):
+        with constants(overrides) as fields:
+            assert overload.MAILBOX_CAPACITY == 2
+            assert fields == {"cancellation": False}
+            raise KeyError("a point that raises")
+    assert overload.MAILBOX_CAPACITY == capacity
 
 
 @pytest.mark.parametrize("kill", KILLS)

@@ -30,6 +30,7 @@ from repro.core import (
     KarError,
     NoPlacementError,
     UnknownActorTypeError,
+    overload,
 )
 from repro.core.overload import BACKOFF
 from repro.kvstore.errors import FencedClientError
@@ -583,8 +584,9 @@ def test_error_mapping_table():
             assert not issubclass(later_type, exc_type) or later_type is exc_type
 
 
-def test_breaker_open_maps_to_503_with_retry_after_header():
-    kernel, app = build_app(breaker_threshold=3, breaker_cooldown=300.0)
+def test_breaker_open_maps_to_503_with_retry_after_header(monkeypatch):
+    monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 300.0)
+    kernel, app = build_app(breaker_threshold=3)
 
     async def scenario():
         gateway, host, port = await serve(app)

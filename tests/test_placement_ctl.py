@@ -26,6 +26,7 @@ from repro.core import (
     actor_proxy,
     placement_ctl,
 )
+from repro.core.cluster import WORKER_HEARTBEAT_INTERVAL
 from repro.sim import Kernel
 
 from helpers import Counter
@@ -217,7 +218,7 @@ def test_wedged_worker_stops_its_heartbeat_and_is_failed_over():
 
     victim.wedge()
     wedged_at = kernel.now
-    interval = app.config.worker_heartbeat_interval
+    interval = WORKER_HEARTBEAT_INTERVAL
     # The stalled loop writes no heartbeat: the one sweep that catches a
     # dead worker catches this one too, its processes still alive.
     kernel.run(until=wedged_at + 5 * interval)
@@ -242,6 +243,6 @@ def test_healthy_idle_cluster_fails_no_worker():
     tasks = pump(kernel, app.client(), ids, 5)
     kernel.run_until_complete(kernel.gather(tasks), timeout=600)
     # Idle for fifty heartbeat intervals: every loop keeps beating.
-    kernel.run(until=kernel.now + 50 * app.config.worker_heartbeat_interval)
+    kernel.run(until=kernel.now + 50 * WORKER_HEARTBEAT_INTERVAL)
     assert app.control.workers_failed == []
     assert all(worker.alive for worker in app.control.workers.values())
