@@ -9,11 +9,16 @@ With the SQLite store + file-journal broker log, that reconstruction crosses
 a real serialization boundary (bytes on disk), exactly what a new OS process
 would read after a crash.
 
-Measured per backend: records replayed, reconciliation copies, recovery
-time (simulated seconds from reopen until every in-flight call settled),
-and the exactly-once evidence -- per-actor commit totals must equal the
-workflow count precisely, and the journal must retain completion evidence
-for every request id it retains a request for.
+Measured per backend: records replayed, values decoded, reconciliation
+copies, recovery time (simulated seconds from reopen until every in-flight
+call settled), and the exactly-once evidence -- per-actor commit totals must
+equal the workflow count precisely, and the journal must retain completion
+evidence for every request id it retains a request for.
+
+Values decoded counts ``framing.decode_value`` calls from ``reopen()`` until
+every call settled: a replayed record's value is decoded only when read,
+and recovery reads at most one record per request that was unsettled at the
+crash (its latest step), so the count is at most the in-flight count.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import tempfile
 
 from repro.bench import render_table
 from repro.core import Actor, KarApplication, KarConfig, actor_proxy
-from repro.persist import PersistenceConfig
+from repro.persist import PersistenceConfig, framing
 from repro.sim import Kernel
 
 from _shared import FULL, emit
@@ -96,12 +101,24 @@ def run_restart(mode: str) -> dict:
         in_flight = len(app.stats("calls")["unsettled"])
         app.shutdown()  # the whole process dies, mid-workflow
 
-        app2 = app.reopen()
-        reopen_at = kernel.now
-        _deploy(app2)
-        deadline = kernel.now + 600.0
-        while app2.stats("calls")["unsettled"] and kernel.now < deadline:
-            kernel.run(until=kernel.now + 0.5)
+        decoded = 0
+        decode_value = framing.decode_value
+
+        def counted(data, pos=0):
+            nonlocal decoded
+            decoded += 1
+            return decode_value(data, pos)
+
+        framing.decode_value = counted
+        try:
+            app2 = app.reopen()
+            reopen_at = kernel.now
+            _deploy(app2)
+            deadline = kernel.now + 600.0
+            while app2.stats("calls")["unsettled"] and kernel.now < deadline:
+                kernel.run(until=kernel.now + 0.5)
+        finally:
+            framing.decode_value = decode_value
         unsettled_after = len(app2.stats("calls")["unsettled"])
         recovery_seconds = kernel.now - reopen_at
 
@@ -118,6 +135,7 @@ def run_restart(mode: str) -> dict:
             "in_flight_at_crash": in_flight,
             "completed_before": len(completed_before),
             "replayed_records": app2.restored_records,
+            "decoded_values": decoded,
             "reconcile_copies": copies,
             "recovery_seconds": recovery_seconds,
             "unsettled_after": unsettled_after,
@@ -143,6 +161,7 @@ def test_cold_restart_settles_every_call_exactly_once(benchmark):
                 "Backend",
                 "In flight",
                 "Replayed",
+                "Decoded",
                 "Copies",
                 "Recovery (s)",
                 "Unsettled",
@@ -153,6 +172,7 @@ def test_cold_restart_settles_every_call_exactly_once(benchmark):
                     r["mode"],
                     r["in_flight_at_crash"],
                     r["replayed_records"],
+                    r["decoded_values"],
                     r["reconcile_copies"],
                     round(r["recovery_seconds"], 2),
                     r["unsettled_after"],
@@ -178,6 +198,9 @@ def test_cold_restart_settles_every_call_exactly_once(benchmark):
         # hop committed exactly one increment.
         assert row["unsettled_after"] == 0
         assert row["commit_total"] == row["expected_total"]
+        # Recovery reads only what it acts on: at most one value per
+        # request id unsettled at the crash (none without a journal).
+        assert row["decoded_values"] <= row["in_flight_at_crash"]
 
     sqlite_row = rows[1]
     benchmark.extra_info["sqlite_recovery_seconds"] = sqlite_row[
@@ -186,3 +209,4 @@ def test_cold_restart_settles_every_call_exactly_once(benchmark):
     benchmark.extra_info["sqlite_replayed_records"] = sqlite_row[
         "replayed_records"
     ]
+    benchmark.extra_info["sqlite_decoded_values"] = sqlite_row["decoded_values"]

@@ -15,7 +15,8 @@ Usage::
 
 Gated metrics (higher = worse, fail above baseline * 1.10) cover the fan-in
 produce round trips, the stateful store round trips / median call latency /
-per-call allocation blocks / durable journal bytes, the codec encoded bytes
+per-call allocation blocks / durable journal bytes, the values a cold
+restart decodes, the codec encoded bytes
 and allocation blocks, and the lifecycle resident-footprint counts; the storm
 goodput ratio and the multi-worker scale-out speedups gate in the other
 direction (lower = worse, fail below baseline * 0.90 or the absolute
@@ -46,6 +47,7 @@ GATED_HIGHER_IS_WORSE = (
     "fanout_stateful_median_call_ms",
     "fanout_stateful_alloc_blocks_per_call",
     "fanout_stateful_journal_bytes",
+    "restart_sqlite_decoded_values",
     "codec_binary_bytes",
     "codec_binary_alloc_blocks",
     "lifecycle_peak_instances",
@@ -131,6 +133,7 @@ def collect_metrics() -> dict[str, float]:
     }
     sqlite_row = restart_rows["sqlite"]
     metrics["restart_sqlite_replayed_records"] = sqlite_row["replayed_records"]
+    metrics["restart_sqlite_decoded_values"] = sqlite_row["decoded_values"]
     metrics["restart_sqlite_reconcile_copies"] = sqlite_row["reconcile_copies"]
     metrics["restart_sqlite_recovery_seconds"] = round(
         sqlite_row["recovery_seconds"], 4

@@ -442,10 +442,12 @@ class KarApplication:
         responded: set[str] = set()
         topic = self.broker.topics.get(self.topic_name)
         if topic is not None:
-            for record in topic.snapshot_unexpired(self.kernel.now):
-                key = envelope_id(record)
-                if key is not None:
-                    (responded if key[0] else requested).add(key[1])
+            now = self.kernel.now
+            for partition in topic.partitions.values():
+                for record in partition.unexpired(now):
+                    key = envelope_id(record)
+                    if key is not None:
+                        (responded if key[0] else requested).add(key[1])
         return requested, responded
 
     def _gateway_stats(self) -> dict[str, Any]:

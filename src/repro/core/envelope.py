@@ -159,15 +159,17 @@ register_frame_type(Response, RESPONSE_TYPE_ID)
 register_frame_type(TailCall, TAILCALL_TYPE_ID)
 
 
-def envelope_id(record: Record) -> tuple[bool, str] | None:
-    """``(is a response, request id)`` of a request or response record, or
-    None for any other record. A replayed record answers from its frame
-    bytes: which calls are settled is known without decoding them."""
+def envelope_id(record: Record) -> tuple[bool, str, int | None] | None:
+    """``(is a response, request id, step)`` of a request or response
+    record (the step is None for a response), or None for any other record.
+    A replayed record answers from its frame bytes: which calls are settled,
+    and which record of a request is its latest, is known without decoding
+    them."""
     if type(record) is ReplayedRecord:
         return record.envelope_key
     envelope = record.value
     if isinstance(envelope, Response):
-        return True, envelope.request_id
+        return True, envelope.request_id, None
     if isinstance(envelope, Request):
-        return False, envelope.request_id
+        return False, envelope.request_id, envelope.step
     return None

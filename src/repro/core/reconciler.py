@@ -23,6 +23,7 @@ idempotent (consumers deduplicate by request id and step).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.envelope import Request, envelope_id
@@ -55,48 +56,25 @@ class Reconciler:
         topic = self.app.broker.topic(self.app.topic_name)
         trace = component.trace
 
-        catalog = topic.snapshot_unexpired(self.kernel.now)
+        # The catalog of unexpired messages, one snapshot per partition:
+        # nothing below needs them in one global order.
+        now = self.kernel.now
+        catalog = [partition.unexpired(now) for partition in topic.partitions.values()]
+        cataloged = sum(map(len, catalog))
         scan_cost = self.config.reconcile_base.sample(
             self.kernel.rng
-        ) + self.config.reconcile_per_message * len(catalog)
+        ) + self.config.reconcile_per_message * cataloged
         trace.emit(
             "reconcile.start",
             generation=info.generation,
             leader=component.member_id,
-            cataloged=len(catalog),
+            cataloged=cataloged,
             failed=list(info.failed),
         )
         await self.kernel.sleep(scan_cost)
 
         live_members = set(info.members)
-        # Pass 1 reads request ids only, so a settled call's records are
-        # never decoded. Pass 2 weighs only unsettled requests: the stranded
-        # set and each caller's first unsettled child come out as they would
-        # if settled requests were weighed too.
-        responses: set[str] = set()
-        requests: list[tuple[str, Record]] = []
-        for record in catalog:
-            key = envelope_id(record)
-            if key is not None:
-                if key[0]:
-                    responses.add(key[1])
-                else:
-                    requests.append((key[1], record))
-        latest_request: dict[str, tuple[str, Request]] = {}
-        children: dict[str, list[str]] = {}
-        for request_id, record in requests:
-            if request_id in responses:
-                continue
-            envelope = record.value
-            current = latest_request.get(request_id)
-            if current is None or self._supersedes(
-                record.partition, envelope, current[0], current[1], live_members
-            ):
-                latest_request[request_id] = (record.partition, envelope)
-            if envelope.return_address is not None:
-                siblings = children.setdefault(envelope.return_address, [])
-                if request_id not in siblings:
-                    siblings.append(request_id)
+        responses, latest_request, children = self.weigh(catalog, live_members)
 
         # Stranded = pending (no matching response) and the latest record
         # sits in a queue whose owner is no longer a group member.
@@ -259,6 +237,71 @@ class Reconciler:
             dropped=dropped,
         )
         coordinator.resume(info.generation)
+
+    @staticmethod
+    def weigh(
+        catalog: list[list[Record]], live_members: set[str]
+    ) -> tuple[set[str], dict[str, tuple[str, Request]], dict[str, list[str]]]:
+        """Weigh the catalog, one list of records per partition.
+
+        Returns the ids with a response, each unsettled request id's best
+        record as ``(partition, request)`` (see :meth:`_supersedes`), and
+        each caller's unsettled children, oldest first.
+
+        Pass 1 reads ids and steps only (a replayed record's are peeked
+        from its frame bytes), so a settled call's records are never
+        decoded. Pass 2 decodes, per unsettled id, the records at its
+        latest step: one, unless an equal-step copy rivals it. The stranded
+        set and each caller's first unsettled child come out as they would
+        if every record were decoded in the catalog's global order.
+        """
+        responses: set[str] = set()
+        # Request id -> (timestamp, partition, offset, step, record) of each
+        # of its records: its place in the global order, then its step.
+        requests: dict[str, list[tuple[float, str, int, int, Record]]] = {}
+        for records in catalog:
+            for record in records:
+                key = envelope_id(record)
+                if key is None:
+                    continue
+                if key[0]:
+                    responses.add(key[1])
+                    continue
+                item = (
+                    record.timestamp, record.partition, record.offset, key[2], record
+                )
+                items = requests.get(key[1])
+                if items is None:
+                    requests[key[1]] = [item]
+                else:
+                    items.append(item)
+        kept: list[tuple[tuple, str, str, Request]] = []
+        for request_id, items in requests.items():
+            if request_id in responses:
+                continue
+            items.sort()  # global order: no two records share a place
+            latest = max(map(itemgetter(3), items))
+            winner: tuple[str, Request] | None = None
+            for item in items:
+                if item[3] == latest:
+                    record = item[4]
+                    if winner is None or Reconciler._supersedes(
+                        record.partition, record.value, *winner, live_members
+                    ):
+                        winner = (record.partition, record.value)
+            assert winner is not None
+            kept.append((items[0][:3], request_id, *winner))
+        # In the order of each request's first record: a caller's children
+        # come out oldest first, as a merge of the whole catalog gives them
+        # (``return_address`` is the same on every step of an id).
+        kept.sort(key=itemgetter(0))
+        latest_request: dict[str, tuple[str, Request]] = {}
+        children: dict[str, list[str]] = {}
+        for _first, request_id, partition, envelope in kept:
+            latest_request[request_id] = (partition, envelope)
+            if envelope.return_address is not None:
+                children.setdefault(envelope.return_address, []).append(request_id)
+        return responses, latest_request, children
 
     def _dead_letter(
         self, request: Request, limit: int, generation: int

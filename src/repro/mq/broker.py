@@ -173,12 +173,14 @@ class Topic:
             del self.broker._partitions[(self.name, name)]
 
     def snapshot_unexpired(self, now: float) -> list[Record]:
-        """All retained records across partitions -- the reconciliation
-        leader's catalog of unexpired messages (Section 4.3).
+        """All retained records across partitions, in the global order
+        ``(timestamp, partition, offset)``.
 
         Each partition is append-ordered by timestamp already, so a k-way
         merge produces the global order without re-sorting the whole
-        backlog (the backlog is the reconciliation-leader cost driver).
+        backlog. The runtime's own readers (reconciliation, the
+        ``stats("calls")`` view) need no global order and walk each
+        partition's ``unexpired`` records instead.
         """
         def key(record: Record) -> tuple[float, str, int]:
             return (record.timestamp, record.partition, record.offset)

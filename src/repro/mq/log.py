@@ -16,7 +16,8 @@ read and append through without keeping anything of their own.
   records accumulate (retention-driven compaction). Replay is
   offset-indexed: entries carry explicit offsets, so a cold restart
   reconstructs every partition's ``first_retained_offset`` /
-  ``end_offset`` exactly. It decodes only each record's header; values
+  ``end_offset`` exactly. A record's head (partition id, offset,
+  timestamp) is a fixed ``struct`` read without the value codec; values
   stay frame bytes until something reads them.
 
 The log also stores a small metadata map (group generation, component
@@ -44,15 +45,25 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 __all__ = ["BrokerLog", "FileJournalLog", "JOURNAL_HEADER", "MemoryBrokerLog"]
 
-#: Journal version 3: every frame carries a CRC-32 of its payload. (The
-#: value encoding inside the frames is still framing's version 2.)
-JOURNAL_VERSION = 3
+#: Journal version 4: every frame carries a CRC-32 of its payload, and a
+#: record frame opens with a fixed binary head. (The value encoding inside
+#: the frames is still framing's version 2.)
+JOURNAL_VERSION = 4
 #: The four bytes that open a journal file.
 JOURNAL_HEADER = framing.MAGIC + bytes((JOURNAL_VERSION,))
+#: Earlier journal versions, each refused by name: none is read or migrated.
+_RETIRED_VERSIONS = {
+    2: "written before frame checksums",
+    3: "written before binary record heads",
+}
 #: A frame's header: payload length, then CRC-32 of the payload.
 _FRAME_HEAD = struct.Struct("<II")
-#: How every ``r`` payload starts: a 6-tuple opener and the kind string.
-_RECORD_HEAD = framing.encode_value(("r",) + (None,) * 5)[:-5]
+#: A record payload's head: the kind byte ``r``, the partition id its ``p``
+#: entry declared, the offset and the timestamp. The record's value
+#: encoding follows it. Every other entry is a tuple in the value codec,
+#: whose first byte is a tuple opcode, never ``r``.
+_RECORD_HEAD = struct.Struct("<BIqd")
+_RECORD_KIND = ord("r")
 
 
 class _PartitionImage:
@@ -198,28 +209,40 @@ class FileJournalLog(BrokerLog):
     """Append-only file journal with offset-indexed replay and compaction.
 
     The file is :data:`JOURNAL_HEADER` (the frame magic plus journal
-    version 3) followed by frames ``<u32 length><u32 crc32(payload)>
-    <payload>``, each payload one entry tuple in the binary framing codec::
+    version 4) followed by frames ``<u32 length><u32 crc32(payload)>
+    <payload>``. A record's payload is a fixed little-endian head, then
+    the record's value in the binary framing codec::
 
-        ("r", topic, partition, offset, ts, value)   # record
+        <u8 'r'><u32 partition id><i64 offset><f64 ts> value   # record
+
+    Every other payload is one entry tuple in that codec::
+
+        ("p", topic, partition, id)                  # declare a partition id
         ("c", topic, partition, keep_from)           # compaction
         ("d", topic, partition)                      # drop
         ("s", topic, partition, first, next)         # bounds (after rewrite)
         ("m", key, value)                            # metadata (last one wins)
 
-    Replay verifies every frame's CRC and decodes an ``r`` frame's header
-    only: its record is a :class:`~repro.mq.records.ReplayedRecord` whose
-    value is decoded when first read, and which :meth:`rewrite` copies
-    verbatim. A frame that fails its CRC is a torn tail when it is the
-    last thing in the file (see :meth:`_torn`): the appender truncates it
-    and an observer stops there. Anywhere else it is refused as a corrupt
-    journal frame.
+    A ``p`` entry precedes a partition's first record, in the same write.
+    Ids are never reused within a file: a dropped partition's id retires
+    with it, and the queue's next record declares a fresh one. A rewrite
+    declares each retained partition again under the id it has, so the
+    record frames it copies stay valid.
+
+    Replay verifies every frame's CRC and reads an ``r`` frame's head with
+    one ``struct`` unpack: its record is a
+    :class:`~repro.mq.records.ReplayedRecord` whose value is decoded when
+    first read, and which :meth:`rewrite` copies verbatim. A frame that
+    fails its CRC is a torn tail when it is the last thing in the file (see
+    :meth:`_torn`): the appender truncates it and an observer stops there.
+    Anywhere else it is refused as a corrupt journal frame.
 
     A non-empty file that does not start with that header is refused with a
     ``ValueError`` naming the path, and is left untouched: that includes a
-    version-2 journal (no frame checksums), which is neither read nor
-    migrated. So is a journal with a ``<journal>.meta.json`` beside it:
-    metadata used to be that JSON sidecar, and nothing here reads one.
+    version-2 journal (no frame checksums) and a version-3 one (records in
+    the value codec, header and all), neither of which is read or migrated.
+    So is a journal with a ``<journal>.meta.json`` beside it: metadata used
+    to be that JSON sidecar, and nothing here reads one.
 
     Locking: the single appender holds an *exclusive* ``flock`` on the
     ``<journal>.lock`` sidecar for its whole lifetime (a second appender is
@@ -256,6 +279,10 @@ class FileJournalLog(BrokerLog):
         self._compact_ratio = compact_ratio
         #: Record entries sitting in the file since the last rewrite.
         self._disk_records = 0
+        #: The id each partition's records carry in the file (its ``p``).
+        self._part_ids: dict[tuple[str, str], int] = {}
+        #: The next id to declare: above every id the file has seen.
+        self._next_part_id = 0
         #: Full-file rewrites performed (the compaction evidence counter).
         self.rewrites = 0
         if read_only:
@@ -347,10 +374,11 @@ class FileJournalLog(BrokerLog):
         if not data:
             return False
         if not data.startswith(JOURNAL_HEADER):
-            if data.startswith(framing.HEADER):
+            version = data[3] if data[:3] == framing.MAGIC and len(data) > 3 else 0
+            if version in _RETIRED_VERSIONS:
                 raise ValueError(
-                    f"{self.path!r} is a version-2 journal, written before "
-                    "frame checksums; it is neither read nor migrated"
+                    f"{self.path!r} is a version-{version} journal, "
+                    f"{_RETIRED_VERSIONS[version]}; it is neither read nor migrated"
                 )
             raise ValueError(
                 f"{self.path!r} is not a version-{JOURNAL_VERSION} framed "
@@ -359,13 +387,20 @@ class FileJournalLog(BrokerLog):
         view = memoryview(data)
         pos = len(JOURNAL_HEADER)
         total = len(data)
+        frame_head, record_head = _FRAME_HEAD.unpack_from, _RECORD_HEAD.unpack_from
+        crc32 = zlib.crc32
+        head_size, record_head_size = _FRAME_HEAD.size, _RECORD_HEAD.size
+        value_at = head_size + record_head_size
+        # Declared partition id -> (partition name, its image).
+        declared: dict[int, tuple[str, _PartitionImage]] = {}
+        records = 0
         # The loop also stops with fewer bytes left than a frame header:
         # that is a torn header at the tail.
-        while pos + _FRAME_HEAD.size <= total:
-            size, crc = _FRAME_HEAD.unpack_from(data, pos)
-            start = pos + _FRAME_HEAD.size
+        while pos + head_size <= total:
+            size, crc = frame_head(data, pos)
+            start = pos + head_size
             end = start + size
-            if end > total or zlib.crc32(view[start:end]) != crc:
+            if end > total or crc32(view[start:end]) != crc:
                 # The torn residue of a crash mid-write (never acknowledged)
                 # is truncated; a damaged frame with intact ones after it is
                 # corruption, and replay refuses to guess.
@@ -375,12 +410,33 @@ class FileJournalLog(BrokerLog):
                     f"corrupt journal frame at byte {pos} in {self.path!r}"
                 )
             try:
-                self._replay_frame(data, pos, start, end)
+                if size > record_head_size and data[start] == _RECORD_KIND:
+                    _, part_id, offset, timestamp = record_head(data, start)
+                    target = declared.get(part_id)
+                    if target is None:
+                        raise framing.FramingError("undeclared partition id")
+                    partition, image = target
+                    image.records._items.append(
+                        ReplayedRecord(
+                            partition, offset, timestamp, data[pos:end], value_at
+                        )
+                    )
+                    image.next_offset = offset + 1
+                    records += 1
+                else:
+                    # decode_values, not decode_value: the latter is left to
+                    # record values alone, so counting its calls counts
+                    # values decoded.
+                    (entry,), stop = framing.decode_values(data, start, 1)
+                    if stop != end:
+                        raise framing.FramingError("frame length mismatch")
+                    self._apply(entry, declared)
             except framing.FramingError:
                 raise ValueError(
                     f"corrupt journal frame at byte {pos} in {self.path!r}"
                 ) from None
             pos = end
+        self._disk_records += records
         if pos < total and not self.read_only:
             # The torn entry was never acknowledged; drop it. (Observers
             # stop at the tear and leave recovery to the appender.)
@@ -411,44 +467,29 @@ class FileJournalLog(BrokerLog):
                 return False
         return True
 
-    def _replay_frame(self, data: bytes, pos: int, start: int, end: int) -> None:
-        """Apply the checksummed frame ``data[pos:end]`` (payload from
-        ``start``) to the image; a record keeps its value undecoded."""
-        if not data.startswith(_RECORD_HEAD, start):
-            # decode_values, not decode_value: the latter is left to record
-            # values alone, so counting its calls counts values decoded.
-            (entry,), stop = framing.decode_values(data, start, 1)
-            if stop != end:
-                raise framing.FramingError("frame length mismatch")
-            self._apply(entry)
-            return
-        (topic, partition, offset, timestamp), value_at = framing.decode_values(
-            data, start + len(_RECORD_HEAD), 4
-        )
-        # One topic/partition string is shared by thousands of entries:
-        # interning keeps replay memory flat and key comparisons cheap.
-        partition = sys.intern(partition)
-        image = self.image(sys.intern(topic), partition)
-        image.records.append(
-            ReplayedRecord(partition, offset, timestamp, data[pos:end], value_at - pos)
-        )
-        image.next_offset = offset + 1
-        self._disk_records += 1
-
-    def _apply(self, entry: tuple) -> None:
-        """Apply one replayed non-record journal entry to the image."""
+    def _apply(
+        self, entry: tuple, declared: dict[int, tuple[str, _PartitionImage]]
+    ) -> None:
+        """Apply one replayed non-record journal entry to the image;
+        ``declared`` maps each live partition id to its partition."""
         kind = entry[0]
         if kind == "m":
             self._meta[entry[1]] = entry[2]
             return
         topic = sys.intern(entry[1])
         partition = sys.intern(entry[2])
-        if kind == "c":
+        if kind == "p":
+            part_id = entry[3]
+            self._part_ids[(topic, partition)] = part_id
+            declared[part_id] = (partition, self.image(topic, partition))
+            self._next_part_id = max(self._next_part_id, part_id + 1)
+        elif kind == "c":
             image = self.image(topic, partition)
             if entry[3] > image.first_retained_offset:
                 image.trim(entry[3])
         elif kind == "d":
             self._parts.pop((topic, partition), None)
+            declared.pop(self._part_ids.pop((topic, partition), -1), None)
         elif kind == "s":
             image = self.image(topic, partition)
             image.first_retained_offset = entry[3]
@@ -459,17 +500,11 @@ class FileJournalLog(BrokerLog):
     # ------------------------------------------------------------------
     # durability hooks
     # ------------------------------------------------------------------
-    def _record_frame(self, topic: str, record: Record) -> bytes:
-        return self._frame_bytes(
-            (
-                "r",
-                topic,
-                record.partition,
-                record.offset,
-                record.timestamp,
-                record.value,
-            )
-        )
+    @staticmethod
+    def _record_frame(part_id: int, record: Record) -> bytes:
+        head = _RECORD_HEAD.pack(_RECORD_KIND, part_id, record.offset, record.timestamp)
+        payload = head + framing.encode_value(record.value)
+        return _FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
     @staticmethod
     def _frame_bytes(entry: tuple) -> bytes:
@@ -478,12 +513,35 @@ class FileJournalLog(BrokerLog):
 
     def _persist_append(self, topic: str, records: list[Record]) -> None:
         # Every frame is encoded before the first byte is written (an
-        # unencodable payload fails the append with the file untouched),
-        # and one write + flush covers the whole produce round trip.
+        # unencodable payload fails the append with the file untouched, and
+        # declares no id), and one write + flush covers the whole produce
+        # round trip.
         self._assert_writable()
-        self._file.write(b"".join([self._record_frame(topic, r) for r in records]))
+        ids = self._part_ids
+        fresh: dict[tuple[str, str], int] = {}
+        frames: list[bytes] = []
+        for record in records:
+            key = (topic, record.partition)
+            part_id = ids.get(key)
+            if part_id is None:
+                part_id = fresh.get(key)
+                if part_id is None:
+                    part_id = fresh[key] = self._next_part_id + len(fresh)
+                    frames.append(
+                        self._frame_bytes(("p", topic, record.partition, part_id))
+                    )
+            frames.append(self._record_frame(part_id, record))
+        self._file.write(b"".join(frames))
         self._flush_file()
+        if fresh:
+            ids.update(fresh)
+            self._next_part_id += len(fresh)
         self._disk_records += len(records)
+
+    def drop_partition(self, topic: str, partition: str) -> None:
+        super().drop_partition(topic, partition)
+        # The id retires with the queue: nothing declared later reuses it.
+        self._part_ids.pop((topic, partition), None)
 
     def _persist_entry(self, entry: tuple) -> None:
         self._assert_writable()
@@ -520,6 +578,9 @@ class FileJournalLog(BrokerLog):
             for item in self._meta.items():
                 handle.write(self._frame_bytes(("m", *item)))
             for (topic, partition), image in sorted(self._parts.items()):
+                part_id = self._part_ids.get((topic, partition))
+                if part_id is not None:
+                    handle.write(self._frame_bytes(("p", topic, partition, part_id)))
                 handle.write(
                     self._frame_bytes(
                         (
@@ -535,7 +596,7 @@ class FileJournalLog(BrokerLog):
                     handle.write(
                         record.frame
                         if type(record) is ReplayedRecord
-                        else self._record_frame(topic, record)
+                        else self._record_frame(part_id, record)
                     )
             handle.flush()
             if self._fsync:

@@ -48,10 +48,10 @@ class ReplayedRecord(Record):
     ``frame`` is the record's whole journal frame (already checksummed) and
     ``value_at`` where the value's encoding starts in it. The first read of
     ``value`` decodes it through ``framing.decode_value`` and keeps it.
-    ``envelope_key`` is "a response or a request, for which id", peeked
-    from the bytes (``framing.peek_envelope``), and ``frame`` lets a journal
-    rewrite copy the record without decoding it. It compares equal to, and
-    hashes like, the :class:`Record` that was appended.
+    ``envelope_key`` is "a response or a request, for which id, at which
+    step", peeked from the bytes (``framing.peek_envelope``), and ``frame``
+    lets a journal rewrite copy the record without decoding it. It compares
+    equal to, and hashes like, the :class:`Record` that was appended.
     """
 
     __slots__ = ("frame", "_value_at", "envelope_key")
@@ -59,14 +59,15 @@ class ReplayedRecord(Record):
     def __init__(
         self, partition: str, offset: int, timestamp: float, frame: bytes, value_at: int
     ):
-        setattr_ = object.__setattr__
-        setattr_(self, "partition", partition)
-        setattr_(self, "offset", offset)
-        setattr_(self, "timestamp", timestamp)
-        setattr_(self, "frame", frame)
-        setattr_(self, "_value_at", value_at)
-        setattr_(self, "envelope_key", framing.peek_envelope(frame, value_at))
-        _VALUE_SLOT.__set__(self, _UNREAD)
+        # Member-descriptor stores, as ``slot_init`` builds for ``Record``:
+        # replay runs this once per retained record.
+        _set_partition(self, partition)
+        _set_offset(self, offset)
+        _set_timestamp(self, timestamp)
+        _set_frame(self, frame)
+        _set_value_at(self, value_at)
+        _set_envelope_key(self, framing.peek_envelope(frame, value_at))
+        _set_value(self, _UNREAD)
 
     @property
     def value(self) -> Any:  # type: ignore[override]
@@ -75,7 +76,7 @@ class ReplayedRecord(Record):
             value, end = framing.decode_value(self.frame, self._value_at)
             if end != len(self.frame):
                 raise framing.FramingError("journal record frame length mismatch")
-            _VALUE_SLOT.__set__(self, value)
+            _set_value(self, value)
         return value
 
     def __eq__(self, other: object) -> bool:
@@ -89,6 +90,15 @@ class ReplayedRecord(Record):
         )
 
     __hash__ = Record.__hash__
+
+
+_set_partition = Record.__dict__["partition"].__set__
+_set_offset = Record.__dict__["offset"].__set__
+_set_timestamp = Record.__dict__["timestamp"].__set__
+_set_value = _VALUE_SLOT.__set__
+_set_frame = ReplayedRecord.__dict__["frame"].__set__
+_set_value_at = ReplayedRecord.__dict__["_value_at"].__set__
+_set_envelope_key = ReplayedRecord.__dict__["envelope_key"].__set__
 
 
 class RetainedRecords:

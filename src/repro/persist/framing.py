@@ -34,8 +34,9 @@ types the runtime actually persists:
   retry header (``after_callee``/``copy_epoch``/``attempts``/
   ``attempt_log``) -- never re-encode the unchanged fields (the durable
   backends pass none: on their workloads it never hit);
-- :func:`peek_envelope` reads an encoded envelope's request id, and
-  :func:`decode_values` a run of leading values, without decoding the rest;
+- :func:`peek_envelope` reads an encoded envelope's request id (and a
+  request's step), and :func:`decode_values` a run of leading values,
+  without decoding the rest;
 - unregistered dataclasses fall back to import-path encoding and anything
   else to raw pickle bytes.
 """
@@ -747,21 +748,40 @@ def decode_values(data: bytes, pos: int, count: int) -> tuple[list, int]:
         raise FramingError(f"malformed string in frame: {error}") from error
 
 
-def peek_envelope(data: bytes, pos: int = 0) -> tuple[bool, str] | None:
-    """``(is a response, request id)`` of the ``Request`` or ``Response``
-    encoded at ``pos``, or None for any other value.
+def peek_envelope(data: bytes, pos: int = 0) -> tuple[bool, str, int | None] | None:
+    """``(is a response, request id, step)`` of the ``Request`` or
+    ``Response`` encoded at ``pos`` (the step is None for a response), or
+    None for any other value.
 
-    Only the id is decoded: it is wire field 0 of both envelopes (the first
-    core field of a ``Request``, the first field of a ``Response``).
+    Only those fields are decoded: the id is wire field 0 of both envelopes
+    (the first core field of a ``Request``, the first field of a
+    ``Response``), and a request's step is its wire field 1.
     """
     op = data[pos]
     if op != _OP_REQUEST and op != _OP_RESPONSE:
         return None
     try:
-        request_id, _end = _decode_str(data, pos + 1)
+        if data[pos + 1] == _OP_STR8:
+            # The usual shape, read inline: a short id, then a small step.
+            end = pos + 3 + data[pos + 2]
+            if end > len(data):
+                raise FramingError("truncated frame")
+            request_id = data[pos + 3 : end].decode("utf-8")
+        else:
+            request_id, end = _decode_str(data, pos + 1)
+        if op == _OP_RESPONSE:
+            return True, sys.intern(request_id), None
+        if data[end] == _OP_INT8:
+            step = data[end + 1]
+            if step > _INT8_MAX:
+                step -= 0x100
+        else:
+            step, _end = _decode(data, end)
     except (IndexError, struct.error, UnicodeDecodeError) as error:
         raise FramingError(f"malformed envelope frame: {error}") from error
-    return op == _OP_RESPONSE, sys.intern(request_id)
+    if type(step) is not int:
+        raise FramingError("malformed envelope frame: the step is not an int")
+    return False, sys.intern(request_id), step
 
 
 def dumps_frame(value: Any, cache: FrameCache | None = None) -> bytes:

@@ -1,13 +1,17 @@
 """Edge cases in recovery: unplaceable types, duplicate copies, expiry,
-superseded reconciliations, leader failover."""
+superseded reconciliations, leader failover, and how the leader weighs its
+catalog."""
 
 import errno
 
 import pytest
 
 from repro.core import Actor, actor_proxy
-from repro.core.reconciler import UNPLACED_PARTITION
-from repro.persist import PersistenceConfig
+from repro.core.envelope import Request, Response
+from repro.core.reconciler import UNPLACED_PARTITION, Reconciler
+from repro.core.refs import ActorRef
+from repro.mq import FileJournalLog, Record
+from repro.persist import PersistenceConfig, framing
 
 from helpers import Latch, make_app, two_component_app
 from oracle import check_guarantee
@@ -348,3 +352,83 @@ def test_a_refused_epoch_write_leaves_the_epoch_where_the_journal_has_it(
     kernel.run(until=kernel.now + 2.0)
     check_guarantee(app)
     app.shutdown()
+
+
+# ----------------------------------------------------------------------
+# weighing the catalog: one decode per unsettled request, merged order kept
+# ----------------------------------------------------------------------
+def request(request_id, step=0, caller=None, copy_epoch=0):
+    return Request(
+        request_id, step, ActorRef("Latch", "x"), "get", (), caller,
+        "client#0", None, "client#0", copy_epoch=copy_epoch,
+    )
+
+
+def replayed(tmp_path, catalog):
+    """``catalog`` journaled and replayed: the same records, undecoded."""
+    path = str(tmp_path / "weigh.journal")
+    log = FileJournalLog(path)
+    for records in catalog:
+        log.append_many("t", records)
+    log.close()
+    log = FileJournalLog(path)
+    images = {part: records for _, part, _, _, records in log.replay()}
+    log.close()
+    return [images[records[0].partition] for records in catalog]
+
+
+@pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
+def test_an_equal_step_copy_in_a_live_queue_beats_its_dead_rivals(
+    journaled, tmp_path, monkeypatch
+):
+    """At equal step the copy a survivor holds wins, even over a later copy
+    stranded in a dead queue; only the latest step's records are read."""
+    live = [
+        Record("live#1", 0, 3.0, request("r1", step=1, copy_epoch=1)),
+        Record("live#1", 1, 3.0, request("r2")),
+    ]
+    dead = [
+        Record("dead#0", 0, 1.0, request("r1", step=0)),
+        Record("dead#0", 1, 1.5, request("r1", step=1)),
+        Record("dead#0", 2, 1.5, Response("r0")),
+    ]
+    later = [Record("dead#2", 0, 2.0, request("r1", step=1, copy_epoch=2))]
+    catalog = [later, live, dead]
+    if journaled:
+        catalog = replayed(tmp_path, catalog)
+    decoded = []
+    decode_value = framing.decode_value
+    monkeypatch.setattr(
+        framing, "decode_value", lambda *args: decoded.append(1) or decode_value(*args)
+    )
+    for order in (catalog, catalog[::-1]):
+        responses, latest, _children = Reconciler.weigh(order, {"live#1"})
+        assert responses == {"r0"}
+        assert latest["r1"] == ("live#1", request("r1", step=1, copy_epoch=1))
+        assert latest["r2"] == ("live#1", request("r2"))
+    # The three step-1 rivals of r1 and r2's one record, each decoded once.
+    assert len(decoded) == (4 if journaled else 0)
+
+
+@pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
+def test_a_stranded_caller_waits_on_its_oldest_unsettled_child(journaled, tmp_path):
+    """Children are ordered by each one's first record, not by the record
+    that wins: ``a`` was called before ``b`` and tail-called itself after
+    ``b`` was sent, so the retried caller waits on ``a``."""
+    dead = [
+        Record("dead#0", 0, 0.5, request("p")),
+        Record("dead#0", 1, 0.6, request("z", caller="p")),
+        Record("dead#0", 2, 1.0, request("a", caller="p")),
+        Record("dead#0", 3, 3.0, request("b", caller="p")),
+    ]
+    other = [
+        Record("dead#1", 0, 0.7, Response("z")),
+        Record("dead#1", 1, 5.0, request("a", step=1, caller="p")),
+    ]
+    catalog = [other, dead]
+    if journaled:
+        catalog = replayed(tmp_path, catalog)
+    responses, latest, children = Reconciler.weigh(catalog, {"live#1"})
+    assert children == {"p": ["a", "b"]}
+    assert latest["a"] == ("dead#1", request("a", step=1, caller="p"))
+    assert Reconciler._pending_callee(latest["p"][1], children, responses) == "a"

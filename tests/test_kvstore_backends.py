@@ -610,14 +610,14 @@ def test_journal_refuses_unframed_file_and_leaves_it_untouched(tmp_path):
     text = b'{"k":"r","t":"t","p":"p1","o":0,"ts":0.1,"v":"first"}\n'
     path.write_bytes(text)
     harness = LogHarness("journal", tmp_path)
-    with pytest.raises(ValueError, match="conformance.journal.*not a version-3"):
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-4"):
         harness.open()
     assert path.read_bytes() == text
     # A frame header with a version this reader does not know is refused
     # the same way.
     versioned = MAGIC + bytes((1,)) + text
     path.write_bytes(versioned)
-    with pytest.raises(ValueError, match="conformance.journal.*not a version-3"):
+    with pytest.raises(ValueError, match="conformance.journal.*not a version-4"):
         harness.open()
     assert path.read_bytes() == versioned
 

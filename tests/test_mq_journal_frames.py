@@ -1,15 +1,16 @@
 """Checksummed journal frames, and a replay that decodes only what is read.
 
 A journal frame is ``<u32 length><u32 crc32(payload)><payload>``. Replay
-verifies every frame's CRC and decodes a record's header only; the value
-is decoded when something first reads it. Reconciliation and
-``stats("calls")`` read a settled call by its request id alone, so a cold
-restart decodes the unsettled requests and nothing else.
+verifies every frame's CRC and unpacks a record's binary head only; the
+value is decoded when something first reads it. Reconciliation and
+``stats("calls")`` read a call by its request id and step alone, so a cold
+restart decodes one record of each unsettled request and nothing else.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import pytest
 
@@ -46,13 +47,18 @@ def durable_app(root, seed: int = 0) -> KarApplication:
 
 
 def frames(data: bytes) -> list[tuple[int, int, str]]:
-    """``(start, end, kind)`` of every frame after the journal header."""
+    """``(start, end, kind)`` of every frame after the journal header: a
+    record's binary head opens with ``r``, any other entry is a tuple in
+    the value codec whose first item is its kind."""
     spans, pos = [], len(JOURNAL_HEADER)
     while pos < len(data):
         (size,) = struct.unpack_from("<I", data, pos)
         end = pos + 8 + size
-        entry, _ = framing.decode_value(data, pos + 8)
-        spans.append((pos, end, entry[0]))
+        if data[pos + 8] == ord("r"):
+            kind = "r"
+        else:
+            kind = framing.decode_value(data, pos + 8)[0][0]
+        spans.append((pos, end, kind))
         pos = end
     return spans
 
@@ -117,6 +123,98 @@ def test_a_bit_flip_in_the_last_frame_truncates_it_as_a_torn_tail(ledger_journal
         assert ledger_journal.read_bytes() == intact[:start]
 
 
+def test_every_byte_prefix_reopens_to_the_records_of_its_whole_frames(ledger_journal):
+    """A crash can cut the journal after any byte: the appender keeps every
+    whole frame, and truncates the rest."""
+    intact = ledger_journal.read_bytes()
+    cuts = [len(JOURNAL_HEADER)] + [end for _, end, _ in frames(intact)]
+    images = {}
+    for cut in cuts:
+        ledger_journal.write_bytes(intact[:cut])
+        log = FileJournalLog(str(ledger_journal))
+        images[cut] = (list(log.replay()), log.meta_items())
+        log.close()
+    retained = sum(len(records) for *_, records in images[len(intact)][0])
+    assert retained == [kind for *_, kind in frames(intact)].count("r") > 0
+    whole = len(JOURNAL_HEADER)
+    for length in range(len(JOURNAL_HEADER), len(intact) + 1):
+        if length in images:
+            whole = length
+        ledger_journal.write_bytes(intact[:length])
+        log = FileJournalLog(str(ledger_journal))
+        assert (list(log.replay()), log.meta_items()) == images[whole], length
+        log.close()
+        assert ledger_journal.read_bytes() == intact[:whole]
+
+
+def test_a_version_3_journal_is_refused_by_name_and_left_untouched(tmp_path):
+    """Journals whose records carry their header in the value codec (the
+    frame format before binary record heads) are neither read nor
+    migrated."""
+    path = tmp_path / "old.journal"
+    payload = framing.encode_value(("r", "app.topic", "w1#0", 5, 12.25, "v"))
+    old = (
+        framing.MAGIC
+        + bytes((3,))
+        + struct.pack("<II", len(payload), zlib.crc32(payload))
+        + payload
+    )
+    path.write_bytes(old)
+    with pytest.raises(ValueError, match="old.journal.*version-3 journal"):
+        FileJournalLog(str(path))
+    assert path.read_bytes() == old
+
+
+def test_a_rewrite_after_a_drop_and_a_new_partition_reopens_to_the_same_image(
+    tmp_path,
+):
+    """A dropped queue's id retires with it, whether the drop was made in
+    this process or replayed; a rewrite declares each retained partition
+    under the id its copied frames carry."""
+    path = str(tmp_path / "app.journal")
+    log = FileJournalLog(path)
+    log.append_many("t", [Record("a", 0, 0.0, "a0"), Record("b", 0, 0.0, "b0")])
+    log.append_many("t", [Record("a", 1, 0.5, "a1")])
+    log.drop_partition("t", "a")
+    log.append_many("t", [Record("c", 0, 1.0, "c0"), Record("a", 0, 1.0, "a-again")])
+    log.drop_partition("t", "b")
+    log.close()
+    log = FileJournalLog(path)  # the drop of "b" replayed: a new queue
+    log.append_many("t", [Record("b", 0, 1.5, "b-again")])
+    log.close()
+    log = FileJournalLog(path)  # every record replayed: frames copied below
+    log.append_many("u", [Record("b", 0, 2.0, ("u", 1))])
+    image = list(log.replay())
+    assert [
+        (topic, part, [record.value for record in records])
+        for topic, part, _, _, records in image
+    ] == [
+        ("t", "a", ["a-again"]),
+        ("t", "b", ["b-again"]),
+        ("t", "c", ["c0"]),
+        ("u", "b", [("u", 1)]),
+    ]
+    log.rewrite()
+    log.close()
+    log = FileJournalLog(path)
+    assert list(log.replay()) == image
+    # New partitions after the rewrite take ids no retained frame carries.
+    log.append_many("t", [Record("d", 0, 3.0, "d0"), Record("c", 1, 3.0, "c1")])
+    image = list(log.replay())
+    log.close()
+    log = FileJournalLog(path)
+    assert list(log.replay()) == image
+    assert [record.value for *_, records in image for record in records] == [
+        "a-again",
+        "b-again",
+        "c0",
+        "c1",
+        "d0",
+        ("u", 1),
+    ]
+    log.close()
+
+
 def test_replayed_records_equal_the_appended_ones_and_decode_on_first_read(
     tmp_path, counted_decodes
 ):
@@ -154,13 +252,14 @@ def test_compaction_copies_replayed_frames_without_decoding(tmp_path, counted_de
     log = FileJournalLog(path)
     assert list(log.replay()) == image
     assert log.meta_items() == {"app:app:boot": 1}
-    assert [kind for _, _, kind in frames(journal.read_bytes())] == list("msrrrr")
+    assert [kind for _, _, kind in frames(journal.read_bytes())] == list("mpsrrrr")
     log.close()
 
 
 def test_a_cold_restart_decodes_only_the_unsettled_requests(tmp_path, counted_decodes):
     """ROADMAP item 6's count: nothing is decoded inside ``reopen()``, and
-    recovery decodes no more values than the in-flight requests' records."""
+    recovery decodes at most one value per unsettled request id, however
+    many records (steps) of it the journal retains."""
     app = durable_app(tmp_path / "durable", seed=21)
     kernel, client = app.kernel, app.client()
     for amount in range(8):  # settled calls the replay must read through
@@ -190,7 +289,8 @@ def test_a_cold_restart_decodes_only_the_unsettled_requests(tmp_path, counted_de
     deadline = kernel.now + 180.0
     while recovered.stats("calls")["unsettled"] and kernel.now < deadline:
         kernel.run(until=kernel.now + 1.0)
-    assert 0 < len(counted_decodes) <= in_flight_records
+    assert in_flight_records > len(unsettled)  # tail calls left earlier steps
+    assert 0 < len(counted_decodes) <= len(unsettled)
     assert sum(
         recovered.run_call(actor_proxy("Tally", f"t{index}"), "report")
         for index in range(3)

@@ -307,6 +307,8 @@ def test_a_failing_hook_leaves_memory_where_the_file_is(mutate, flavor, tmp_path
 # (c) metadata rides in the journal
 # ----------------------------------------------------------------------
 def frames(path) -> list[tuple]:
+    """Every journal entry; a record as ``("r", partition id, offset, ts,
+    value)`` from its binary head and its encoded value."""
     with open(path, "rb") as handle:
         data = handle.read()
     assert data.startswith(JOURNAL_HEADER)
@@ -314,7 +316,12 @@ def frames(path) -> list[tuple]:
     while pos < len(data):
         size, crc = struct.unpack_from("<II", data, pos)
         assert zlib.crc32(data[pos + 8 : pos + 8 + size]) == crc
-        entry, end = framing.decode_value(data, pos + 8)
+        if data[pos + 8] == ord("r"):
+            kind, *head = struct.unpack_from("<BIqd", data, pos + 8)
+            value, end = framing.decode_value(data, pos + 29)
+            entry = (chr(kind), *head, value)
+        else:
+            entry, end = framing.decode_value(data, pos + 8)
         assert end == pos + 8 + size
         entries.append(entry)
         pos = end
@@ -345,13 +352,14 @@ def test_rewrite_keeps_live_metadata_and_drops_superseded_frames(tmp_path):
         log.set_meta("group:app:generation", generation)
     log.append_many("t", [Record("p", 0, 0.0, "v")])
     log.set_meta("app:app:boot", 2)
-    assert [entry[0] for entry in frames(path)] == list("mmmmmrm")
+    assert [entry[0] for entry in frames(path)] == list("mmmmmprm")
     log.rewrite()
     assert frames(path) == [
         ("m", "group:app:generation", 5),
         ("m", "app:app:boot", 2),
+        ("p", "t", "p", 0),
         ("s", "t", "p", 0, 1),
-        ("r", "t", "p", 0, 0.0, "v"),
+        ("r", 0, 0, 0.0, "v"),
     ]
     log.set_meta("app:app:boot", 3)  # and the rewritten file still appends
     log.close()

@@ -4,7 +4,7 @@ Hypothesis drives arbitrary nested values -- every scalar and container
 the runtime puts on the wire, plus the registered hot-path dataclasses --
 through encode/decode and asserts exact round trips, type preservation
 and deterministic bytes. Golden-bytes tests pin the version-2 encoding and
-the version-3 journal frames around it, and rejection tests pin that
+the version-4 journal frames around it, and rejection tests pin that
 nothing else is accepted as a frame.
 """
 
@@ -281,13 +281,15 @@ GOLDEN_RESPONSE = Response("r42", value={"result": (1, None)})
 GOLDEN_RESPONSE_FRAME = bytes.fromhex(
     "ab4b52021708037234320e010000000806726573756c740c020301000002"
 )
-#: The journal file header: frame magic + journal version 3.
-GOLDEN_JOURNAL_HEADER = bytes.fromhex("ab4b5203")
-#: Length prefix + CRC-32 of the payload + the payload
-#: ("r", "app.topic", "w1#0", 5, 12.25, GOLDEN_RESPONSE).
+#: The journal file header: frame magic + journal version 4.
+GOLDEN_JOURNAL_HEADER = bytes.fromhex("ab4b5204")
+#: Two frames, each a length prefix + CRC-32 of the payload + the payload:
+#: ("p", "app.topic", "w1#0", 0), declaring the partition's id, then the
+#: record head <"r", id 0, offset 5, ts 12.25> and GOLDEN_RESPONSE.
 GOLDEN_JOURNAL_ENTRY = bytes.fromhex(
-    "3b000000dd681e5f0c0608017208096170702e746f7069630804773123300305070000"
-    "0000008028401708037234320e010000000806726573756c740c020301000002"
+    "1800000015ea51ad0c0408017008096170702e746f70696308047731233003002f0000"
+    "007e7bbfa97200000000050000000000000000000000008028401708037234320e0100"
+    "00000806726573756c740c020301000002"
 )
 
 
@@ -301,12 +303,19 @@ def test_golden_request_and_response_frames():
 
 def test_request_id_is_wire_field_zero_of_both_envelopes():
     """Replay reads a settled call by its request id alone, peeking at wire
-    field 0 of the encoded envelope: this pins that layout."""
+    field 0 of the encoded envelope, and a request's latest record by its
+    step, wire field 1: this pins that layout."""
     assert dataclasses.fields(Request)[0].name == "request_id"
+    assert dataclasses.fields(Request)[1].name == "step"
     assert dataclasses.fields(Response)[0].name == "request_id"
-    assert peek_envelope(GOLDEN_REQUEST_FRAME, 4) == (False, "r42")
-    assert peek_envelope(GOLDEN_RESPONSE_FRAME, 4) == (True, "r42")
+    assert peek_envelope(GOLDEN_REQUEST_FRAME, 4) == (False, "r42", 2)
+    assert peek_envelope(GOLDEN_RESPONSE_FRAME, 4) == (True, "r42", None)
     assert peek_envelope(encode_value(("r42", 1))) is None
+    # A long id and a step past one byte take the general decoders.
+    long = dataclasses.replace(GOLDEN_REQUEST, request_id="r" * 300, step=70_000)
+    assert peek_envelope(encode_value(long)) == (False, "r" * 300, 70_000)
+    answer = Response("r" * 300)
+    assert peek_envelope(encode_value(answer)) == (True, "r" * 300, None)
 
 
 def test_golden_journal_file_bytes(tmp_path):
