@@ -4,16 +4,18 @@
 the "dedicated message queue per component" design of Section 4.1 taken to
 its RTT-bound extreme: every request and every response is one broker
 record, and before the batched transport each record paid one full produce
-round trip. With the outbox, envelopes accumulated within ``send_linger``
-coalesce into one ``produce_batch`` round trip per flush.
+round trip. With the outbox, envelopes accumulated within the router's
+``SEND_LINGER`` coalesce into one ``produce_batch`` round trip per flush.
 
-Three transports over the identical workload:
+Three transports over the identical workload, each a setting of the
+``repro.core.router`` constants made for its run and restored after it:
 
-- **unbatched** -- ``send_batch_max=1``: one produce round trip per record,
-  the pre-refactor accounting (sanity-checked: round trips == records);
-- **coalesce** -- default ``send_linger=0.0``: only same-event-loop-turn
-  sends batch, zero added latency;
-- **linger 2ms** -- ``send_linger=0.002``: bursts within the window batch.
+- **unbatched** -- ``SEND_BATCH_MAX = 1``: one produce round trip per
+  record, the pre-refactor accounting (sanity-checked: round trips ==
+  records);
+- **coalesce** -- the default ``SEND_LINGER = 0.0``: only
+  same-event-loop-turn sends batch, zero added latency;
+- **linger 2ms** -- ``SEND_LINGER = 0.002``: bursts within the window batch.
 
 The unbatched transport's *round-trip count* is the pre-refactor number
 (exactly one produce per record); its latency column overstates the old
@@ -26,8 +28,9 @@ from __future__ import annotations
 import gc
 import tempfile
 import tracemalloc
+from unittest import mock
 
-from repro.core import Actor, KarApplication, KarConfig, actor_proxy
+from repro.core import Actor, KarApplication, KarConfig, actor_proxy, router
 from repro.persist import PersistenceConfig
 from repro.sim import Kernel
 from repro.bench import render_table
@@ -53,10 +56,9 @@ class LedgerActor(Actor):
         return total + amount
 
 
-def run_fanout(label: str, **overrides) -> dict:
+def run_fanout(label: str) -> dict:
     kernel = Kernel(seed=11)
-    config = KarConfig.fast_test().with_overrides(**overrides)
-    app = KarApplication(kernel, config)
+    app = KarApplication(kernel, KarConfig.fast_test())
     app.register_actor(EchoActor, name="Echo")
     app.add_component("workers", ("Echo",))
     client = app.client()
@@ -91,11 +93,12 @@ def run_fanout(label: str, **overrides) -> dict:
 
 
 def measure_all():
-    return [
-        run_fanout("unbatched (batch_max=1)", send_batch_max=1),
-        run_fanout("coalesce (linger=0)"),
-        run_fanout("linger 2ms", send_linger=0.002),
-    ]
+    with mock.patch.object(router, "SEND_BATCH_MAX", 1):
+        rows = [run_fanout("unbatched (batch_max=1)")]
+    rows.append(run_fanout("coalesce (linger=0)"))
+    with mock.patch.object(router, "SEND_LINGER", 0.002):
+        rows.append(run_fanout("linger 2ms"))
+    return rows
 
 
 def run_stateful() -> dict:
@@ -197,7 +200,7 @@ def test_fanout_batching_amortizes_produce_round_trips(benchmark):
 
     # Identical workload: the same records land under every transport.
     assert unbatched["records"] == coalesce["records"] == linger["records"]
-    # send_batch_max=1 restores the pre-refactor accounting exactly: one
+    # SEND_BATCH_MAX = 1 restores the pre-refactor accounting exactly: one
     # produce round trip per appended record.
     assert unbatched["round_trips"] == unbatched["records"]
     # Headline: the lingered outbox needs >= 3x fewer round trips at

@@ -41,17 +41,6 @@ class KarConfig:
     # Fixed bookkeeping per actor invocation (id allocation, lock handling).
     invoke_overhead: Latency = Latency.fixed(0.0002)
 
-    # --- batched transport (router / send outbox) --------------------------
-    # How long the first sender into an idle outbox lingers collecting
-    # envelopes before one batched produce round trip. The 0.0 default adds no
-    # simulated delay -- it still coalesces everything enqueued within the
-    # same event-loop turn, preserving the unbatched latency profile --
-    # while a small positive linger trades that latency for far fewer
-    # produce round trips under fan-in.
-    send_linger: float = 0.0
-    # Upper bound on envelopes per batched produce round trip.
-    send_batch_max: int = 64
-
     # --- feature flags: the paper's ablation switches (bench_ablation.py) ---
     placement_cache: bool = True  # Table 2 "no cache" disables this
     cancellation: bool = True  # Section 4.4: elide callees of dead callers

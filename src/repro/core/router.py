@@ -8,7 +8,7 @@ produce round trips by a carrier/rider protocol (the leader/follower shape
 of a group commit), with no task of its own:
 
 - the sender that finds the outbox idle is the *carrier*. It waits out
-  ``KarConfig.send_linger`` itself, cuts up to ``send_batch_max`` envelopes
+  :data:`SEND_LINGER` itself, cuts up to :data:`SEND_BATCH_MAX` envelopes
   from the outbox head (its own first) and takes them through a single
   ``GroupMember.send_batch`` produce round trip in its own frame;
 - every sender that arrives meanwhile is a *rider*: it parks on a future the
@@ -55,6 +55,15 @@ if TYPE_CHECKING:
 
 __all__ = ["Router"]
 
+#: How long the first sender into an idle outbox lingers collecting
+#: envelopes before its produce round trip. Zero adds no simulated delay and
+#: still coalesces every send enqueued in the same event-loop turn; a small
+#: positive linger trades call latency for fewer round trips under fan-in.
+#: Read on every carry, so a test may set it and restore it.
+SEND_LINGER = 0.0
+#: The most envelopes one produce round trip carries (at least 1).
+SEND_BATCH_MAX = 64
+
 
 class _OutboxEntry:
     """One queued envelope. Only a rider sets ``future``: the carrier of its
@@ -80,7 +89,6 @@ class Router:
     def __init__(self, component: "Component"):
         self.component = component
         self.kernel = component.kernel
-        self.config = component.config
         self.coordinator = component.coordinator
         self.trace = component.trace
         self._outbox: list[_OutboxEntry] = []
@@ -151,7 +159,7 @@ class Router:
         Returns the appended :class:`Record` after the covering batch's
         produce ack. Raises :class:`StaleRouteError` (this entry must be
         re-routed), the log's refusal of this entry, or a fence error (the
-        component is dead). A zero ``send_linger`` is still a sleep: it ends
+        component is dead). A zero :data:`SEND_LINGER` is still a sleep: it ends
         after everything already scheduled at this instant, so same-turn
         sends coalesce at no simulated cost.
         """
@@ -165,11 +173,10 @@ class Router:
                 return outcome
         else:
             self._carrying = True
-            await self.kernel.sleep(self.config.send_linger)
+            await self.kernel.sleep(SEND_LINGER)
         # Carrier (first, or promoted): ``own`` is at the outbox head.
-        limit = max(1, self.config.send_batch_max)
-        batch = outbox[:limit]
-        del outbox[:limit]
+        batch = outbox[:SEND_BATCH_MAX]
+        del outbox[:SEND_BATCH_MAX]
         try:
             outcomes = await self._flush_batch(batch)
         except FencedMemberError as error:

@@ -18,7 +18,6 @@ from repro.mq.broker import Broker, BrokerConfig, Topic
 from repro.mq.errors import (
     FencedMemberError,
     JournalLockedError,
-    JournalReadOnlyError,
     MQError,
     StaleLeaseError,
     StaleRouteError,
@@ -41,7 +40,6 @@ __all__ = [
     "GroupCoordinator",
     "GroupMember",
     "JournalLockedError",
-    "JournalReadOnlyError",
     "MQError",
     "MemoryBrokerLog",
     "Record",

@@ -22,7 +22,6 @@ half of the paper's cold-restart recovery story.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -75,8 +74,8 @@ class Partition:
         # Log-append-time is monotonic per partition (as in Kafka): after a
         # cold replay onto a younger clock, new appends may not be stamped
         # below the replayed suffix, or the append-order-implies-timestamp-
-        # order invariant (which snapshot_unexpired's k-way merge relies
-        # on) would break.
+        # order invariant (which expiry's prefix scan relies on) would
+        # break.
         # The backing list, not ``RetainedRecords``: it is empty exactly
         # when nothing is retained, and its last entry is the newest record.
         image = self._image
@@ -171,23 +170,6 @@ class Topic:
             self.broker.log.drop_partition(self.name, name)
             del self.partitions[name]
             del self.broker._partitions[(self.name, name)]
-
-    def snapshot_unexpired(self, now: float) -> list[Record]:
-        """All retained records across partitions, in the global order
-        ``(timestamp, partition, offset)``.
-
-        Each partition is append-ordered by timestamp already, so a k-way
-        merge produces the global order without re-sorting the whole
-        backlog. The runtime's own readers (reconciliation, the
-        ``stats("calls")`` view) need no global order and walk each
-        partition's ``unexpired`` records instead.
-        """
-        def key(record: Record) -> tuple[float, str, int]:
-            return (record.timestamp, record.partition, record.offset)
-
-        streams = [partition.unexpired(now) for partition in self.partitions.values()]
-        return list(heapq.merge(*streams, key=key))
-
 
 class Broker:
     """The message service; survives application failures by assumption."""

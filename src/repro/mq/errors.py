@@ -3,7 +3,6 @@
 __all__ = [
     "FencedMemberError",
     "JournalLockedError",
-    "JournalReadOnlyError",
     "MQError",
     "StaleLeaseError",
     "StaleRouteError",
@@ -49,11 +48,3 @@ class JournalLockedError(MQError):
     interleaving (and corrupting) frames.
     """
 
-
-class JournalReadOnlyError(MQError):
-    """A mutation was attempted through a read-only journal opener.
-
-    Read-only openers are observers of a (possibly live) journal: they
-    replay and inspect, but the single write lock stays with the appender,
-    so any append/compact/rewrite through them is a programming error.
-    """

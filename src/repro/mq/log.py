@@ -13,7 +13,8 @@ read and append through without keeping anything of their own.
 - :class:`FileJournalLog` additionally appends one checksummed binary
   frame per record to a journal file, with retention expiry recorded as
   compaction markers and the whole file rewritten once enough expired
-  records accumulate (retention-driven compaction). Replay is
+  records accumulate (retention-driven compaction, sized by the module
+  constants ``REWRITE_MIN_RECORDS`` and ``REWRITE_RATIO``). Replay is
   offset-indexed: entries carry explicit offsets, so a cold restart
   reconstructs every partition's ``first_retained_offset`` /
   ``end_offset`` exactly. A record's head (partition id, offset,
@@ -34,7 +35,7 @@ import sys
 import zlib
 from typing import Any, Iterator
 
-from repro.mq.errors import JournalLockedError, JournalReadOnlyError
+from repro.mq.errors import JournalLockedError
 from repro.mq.records import Record, ReplayedRecord, RetainedRecords
 from repro.persist import framing
 
@@ -64,6 +65,11 @@ _FRAME_HEAD = struct.Struct("<II")
 #: whose first byte is a tuple opcode, never ``r``.
 _RECORD_HEAD = struct.Struct("<BIqd")
 _RECORD_KIND = ord("r")
+#: A journal is rewritten once at least this many of its record entries
+#: are dead (expired or dropped) ...
+REWRITE_MIN_RECORDS = 4096
+#: ... and the live ones are at most this share of all its record entries.
+REWRITE_RATIO = 0.5
 
 
 class _PartitionImage:
@@ -234,8 +240,8 @@ class FileJournalLog(BrokerLog):
     :class:`~repro.mq.records.ReplayedRecord` whose value is decoded when
     first read, and which :meth:`rewrite` copies verbatim. A frame that
     fails its CRC is a torn tail when it is the last thing in the file (see
-    :meth:`_torn`): the appender truncates it and an observer stops there.
-    Anywhere else it is refused as a corrupt journal frame.
+    :meth:`_torn`), and is truncated. Anywhere else it is refused as a
+    corrupt journal frame.
 
     A non-empty file that does not start with that header is refused with a
     ``ValueError`` naming the path, and is left untouched: that includes a
@@ -248,22 +254,10 @@ class FileJournalLog(BrokerLog):
     ``<journal>.lock`` sidecar for its whole lifetime (a second appender is
     rejected with :class:`JournalLockedError`; the lock survives
     :meth:`rewrite`, whose ``os.replace`` swaps the journal file, not the
-    sidecar). A ``read_only=True`` opener is an observer of a possibly-live
-    journal: it takes a *shared* ``flock`` on the journal file itself --
-    any number of observers coexist with each other and with the appender
-    -- replays a snapshot as of open (reopen to refresh), never truncates a
-    torn tail (that is the appender's recovery job), and raises
-    :class:`JournalReadOnlyError` from every mutation path.
+    sidecar).
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        compact_min_records: int = 4096,
-        compact_ratio: float = 0.5,
-        read_only: bool = False,
-    ):
+    def __init__(self, path: str, fsync: bool = False):
         super().__init__()
         sidecar = path + ".meta.json"
         if os.path.exists(sidecar):
@@ -273,10 +267,7 @@ class FileJournalLog(BrokerLog):
             )
         self.path = path
         self.lock_path = path + ".lock"
-        self.read_only = read_only
         self._fsync = fsync
-        self._compact_min_records = compact_min_records
-        self._compact_ratio = compact_ratio
         #: Record entries sitting in the file since the last rewrite.
         self._disk_records = 0
         #: The id each partition's records carry in the file (its ``p``).
@@ -285,23 +276,16 @@ class FileJournalLog(BrokerLog):
         self._next_part_id = 0
         #: Full-file rewrites performed (the compaction evidence counter).
         self.rewrites = 0
-        if read_only:
-            # Observers replay without the append lock; a missing journal
-            # raises FileNotFoundError (there is nothing to observe yet).
-            self._lock_handle = self._open_shared()
-            self._file = self._lock_handle
-        else:
-            # Take the append lock *before* replaying: two workers must
-            # never interleave frames into one partition journal, so the
-            # second opener is rejected here, before it can observe (or
-            # disturb) the first opener's image.
-            self._lock_handle = self._open_locked()
-            self._file = open(self.path, "ab")
+        # Take the append lock *before* replaying: two workers must never
+        # interleave frames into one partition journal, so the second opener
+        # is rejected here, before it can observe (or disturb) the first
+        # opener's image.
+        self._lock_handle = self._open_locked()
+        self._file = open(self.path, "ab")
         try:
-            found = self._load()
-            if not found and not read_only:
+            if not self._load():
                 self._file.write(JOURNAL_HEADER)
-                self._flush_file()
+                self.flush()
         except BaseException:
             # A refused journal must not keep the append lock: a retry in
             # this process has to see the real error again, not
@@ -309,11 +293,6 @@ class FileJournalLog(BrokerLog):
             self._file.close()
             self._lock_handle.close()
             raise
-
-    @classmethod
-    def open_read_only(cls, path: str) -> "FileJournalLog":
-        """An observer over ``path``: shared lock, snapshot replay."""
-        return cls(path, read_only=True)
 
     def _open_locked(self) -> Any:
         """Take the appender's exclusive advisory lock (sidecar file).
@@ -335,32 +314,6 @@ class FileJournalLog(BrokerLog):
                     "opener; a partition journal admits exactly one appender"
                 ) from None
         return handle
-
-    def _open_shared(self) -> Any:
-        """Take an observer's *shared* advisory lock on the journal file.
-
-        Observers do not contend with the appender (whose exclusive lock
-        lives on the sidecar) or with each other; the shared lock only
-        blocks tools that demand exclusive access to the data file.
-        """
-        handle = open(self.path, "rb")
-        if fcntl is not None:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_SH | fcntl.LOCK_NB)
-            except OSError:
-                handle.close()
-                raise JournalLockedError(
-                    f"journal {self.path!r} is exclusively locked; cannot "
-                    "open a read-only observer"
-                ) from None
-        return handle
-
-    def _assert_writable(self) -> None:
-        if self.read_only:
-            raise JournalReadOnlyError(
-                f"journal {self.path!r} was opened read-only; observers "
-                "replay and inspect, the appender owns every mutation"
-            )
 
     # ------------------------------------------------------------------
     # replaying an existing journal
@@ -437,9 +390,8 @@ class FileJournalLog(BrokerLog):
                 ) from None
             pos = end
         self._disk_records += records
-        if pos < total and not self.read_only:
-            # The torn entry was never acknowledged; drop it. (Observers
-            # stop at the tear and leave recovery to the appender.)
+        if pos < total:
+            # The torn entry was never acknowledged; drop it.
             with open(self.path, "rb+") as handle:
                 handle.truncate(pos)
         return True
@@ -516,7 +468,6 @@ class FileJournalLog(BrokerLog):
         # unencodable payload fails the append with the file untouched, and
         # declares no id), and one write + flush covers the whole produce
         # round trip.
-        self._assert_writable()
         ids = self._part_ids
         fresh: dict[tuple[str, str], int] = {}
         frames: list[bytes] = []
@@ -532,7 +483,7 @@ class FileJournalLog(BrokerLog):
                     )
             frames.append(self._record_frame(part_id, record))
         self._file.write(b"".join(frames))
-        self._flush_file()
+        self.flush()
         if fresh:
             ids.update(fresh)
             self._next_part_id += len(fresh)
@@ -544,11 +495,10 @@ class FileJournalLog(BrokerLog):
         self._part_ids.pop((topic, partition), None)
 
     def _persist_entry(self, entry: tuple) -> None:
-        self._assert_writable()
         self._file.write(self._frame_bytes(entry))
-        self._flush_file()
+        self.flush()
 
-    def _flush_file(self) -> None:
+    def flush(self) -> None:
         self._file.flush()
         if self._fsync:
             os.fsync(self._file.fileno())
@@ -559,9 +509,9 @@ class FileJournalLog(BrokerLog):
     def _maybe_rewrite(self) -> None:
         live = self.retained_records()
         dead = self._disk_records - live
-        if dead < self._compact_min_records:
+        if dead < REWRITE_MIN_RECORDS:
             return
-        if self._disk_records and live > self._compact_ratio * self._disk_records:
+        if self._disk_records and live > REWRITE_RATIO * self._disk_records:
             return
         self.rewrite()
 
@@ -571,7 +521,6 @@ class FileJournalLog(BrokerLog):
         A replayed record is copied as its frame bytes, checksum and all:
         compaction never decodes a value.
         """
-        self._assert_writable()
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as handle:
             handle.write(JOURNAL_HEADER)
@@ -609,16 +558,9 @@ class FileJournalLog(BrokerLog):
         self._disk_records = self.retained_records()
         self.rewrites += 1
 
-    def flush(self) -> None:
-        if self.read_only:
-            return
-        self._flush_file()
-
     def close(self) -> None:
         if self._file.closed:
             return
-        if not self.read_only:
-            self._flush_file()
+        self.flush()
         self._file.close()
-        if not self._lock_handle.closed:
-            self._lock_handle.close()
+        self._lock_handle.close()

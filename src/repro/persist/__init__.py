@@ -51,8 +51,8 @@ class PersistenceConfig:
     and one broker journal are created per application name. ``synchronous``
     sets the SQLite synchronous pragma (``"OFF"``/``"NORMAL"``/``"FULL"``);
     ``fsync_journal`` forces an ``os.fsync`` after every journal flush.
-    When the journal is rewritten in place (retention-driven compaction) is
-    not configured here: the thresholds are ``FileJournalLog``'s defaults.
+    When the journal is rewritten in place is not configured here: see
+    ``repro.mq.log.REWRITE_MIN_RECORDS`` and ``REWRITE_RATIO``.
     """
 
     mode: str = "memory"

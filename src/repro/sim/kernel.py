@@ -37,7 +37,7 @@ instant as a sleeper ran ahead of every sleeper woken at that instant, and
 now runs at its own ``(when, seq)`` place among them.
 
 ``sleep(0)`` still takes two passes through the deque (one that queues the
-resume, one that runs it). The router's ``send_linger`` window and the store
+resume, one that runs it). The router's ``SEND_LINGER`` window and the store
 pipeline's window are zero sleeps, and what rides in a batch is whatever gets
 queued during those two passes; one pass makes the batches smaller.
 """

@@ -96,7 +96,7 @@ SWITCHES = {
         "breaker_threshold": 1,
         "overload.BREAKER_COOLDOWN": 0.05,
     },
-    "send_linger=0.002": {"send_linger": 0.002},
+    "send_linger=0.002": {"router.SEND_LINGER": 0.002},
 }
 
 _LATENCY = "a latency or cost: it moves the schedule, not a mechanism"
@@ -106,8 +106,6 @@ NOT_SWEPT = {
     "orchestrate_retries": "False is the at-least-once baseline (BASELINE)",
     "redelivery_limit": "parks a poison pill unsettled until redelivered by hand",
     "persistence": "every sweep runs on both backends",
-    "send_batch_max": "bounds the batches send_linger forms; swept at its "
-    "default under that switch",
     "dedup_retention_slack": "a horizon far beyond a swept run's length",
     "reminder_tick": "the golden workflow sets no reminder",
     "worker_loop_cost": "the golden workflow runs no workers; the removal "

@@ -22,6 +22,17 @@ def run(kernel, coro, process=None, timeout: float | None = 300.0):
     return kernel.run_until_complete(task, timeout=timeout)
 
 
+def unexpired_in_order(topic, now: float) -> list:
+    """Every unexpired record of ``topic``, ordered by
+    ``(timestamp, partition, offset)``."""
+    records = [
+        record
+        for partition in topic.partitions.values()
+        for record in partition.unexpired(now)
+    ]
+    return sorted(records, key=lambda r: (r.timestamp, r.partition, r.offset))
+
+
 class Latch(Actor):
     """The paper's introductory example (Section 2): volatile state."""
 
@@ -154,4 +165,5 @@ __all__ = [
     "make_app",
     "run",
     "two_component_app",
+    "unexpired_in_order",
 ]

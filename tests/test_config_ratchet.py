@@ -13,7 +13,7 @@ RULE = "no new option, kwarg or env var without deleting one"
 
 @pytest.mark.parametrize(
     "config, ceiling",
-    [(KarConfig, 22), (BrokerConfig, 8), (PersistenceConfig, 4)],
+    [(KarConfig, 20), (BrokerConfig, 8), (PersistenceConfig, 4)],
     ids=lambda value: getattr(value, "__name__", None),
 )
 def test_config_field_counts_are_pinned(config, ceiling):

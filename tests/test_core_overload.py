@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from helpers import Latch, make_app, run
+from helpers import Latch, make_app, run, unexpired_in_order
 from oracle import check_guarantee
 from repro.core import Actor, ActorMethodError, KarConfig, actor_proxy, overload
 from repro.core.dispatcher import ActorMailbox
@@ -288,14 +288,14 @@ class SlowProbe(Actor):
         return f"sent:{job}"
 
 
-def trip(kernel, app, ref, calls):
-    """``calls`` calls that fail in the method: the errors are their
+def trip(kernel, app, ref, calls, method="send"):
+    """``calls`` calls that fail in ``method``: the errors are their
     answers, not crashed tasks."""
     client = app.client()
 
     async def failing_call(n):
         with pytest.raises(ActorMethodError):
-            await client.invoke(None, ref, "send", (f"warm{n}",))
+            await client.invoke(None, ref, method, (f"warm{n}",))
 
     for n in range(calls):
         run(kernel, failing_call(n), client.process)
@@ -403,7 +403,7 @@ def test_replay_of_settled_call_is_deduped():
     topic = app.broker.topics[app.topic_name]
     settled = next(
         record.value
-        for record in topic.snapshot_unexpired(kernel.now)
+        for record in unexpired_in_order(topic, kernel.now)
         if isinstance(record.value, Request) and record.value.method == "set"
     )
     letter = DeadLetter(

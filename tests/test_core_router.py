@@ -1,10 +1,11 @@
 """The batched transport layer: outbox coalescing, stale re-routing,
-tail-call atomicity and ordering under ``send_linger``, memoized routing
+tail-call atomicity and ordering under ``SEND_LINGER``, memoized routing
 tables, and single-flight placement inside a running application."""
 
 import pytest
 
 from repro.core import Actor, KarApplication, KarConfig, actor_proxy
+from repro.core import router as transport
 from repro.core.envelope import Response
 from repro.mq import FencedMemberError, MQError, StaleRouteError
 from repro.sim import Kernel
@@ -72,8 +73,9 @@ def outcomes_of(kernel, tasks, timeout=60.0):
 # outbox coalescing under fan-in
 # ---------------------------------------------------------------------------
 
-def test_fan_in_coalesces_into_batched_round_trips():
-    kernel, app = one_worker_app(41, Echo, send_linger=0.002)
+def test_fan_in_coalesces_into_batched_round_trips(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.002)
+    kernel, app = one_worker_app(41, Echo)
     client = app.client()
     before = app.broker.produce_count
 
@@ -96,7 +98,7 @@ def test_fan_in_coalesces_into_batched_round_trips():
 
 
 def test_zero_linger_coalesces_same_turn_sends_without_delay():
-    kernel, app = one_worker_app(42, Echo)  # send_linger defaults to 0.0
+    kernel, app = one_worker_app(42, Echo)  # SEND_LINGER is 0.0
     client = app.client()
 
     async def caller(i):
@@ -117,8 +119,9 @@ def test_zero_linger_coalesces_same_turn_sends_without_delay():
 # one stale destination inside a mixed batch
 # ---------------------------------------------------------------------------
 
-def test_stale_entry_in_mixed_batch_fails_only_itself():
-    kernel, app = one_worker_app(43, Echo, send_linger=0.01)
+def test_stale_entry_in_mixed_batch_fails_only_itself(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    kernel, app = one_worker_app(43, Echo)
     client = app.client()
     router = client.router
     worker_member = app.components["w1"].member_id
@@ -140,10 +143,11 @@ def test_stale_entry_in_mixed_batch_fails_only_itself():
     kernel.check_no_crashes()
 
 
-def test_stale_response_is_rerouted_without_failing_the_batch():
+def test_stale_response_is_rerouted_without_failing_the_batch(monkeypatch):
     """End to end: a response whose resolved target died mid-linger is
     re-resolved and re-sent; concurrent traffic in the same batch lands."""
-    kernel, app = make_app(44, send_linger=0.001)
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.001)
+    kernel, app = make_app(44)
     app.register_actor(Latch)
     app.add_component("w1", ("Latch",))
     app.add_component("w2", ("Latch",))
@@ -169,8 +173,9 @@ def test_stale_response_is_rerouted_without_failing_the_batch():
 # tail calls under batching
 # ---------------------------------------------------------------------------
 
-def test_tail_call_is_still_one_record_under_linger():
-    kernel, app = one_worker_app(45, Chainer, send_linger=0.005)
+def test_tail_call_is_still_one_record_under_linger(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.005)
+    kernel, app = one_worker_app(45, Chainer)
     ref = actor_proxy("Chainer", "t")
     records_before = app.broker.produce_record_count
     assert app.run_call(ref, "first", 20) == 42
@@ -187,8 +192,9 @@ def test_tail_call_is_still_one_record_under_linger():
 # ordering: linger never reorders two sends to the same partition
 # ---------------------------------------------------------------------------
 
-def test_linger_preserves_same_partition_send_order():
-    kernel, app = one_worker_app(47, Recorder, send_linger=0.01)
+def test_linger_preserves_same_partition_send_order(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    kernel, app = one_worker_app(47, Recorder)
     client = app.client()
     worker_member = app.components["w1"].member_id
 
@@ -204,8 +210,9 @@ def test_linger_preserves_same_partition_send_order():
     assert client.router.batches_flushed == 1
 
 
-def test_linger_preserves_tell_order_end_to_end():
-    kernel, app = one_worker_app(48, Recorder, send_linger=0.002)
+def test_linger_preserves_tell_order_end_to_end(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.002)
+    kernel, app = one_worker_app(48, Recorder)
     client = app.client()
     ref = actor_proxy("Recorder", "r")
 
@@ -222,11 +229,13 @@ def test_linger_preserves_tell_order_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# ordering across overflowing batches (send_batch_max)
+# ordering across overflowing batches (SEND_BATCH_MAX)
 # ---------------------------------------------------------------------------
 
-def test_batch_overflow_drains_fifo():
-    kernel, app = one_worker_app(49, Recorder, send_linger=0.01, send_batch_max=3)
+def test_batch_overflow_drains_fifo(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    monkeypatch.setattr(transport, "SEND_BATCH_MAX", 3)
+    kernel, app = one_worker_app(49, Recorder)
     client = app.client()
     router = client.router
     worker_member = app.components["w1"].member_id
@@ -251,7 +260,7 @@ def test_batch_overflow_drains_fifo():
 # ---------------------------------------------------------------------------
 
 def test_same_turn_sends_are_one_round_trip():
-    kernel, app = one_worker_app(52, Recorder)  # send_linger == 0.0
+    kernel, app = one_worker_app(52, Recorder)  # SEND_LINGER == 0.0
     client = app.client()
     worker_member = app.components["w1"].member_id
     start = kernel.now
@@ -268,8 +277,9 @@ def test_same_turn_sends_are_one_round_trip():
     assert kernel.now - start == pytest.approx(0.001, rel=1e-9)
 
 
-def test_sends_during_a_round_trip_ride_the_next_batch_in_order():
-    kernel, app = one_worker_app(53, Recorder, send_linger=0.01)
+def test_sends_during_a_round_trip_ride_the_next_batch_in_order(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    kernel, app = one_worker_app(53, Recorder)
     client = app.client()
     router = client.router
     worker_member = app.components["w1"].member_id
@@ -331,8 +341,9 @@ def test_only_a_rider_waits_on_a_future():
     assert futures_for(3) == 2  # one per rider
 
 
-def test_fence_during_a_round_trip_fails_every_waiting_sender():
-    kernel, app = one_worker_app(55, Recorder, send_linger=0.01)
+def test_fence_during_a_round_trip_fails_every_waiting_sender(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    kernel, app = one_worker_app(55, Recorder)
     client = app.client()
     router = client.router
     worker_member = app.components["w1"].member_id
@@ -355,8 +366,9 @@ def test_fence_during_a_round_trip_fails_every_waiting_sender():
     kernel.check_no_crashes()
 
 
-def test_carrier_of_a_component_killed_mid_linger_appends_nothing():
-    kernel, app = one_worker_app(56, Recorder, send_linger=0.01)
+def test_carrier_of_a_component_killed_mid_linger_appends_nothing(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.01)
+    kernel, app = one_worker_app(56, Recorder)
     client = app.client()
     worker_member = app.components["w1"].member_id
     produces = app.broker.produce_count
@@ -374,8 +386,9 @@ def test_carrier_of_a_component_killed_mid_linger_appends_nothing():
     kernel.check_no_crashes()
 
 
-def test_drain_waits_for_a_lingering_carrier():
-    kernel, app = one_worker_app(57, Recorder, send_linger=0.05)
+def test_drain_waits_for_a_lingering_carrier(monkeypatch):
+    monkeypatch.setattr(transport, "SEND_LINGER", 0.05)
+    kernel, app = one_worker_app(57, Recorder)
     client = app.client()
     worker_member = app.components["w1"].member_id
     start = kernel.now

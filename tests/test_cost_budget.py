@@ -39,7 +39,7 @@ CEILINGS: dict[str, dict[str, float]] = {
     "echo": {"sim": 81.56, "mq": 37.18, "core": 64.18},
     "ledger": {
         "sim": 98.04,
-        "mq": 19.94,
+        "mq": 19.32,
         "core": 111.67,
         "kvstore": 11.0,
         "persist": 52.0,
@@ -47,7 +47,7 @@ CEILINGS: dict[str, dict[str, float]] = {
     "gateway": {"sim": 95.04, "mq": 37.2, "core": 77.32, "net": 43.0},
     "recover": {
         "sim": 2079.0,
-        "mq": 648.0,
+        "mq": 637.0,
         "core": 2162.0,
         "kvstore": 606.0,
         "persist": 1354.0,

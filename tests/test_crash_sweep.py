@@ -116,7 +116,7 @@ LINGER = SWITCHES["send_linger=0.002"]
     "mode, kill", [("memory", "all-restart"), ("sqlite", "reopen")]
 )
 def test_seed1503_k259_send_linger_keeps_the_tail_lock(mode, kill, tmp_path):
-    """``send_linger=0.002``, every component killed after 259 events:
+    """``router.SEND_LINGER = 0.002``, every component killed after 259 events:
     ``r000009`` step 2 on ``Tally[t1]``, inside the lock its step 1 took by
     tail-calling itself, tail-called ``Flow[f1]``; the kill struck after
     that successor was durable and before step 2's ``invoke.end``.
@@ -138,7 +138,7 @@ def test_seed1503_k259_send_linger_keeps_the_tail_lock(mode, kill, tmp_path):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_seed1503_k501_send_linger_response_durable_as_w1_dies(mode, tmp_path):
-    """``send_linger=0.002``, ``w1`` killed after 501 events and restarted
+    """``router.SEND_LINGER = 0.002``, ``w1`` killed after 501 events and restarted
     at once: ``r000010`` step 5 (``commit`` on ``Tally[t0]``, inside the
     lock its step 4 took) answered, and its outbox batch holding the final
     ``Response`` was appended in the same instant as ``component.fail``,

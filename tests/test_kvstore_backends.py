@@ -28,10 +28,11 @@ from repro.mq import (
     MQError,
     Record,
 )
+from repro.mq import log as mq_log
 from repro.persist.framing import MAGIC
 from repro.sim import Kernel, Latency
 
-from helpers import run
+from helpers import run, unexpired_in_order
 
 STORE_BACKENDS = ["memory", "sqlite"]
 BROKER_LOGS = ["memory", "journal"]
@@ -324,21 +325,18 @@ class LogHarness:
         self.flavor = flavor
         self.tmp_path = tmp_path
 
-    def open(self, **journal_knobs):
+    def open(self):
         if self.flavor == "memory":
             self.log = MemoryBrokerLog()
         else:
-            self.log = FileJournalLog(
-                str(self.tmp_path / "conformance.journal"), **journal_knobs
-            )
-            self._journal_knobs = journal_knobs
+            self.log = FileJournalLog(str(self.tmp_path / "conformance.journal"))
         return self.log
 
     def reopen(self):
         if self.flavor == "memory":
             return self.log
         self.log.close()
-        return self.open(**self._journal_knobs)
+        return self.open()
 
     def cleanup(self):
         if self.flavor != "memory" and getattr(self, "log", None):
@@ -488,8 +486,8 @@ def test_meta_survives_reopen(log_harness):
 def test_replay_onto_younger_clock_keeps_append_order(log_harness):
     """A new process replays journal timestamps from a clock that was ahead
     of its own; appends after the replay must not break the per-partition
-    append-order-implies-timestamp-order invariant that the reconciliation
-    catalog's k-way merge relies on."""
+    append-order-implies-timestamp-order invariant that expiry's prefix
+    scan relies on."""
     kernel, broker = make_broker(log_harness.open())
     kernel.run(until=50.0)  # the first boot's clock is well ahead
     run(kernel, broker.produce("t", "p1", "old", "prod"))
@@ -504,19 +502,17 @@ def test_replay_onto_younger_clock_keeps_append_order(log_harness):
     records = broker2.topic("t").partition("p1").unexpired(kernel2.now)
     timestamps = [record.timestamp for record in records]
     assert timestamps == sorted(timestamps)
-    snapshot = broker2.topic("t").snapshot_unexpired(kernel2.now)
+    snapshot = unexpired_in_order(broker2.topic("t"), kernel2.now)
     keys = [(r.timestamp, r.partition, r.offset) for r in snapshot]
     assert keys == sorted(keys)
     assert [r.value for r in snapshot if r.partition == "p1"] == ["old", "new"]
 
 
-def test_journal_rewrite_shrinks_file(tmp_path):
+def test_journal_rewrite_shrinks_file(tmp_path, monkeypatch):
     """Retention-driven compaction rewrites the journal file in place."""
+    monkeypatch.setattr(mq_log, "REWRITE_MIN_RECORDS", 8)
     harness = LogHarness("journal", tmp_path)
-    kernel, broker = make_broker(
-        harness.open(compact_min_records=8, compact_ratio=0.5),
-        retention_seconds=5.0,
-    )
+    kernel, broker = make_broker(harness.open(), retention_seconds=5.0)
 
     async def burst(tag):
         await broker.produce_batch(

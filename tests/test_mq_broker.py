@@ -107,17 +107,6 @@ def test_in_flight_produce_fenced(kernel, broker):
     assert len(partition) == 0
 
 
-def test_snapshot_unexpired_across_partitions(kernel, broker):
-    async def scenario():
-        await broker.produce("t", "p1", "a", "c")
-        await broker.produce("t", "p2", "b", "c")
-        await broker.produce("t", "p1", "c", "c")
-
-    run(kernel, scenario())
-    snapshot = broker.topic("t").snapshot_unexpired(kernel.now)
-    assert [record.value for record in snapshot] == ["a", "b", "c"]
-
-
 def test_wait_for_append_wakes(kernel, broker):
     async def consumer():
         waiter = broker.wait_for_append("t", "p")

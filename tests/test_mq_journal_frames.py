@@ -22,7 +22,7 @@ from repro.mq.records import ReplayedRecord
 from repro.persist import PersistenceConfig, framing
 from repro.sim import Kernel
 
-from helpers import Counter, Flow, Tally
+from helpers import Counter, Flow, Tally, unexpired_in_order
 from oracle import check_guarantee
 
 TYPES = ("Counter", "Flow", "Tally")
@@ -276,7 +276,7 @@ def test_a_cold_restart_decodes_only_the_unsettled_requests(tmp_path, counted_de
     topic = app.broker.topic(app.topic_name)
     in_flight_records = sum(
         1
-        for record in topic.snapshot_unexpired(kernel.now)
+        for record in unexpired_in_order(topic, kernel.now)
         if isinstance(record.value, Request) and record.value.request_id in unsettled
     )
     retained = app.broker.log.retained_records()

@@ -1,19 +1,10 @@
-"""Journal file locking: one appender per partition journal, ever.
-
-Read-only openers are the exception: they take a *shared* lock on the
-journal data file (the appender's exclusive lock lives on the ``.lock``
-sidecar), so any number of observers can replay and inspect a live journal
-without hitting :class:`JournalLockedError` -- and without being able to
-mutate or truncate anything.
-"""
+"""Journal file locking: one appender per partition journal, ever."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.mq import FileJournalLog, JournalLockedError, JournalReadOnlyError
+from repro.mq import FileJournalLog, JournalLockedError
 from repro.mq.records import Record
 
 
@@ -31,7 +22,7 @@ def test_second_opener_is_rejected_with_fencing_error(tmp_path):
 
 def test_lock_releases_on_close_and_survives_rewrite(tmp_path):
     path = str(tmp_path / "app.journal")
-    first = FileJournalLog(path, compact_min_records=0, compact_ratio=1.0)
+    first = FileJournalLog(path)
     first.append_many("t", [Record("p", 0, 0.0, "v")])
     # rewrite() replaces the file and must re-take the lock on the new one.
     first.rewrite()
@@ -52,88 +43,3 @@ def test_locks_are_per_path(tmp_path):
     a.close()
     b.close()
 
-
-def test_read_only_observer_coexists_with_live_appender(tmp_path):
-    path = str(tmp_path / "app.journal")
-    writer = FileJournalLog(path)
-    writer.append_many("t", [Record("p", 0, 0.0, "v")])
-    writer.flush()
-
-    observer = FileJournalLog.open_read_only(path)
-    assert observer.retained_records() == 1
-    # A second observer shares the lock with the first.
-    other = FileJournalLog(path, read_only=True)
-    assert other.retained_records() == 1
-    # The appender keeps appending while observers hold their snapshot.
-    writer.append_many("t", [Record("p", 1, 1.0, "w")])
-    writer.flush()
-    assert observer.retained_records() == 1  # snapshot as of open
-    # Reopening refreshes the observer's view.
-    observer.close()
-    refreshed = FileJournalLog.open_read_only(path)
-    assert refreshed.retained_records() == 2
-    refreshed.close()
-    other.close()
-    writer.close()
-
-
-def test_read_only_observer_replays_meta_and_partitions(tmp_path):
-    path = str(tmp_path / "app.journal")
-    writer = FileJournalLog(path)
-    writer.set_meta("lease:t:base", ["t", "base", "base#3", 3])
-    writer.append_many("t", [Record("p", 0, 0.0, "v")])
-    writer.flush()
-    observer = FileJournalLog.open_read_only(path)
-    assert observer.get_meta("lease:t:base") == ["t", "base", "base#3", 3]
-    [(topic, partition, first, next_offset, records)] = list(
-        observer.replay()
-    )
-    assert (topic, partition, first, next_offset) == ("t", "p", 0, 1)
-    assert [record.value for record in records] == ["v"]
-    observer.close()
-    writer.close()
-
-
-def test_read_only_observer_rejects_every_mutation(tmp_path):
-    path = str(tmp_path / "app.journal")
-    writer = FileJournalLog(path)
-    writer.append_many("t", [Record("p", 0, 0.0, "v")])
-    writer.close()
-    observer = FileJournalLog.open_read_only(path)
-    with pytest.raises(JournalReadOnlyError):
-        observer.append_many("t", [Record("p", 1, 1.0, "w")])
-    with pytest.raises(JournalReadOnlyError):
-        observer.set_meta("key", "value")
-    with pytest.raises(JournalReadOnlyError):
-        observer.rewrite()
-    observer.close()
-    # Nothing leaked through: the next appender sees only the original.
-    writer = FileJournalLog(path)
-    assert writer.retained_records() == 1
-    writer.close()
-
-
-def test_read_only_observer_does_not_truncate_torn_tail(tmp_path):
-    path = str(tmp_path / "app.journal")
-    writer = FileJournalLog(path)
-    writer.append_many("t", [Record("p", 0, 0.0, "v")])
-    writer.close()
-    with open(path, "ab") as handle:
-        handle.write(b"\x99\x00\x00\x00partial")  # torn frame residue
-    torn_size = os.path.getsize(path)
-
-    observer = FileJournalLog.open_read_only(path)
-    assert observer.retained_records() == 1  # stops at the tear
-    assert os.path.getsize(path) == torn_size  # recovery is not its job
-    observer.close()
-
-    # The appender's next open performs the actual truncation recovery.
-    writer = FileJournalLog(path)
-    assert writer.retained_records() == 1
-    assert os.path.getsize(path) < torn_size
-    writer.close()
-
-
-def test_read_only_open_of_missing_journal_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        FileJournalLog.open_read_only(str(tmp_path / "nope.journal"))

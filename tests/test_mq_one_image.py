@@ -385,20 +385,6 @@ def test_torn_metadata_frame_is_truncated_and_the_previous_value_stands(tmp_path
         assert os.path.getsize(path) == intact
 
 
-def test_read_only_observer_sees_metadata_as_of_open(tmp_path):
-    path = str(tmp_path / "app.journal")
-    writer = FileJournalLog(path)
-    writer.set_meta("group:app:generation", 1)
-    observer = FileJournalLog.open_read_only(path)
-    writer.set_meta("group:app:generation", 2)
-    assert observer.get_meta("group:app:generation") == 1
-    observer.close()
-    refreshed = FileJournalLog.open_read_only(path)
-    assert refreshed.get_meta("group:app:generation") == 2
-    refreshed.close()
-    writer.close()
-
-
 @pytest.mark.parametrize("with_journal", [True, False], ids=["journal", "bare"])
 def test_a_json_sidecar_is_refused_and_the_directory_untouched(tmp_path, with_journal):
     path = tmp_path / "app.journal"
@@ -408,9 +394,8 @@ def test_a_json_sidecar_is_refused_and_the_directory_untouched(tmp_path, with_jo
         log.close()
     (tmp_path / "app.journal.meta.json").write_bytes(b'{"app:app:boot":3}')
     before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}
-    for read_only in (False, True):
-        with pytest.raises(ValueError, match=r"app\.journal\.meta\.json"):
-            FileJournalLog(str(path), read_only=read_only)
+    with pytest.raises(ValueError, match=r"app\.journal\.meta\.json"):
+        FileJournalLog(str(path))
     assert {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()} == before
     # Once the sidecar is gone the journal opens (the lock was never taken).
     (tmp_path / "app.journal.meta.json").unlink()

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.mq import Broker, BrokerConfig
 from repro.sim import Kernel, Latency
 
+from helpers import unexpired_in_order
+
 
 def make_broker(retention=100.0):
     kernel = Kernel(seed=11)
@@ -59,7 +61,7 @@ def test_snapshot_contains_every_partition_record(partition_choices):
     topic = broker.topic("t")
     for index, name in enumerate(partition_choices):
         topic.partition(name).append(index, kernel.now)
-    snapshot = topic.snapshot_unexpired(kernel.now)
+    snapshot = unexpired_in_order(topic, kernel.now)
     assert sorted(record.value for record in snapshot) == sorted(
         range(len(partition_choices))
     )
