@@ -7,11 +7,32 @@ Paper values (seconds), for 1,000 failures over 48 hours:
     Detection       9.053   0.907   9.084   7.217  11.022
     Consensus       2.437   0.086   2.443   2.232   3.197
     Reconciliation 10.649   1.967   9.098   6.019  21.035
+
+Run as a script, it is the memory probe of the campaign instead: seed 7 at
+20 and at 80 failures, each in a fresh interpreter, printing the peak RSS
+and what the runtime still holds once the campaign ends (``tracemalloc``,
+the application alive), in all and per failure, and the growth per failure
+between the sizes::
+
+    PYTHONPATH=src python benchmarks/bench_table1_failures.py
 """
 
-from repro.bench import render_table
+from __future__ import annotations
+
+import gc
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+
+from repro.bench import FailureCampaign, render_table
 
 from _shared import SINGLE_FAILURES, emit, single_failure_campaign
+
+#: The memory probe's seed and campaign sizes.
+PROBE_SEED = 7
+PROBE_SIZES = (20, 80)
 
 
 def test_table1_failure_phase_statistics(benchmark):
@@ -55,3 +76,63 @@ def test_table1_failure_phase_statistics(benchmark):
     assert 5.0 <= stats["Reconciliation"]["avg"] <= 18.0  # paper: 10.6
     # Reconciliation is just under half of total outage (Section 6.1).
     assert 0.3 <= stats["Reconciliation"]["avg"] / total["avg"] <= 0.6
+
+
+def campaign_memory(failures: int, traced: bool) -> float:
+    """One campaign run in this process: its peak RSS in MB or, ``traced``,
+    the MB ``tracemalloc`` still counts once it ends, the campaign and its
+    application alive."""
+    if traced:
+        gc.collect()
+        tracemalloc.start()
+    campaign = FailureCampaign(seed=PROBE_SEED, failures=failures)
+    result = campaign.run()
+    assert len(result.records) == failures, len(result.records)
+    if not traced:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return retained / 2**20
+
+
+def probe(failures: int, traced: bool) -> float:
+    """``campaign_memory`` in a fresh interpreter, so that peak RSS is one
+    campaign's alone."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {here!r}); "
+            "import bench_table1_failures as b; "
+            f"print(b.campaign_memory({failures}, {traced}))",
+        ],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return float(child.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    rows = []
+    for failures in PROBE_SIZES:
+        peak = probe(failures, traced=False)
+        retained = probe(failures, traced=True)
+        rows.append((failures, peak, retained, retained / failures))
+    print(
+        render_table(
+            ["Failures", "Peak RSS (MB)", "Retained (MB)", "Retained/failure (MB)"],
+            rows,
+            title=f"Table 1 campaign memory, seed {PROBE_SEED}",
+        )
+    )
+    for (small, _, held_small, _), (large, _, held_large, _) in zip(rows, rows[1:]):
+        growth = (held_large - held_small) / (large - small)
+        print(f"growth {small} -> {large} failures: {growth:.4f} MB a failure")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

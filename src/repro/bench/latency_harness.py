@@ -78,8 +78,8 @@ class LatencyHarness:
         async def responder():
             while True:
                 records = await pong.poll()
-                for record in records:
-                    await pong.send("ping", record.value)
+                for value in records.values:
+                    await pong.send("ping", value)
 
         async def driver():
             for _ in range(self.iterations):

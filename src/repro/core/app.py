@@ -34,6 +34,7 @@ from repro.core.reminders import REMINDERS_KEY
 from repro.core.runtime import Component
 from repro.kvstore import KVStore, StoreBackend
 from repro.mq import Broker, BrokerLog, GroupCoordinator
+from repro.mq.records import ReplayedValue
 from repro.obs import GuaranteeMonitor
 from repro.persist import build_persistence, reopen_persistence, wipe_persistence
 from repro.sim import Kernel, TraceRecorder
@@ -444,8 +445,8 @@ class KarApplication:
         if topic is not None:
             now = self.kernel.now
             for partition in topic.partitions.values():
-                for record in partition.unexpired(now):
-                    key = envelope_id(record)
+                for value in partition.unexpired(now).values:
+                    key = envelope_id(value)
                     if key is not None:
                         (responded if key[0] else requested).add(key[1])
         return requested, responded
@@ -473,11 +474,11 @@ class KarApplication:
             return []
         # snapshot(), not unexpired(): reading the parking lot must never
         # trigger a retention-expiry sweep on it.
-        return [
-            record.value
-            for record in topic.partitions[DEAD_LETTER_PARTITION].snapshot()
-            if isinstance(record.value, DeadLetter)
-        ]
+        values = topic.partitions[DEAD_LETTER_PARTITION].snapshot().values
+        decoded = (
+            value.value if type(value) is ReplayedValue else value for value in values
+        )
+        return [letter for letter in decoded if isinstance(letter, DeadLetter)]
 
     def dead_letters(self) -> list[dict[str, Any]]:
         """The parked calls, each with its full failure history."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.refs import ActorRef
-from repro.mq.records import Record, ReplayedRecord
+from repro.mq.records import ReplayedValue
 from repro.persist.framing import (
     REQUEST_TYPE_ID,
     RESPONSE_TYPE_ID,
@@ -159,15 +159,14 @@ register_frame_type(Response, RESPONSE_TYPE_ID)
 register_frame_type(TailCall, TAILCALL_TYPE_ID)
 
 
-def envelope_id(record: Record) -> tuple[bool, str, int | None] | None:
-    """``(is a response, request id, step)`` of a request or response
-    record (the step is None for a response), or None for any other record.
-    A replayed record answers from its frame bytes: which calls are settled,
-    and which record of a request is its latest, is known without decoding
-    them."""
-    if type(record) is ReplayedRecord:
-        return record.envelope_key
-    envelope = record.value
+def envelope_id(envelope: Any) -> tuple[bool, str, int | None] | None:
+    """``(is a response, request id, step)`` of a request or response (the
+    step is None for a response), or None for any other value. Takes a
+    value-column entry: a replayed one answers from its frame bytes, so
+    which calls are settled, and which record of a request is its latest,
+    is known without decoding them."""
+    if type(envelope) is ReplayedValue:
+        return envelope.envelope_key
     if isinstance(envelope, Response):
         return True, envelope.request_id, None
     if isinstance(envelope, Request):

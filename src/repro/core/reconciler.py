@@ -23,12 +23,14 @@ idempotent (consumers deduplicate by request id and step).
 
 from __future__ import annotations
 
+from itertools import count
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.envelope import Request, envelope_id
 from repro.core.overload import DEAD_LETTER_PARTITION, DeadLetter
-from repro.mq import GenerationInfo, Record
+from repro.mq import GenerationInfo, RecordRun
+from repro.mq.records import ReplayedValue
 
 if TYPE_CHECKING:
     from repro.core.runtime import Component
@@ -59,8 +61,12 @@ class Reconciler:
         # The catalog of unexpired messages, one snapshot per partition:
         # nothing below needs them in one global order.
         now = self.kernel.now
-        catalog = [partition.unexpired(now) for partition in topic.partitions.values()]
-        cataloged = sum(map(len, catalog))
+        catalog = []
+        cataloged = 0
+        for partition in topic.partitions.values():
+            run = partition.unexpired(now)
+            catalog.append(run)
+            cataloged += len(run.values)
         scan_cost = self.config.reconcile_base.sample(
             self.kernel.rng
         ) + self.config.reconcile_per_message * cataloged
@@ -240,36 +246,38 @@ class Reconciler:
 
     @staticmethod
     def weigh(
-        catalog: list[list[Record]], live_members: set[str]
+        catalog: list[RecordRun], live_members: set[str]
     ) -> tuple[set[str], dict[str, tuple[str, Request]], dict[str, list[str]]]:
-        """Weigh the catalog, one list of records per partition.
+        """Weigh the catalog, one run of records per partition.
 
         Returns the ids with a response, each unsettled request id's best
         record as ``(partition, request)`` (see :meth:`_supersedes`), and
         each caller's unsettled children, oldest first.
 
-        Pass 1 reads ids and steps only (a replayed record's are peeked
-        from its frame bytes), so a settled call's records are never
-        decoded. Pass 2 decodes, per unsettled id, the records at its
-        latest step: one, unless an equal-step copy rivals it. The stranded
-        set and each caller's first unsettled child come out as they would
-        if every record were decoded in the catalog's global order.
+        Pass 1 reads the columns, ids and steps only (a replayed record's
+        are peeked from its frame bytes): no record object is built and a
+        settled call's records are never decoded. Pass 2 decodes, per
+        unsettled id, the records at its latest step: one, unless an
+        equal-step copy rivals it. The stranded set and each caller's first
+        unsettled child come out as they would if every record were decoded
+        in the catalog's global order.
         """
         responses: set[str] = set()
-        # Request id -> (timestamp, partition, offset, step, record) of each
+        # Request id -> (timestamp, partition, offset, step, value) of each
         # of its records: its place in the global order, then its step.
-        requests: dict[str, list[tuple[float, str, int, int, Record]]] = {}
-        for records in catalog:
-            for record in records:
-                key = envelope_id(record)
+        requests: dict[str, list[tuple[float, str, int, int, Any]]] = {}
+        for run in catalog:
+            partition = run.partition
+            for offset, timestamp, value in zip(
+                count(run.first_offset), run.timestamps, run.values
+            ):
+                key = envelope_id(value)
                 if key is None:
                     continue
                 if key[0]:
                     responses.add(key[1])
                     continue
-                item = (
-                    record.timestamp, record.partition, record.offset, key[2], record
-                )
+                item = (timestamp, partition, offset, key[2], value)
                 items = requests.get(key[1])
                 if items is None:
                     requests[key[1]] = [item]
@@ -284,11 +292,13 @@ class Reconciler:
             winner: tuple[str, Request] | None = None
             for item in items:
                 if item[3] == latest:
-                    record = item[4]
+                    value = item[4]
+                    if type(value) is ReplayedValue:
+                        value = value.value
                     if winner is None or Reconciler._supersedes(
-                        record.partition, record.value, *winner, live_members
+                        item[1], value, *winner, live_members
                     ):
-                        winner = (record.partition, record.value)
+                        winner = (item[1], value)
             assert winner is not None
             kept.append((items[0][:3], request_id, *winner))
         # In the order of each request's first record: a caller's children

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.mq import FencedMemberError, Record, StaleRouteError
+from repro.mq import FencedMemberError, StaleRouteError
 
 if TYPE_CHECKING:
     from repro.core.envelope import Request, Response
@@ -152,11 +152,11 @@ class Router:
     # ------------------------------------------------------------------
     # the send outbox
     # ------------------------------------------------------------------
-    async def send_durable(self, partition: str, envelope: Any) -> Record:
+    async def send_durable(self, partition: str, envelope: Any) -> int:
         """Durably append one envelope, in one produce round trip with every
         other send this component has queued by then (module docstring).
 
-        Returns the appended :class:`Record` after the covering batch's
+        Returns the appended record's offset after the covering batch's
         produce ack. Raises :class:`StaleRouteError` (this entry must be
         re-routed), the log's refusal of this entry, or a fence error (the
         component is dead). A zero :data:`SEND_LINGER` is still a sleep: it ends
@@ -204,10 +204,10 @@ class Router:
 
     async def _flush_batch(
         self, batch: list[_OutboxEntry]
-    ) -> Sequence[Record | Exception]:
+    ) -> Sequence[int | Exception]:
         """One produce round trip; outcomes aligned with ``batch``.
 
-        An entry's outcome is its appended record, or the exception that
+        An entry's outcome is its appended offset, or the exception that
         fails only its sender: a stale destination, or a payload the log
         refuses. Raises only what fails every sender -- a fence, or a
         component that died while its carrier (a task outside the
@@ -225,9 +225,9 @@ class Router:
                 # Singleton batches take the single-record produce path: same
                 # round trip, same semantics, friendlier to fault injection.
                 entry = batch[0]
-                record = await member.send(entry.partition, entry.envelope)
+                offset = await member.send(entry.partition, entry.envelope)
                 self.records_sent += 1
-                return [record]
+                return [offset]
             outcomes = await member.send_batch(
                 [(entry.partition, entry.envelope) for entry in batch]
             )
@@ -239,11 +239,11 @@ class Router:
             # The log refused the batch and kept none of it (the broker rolls
             # a refused append back): carry it again entry by entry, so only
             # the offending sender fails.
-            isolated: list[Record | Exception] = []
+            isolated: list[int | Exception] = []
             for entry in batch:
                 isolated += await self._flush_batch([entry])
             return isolated
-        self.records_sent += sum(isinstance(outcome, Record) for outcome in outcomes)
+        self.records_sent += sum(type(outcome) is int for outcome in outcomes)
         return outcomes
 
     # ------------------------------------------------------------------

@@ -315,8 +315,7 @@ class Component:
         try:
             while True:
                 records = await self.member.poll()
-                for record in records:
-                    envelope = record.value
+                for envelope in records.values:
                     if isinstance(envelope, Response):
                         self._handle_response(envelope)
                     elif isinstance(envelope, Request):

@@ -28,7 +28,7 @@ from repro.mq.group import (
     GroupMember,
 )
 from repro.mq.log import BrokerLog, FileJournalLog, MemoryBrokerLog
-from repro.mq.records import Record
+from repro.mq.records import Record, RecordRun
 
 __all__ = [
     "Broker",
@@ -43,6 +43,7 @@ __all__ = [
     "MQError",
     "MemoryBrokerLog",
     "Record",
+    "RecordRun",
     "StaleLeaseError",
     "StaleRouteError",
     "Topic",

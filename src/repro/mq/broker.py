@@ -12,12 +12,13 @@ step that costs a ``consume_latency`` round trip and the fence and lease
 checks -- runs once per delivered batch (see ``GroupMember.poll``).
 
 What a partition retains is held once, in the image the broker's pluggable
-:class:`~repro.mq.log.BrokerLog` owns: a record is stamped, journaled, then
-published to that image (one ``append_many`` per produce round trip), so a
-refused append has nothing to undo; retention expiry and queue discard go
-through the log the same way. :meth:`Broker.restore_from_log` therefore
-only has to name the partitions a replayed log holds -- the journal-replay
-half of the paper's cold-restart recovery story.
+:class:`~repro.mq.log.BrokerLog` owns (columns of timestamps and values,
+no record objects): a produce round trip's values are stamped, journaled,
+then published to that image in one ``append_many``, so a refused append
+has nothing to undo; retention expiry and queue discard go through the log
+the same way. :meth:`Broker.restore_from_log` therefore only has to name
+the partitions a replayed log holds -- the journal-replay half of the
+paper's cold-restart recovery story.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any
 
 from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
 from repro.mq.log import BrokerLog, MemoryBrokerLog
-from repro.mq.records import Record
+from repro.mq.records import RecordRun
 from repro.sim import Kernel, Latency, _sleep
 
 __all__ = ["Broker", "BrokerConfig", "Partition", "Topic"]
@@ -60,7 +61,9 @@ class Partition:
 
     It stores nothing. Records, ``first_retained_offset`` and the next
     offset live once, in the image the broker's log owns; this is the
-    retention policy and the read views over that image.
+    retention policy and the reads over that image. A read is a
+    :class:`~repro.mq.records.RecordRun`, which builds
+    :class:`~repro.mq.records.Record` views only for a reader that iterates it.
     """
 
     def __init__(self, topic: "Topic", name: str):
@@ -68,31 +71,6 @@ class Partition:
         self.name = name
         self._log = topic.broker.log
         self._image = self._log.image(topic.name, name)
-
-    def _stamp(self, timestamp: float) -> tuple[int, float]:
-        """The offset and log-append time of the next record."""
-        # Log-append-time is monotonic per partition (as in Kafka): after a
-        # cold replay onto a younger clock, new appends may not be stamped
-        # below the replayed suffix, or the append-order-implies-timestamp-
-        # order invariant (which expiry's prefix scan relies on) would
-        # break.
-        # The backing list, not ``RetainedRecords``: it is empty exactly
-        # when nothing is retained, and its last entry is the newest record.
-        image = self._image
-        items = image.records._items
-        if items:
-            timestamp = max(timestamp, items[-1].timestamp)
-        return image.next_offset, timestamp
-
-    def append(self, value: Any, timestamp: float) -> Record:
-        # ``_stamp``, without the call.
-        image = self._image
-        items = image.records._items
-        if items and items[-1].timestamp > timestamp:
-            timestamp = items[-1].timestamp
-        record = Record(self.name, image.next_offset, timestamp, value)
-        self._log.append_many(self.topic.name, [record])
-        return record
 
     @property
     def end_offset(self) -> int:
@@ -105,47 +83,45 @@ class Partition:
     def expire(self, now: float) -> int:
         """Drop records older than retention; returns how many were dropped."""
         config = self.topic.broker.config
-        records = self._image.records
-        keep_from = records.older_than(now - config.retention_seconds)
-        if keep_from:
-            self._log.compact(
-                self.topic.name, self.name, records[keep_from - 1].offset + 1
-            )
-        return keep_from
+        image = self._image
+        expired = image.older_than(now - config.retention_seconds)
+        if expired:
+            # The oldest retained record sits at ``next_offset - len``.
+            keep_from = image.next_offset - len(image) + expired
+            self._log.compact(self.topic.name, self.name, keep_from)
+        return expired
 
     def read_from(
         self, offset: int, now: float, limit: int | None = None
-    ) -> list[Record]:
-        """Records at offsets >= ``offset`` that are still retained.
+    ) -> RecordRun:
+        """Records at offsets >= ``offset`` that are still retained, their
+        values decoded.
 
         Expiry runs only when it is due: when the oldest retained record is
         older than the retention cutoff. Inside the window a read costs no
         scan and no compaction.
         """
         image = self._image
-        records = image.records
-        items, head = records._items, records._head
-        cutoff = now - self.topic.broker.config.retention_seconds
-        if head < len(items) and items[head].timestamp < cutoff:
+        if image.oldest_stamp < now - self.topic.broker.config.retention_seconds:
             self.expire(now)
-        skip = max(offset - image.first_retained_offset, 0)
-        return records.tail(skip, limit)
+        return image.read(offset, limit)
 
-    def unexpired(self, now: float) -> list[Record]:
+    def unexpired(self, now: float) -> RecordRun:
+        """Every record still retained (replayed values left undecoded)."""
         self.expire(now)
-        return self._image.records.tail()
+        return self._image.run()
 
-    def snapshot(self) -> list[Record]:
+    def snapshot(self) -> RecordRun:
         """All retained records *without* triggering retention expiry.
 
         The dead-letter parking lot reads through this: parked envelopes
         must outlive the retention window of ordinary traffic, so nothing
         on the parking-lot read path may start an expiry sweep.
         """
-        return self._image.records.tail()
+        return self._image.run()
 
     def __len__(self) -> int:
-        return len(self._image.records)
+        return len(self._image)
 
 
 class Topic:
@@ -302,37 +278,32 @@ class Broker:
     # ------------------------------------------------------------------
     def _append_batch(
         self, topic_name: str, entries: list[tuple[str, Any]]
-    ) -> list[Record]:
-        """The one body of the batch produce paths: stamp offsets and
-        monotonic timestamps, journal and publish the batch in one
-        ``append_many``, wake the consumers parked on its partitions.
+    ) -> list[int]:
+        """The one body of the batch produce paths: journal and publish the
+        batch in one ``append_many`` (which stamps offsets and monotonic
+        timestamps), wake the consumers parked on its partitions; returns
+        the offsets, aligned with ``entries``.
 
         A log that refuses the batch (an unencodable payload on a durable
         backend) raises out of here before anything was published, counted
         or woken: the producer sees a failed send and the offsets are free.
         """
+        if not entries:
+            return []
         partitions = self._partitions
-        now = self.kernel.now
-        # partition -> [next offset, timestamp]. A dict, not a set: parked
-        # consumers wake in first-appearance order, never string-hash order.
-        stamps: dict[str, list] = {}
-        records = []
-        for partition_name, value in entries:
-            stamp = stamps.get(partition_name)
-            if stamp is None:
-                partition = partitions.get((topic_name, partition_name))
-                if partition is None:
-                    partition = self.topic(topic_name).partition(partition_name)
-                stamp = list(partition._stamp(now))
-                stamps[partition_name] = stamp
-            records.append(Record(partition_name, stamp[0], stamp[1], value))
-            stamp[0] += 1
-        if records:
-            self.log.append_many(topic_name, records)
-            self.produce_record_count += len(records)
-        for partition_name in stamps:
+        # A dict, not a set: parked consumers wake in first-appearance
+        # order, never string-hash order.
+        woken: dict[str, None] = {}
+        for partition_name, _value in entries:
+            if partition_name not in woken:
+                woken[partition_name] = None
+                if (topic_name, partition_name) not in partitions:
+                    self.topic(topic_name).partition(partition_name)
+        offsets = self.log.append_many(topic_name, entries, self.kernel.now)
+        self.produce_record_count += len(offsets)
+        for partition_name in woken:
             self._wake_append_waiters(topic_name, partition_name)
-        return records
+        return offsets
 
     async def produce(
         self,
@@ -341,9 +312,9 @@ class Broker:
         value: Any,
         client_id: str,
         guard=None,
-    ) -> Record:
+    ) -> int:
         """Append a message; the await covers the full produce round trip
-        (network + replication acks), so a returned record is durable.
+        (network + replication acks), so the returned offset is durable.
 
         ``guard``, if given, is evaluated atomically at append time; a falsy
         result raises :class:`MQError` (typically wrapped by the caller as a
@@ -358,14 +329,15 @@ class Broker:
         if guard is not None and not guard():
             raise MQError(f"append guard rejected {partition_name!r}")
         self.produce_count += 1
-        # The direct single-record path: Partition.append plus the wake.
-        partition = self._partitions.get((topic_name, partition_name))
-        if partition is None:
-            partition = self.topic(topic_name).partition(partition_name)
-        record = partition.append(value, self.kernel.now)
+        # The direct single-record path: one ``append_many`` plus the wake.
+        if (topic_name, partition_name) not in self._partitions:
+            self.topic(topic_name).partition(partition_name)
+        (offset,) = self.log.append_many(
+            topic_name, [(partition_name, value)], self.kernel.now
+        )
         self.produce_record_count += 1
         self._wake_append_waiters(topic_name, partition_name)
-        return record
+        return offset
 
     async def produce_batch(
         self,
@@ -373,15 +345,15 @@ class Broker:
         entries: list[tuple[str, Any]],
         client_id: str,
         guards: dict[str, Any] | None = None,
-    ) -> list[Record | MQError]:
+    ) -> list[int | MQError]:
         """Append several messages across partitions in ONE produce round
         trip, with per-entry outcomes.
 
         ``entries`` is a list of ``(partition_name, value)``; ``guards``
         optionally maps a partition name to a zero-argument callable
         evaluated atomically at append time (once per distinct partition).
-        The returned list is aligned with ``entries``: a :class:`Record`
-        for each appended message, or an :class:`MQError` for entries whose
+        The returned list is aligned with ``entries``: the offset of each
+        appended message, or an :class:`MQError` for entries whose
         partition guard rejected (those appended nothing; the rest of the
         batch still lands). A fenced producer rejects the whole batch --
         nothing is appended.
@@ -403,13 +375,13 @@ class Broker:
                 guard = None if guards is None else guards.get(partition_name)
                 verdicts[partition_name] = guard is None or bool(guard())
         # One journal write covers the whole produce round trip.
-        records = iter(
+        offsets = iter(
             self._append_batch(
                 topic_name, [entry for entry in entries if verdicts[entry[0]]]
             )
         )
         return [
-            next(records)
+            next(offsets)
             if verdicts[partition_name]
             else MQError(f"append guard rejected {partition_name!r}")
             for partition_name, _value in entries
@@ -417,7 +389,7 @@ class Broker:
 
     def produce_internal_batch(
         self, topic_name: str, entries: list[tuple[str, Any]]
-    ) -> list[Record]:
+    ) -> list[int]:
         """Zero-latency batched append for broker-side copies: the whole
         batch is journaled (and, on durable logs, flushed) in one write,
         so recovery I/O does not scale per stranded request."""
@@ -430,7 +402,7 @@ class Broker:
         entries: list[tuple[str, Any]],
         client_id: str,
         guard=None,
-    ) -> list[Record]:
+    ) -> list[int]:
         """Atomically append several messages (a Kafka transaction, KIP-98).
 
         The runtime sends nothing through it: a response is one record in
@@ -474,7 +446,7 @@ class Broker:
         offset: int,
         client_id: str,
         limit: int | None = None,
-    ) -> list[Record]:
+    ) -> RecordRun:
         """One fetch round trip: retained records at offsets >= ``offset``.
 
         The read happens when the ``consume_latency`` sleep ends, so records

@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 from repro.mq.broker import Broker
 from repro.mq.errors import FencedMemberError, MQError, StaleRouteError
-from repro.mq.records import Record
+from repro.mq.records import RecordRun
 from repro.sim import Kernel, SimFuture, SimProcess
 
 __all__ = [
@@ -351,8 +351,9 @@ class GroupMember:
         self.process = process
         self.position = 0
 
-    async def send(self, partition_name: str, value: Any) -> Record:
-        """Durably append ``value`` to another member's queue.
+    async def send(self, partition_name: str, value: Any) -> int:
+        """Durably append ``value`` to another member's queue; returns its
+        offset.
 
         Raises :class:`StaleRouteError` if the target member left the group
         while the send was in flight (its queue is being reconciled); the
@@ -380,11 +381,11 @@ class GroupMember:
 
     async def send_batch(
         self, entries: list[tuple[str, Any]]
-    ) -> list[Record | StaleRouteError]:
+    ) -> list[int | StaleRouteError]:
         """Durably append a batch of messages in one produce round trip.
 
         ``entries`` is a list of ``(partition_name, value)``. The returned
-        list is aligned with ``entries``: the appended :class:`Record` on
+        list is aligned with ``entries``: the appended record's offset on
         success, or a :class:`StaleRouteError` for entries whose target
         member left the group while the send was in flight (those appended
         nothing and must be re-routed individually -- the rest of the batch
@@ -411,7 +412,7 @@ class GroupMember:
             for index, outcome in enumerate(outcomes)
         ]
 
-    async def poll(self, max_records: int | None = None) -> list[Record]:
+    async def poll(self, max_records: int | None = None) -> RecordRun:
         """Block until records are available on this member's own queue.
 
         A long poll (module docstring): the member parks for free while
@@ -435,8 +436,8 @@ class GroupMember:
             records = await broker.fetch(
                 topic_name, member_id, self.position, member_id, max_records
             )
-            if records:
-                self.position = records[-1].offset + 1
+            if records.values:
+                self.position = records.first_offset + len(records.values)
                 return records
             # The end offset is past ``position`` yet nothing came back:
             # retention expired the whole gap. Skip it, or the loop would

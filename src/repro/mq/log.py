@@ -3,9 +3,11 @@
 The broker's partitions are the paper's journals -- calls, responses, and
 tail-call supersessions all live there, and recovery is nothing but a replay
 of what they retain (Section 4.3). A :class:`BrokerLog` owns what they
-retain: one image per partition (records, ``first_retained_offset``,
-``next_offset``, each held once), which a broker's ``Partition`` objects
-read and append through without keeping anything of their own.
+retain: one image per partition, a :class:`~repro.mq.records.RetainedRecords`
+(timestamp and value columns, ``first_retained_offset``, ``next_offset``,
+each held once), which a broker's ``Partition`` objects read and append
+through without keeping anything of their own. The log stores no record
+objects.
 
 - :class:`MemoryBrokerLog` is that image and nothing else. It survives an
   application ``shutdown``/``reopen`` as a live object (the message service
@@ -19,7 +21,8 @@ read and append through without keeping anything of their own.
   reconstructs every partition's ``first_retained_offset`` /
   ``end_offset`` exactly. A record's head (partition id, offset,
   timestamp) is a fixed ``struct`` read without the value codec; values
-  stay frame bytes until something reads them.
+  stay frame bytes (a :class:`~repro.mq.records.ReplayedValue` in the
+  value column) until something reads them.
 
 The log also stores a small metadata map (group generation, component
 epochs, boot counter, partition leases) that must outlive the application
@@ -33,10 +36,10 @@ import os
 import struct
 import sys
 import zlib
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.mq.errors import JournalLockedError
-from repro.mq.records import Record, ReplayedRecord, RetainedRecords
+from repro.mq.records import RecordRun, ReplayedValue, RetainedRecords
 from repro.persist import framing
 
 try:  # advisory file locking is POSIX-only; elsewhere the guard is a no-op
@@ -72,30 +75,18 @@ REWRITE_MIN_RECORDS = 4096
 REWRITE_RATIO = 0.5
 
 
-class _PartitionImage:
-    """Retained records plus offset bounds for one partition."""
-
-    __slots__ = ("records", "first_retained_offset", "next_offset")
-
-    def __init__(self) -> None:
-        self.records = RetainedRecords()
-        self.first_retained_offset = 0
-        self.next_offset = 0
-
-    def trim(self, keep_from: int) -> None:
-        """Forget every record below offset ``keep_from``."""
-        self.records.drop_prefix(keep_from - self.first_retained_offset)
-        self.first_retained_offset = keep_from
-        self.next_offset = max(self.next_offset, keep_from)
+#: One partition's share of an ``append_many``: its image, the timestamp
+#: its new records get, and their values.
+_Staged = tuple[RetainedRecords, float, list]
 
 
 class BrokerLog:
     """The partition images and the metadata map; subclasses add durability.
 
-    The broker keeps no second copy: its partitions stamp a record against
-    :meth:`image`, hand it to :meth:`append_many`, and read the same image
-    back. ``compact`` trims a prefix when retention expires it and
-    ``drop_partition`` discards a dead queue.
+    The broker keeps no second copy: its partitions hand values to
+    :meth:`append_many`, which gives them offsets and timestamps, and read
+    the same :meth:`image` back. ``compact`` trims a prefix when retention
+    expires it and ``drop_partition`` discards a dead queue.
 
     One ordering rule for the four mutations (``append_many``, ``compact``,
     ``drop_partition``, ``set_meta``): **journal first, image second**. The
@@ -107,7 +98,7 @@ class BrokerLog:
     """
 
     def __init__(self) -> None:
-        self._parts: dict[tuple[str, str], _PartitionImage] = {}
+        self._parts: dict[tuple[str, str], RetainedRecords] = {}
         self._meta: dict[str, Any] = {}
         #: Records accepted across the log's lifetime (evidence counter).
         self.records_logged = 0
@@ -117,28 +108,52 @@ class BrokerLog:
     # ------------------------------------------------------------------
     # record image
     # ------------------------------------------------------------------
-    def image(self, topic: str, partition: str) -> _PartitionImage:
+    def image(self, topic: str, partition: str) -> RetainedRecords:
         """The one image of ``partition``, created empty on first use (an
         empty image is an empty queue: nothing is journaled for it until
         its first record)."""
         image = self._parts.get((topic, partition))
         if image is None:
-            image = self._parts[(topic, partition)] = _PartitionImage()
+            image = self._parts[(topic, partition)] = RetainedRecords(partition)
         return image
 
-    def append_many(self, topic: str, records: list[Record]) -> None:
-        """Journal, then publish, freshly stamped records (one produce
-        round trip)."""
-        self._persist_append(topic, records)
+    def append_many(
+        self, topic: str, entries: list[tuple[str, Any]], now: float
+    ) -> list[int]:
+        """Journal, then publish, one produce round trip's ``(partition,
+        value)`` entries; returns the offset each got.
+
+        Each entry gets its partition's next offset, in entry order, and
+        the log-append time ``now``, or the partition's newest timestamp if
+        that is later. That keeps log-append time monotonic per partition
+        (as in Kafka): after a cold replay onto a younger clock, a new
+        record may not be stamped below the replayed ones, or the
+        append-order-implies-timestamp-order invariant that expiry's prefix
+        scan relies on would break.
+        """
         parts = self._parts
-        for record in records:
-            image = parts.get((topic, record.partition))
-            if image is None:
-                image = self.image(topic, record.partition)
-            # ``RetainedRecords.append``, without the call.
-            image.records._items.append(record)
-            image.next_offset = record.offset + 1
-        self.records_logged += len(records)
+        staged: dict[str, _Staged] = {}
+        offsets: list[int] = []
+        for partition, value in entries:
+            run = staged.get(partition)
+            if run is None:
+                image = parts.get((topic, partition))
+                if image is None:
+                    image = self.image(topic, partition)
+                newest = image.newest_stamp
+                stamp = now if now > newest else newest
+                staged[partition] = (image, stamp, [value])
+                offsets.append(image.next_offset)
+            else:
+                values = run[2]
+                offsets.append(run[0].next_offset + len(values))
+                values.append(value)
+        runs = staged.values()
+        self._persist_append(topic, runs)
+        for image, timestamp, values in runs:
+            image.extend(values, timestamp)
+        self.records_logged += len(offsets)
+        return offsets
 
     def compact(self, topic: str, partition: str, keep_from: int) -> None:
         """Retention expired every record below offset ``keep_from``."""
@@ -160,7 +175,7 @@ class BrokerLog:
         """``(topic, partition)`` of every image, sorted."""
         return sorted(self._parts)
 
-    def replay(self) -> Iterator[tuple[str, str, int, int, list[Record]]]:
+    def replay(self) -> Iterator[tuple[str, str, int, int, RecordRun]]:
         """Yield ``(topic, partition, first_retained, next_offset, records)``
         for every partition the log retains."""
         for (topic, partition), image in sorted(self._parts.items()):
@@ -169,11 +184,11 @@ class BrokerLog:
                 partition,
                 image.first_retained_offset,
                 image.next_offset,
-                image.records.tail(),
+                image.run(),
             )
 
     def retained_records(self) -> int:
-        return sum(len(image.records) for image in self._parts.values())
+        return sum(len(image) for image in self._parts.values())
 
     # ------------------------------------------------------------------
     # metadata (group generation, epochs, boot counter, leases)
@@ -191,8 +206,10 @@ class BrokerLog:
     # ------------------------------------------------------------------
     # durability hooks (no-ops in memory)
     # ------------------------------------------------------------------
-    def _persist_append(self, topic: str, records: list[Record]) -> None:
-        pass
+    def _persist_append(self, topic: str, runs: Iterable[_Staged]) -> None:
+        """Make one ``append_many`` durable: per partition, its image (not
+        moved yet: the records go at its ``next_offset`` on), their
+        timestamp and their values."""
 
     def _persist_entry(self, entry: tuple) -> None:
         """Make one compaction, drop or metadata entry durable."""
@@ -236,12 +253,14 @@ class FileJournalLog(BrokerLog):
     record frames it copies stay valid.
 
     Replay verifies every frame's CRC and reads an ``r`` frame's head with
-    one ``struct`` unpack: its record is a
-    :class:`~repro.mq.records.ReplayedRecord` whose value is decoded when
-    first read, and which :meth:`rewrite` copies verbatim. A frame that
-    fails its CRC is a torn tail when it is the last thing in the file (see
-    :meth:`_torn`), and is truncated. Anywhere else it is refused as a
-    corrupt journal frame.
+    one ``struct`` unpack: its value column gets a
+    :class:`~repro.mq.records.ReplayedValue`, decoded when first read and
+    copied verbatim by :meth:`rewrite`. Record offsets must follow each
+    other within a partition (an empty one may resume at a later offset);
+    one that does not is a corrupt frame. A frame that fails its CRC is a
+    torn tail when it is the last thing in the file (see :meth:`_torn`),
+    and is truncated. Anywhere else it is refused as a corrupt journal
+    frame.
 
     A non-empty file that does not start with that header is refused with a
     ``ValueError`` naming the path, and is left untouched: that includes a
@@ -344,8 +363,8 @@ class FileJournalLog(BrokerLog):
         crc32 = zlib.crc32
         head_size, record_head_size = _FRAME_HEAD.size, _RECORD_HEAD.size
         value_at = head_size + record_head_size
-        # Declared partition id -> (partition name, its image).
-        declared: dict[int, tuple[str, _PartitionImage]] = {}
+        # Declared partition id -> its image.
+        declared: dict[int, RetainedRecords] = {}
         records = 0
         # The loop also stops with fewer bytes left than a frame header:
         # that is a torn header at the tail.
@@ -365,16 +384,10 @@ class FileJournalLog(BrokerLog):
             try:
                 if size > record_head_size and data[start] == _RECORD_KIND:
                     _, part_id, offset, timestamp = record_head(data, start)
-                    target = declared.get(part_id)
-                    if target is None:
+                    image = declared.get(part_id)
+                    if image is None:
                         raise framing.FramingError("undeclared partition id")
-                    partition, image = target
-                    image.records._items.append(
-                        ReplayedRecord(
-                            partition, offset, timestamp, data[pos:end], value_at
-                        )
-                    )
-                    image.next_offset = offset + 1
+                    image.append_replayed(offset, timestamp, data[pos:end], value_at)
                     records += 1
                 else:
                     # decode_values, not decode_value: the latter is left to
@@ -419,9 +432,7 @@ class FileJournalLog(BrokerLog):
                 return False
         return True
 
-    def _apply(
-        self, entry: tuple, declared: dict[int, tuple[str, _PartitionImage]]
-    ) -> None:
+    def _apply(self, entry: tuple, declared: dict[int, RetainedRecords]) -> None:
         """Apply one replayed non-record journal entry to the image;
         ``declared`` maps each live partition id to its partition."""
         kind = entry[0]
@@ -433,7 +444,7 @@ class FileJournalLog(BrokerLog):
         if kind == "p":
             part_id = entry[3]
             self._part_ids[(topic, partition)] = part_id
-            declared[part_id] = (partition, self.image(topic, partition))
+            declared[part_id] = self.image(topic, partition)
             self._next_part_id = max(self._next_part_id, part_id + 1)
         elif kind == "c":
             image = self.image(topic, partition)
@@ -453,9 +464,9 @@ class FileJournalLog(BrokerLog):
     # durability hooks
     # ------------------------------------------------------------------
     @staticmethod
-    def _record_frame(part_id: int, record: Record) -> bytes:
-        head = _RECORD_HEAD.pack(_RECORD_KIND, part_id, record.offset, record.timestamp)
-        payload = head + framing.encode_value(record.value)
+    def _record_frame(part_id: int, offset: int, timestamp: float, value: Any) -> bytes:
+        head = _RECORD_HEAD.pack(_RECORD_KIND, part_id, offset, timestamp)
+        payload = head + framing.encode_value(value)
         return _FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
     @staticmethod
@@ -463,31 +474,30 @@ class FileJournalLog(BrokerLog):
         payload = framing.encode_value(entry)
         return _FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def _persist_append(self, topic: str, records: list[Record]) -> None:
+    def _persist_append(self, topic: str, runs: Iterable[_Staged]) -> None:
         # Every frame is encoded before the first byte is written (an
         # unencodable payload fails the append with the file untouched, and
         # declares no id), and one write + flush covers the whole produce
-        # round trip.
+        # round trip. Frames go partition by partition.
         ids = self._part_ids
         fresh: dict[tuple[str, str], int] = {}
         frames: list[bytes] = []
-        for record in records:
-            key = (topic, record.partition)
+        records = 0
+        for image, timestamp, values in runs:
+            key = (topic, image.partition)
             part_id = ids.get(key)
             if part_id is None:
-                part_id = fresh.get(key)
-                if part_id is None:
-                    part_id = fresh[key] = self._next_part_id + len(fresh)
-                    frames.append(
-                        self._frame_bytes(("p", topic, record.partition, part_id))
-                    )
-            frames.append(self._record_frame(part_id, record))
+                part_id = fresh[key] = self._next_part_id + len(fresh)
+                frames.append(self._frame_bytes(("p", *key, part_id)))
+            for offset, value in enumerate(values, image.next_offset):
+                frames.append(self._record_frame(part_id, offset, timestamp, value))
+            records += len(values)
         self._file.write(b"".join(frames))
         self.flush()
         if fresh:
             ids.update(fresh)
             self._next_part_id += len(fresh)
-        self._disk_records += len(records)
+        self._disk_records += records
 
     def drop_partition(self, topic: str, partition: str) -> None:
         super().drop_partition(topic, partition)
@@ -541,11 +551,16 @@ class FileJournalLog(BrokerLog):
                         )
                     )
                 )
-                for record in image.records.tail():
+                run = image.run()
+                for offset, timestamp, value in zip(
+                    range(run.first_offset, run.next_offset),
+                    run.timestamps,
+                    run.values,
+                ):
                     handle.write(
-                        record.frame
-                        if type(record) is ReplayedRecord
-                        else self._record_frame(part_id, record)
+                        value.frame
+                        if type(value) is ReplayedValue
+                        else self._record_frame(part_id, offset, timestamp, value)
                     )
             handle.flush()
             if self._fsync:

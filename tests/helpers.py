@@ -22,6 +22,16 @@ def run(kernel, coro, process=None, timeout: float | None = 300.0):
     return kernel.run_until_complete(task, timeout=timeout)
 
 
+def append(partition, value, timestamp: float) -> int:
+    """Append ``value`` to a broker partition straight through its log,
+    stamped ``timestamp`` (or its newest record's, if later); the offset."""
+    topic = partition.topic
+    (offset,) = topic.broker.log.append_many(
+        topic.name, [(partition.name, value)], timestamp
+    )
+    return offset
+
+
 def unexpired_in_order(topic, now: float) -> list:
     """Every unexpired record of ``topic``, ordered by
     ``(timestamp, partition, offset)``."""

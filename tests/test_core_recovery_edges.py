@@ -10,7 +10,7 @@ from repro.core import Actor, actor_proxy
 from repro.core.envelope import Request, Response
 from repro.core.reconciler import UNPLACED_PARTITION, Reconciler
 from repro.core.refs import ActorRef
-from repro.mq import FileJournalLog, Record
+from repro.mq import FileJournalLog, MemoryBrokerLog, Record
 from repro.persist import PersistenceConfig, framing
 
 from helpers import Latch, make_app, two_component_app
@@ -364,17 +364,22 @@ def request(request_id, step=0, caller=None, copy_epoch=0):
     )
 
 
-def replayed(tmp_path, catalog):
-    """``catalog`` journaled and replayed: the same records, undecoded."""
+def as_runs(tmp_path, catalog, journaled):
+    """``catalog``, one list of records per partition, appended to a log
+    and read back as one run per partition; journaled, the runs are
+    replayed and undecoded."""
     path = str(tmp_path / "weigh.journal")
-    log = FileJournalLog(path)
+    log = FileJournalLog(path) if journaled else MemoryBrokerLog()
     for records in catalog:
-        log.append_many("t", records)
+        for record in records:
+            entry = (record.partition, record.value)
+            assert log.append_many("t", [entry], record.timestamp) == [record.offset]
+    if journaled:
+        log.close()
+        log = FileJournalLog(path)
+    runs = {part: records for _, part, _, _, records in log.replay()}
     log.close()
-    log = FileJournalLog(path)
-    images = {part: records for _, part, _, _, records in log.replay()}
-    log.close()
-    return [images[records[0].partition] for records in catalog]
+    return [runs[records[0].partition] for records in catalog]
 
 
 @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
@@ -394,8 +399,7 @@ def test_an_equal_step_copy_in_a_live_queue_beats_its_dead_rivals(
     ]
     later = [Record("dead#2", 0, 2.0, request("r1", step=1, copy_epoch=2))]
     catalog = [later, live, dead]
-    if journaled:
-        catalog = replayed(tmp_path, catalog)
+    catalog = as_runs(tmp_path, catalog, journaled)
     decoded = []
     decode_value = framing.decode_value
     monkeypatch.setattr(
@@ -426,8 +430,7 @@ def test_a_stranded_caller_waits_on_its_oldest_unsettled_child(journaled, tmp_pa
         Record("dead#1", 1, 5.0, request("a", step=1, caller="p")),
     ]
     catalog = [other, dead]
-    if journaled:
-        catalog = replayed(tmp_path, catalog)
+    catalog = as_runs(tmp_path, catalog, journaled)
     responses, latest, children = Reconciler.weigh(catalog, {"live#1"})
     assert children == {"p": ["a", "b"]}
     assert latest["a"] == ("dead#1", request("a", step=1, caller="p"))

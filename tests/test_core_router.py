@@ -69,6 +69,13 @@ def outcomes_of(kernel, tasks, timeout=60.0):
     return kernel.run_until_complete(kernel.gather(tasks), timeout=timeout)
 
 
+def landed(app, partition, offsets):
+    """The records ``partition`` holds at ``offsets``, in that order."""
+    queue = app.broker.topic(app.topic_name).partition(partition)
+    records = {record.offset: record for record in queue.snapshot()}
+    return [records[offset] for offset in offsets]
+
+
 # ---------------------------------------------------------------------------
 # outbox coalescing under fan-in
 # ---------------------------------------------------------------------------
@@ -133,8 +140,9 @@ def test_stale_entry_in_mixed_batch_fails_only_itself(monkeypatch):
         client,
         [(worker_member, Response("nobody-1")), ("ghost#0", Response("nobody-2"))],
     )
-    record, stale = outcomes_of(kernel, tasks)
-    assert record.partition == worker_member
+    offset, stale = outcomes_of(kernel, tasks)
+    (record,) = landed(app, worker_member, [offset])
+    assert record.value == Response("nobody-1")
     assert isinstance(stale, StaleRouteError)
     assert router.largest_batch == 2
     ghost = app.broker.topic(app.topic_name).partition("ghost#0")
@@ -201,7 +209,7 @@ def test_linger_preserves_same_partition_send_order(monkeypatch):
     tasks = spawn_senders(
         kernel, client, [(worker_member, Response(f"ord-{i}")) for i in range(5)]
     )
-    records = outcomes_of(kernel, tasks)
+    records = landed(app, worker_member, outcomes_of(kernel, tasks))
     assert [record.value.request_id for record in records] == [
         f"ord-{i}" for i in range(5)
     ]
@@ -243,7 +251,7 @@ def test_batch_overflow_drains_fifo(monkeypatch):
     tasks = spawn_senders(
         kernel, client, [(worker_member, Response(f"ovf-{i}")) for i in range(8)]
     )
-    records = outcomes_of(kernel, tasks)
+    records = landed(app, worker_member, outcomes_of(kernel, tasks))
     offsets = [record.offset for record in records]
     assert offsets == sorted(offsets)
     assert len(set(offsets)) == 8
@@ -268,7 +276,7 @@ def test_same_turn_sends_are_one_round_trip():
     tasks = spawn_senders(
         kernel, client, [(worker_member, Response(f"one-{i}")) for i in range(32)]
     )
-    records = outcomes_of(kernel, tasks)
+    records = landed(app, worker_member, outcomes_of(kernel, tasks))
     assert [record.value.request_id for record in records] == [
         f"one-{i}" for i in range(32)
     ]
@@ -290,7 +298,7 @@ def test_sends_during_a_round_trip_ride_the_next_batch_in_order(monkeypatch):
     late = spawn_senders(
         kernel, client, [(worker_member, Response(f"rt-{i}")) for i in (1, 2, 3)]
     )
-    records = outcomes_of(kernel, first + late)
+    records = landed(app, worker_member, outcomes_of(kernel, first + late))
     assert [record.value.request_id for record in records] == [
         f"rt-{i}" for i in range(4)
     ]

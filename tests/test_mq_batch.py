@@ -4,7 +4,6 @@ import pytest
 
 from repro.mq import Broker, BrokerConfig, FencedMemberError, StaleRouteError
 from repro.mq.errors import MQError
-from repro.mq.records import Record
 from repro.sim import Kernel, Latency, SimProcess
 
 
@@ -37,20 +36,25 @@ def test_produce_batch_is_one_round_trip(kernel, broker):
     async def scenario():
         return await broker.produce_batch("t", entries, "client")
 
-    records = run(kernel, scenario())
+    offsets = run(kernel, scenario())
     assert broker.produce_count == 1  # one round trip for four records
     assert broker.produce_record_count == 4
-    assert [r.partition for r in records] == ["p1", "p2", "p1", "p3"]
     # Per-partition append order follows entry order.
-    assert [r.offset for r in records] == [0, 0, 1, 0]
+    assert offsets == [0, 0, 1, 0]
+    topic = broker.topic("t")
+    landed = {
+        name: [(r.offset, r.value) for r in topic.partition(name).snapshot()]
+        for name in ("p1", "p2", "p3")
+    }
+    assert landed == {"p1": [(0, "a"), (1, "c")], "p2": [(0, "b")], "p3": [(0, "d")]}
     # One produce latency was charged, not four.
     assert kernel.now == pytest.approx(0.001)
 
 
 def test_produce_batch_charges_latency_before_appending(kernel, broker):
     async def scenario():
-        records = await broker.produce_batch("t", [("p", "a")], "c")
-        return records[0].timestamp
+        (offset,) = await broker.produce_batch("t", [("p", "a")], "c")
+        return broker.topic("t").partition("p").snapshot()[offset].timestamp
 
     assert run(kernel, scenario()) == pytest.approx(0.001)
 
@@ -107,9 +111,9 @@ def test_produce_batch_guard_rejects_only_its_partition(kernel, broker):
         )
 
     outcomes = run(kernel, scenario())
-    assert isinstance(outcomes[0], Record)
+    assert isinstance(outcomes[0], int)
     assert isinstance(outcomes[1], MQError)
-    assert isinstance(outcomes[2], Record)
+    assert isinstance(outcomes[2], int)
     assert isinstance(outcomes[3], MQError)
     assert broker.produce_count == 1
     assert broker.produce_record_count == 2
@@ -177,10 +181,10 @@ def test_send_batch_mixed_stale_destination(kernel, broker):
         )
 
     outcomes = run(kernel, scenario())
-    assert isinstance(outcomes[0], Record)
+    assert isinstance(outcomes[0], int)
     assert isinstance(outcomes[1], StaleRouteError)
-    assert isinstance(outcomes[2], Record)
-    assert [r.offset for r in outcomes if isinstance(r, Record)] == [0, 1]
+    assert isinstance(outcomes[2], int)
+    assert [outcomes[0], outcomes[2]] == [0, 1]
     assert len(broker.topic("t").partition("ghost")) == 0
 
 

@@ -1,13 +1,17 @@
 """Unit tests for partitions, topics, expiry, and producer fencing."""
 
+import gc
 import os
+import tracemalloc
 
 import pytest
 
-from repro.mq import Broker, BrokerConfig, FencedMemberError
+from repro.mq import Broker, BrokerConfig, FencedMemberError, Record
 from repro.mq.broker import Partition
 from repro.mq.log import FileJournalLog, MemoryBrokerLog
 from repro.sim import Kernel, Latency
+
+from helpers import append
 
 
 def run(kernel, coro):
@@ -33,7 +37,7 @@ def test_produce_assigns_increasing_offsets(kernel, broker):
     async def scenario():
         first = await broker.produce("t", "p", "a", "client")
         second = await broker.produce("t", "p", "b", "client")
-        return first.offset, second.offset
+        return first, second
 
     assert run(kernel, scenario()) == (0, 1)
 
@@ -42,7 +46,7 @@ def test_partitions_are_independent(kernel, broker):
     async def scenario():
         one = await broker.produce("t", "p1", "a", "c")
         two = await broker.produce("t", "p2", "b", "c")
-        return one.offset, two.offset
+        return one, two
 
     assert run(kernel, scenario()) == (0, 0)
 
@@ -132,31 +136,78 @@ def test_drop_partition(kernel, broker):
     assert "dead" not in broker.topic("t").partitions
 
 
+def appended(partition, values, stamps) -> list[Record]:
+    """Append each value at its stamp; the records they became."""
+    return [
+        Record(partition.name, append(partition, value, stamp), stamp, value)
+        for value, stamp in zip(values, stamps)
+    ]
+
+
+def columns(run) -> tuple:
+    """A run's partition, first offset, timestamps and values."""
+    return run.partition, run.first_offset, list(run.timestamps), run.values
+
+
 def test_single_record_expiry_is_amortised_and_matches_a_naive_reference():
     """Past the retention mark every read expires about one record. Expiry
-    must stay logical (a head index) and trim the one backing list only
-    rarely, while every view equals plain slicing of the full history."""
+    must stay logical (a head index) and trim the two columns only rarely,
+    and together, while every view equals plain slicing of the full
+    history."""
     total, steps = 100_000, 50_000
     broker = Broker(Kernel(), BrokerConfig(retention_seconds=float(total)))
     partition = broker.topic("t").partition("p")
-    history = [partition.append(index, float(index)) for index in range(total)]
-    backing = broker.log.image("t", "p").records
+    history = appended(partition, range(total), map(float, range(total)))
+    assert [record.offset for record in history] == list(range(total))
+    backing = broker.log.image("t", "p")
     trims = 0
     for step in range(1, steps + 1):
         now = total + step - 0.5  # records stamped 0..step-1 are now expired
-        size = len(backing._items)
+        size = len(backing._values)
         assert partition.read_from(step + 7, now, limit=3) == history[step + 7 : step + 10]
         assert partition.read_from(0, now, limit=2) == history[step : step + 2]
         assert partition.first_retained_offset == step
         assert len(partition) == total - step
         assert broker.log.compactions == step
         assert broker.log.retained_records() == total - step
-        trims += len(backing._items) < size
+        assert len(backing._stamps) == len(backing._values)
+        trims += len(backing._values) < size
         if step % 5_000 == 0:
-            assert partition.unexpired(now) == history[step:]
-            assert partition.snapshot() == history[step:]
-            assert list(broker.log.replay()) == [("t", "p", step, total, history[step:])]
+            # Whole-partition reads, column by column: the same records as
+            # ``history[step:]`` without building 95,000 of them.
+            suffix = ("p", step, [float(i) for i in range(step, total)])
+            suffix += (list(range(step, total)),)
+            assert columns(partition.unexpired(now)) == suffix
+            assert columns(partition.snapshot()) == suffix
+            ((topic, name, first, end, run),) = broker.log.replay()
+            assert (topic, name, first, end) == ("t", "p", step, total)
+            assert columns(run) == suffix
     assert trims <= 10
+
+
+def test_a_retained_record_costs_a_column_slot_not_an_object():
+    """The image keeps a record as one slot of a timestamp array and one of
+    a value list. With every record sharing one value object, the memory
+    log retains at most 32 bytes a record (two 8-byte slots and the
+    columns' growth slack), where a record object, its offset and its
+    timestamp would cost about 128."""
+    count = 20_000
+    broker = Broker(Kernel())
+    partition = broker.topic("t").partition("p")
+    shared = ("one", "value")
+    append(partition, shared, 0.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(count):
+            append(partition, shared, float(index))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(partition) == count + 1
+    assert retained / count <= 32, retained / count
 
 
 @pytest.mark.parametrize("journal", [False, True], ids=["memory", "journal"])
@@ -188,7 +239,7 @@ def check_expiry_when_due(log, path, monkeypatch):
 
     monkeypatch.setattr(Partition, "expire", counted)
     partition = broker.topic("t").partition("p")
-    history = [partition.append(index, float(index)) for index in range(5)]
+    history = appended(partition, range(5), map(float, range(5)))
     size = os.path.getsize(path) if journal else 0
 
     async def fetch():
@@ -227,12 +278,11 @@ def test_a_dropped_partition_comes_back_fresh_under_its_name(kernel, broker):
     async def produce(value):
         return await broker.produce("t", "p", value, "c")
 
-    assert [run(kernel, produce(v)).offset for v in "abc"] == [0, 1, 2]
+    assert [run(kernel, produce(v)) for v in "abc"] == [0, 1, 2]
     old = broker.topic("t").partition("p")
     broker.topic("t").drop_partition("p")
     assert broker.end_offset("t", "p") == 0
-    record = run(kernel, produce("fresh"))
-    assert record.offset == 0
+    assert run(kernel, produce("fresh")) == 0
     partition = broker.topic("t").partition("p")
     assert partition is not old
     assert broker.end_offset("t", "p") == 1

@@ -295,7 +295,10 @@ def test_record_is_delivered_one_consume_latency_after_its_append():
 
     async def sender(value, delay):
         await kernel.sleep(delay)
-        record = await alice.send("m2", value)
+        offset = await alice.send("m2", value)
+        (record,) = broker.topic("app-topic").partition("m2").read_from(
+            offset, kernel.now, 1
+        )
         appended_at.append(record.timestamp)
 
     poll_into(kernel, bob, deliveries)
@@ -306,6 +309,7 @@ def test_record_is_delivered_one_consume_latency_after_its_append():
     kernel.spawn(sender("second", 1.0 + 0.0005 + 0.0003), process=alice.process)
     kernel.run(until=10.0)
     assert [values for _t, _offsets, values in deliveries] == [["first"], ["second"]]
+    assert len(appended_at) == 2
     for (delivered, _offsets, _values), appended in zip(deliveries, appended_at):
         assert delivered == pytest.approx(appended + 0.0005, abs=1e-12)
     assert broker.consume_count == 2  # one fetch per delivered batch

@@ -18,7 +18,7 @@ from repro.core import KarApplication, KarConfig, actor_proxy
 from repro.core.envelope import Request
 from repro.mq import FileJournalLog, Record
 from repro.mq.log import JOURNAL_HEADER
-from repro.mq.records import ReplayedRecord
+from repro.mq.records import ReplayedValue
 from repro.persist import PersistenceConfig, framing
 from repro.sim import Kernel
 
@@ -108,7 +108,7 @@ def test_every_bit_flip_in_a_frame_with_frames_after_it_is_refused(ledger_journa
 def test_a_bit_flip_in_the_last_frame_truncates_it_as_a_torn_tail(ledger_journal):
     log = FileJournalLog(str(ledger_journal))
     retained = log.retained_records()
-    log.append_many("app-topic", [Record("tail#0", 0, 1.0, "tail")])
+    log.append_many("app-topic", [("tail#0", "tail")], 1.0)
     log.close()
     intact = ledger_journal.read_bytes()
     start, end, kind = frames(intact)[-1]
@@ -173,17 +173,17 @@ def test_a_rewrite_after_a_drop_and_a_new_partition_reopens_to_the_same_image(
     under the id its copied frames carry."""
     path = str(tmp_path / "app.journal")
     log = FileJournalLog(path)
-    log.append_many("t", [Record("a", 0, 0.0, "a0"), Record("b", 0, 0.0, "b0")])
-    log.append_many("t", [Record("a", 1, 0.5, "a1")])
+    log.append_many("t", [("a", "a0"), ("b", "b0")], 0.0)
+    log.append_many("t", [("a", "a1")], 0.5)
     log.drop_partition("t", "a")
-    log.append_many("t", [Record("c", 0, 1.0, "c0"), Record("a", 0, 1.0, "a-again")])
+    log.append_many("t", [("c", "c0"), ("a", "a-again")], 1.0)
     log.drop_partition("t", "b")
     log.close()
     log = FileJournalLog(path)  # the drop of "b" replayed: a new queue
-    log.append_many("t", [Record("b", 0, 1.5, "b-again")])
+    log.append_many("t", [("b", "b-again")], 1.5)
     log.close()
     log = FileJournalLog(path)  # every record replayed: frames copied below
-    log.append_many("u", [Record("b", 0, 2.0, ("u", 1))])
+    log.append_many("u", [("b", ("u", 1))], 2.0)
     image = list(log.replay())
     assert [
         (topic, part, [record.value for record in records])
@@ -199,7 +199,7 @@ def test_a_rewrite_after_a_drop_and_a_new_partition_reopens_to_the_same_image(
     log = FileJournalLog(path)
     assert list(log.replay()) == image
     # New partitions after the rewrite take ids no retained frame carries.
-    log.append_many("t", [Record("d", 0, 3.0, "d0"), Record("c", 1, 3.0, "c1")])
+    log.append_many("t", [("d", "d0"), ("c", "c1")], 3.0)
     image = list(log.replay())
     log.close()
     log = FileJournalLog(path)
@@ -221,19 +221,46 @@ def test_replayed_records_equal_the_appended_ones_and_decode_on_first_read(
     path = str(tmp_path / "app.journal")
     appended = [Record("p", offset, offset / 2, f"v{offset}") for offset in range(3)]
     log = FileJournalLog(path)
-    log.append_many("t", appended)
+    for record in appended:
+        log.append_many("t", [(record.partition, record.value)], record.timestamp)
     log.close()
     log = FileJournalLog(path)
     ((_, _, _, _, replayed),) = log.replay()
     log.close()
-    assert all(type(record) is ReplayedRecord for record in replayed)
+    entries = replayed.values
+    assert all(type(entry) is ReplayedValue for entry in entries)
     assert counted_decodes == []
-    assert replayed[1].value == "v1"
-    assert replayed[1].value == "v1"  # decoded once, then kept
+    assert entries[1].value == "v1"
+    assert entries[1].value == "v1"  # decoded once, then kept
     assert len(counted_decodes) == 1
     assert replayed == appended and appended == replayed
     assert [hash(record) for record in replayed] == [hash(r) for r in appended]
     assert len(counted_decodes) == 3
+
+
+def test_replayed_offsets_follow_each_other_or_the_journal_is_refused(tmp_path):
+    """The image does not store offsets, so replay checks them: the first
+    record of an empty partition may sit past where it starts, and every
+    later one must take the next offset. A frame that breaks that is
+    refused as corrupt, and the file is left as it was."""
+    path = tmp_path / "app.journal"
+    declare = FileJournalLog._frame_bytes(("p", "t", "p", 0))
+
+    def record(offset):
+        return FileJournalLog._record_frame(0, offset, 1.0, f"v{offset}")
+
+    path.write_bytes(JOURNAL_HEADER + declare + record(5) + record(6))
+    log = FileJournalLog(str(path))
+    ((_, _, first, next_offset, records),) = log.replay()
+    log.close()
+    assert (first, next_offset) == (0, 7)
+    assert [(r.offset, r.value) for r in records] == [(5, "v5"), (6, "v6")]
+    for late in (4, 5, 7):
+        damaged = JOURNAL_HEADER + declare + record(5) + record(late)
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="corrupt journal frame"):
+            FileJournalLog(str(path))
+        assert path.read_bytes() == damaged
 
 
 def test_compaction_copies_replayed_frames_without_decoding(tmp_path, counted_decodes):
@@ -241,7 +268,7 @@ def test_compaction_copies_replayed_frames_without_decoding(tmp_path, counted_de
     path = str(journal)
     log = FileJournalLog(path)
     log.set_meta("app:app:boot", 1)
-    log.append_many("t", [Record("p", offset, 0.0, ("v", offset)) for offset in range(6)])
+    log.append_many("t", [("p", ("v", offset)) for offset in range(6)], 0.0)
     log.compact("t", "p", 2)
     log.close()
     log = FileJournalLog(path)

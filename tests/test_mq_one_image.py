@@ -27,7 +27,7 @@ from repro.mq import (
 )
 from repro.mq.errors import StaleLeaseError
 from repro.mq.log import JOURNAL_HEADER
-from repro.mq.records import Record, RetainedRecords
+from repro.mq.records import RetainedRecords
 from repro.persist import CodecError, framing
 from repro.sim import Kernel
 
@@ -38,13 +38,11 @@ from helpers import PersistentLatch, run
 # (a) one image
 # ----------------------------------------------------------------------
 def assert_partitions_are_the_logs_images(broker: Broker) -> dict:
-    # How many RetainedRecords, anywhere in the process, hold each record.
-    holders = Counter(
-        id(item)
-        for candidate in gc.get_objects()
-        if isinstance(candidate, RetainedRecords)
-        for item in candidate._items
-    )
+    # Every RetainedRecords anywhere in the process: how many hold each
+    # value in a column slot, and each column.
+    alive = [c for c in gc.get_objects() if isinstance(c, RetainedRecords)]
+    holders = Counter(id(value) for image in alive for value in image._values)
+    columns = Counter(id(column) for i in alive for column in (i._stamps, i._values))
     images = {}
     for topic_name, topic in broker.topics.items():
         for name, partition in topic.partitions.items():
@@ -52,8 +50,9 @@ def assert_partitions_are_the_logs_images(broker: Broker) -> dict:
             assert partition._image is image
             assert partition.end_offset == image.next_offset
             assert partition.first_retained_offset == image.first_retained_offset
-            for record in partition.snapshot():
-                assert holders[id(record)] == 1
+            assert columns[id(image._stamps)] == columns[id(image._values)] == 1
+            for value in partition.snapshot().values:
+                assert holders[id(value)] == 1
             images[(topic_name, name)] = image
     assert sorted(images) == broker.log.partitions()
     return images
@@ -69,8 +68,8 @@ def test_partitions_and_log_hold_the_same_image_across_a_memory_reopen():
     latch = actor_proxy("PersistentLatch", "a")
     app.run_call(latch, "set", 7)
     before = assert_partitions_are_the_logs_images(app.broker)
-    assert sum(len(image.records) for image in before.values()) > 0
-    lists = {key: image.records._items for key, image in before.items()}
+    assert sum(len(image) for image in before.values()) > 0
+    columns = {key: (image._stamps, image._values) for key, image in before.items()}
 
     app.shutdown()
     successor = app.reopen()
@@ -80,11 +79,12 @@ def test_partitions_and_log_hold_the_same_image_across_a_memory_reopen():
     assert successor.broker.log is app.broker.log
     assert successor.run_call(latch, "get") == 7
     after = assert_partitions_are_the_logs_images(successor.broker)
-    # No copy on restart: the very same image objects and backing lists.
+    # No copy on restart: the very same image objects and columns.
     for key, image in before.items():
         if key in after:
             assert after[key] is image
-            assert image.records._items is lists[key]
+            assert image._stamps is columns[key][0]
+            assert image._values is columns[key][1]
     assert set(before) & set(after)
 
 
@@ -106,9 +106,9 @@ class FailingHooks:
         if self.hook_calls == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    def _persist_append(self, topic, records):
+    def _persist_append(self, topic, runs):
         self._tick()
-        super()._persist_append(topic, records)
+        super()._persist_append(topic, runs)
 
     def _persist_entry(self, entry):
         self._tick()
@@ -223,11 +223,11 @@ def test_refused_batch_leaves_nothing_behind(path, refusal, tmp_path):
 
     # The next append reuses the offsets and wakes the parked consumers.
     good = [(name, "good") for name, _value in entries]
-    records = run(kernel, send(broker, good))
+    offsets = run(kernel, send(broker, good))
     expected = {"p1": 2, "p2": 1}
-    for record in records:
-        assert record.offset == expected[record.partition]
-        expected[record.partition] += 1
+    for (name, _value), offset in zip(good, offsets, strict=True):
+        assert offset == expected[name]
+        expected[name] += 1
     kernel.run(until=kernel.now + 0.001)
     assert [waiter.done() for waiter in waiters] == [path != "produce", True]
     assert broker.produce_record_count == 3 + len(good)
@@ -350,7 +350,7 @@ def test_rewrite_keeps_live_metadata_and_drops_superseded_frames(tmp_path):
     log = FileJournalLog(path)
     for generation in range(1, 6):
         log.set_meta("group:app:generation", generation)
-    log.append_many("t", [Record("p", 0, 0.0, "v")])
+    log.append_many("t", [("p", "v")], 0.0)
     log.set_meta("app:app:boot", 2)
     assert [entry[0] for entry in frames(path)] == list("mmmmmprm")
     log.rewrite()
@@ -390,7 +390,7 @@ def test_a_json_sidecar_is_refused_and_the_directory_untouched(tmp_path, with_jo
     path = tmp_path / "app.journal"
     if with_journal:
         log = FileJournalLog(str(path))
-        log.append_many("t", [Record("p", 0, 0.0, "v")])
+        log.append_many("t", [("p", "v")], 0.0)
         log.close()
     (tmp_path / "app.journal.meta.json").write_bytes(b'{"app:app:boot":3}')
     before = {entry.name: entry.read_bytes() for entry in tmp_path.iterdir()}

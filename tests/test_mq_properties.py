@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.mq import Broker, BrokerConfig
 from repro.sim import Kernel, Latency
 
-from helpers import unexpired_in_order
+from helpers import append, unexpired_in_order
 
 
 def make_broker(retention=100.0):
@@ -28,7 +28,7 @@ def test_appends_preserve_order_and_offsets(values):
     kernel, broker = make_broker()
     partition = broker.topic("t").partition("p")
     for value in values:
-        partition.append(value, kernel.now)
+        append(partition, value, kernel.now)
     records = partition.read_from(0, kernel.now)
     assert [r.value for r in records] == values
     assert [r.offset for r in records] == list(range(len(values)))
@@ -44,7 +44,7 @@ def test_expiry_drops_only_old_records(entries):
     partition = broker.topic("t").partition("p")
     entries = sorted(entries, key=lambda item: item[1])
     for value, timestamp in entries:
-        partition.append(value, timestamp)
+        append(partition, value, timestamp)
     now = 60.0
     kept = partition.read_from(0, now)
     expected = [value for value, ts in entries if ts >= now - 25.0]
@@ -60,7 +60,7 @@ def test_snapshot_contains_every_partition_record(partition_choices):
     kernel, broker = make_broker()
     topic = broker.topic("t")
     for index, name in enumerate(partition_choices):
-        topic.partition(name).append(index, kernel.now)
+        append(topic.partition(name), index, kernel.now)
     snapshot = unexpired_in_order(topic, kernel.now)
     assert sorted(record.value for record in snapshot) == sorted(
         range(len(partition_choices))
@@ -73,6 +73,6 @@ def test_read_from_any_offset_is_suffix(offset):
     kernel, broker = make_broker()
     partition = broker.topic("t").partition("p")
     for value in range(40):
-        partition.append(value, kernel.now)
+        append(partition, value, kernel.now)
     records = partition.read_from(offset, kernel.now)
     assert [record.value for record in records] == list(range(40))[offset:]

@@ -319,14 +319,22 @@ def test_request_id_is_wire_field_zero_of_both_envelopes():
 
 
 def test_golden_journal_file_bytes(tmp_path):
+    # The encoder writes the pinned bytes: the partition's declaration,
+    # then the record frame with its id, offset and timestamp in place.
+    declared = FileJournalLog._frame_bytes(("p", "app.topic", "w1#0", 0))
+    record = FileJournalLog._record_frame(0, 5, 12.25, GOLDEN_RESPONSE)
+    assert declared + record == GOLDEN_JOURNAL_ENTRY
+    # A fresh journal's first append writes the header and those frames,
+    # the record at its partition's first offset.
     path = tmp_path / "golden.journal"
     log = FileJournalLog(str(path))
-    log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
+    log.append_many("app.topic", [("w1#0", GOLDEN_RESPONSE)], 12.25)
     log.close()
-    golden_file = GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY
-    assert path.read_bytes() == golden_file
-    # And the pinned bytes replay: a journal written by them still opens.
-    path.write_bytes(golden_file)
+    first = FileJournalLog._record_frame(0, 0, 12.25, GOLDEN_RESPONSE)
+    assert path.read_bytes() == GOLDEN_JOURNAL_HEADER + declared + first
+    # And the pinned bytes replay: a partition whose first retained record
+    # is at offset 5 starts at 0 and goes on at 6.
+    path.write_bytes(GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY)
     log = FileJournalLog(str(path))
     ((topic, partition, first, next_offset, records),) = log.replay()
     log.close()
@@ -359,8 +367,8 @@ GOLDEN_META_ENTRY = bytes.fromhex(
 def test_golden_journal_metadata_frame(tmp_path):
     path = tmp_path / "golden.journal"
     lease = ["app.topic", "w1", "w1#3", 3]
+    path.write_bytes(GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY)
     log = FileJournalLog(str(path))
-    log.append_many("app.topic", [Record("w1#0", 5, 12.25, GOLDEN_RESPONSE)])
     log.set_meta("lease:app.topic:w1", lease)
     log.close()
     golden_file = GOLDEN_JOURNAL_HEADER + GOLDEN_JOURNAL_ENTRY + GOLDEN_META_ENTRY
