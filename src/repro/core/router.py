@@ -10,7 +10,9 @@ of a group commit), with no task of its own:
 - the sender that finds the outbox idle is the *carrier*. It waits out
   :data:`SEND_LINGER` itself, cuts up to :data:`SEND_BATCH_MAX` envelopes
   from the outbox head (its own first) and takes them through a single
-  ``GroupMember.send_batch`` produce round trip in its own frame;
+  ``GroupMember.send_batch`` produce round trip in its own frame. A carrier
+  still alone after the linger has no batch to cut: it awaits
+  ``GroupMember.send``, the broker's one-record produce, itself;
 - every sender that arrives meanwhile is a *rider*: it parks on a future the
   carrier of its batch resolves with that entry's outcome;
 - a carrier that finds envelopes queued behind its batch promotes the rider
@@ -24,8 +26,9 @@ Semantics are those of the unbatched transport:
   still observe "durably queued" exactly when the broker acknowledged their
   record;
 - fencing is checked at append time and rejects the whole batch -- every
-  waiting sender observes :class:`FencedMemberError` and the component
-  runs its fenced-exit path;
+  waiting sender, the riders queued behind a lone carrier included,
+  observes :class:`FencedMemberError` and the component runs its
+  fenced-exit path;
 - a stale destination inside a batch fails only its own entries: the
   affected envelope is re-routed (placement invalidated, re-resolved,
   re-enqueued) while the rest of the batch lands;
@@ -175,18 +178,36 @@ class Router:
             self._carrying = True
             await self.kernel.sleep(SEND_LINGER)
         # Carrier (first, or promoted): ``own`` is at the outbox head.
+        if len(outbox) == 1:
+            # Alone: no batch to cut, one record in its own produce.
+            outbox.clear()
+            component = self.component
+            member = component.member
+            assert member is not None  # only a started component has an outbox
+            try:
+                if not component.process.alive:
+                    raise FencedMemberError(component.member_id)
+                self.batches_flushed += 1
+                self.largest_batch = self.largest_batch or 1
+                offset = await member.send(partition, envelope)
+            except Exception as error:  # noqa: BLE001 - settles the riders
+                self._carrier_failed(error)
+                raise
+            self.records_sent += 1
+            if outbox:
+                outbox[0].future.set_result(_PROMOTED)
+            else:
+                self._carrying = False
+            return offset
         batch = outbox[:SEND_BATCH_MAX]
         del outbox[:SEND_BATCH_MAX]
         try:
             outcomes = await self._flush_batch(batch)
         except FencedMemberError as error:
-            # Append-time fencing rejects whole batches: nothing was
-            # appended, and this member can never send again. Fail every
-            # waiting sender (their tasks run the fenced-exit path).
-            for entry in batch[1:] + outbox:
+            # Nothing of the batch was appended: its riders fail too.
+            for entry in batch[1:]:
                 entry.future.set_exception(error)
-            outbox.clear()
-            self._carrying = False
+            self._carrier_failed(error)
             raise
         for entry, outcome in zip(batch[1:], outcomes[1:]):
             if isinstance(outcome, Exception):
@@ -202,10 +223,31 @@ class Router:
             raise outcome
         return outcome
 
+    def _carrier_failed(self, error: Exception) -> None:
+        """Settle the riders queued behind a carrier whose send raised.
+
+        A fence fails every one of them and idles the outbox: nothing was
+        appended, and this member can never send again (their tasks run
+        the fenced-exit path). Any other error fails the carrier alone, and
+        the rider at the outbox head carries next.
+        """
+        outbox = self._outbox
+        if isinstance(error, FencedMemberError):
+            for entry in outbox:
+                entry.future.set_exception(error)
+            outbox.clear()
+            self._carrying = False
+        elif outbox:
+            outbox[0].future.set_result(_PROMOTED)
+        else:
+            self._carrying = False
+
     async def _flush_batch(
         self, batch: list[_OutboxEntry]
     ) -> Sequence[int | Exception]:
-        """One produce round trip; outcomes aligned with ``batch``.
+        """One produce round trip for a cut batch; outcomes aligned with
+        ``batch``. (A carrier alone in the outbox sends its envelope itself,
+        in :meth:`send_durable`.)
 
         An entry's outcome is its appended offset, or the exception that
         fails only its sender: a stale destination, or a payload the log
@@ -221,27 +263,28 @@ class Router:
         self.batches_flushed += 1
         self.largest_batch = max(self.largest_batch, len(batch))
         try:
-            if len(batch) == 1:
-                # Singleton batches take the single-record produce path: same
-                # round trip, same semantics, friendlier to fault injection.
-                entry = batch[0]
-                offset = await member.send(entry.partition, entry.envelope)
-                self.records_sent += 1
-                return [offset]
             outcomes = await member.send_batch(
                 [(entry.partition, entry.envelope) for entry in batch]
             )
         except FencedMemberError:
             raise
-        except Exception as error:  # noqa: BLE001 - settles the sender(s)
-            if len(batch) == 1:
-                return [error]
+        except Exception:  # noqa: BLE001 - settles the senders
             # The log refused the batch and kept none of it (the broker rolls
-            # a refused append back): carry it again entry by entry, so only
-            # the offending sender fails.
+            # a refused append back): carry it again entry by entry, each in
+            # its own produce, so only the offending sender fails.
             isolated: list[int | Exception] = []
             for entry in batch:
-                isolated += await self._flush_batch([entry])
+                if not component.process.alive:
+                    raise FencedMemberError(component.member_id) from None
+                self.batches_flushed += 1
+                try:
+                    isolated.append(await member.send(entry.partition, entry.envelope))
+                except FencedMemberError:
+                    raise
+                except Exception as error:  # noqa: BLE001 - fails one sender
+                    isolated.append(error)
+                else:
+                    self.records_sent += 1
             return isolated
         self.records_sent += sum(type(outcome) is int for outcome in outcomes)
         return outcomes

@@ -14,9 +14,10 @@ checks -- runs once per delivered batch (see ``GroupMember.poll``).
 What a partition retains is held once, in the image the broker's pluggable
 :class:`~repro.mq.log.BrokerLog` owns (columns of timestamps and values,
 no record objects): a produce round trip's values are stamped, journaled,
-then published to that image in one ``append_many``, so a refused append
-has nothing to undo; retention expiry and queue discard go through the log
-the same way. :meth:`Broker.restore_from_log` therefore only has to name
+then published to that image -- a lone produce's one record through
+``append``, a batch through one ``append_many`` -- so a refused append has
+nothing to undo; retention expiry and queue discard go through the log the
+same way. :meth:`Broker.restore_from_log` therefore only has to name
 the partitions a replayed log holds -- the journal-replay half of the
 paper's cold-restart recovery story.
 """
@@ -26,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.mq.errors import FencedMemberError, MQError, StaleLeaseError
+from repro.mq.errors import (
+    FencedMemberError,
+    MQError,
+    StaleLeaseError,
+    StaleRouteError,
+)
 from repro.mq.log import BrokerLog, MemoryBrokerLog
 from repro.mq.records import RecordRun
 from repro.sim import Kernel, Latency, _sleep
@@ -98,13 +104,19 @@ class Partition:
         values decoded.
 
         Expiry runs only when it is due: when the oldest retained record is
-        older than the retention cutoff. Inside the window a read costs no
-        scan and no compaction.
+        older than the retention cutoff, which the image's ``read`` checks
+        against the timestamp column's head in the same call. Inside the
+        window a read costs no scan and no compaction.
         """
         image = self._image
-        if image.oldest_stamp < now - self.topic.broker.config.retention_seconds:
+        run = image.read(
+            offset, limit, now - self.topic.broker.config.retention_seconds
+        )
+        if run is None:  # the oldest record is past retention
             self.expire(now)
-        return image.read(offset, limit)
+            run = image.read(offset, limit)
+            assert run is not None  # no record is stamped below -inf
+        return run
 
     def unexpired(self, now: float) -> RecordRun:
         """Every record still retained (replayed values left undecoded)."""
@@ -317,8 +329,8 @@ class Broker:
         (network + replication acks), so the returned offset is durable.
 
         ``guard``, if given, is evaluated atomically at append time; a falsy
-        result raises :class:`MQError` (typically wrapped by the caller as a
-        stale route) and nothing is appended.
+        result raises :class:`StaleRouteError` (the destination left the
+        group: its queue is being reconciled) and nothing is appended.
         """
         latency = self.config.produce_latency
         delay = latency.fixed
@@ -327,14 +339,12 @@ class Broker:
             raise FencedMemberError(client_id)
         self._check_lease(topic_name, client_id)
         if guard is not None and not guard():
-            raise MQError(f"append guard rejected {partition_name!r}")
+            raise StaleRouteError(partition_name)
         self.produce_count += 1
-        # The direct single-record path: one ``append_many`` plus the wake.
+        # The direct single-record path: one ``log.append`` plus the wake.
         if (topic_name, partition_name) not in self._partitions:
             self.topic(topic_name).partition(partition_name)
-        (offset,) = self.log.append_many(
-            topic_name, [(partition_name, value)], self.kernel.now
-        )
+        offset = self.log.append(topic_name, partition_name, value, self.kernel.now)
         self.produce_record_count += 1
         self._wake_append_waiters(topic_name, partition_name)
         return offset

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import contains
-from typing import Any, Callable
+from typing import Any, Callable, Coroutine
 
 from repro.mq.broker import Broker
 from repro.mq.errors import FencedMemberError, MQError, StaleRouteError
@@ -351,33 +351,44 @@ class GroupMember:
         self.process = process
         self.position = 0
 
-    async def send(self, partition_name: str, value: Any) -> int:
-        """Durably append ``value`` to another member's queue; returns its
-        offset.
+    def send(self, partition_name: str, value: Any) -> Coroutine[Any, Any, int]:
+        """Durably append ``value`` to another member's queue; awaiting the
+        result returns its offset.
 
         Raises :class:`StaleRouteError` if the target member left the group
         while the send was in flight (its queue is being reconciled); the
         sender must re-resolve the destination and retry. The check happens
         at append time, so a raised send appended nothing.
+
+        An unpaused, unfenced member's send is the broker's ``produce``
+        itself, with no coroutine of its own around it.
         """
+        if self.coordinator.paused or self.member_id in self.broker._fenced:
+            return self._send_after_pause(partition_name, value)
+        return self.broker.produce(
+            self.topic_name,
+            partition_name,
+            value,
+            self.member_id,
+            # ``coordinator.is_member(partition_name)``, with no Python
+            # frame: the membership dict is never rebound.
+            guard=partial(contains, self.coordinator.members, partition_name),
+        )
+
+    async def _send_after_pause(self, partition_name: str, value: Any) -> int:
+        """:meth:`send` for a paused or fenced member: wait out the pause,
+        then refuse a fenced sender or produce."""
         if self.coordinator.paused:
             await self.coordinator.wait_unpaused()
         if self.member_id in self.broker._fenced:
             raise FencedMemberError(self.member_id)
-        try:
-            return await self.broker.produce(
-                self.topic_name,
-                partition_name,
-                value,
-                self.member_id,
-                # ``coordinator.is_member(partition_name)``, with no Python
-                # frame: the membership dict is never rebound.
-                guard=partial(contains, self.coordinator.members, partition_name),
-            )
-        except FencedMemberError:
-            raise
-        except MQError:
-            raise StaleRouteError(partition_name) from None
+        return await self.broker.produce(
+            self.topic_name,
+            partition_name,
+            value,
+            self.member_id,
+            guard=partial(contains, self.coordinator.members, partition_name),
+        )
 
     async def send_batch(
         self, entries: list[tuple[str, Any]]

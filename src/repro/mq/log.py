@@ -83,13 +83,15 @@ _Staged = tuple[RetainedRecords, float, list]
 class BrokerLog:
     """The partition images and the metadata map; subclasses add durability.
 
-    The broker keeps no second copy: its partitions hand values to
-    :meth:`append_many`, which gives them offsets and timestamps, and read
-    the same :meth:`image` back. ``compact`` trims a prefix when retention
-    expires it and ``drop_partition`` discards a dead queue.
+    The broker keeps no second copy: it hands values to :meth:`append` (a
+    lone produce's one record) or :meth:`append_many` (a batch), which give
+    them offsets and timestamps, and reads the same :meth:`image` back.
+    ``compact`` trims a prefix when retention expires it and
+    ``drop_partition`` discards a dead queue.
 
-    One ordering rule for the four mutations (``append_many``, ``compact``,
-    ``drop_partition``, ``set_meta``): **journal first, image second**. The
+    One ordering rule for the five mutations (``append``, ``append_many``,
+    ``compact``, ``drop_partition``, ``set_meta``): **journal first, image
+    second**. The
     durability hook runs before anything in memory moves, so a hook that
     raises (an unencodable payload, a full disk) leaves image and metadata
     exactly as they were, agreeing with the file, and the caller has nothing
@@ -116,6 +118,23 @@ class BrokerLog:
         if image is None:
             image = self._parts[(topic, partition)] = RetainedRecords(partition)
         return image
+
+    def append(self, topic: str, partition: str, value: Any, now: float) -> int:
+        """Journal, then publish, one record; returns its offset.
+
+        The lone produce's path: stamped as :meth:`append_many` stamps, and
+        made durable through the same ``_persist_append``, with nothing to
+        stage.
+        """
+        image = self._parts.get((topic, partition))
+        if image is None:
+            image = self.image(topic, partition)
+        newest = image.newest_stamp
+        stamp = now if now > newest else newest
+        self._persist_append(topic, ((image, stamp, [value]),))
+        offset = image.push(value, stamp)
+        self.records_logged += 1
+        return offset
 
     def append_many(
         self, topic: str, entries: list[tuple[str, Any]], now: float
@@ -207,9 +226,9 @@ class BrokerLog:
     # durability hooks (no-ops in memory)
     # ------------------------------------------------------------------
     def _persist_append(self, topic: str, runs: Iterable[_Staged]) -> None:
-        """Make one ``append_many`` durable: per partition, its image (not
-        moved yet: the records go at its ``next_offset`` on), their
-        timestamp and their values."""
+        """Make one ``append`` or ``append_many`` durable: per partition,
+        its image (not moved yet: the records go at its ``next_offset`` on),
+        their timestamp and their values."""
 
     def _persist_entry(self, entry: tuple) -> None:
         """Make one compaction, drop or metadata entry durable."""

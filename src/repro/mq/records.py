@@ -189,18 +189,20 @@ class RetainedRecords:
         return len(self._values) - self._head
 
     @property
-    def oldest_stamp(self) -> float:
-        """The oldest retained record's timestamp (``inf`` with none): the
-        broker checks with it whether expiry is due."""
-        stamps, head = self._stamps, self._head
-        return stamps[head] if head < len(stamps) else _INF
-
-    @property
     def newest_stamp(self) -> float:
         """The newest retained record's timestamp (``-inf`` with none): no
         append is stamped below it."""
         stamps = self._stamps
         return stamps[-1] if self._head < len(stamps) else -_INF
+
+    def push(self, value: Any, timestamp: float) -> int:
+        """Append ``value`` at the next offset, stamped ``timestamp`` (at
+        least ``newest_stamp``: the caller's to check); returns the offset."""
+        self._values.append(value)
+        self._stamps.append(timestamp)
+        offset = self.next_offset
+        self.next_offset = offset + 1
+        return offset
 
     def extend(self, values: list[Any], timestamp: float) -> None:
         """Append ``values`` at the next offsets, each stamped
@@ -234,11 +236,20 @@ class RetainedRecords:
         self.next_offset += 1
         self._replayed_end = self.next_offset
 
-    def read(self, offset: int, limit: int | None = None) -> RecordRun:
+    def read(
+        self, offset: int, limit: int | None = None, cutoff: float = -_INF
+    ) -> RecordRun | None:
         """The retained records at offsets >= ``offset``, at most ``limit``
-        of them, with every replayed value decoded."""
+        of them, with every replayed value decoded.
+
+        ``None`` instead when the oldest retained record is stamped before
+        ``cutoff``: retention expiry is due, and the caller runs it (through
+        the log, which journals it) before it reads again.
+        """
         values, head = self._values, self._head
         end = len(values)
+        if head < end and self._stamps[head] < cutoff:
+            return None
         base = self.next_offset - end  # the offset of column position 0
         start = offset - base
         if start < head:

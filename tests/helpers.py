@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import __future__
+import inspect
+import textwrap
+
 from repro.core import Actor, KarApplication, KarConfig, actor_proxy
 from repro.kvstore import KVStore
 from repro.sim import Kernel, Latency
@@ -26,10 +30,26 @@ def append(partition, value, timestamp: float) -> int:
     """Append ``value`` to a broker partition straight through its log,
     stamped ``timestamp`` (or its newest record's, if later); the offset."""
     topic = partition.topic
-    (offset,) = topic.broker.log.append_many(
-        topic.name, [(partition.name, value)], timestamp
+    return topic.broker.log.append(topic.name, partition.name, value, timestamp)
+
+
+def skip_arm(monkeypatch, owner: type, name: str, condition: str) -> None:
+    """Replace ``owner.name`` by a copy whose ``if condition`` arm is never
+    taken (``if False and condition``), for the rest of the test."""
+    function = owner.__dict__[name]
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(f"if {condition}") == 1, (name, condition)
+    source = source.replace(f"if {condition}", f"if False and {condition}")
+    code = compile(
+        source,
+        f"<{owner.__name__}.{name} without one arm>",
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
     )
-    return offset
+    namespace: dict = {}
+    exec(code, function.__globals__, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def unexpired_in_order(topic, now: float) -> list:

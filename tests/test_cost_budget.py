@@ -36,18 +36,18 @@ from cost_probe import PACKAGES, probe
 
 #: Python calls per operation under ``src/repro``, by package.
 CEILINGS: dict[str, dict[str, float]] = {
-    "echo": {"sim": 81.56, "mq": 41.18, "core": 64.18},
+    "echo": {"sim": 81.56, "mq": 37.18, "core": 60.18},
     "ledger": {
         "sim": 98.04,
-        "mq": 20.69,
+        "mq": 20.07,
         "core": 111.67,
         "kvstore": 11.0,
         "persist": 52.0,
     },
-    "gateway": {"sim": 95.04, "mq": 41.2, "core": 77.32, "net": 43.0},
+    "gateway": {"sim": 95.04, "mq": 37.2, "core": 73.32, "net": 43.0},
     "recover": {
         "sim": 2079.0,
-        "mq": 643.0,
+        "mq": 639.0,
         "core": 2161.0,
         "kvstore": 606.0,
         "persist": 1354.0,

@@ -49,6 +49,7 @@ def test_produce_batch_is_one_round_trip(kernel, broker):
     assert landed == {"p1": [(0, "a"), (1, "c")], "p2": [(0, "b")], "p3": [(0, "d")]}
     # One produce latency was charged, not four.
     assert kernel.now == pytest.approx(0.001)
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_charges_latency_before_appending(kernel, broker):
@@ -57,6 +58,7 @@ def test_produce_batch_charges_latency_before_appending(kernel, broker):
         return broker.topic("t").partition("p").snapshot()[offset].timestamp
 
     assert run(kernel, scenario()) == pytest.approx(0.001)
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_fenced_rejects_everything(kernel, broker):
@@ -70,6 +72,7 @@ def test_produce_batch_fenced_rejects_everything(kernel, broker):
     assert broker.produce_record_count == 0
     assert len(broker.topic("t").partition("p1")) == 0
     assert len(broker.topic("t").partition("p2")) == 0
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_fencing_lands_mid_batch(kernel, broker):
@@ -92,6 +95,7 @@ def test_produce_batch_fencing_lands_mid_batch(kernel, broker):
     assert broker.produce_record_count == 0
     for partition in ("p1", "p2", "p3"):
         assert len(broker.topic("t").partition(partition)) == 0
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_guard_rejects_only_its_partition(kernel, broker):
@@ -118,6 +122,7 @@ def test_produce_batch_guard_rejects_only_its_partition(kernel, broker):
     assert broker.produce_count == 1
     assert broker.produce_record_count == 2
     assert len(broker.topic("t").partition("p2")) == 0
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_evaluates_guard_once_per_partition(kernel, broker):
@@ -134,6 +139,7 @@ def test_produce_batch_evaluates_guard_once_per_partition(kernel, broker):
 
     run(kernel, scenario())
     assert len(calls) == 1
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_empty_is_free(kernel, broker):
@@ -143,6 +149,7 @@ def test_produce_batch_empty_is_free(kernel, broker):
     assert run(kernel, scenario()) == []
     assert kernel.now == 0.0
     assert broker.produce_count == 0
+    kernel.check_no_crashes()
 
 
 def test_produce_batch_wakes_append_waiters(kernel, broker):
@@ -153,6 +160,7 @@ def test_produce_batch_wakes_append_waiters(kernel, broker):
         return True
 
     assert run(kernel, scenario())
+    kernel.check_no_crashes()
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +194,7 @@ def test_send_batch_mixed_stale_destination(kernel, broker):
     assert isinstance(outcomes[2], int)
     assert [outcomes[0], outcomes[2]] == [0, 1]
     assert len(broker.topic("t").partition("ghost")) == 0
+    kernel.check_no_crashes()
 
 
 def test_send_batch_fenced_member_raises_whole_batch(kernel, broker):
@@ -199,3 +208,4 @@ def test_send_batch_fenced_member_raises_whole_batch(kernel, broker):
 
     run(kernel, scenario())
     assert len(broker.topic("t").partition("b")) == 0
+    kernel.check_no_crashes()

@@ -40,6 +40,7 @@ def test_produce_assigns_increasing_offsets(kernel, broker):
         return first, second
 
     assert run(kernel, scenario()) == (0, 1)
+    kernel.check_no_crashes()
 
 
 def test_partitions_are_independent(kernel, broker):
@@ -49,6 +50,7 @@ def test_partitions_are_independent(kernel, broker):
         return one, two
 
     assert run(kernel, scenario()) == (0, 0)
+    kernel.check_no_crashes()
 
 
 def test_fetch_from_offset(kernel, broker):
@@ -59,6 +61,7 @@ def test_fetch_from_offset(kernel, broker):
         return [record.value for record in records]
 
     assert run(kernel, scenario()) == ["b", "c"]
+    kernel.check_no_crashes()
 
 
 def test_fetch_limit(kernel, broker):
@@ -69,6 +72,7 @@ def test_fetch_limit(kernel, broker):
         return [record.value for record in records]
 
     assert run(kernel, scenario()) == [0, 1]
+    kernel.check_no_crashes()
 
 
 def test_expiry_by_age(kernel, broker):
@@ -82,6 +86,7 @@ def test_expiry_by_age(kernel, broker):
     assert run(kernel, scenario()) == ["new"]
     partition = broker.topic("t").partition("p")
     assert partition.first_retained_offset == 1
+    kernel.check_no_crashes()
 
 
 def test_fenced_producer_rejected(kernel, broker):
@@ -94,6 +99,7 @@ def test_fenced_producer_rejected(kernel, broker):
             await broker.fetch("t", "p", 0, "victim")
 
     run(kernel, scenario())
+    kernel.check_no_crashes()
 
 
 def test_in_flight_produce_fenced(kernel, broker):
@@ -109,6 +115,7 @@ def test_in_flight_produce_fenced(kernel, broker):
     kernel.run_until_complete(task)
     partition = broker.topic("t").partition("p")
     assert len(partition) == 0
+    kernel.check_no_crashes()
 
 
 def test_wait_for_append_wakes(kernel, broker):
@@ -125,6 +132,7 @@ def test_wait_for_append_wakes(kernel, broker):
     consumer_task = kernel.spawn(consumer())
     kernel.spawn(producer())
     assert kernel.run_until_complete(consumer_task) == "hello"
+    kernel.check_no_crashes()
 
 
 def test_drop_partition(kernel, broker):
@@ -134,6 +142,7 @@ def test_drop_partition(kernel, broker):
     run(kernel, scenario())
     broker.topic("t").drop_partition("dead")
     assert "dead" not in broker.topic("t").partitions
+    kernel.check_no_crashes()
 
 
 def appended(partition, values, stamps) -> list[Record]:
@@ -272,6 +281,7 @@ def check_expiry_when_due(log, path, monkeypatch):
         assert os.path.getsize(path) == size + len(frame)
         with open(path, "rb") as handle:
             assert handle.read()[size:] == frame
+    kernel.check_no_crashes()
 
 
 def test_a_dropped_partition_comes_back_fresh_under_its_name(kernel, broker):
@@ -288,6 +298,7 @@ def test_a_dropped_partition_comes_back_fresh_under_its_name(kernel, broker):
     assert broker.end_offset("t", "p") == 1
     fetched = run(kernel, broker.fetch("t", "p", 0, "c"))
     assert [(r.offset, r.value) for r in fetched] == [(0, "fresh")]
+    kernel.check_no_crashes()
 
 
 def test_restore_from_log_registers_every_replayed_partition(tmp_path):
@@ -313,6 +324,8 @@ def test_restore_from_log_registers_every_replayed_partition(tmp_path):
         assert [record.value for record in fetched] == [1, 2]
         assert restored.topics[topic].partitions[partition].end_offset == 3
     restored.log.close()
+    kernel.check_no_crashes()
+    restored.kernel.check_no_crashes()
 
 
 def test_end_offset_of_an_unknown_partition_is_zero_and_creates_nothing(broker):

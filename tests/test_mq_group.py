@@ -43,6 +43,7 @@ def test_join_creates_generation():
     assert group.member_ids() == ("m1",)
     assert group.leader == "m1"
     assert not group.paused
+    kernel.check_no_crashes()
 
 
 def test_simultaneous_joins_coalesce():
@@ -53,6 +54,7 @@ def test_simultaneous_joins_coalesce():
     kernel.run(until=5.0)
     assert group.generation == 1
     assert group.member_ids() == ("m1", "m2", "m3")
+    kernel.check_no_crashes()
 
 
 def test_duplicate_member_rejected():
@@ -64,6 +66,7 @@ def test_duplicate_member_rejected():
     # first step is a "never awaited" RuntimeWarning at collection time.
     kernel.run(until=1.0)
     assert group.member_ids() == ("m1",)
+    kernel.check_no_crashes()
 
 
 def test_failure_detected_within_session_timeout():
@@ -90,6 +93,7 @@ def test_failure_detected_within_session_timeout():
     assert 6.9 <= detection <= 11.1
     consensus = record.completed_at - record.triggered_at
     assert 2.2 <= consensus <= 3.3
+    kernel.check_no_crashes()
 
 
 def test_evicted_member_cannot_send():
@@ -111,6 +115,7 @@ def test_evicted_member_cannot_send():
             await member.send("other", "stale")
 
     kernel.run_until_complete(kernel.spawn(zombie_send()))
+    kernel.check_no_crashes()
 
 
 def test_group_stays_paused_until_resume():
@@ -123,6 +128,7 @@ def test_group_stays_paused_until_resume():
     assert group.paused  # nobody called resume
     group.resume(1)
     assert not group.paused
+    kernel.check_no_crashes()
 
 
 def test_stale_resume_ignored():
@@ -141,6 +147,7 @@ def test_stale_resume_ignored():
     assert group.paused
     group.resume(2)
     assert not group.paused
+    kernel.check_no_crashes()
 
 
 def test_send_and_poll_roundtrip():
@@ -161,6 +168,7 @@ def test_send_and_poll_roundtrip():
     receiver_task = kernel.spawn(receiver(), process=p2)
     kernel.spawn(sender(), process=p1)
     assert kernel.run_until_complete(receiver_task) == {"msg": "hi"}
+    kernel.check_no_crashes()
 
 
 def test_send_blocks_while_paused():
@@ -179,6 +187,7 @@ def test_send_blocks_while_paused():
     group.resume(group.generation)
     kernel.run(until=31.0)
     assert len(sent_at) == 1
+    kernel.check_no_crashes()
 
 
 def test_failure_during_rebalance_restarts_it():
@@ -200,6 +209,7 @@ def test_failure_during_rebalance_restarts_it():
     # Both failures eventually reflected in history.
     failed = {name for record in group.history for name in record.failed}
     assert failed == {"a", "b"}
+    kernel.check_no_crashes()
 
 
 def test_leader_is_lowest_member_id():
@@ -209,6 +219,7 @@ def test_leader_is_lowest_member_id():
         group.join(name, SimProcess(name))
     kernel.run(until=5.0)
     assert group.leader == "ma"
+    kernel.check_no_crashes()
 
 
 def test_empty_group_resumes_itself():
@@ -220,6 +231,7 @@ def test_empty_group_resumes_itself():
     kernel.run(until=60.0)
     assert group.member_ids() == ()
     assert not group.paused
+    kernel.check_no_crashes()
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +256,7 @@ def test_rebuilt_coordinator_resumes_the_generation_with_a_clean_session():
     kernel.run(until=10.0)
     assert rebuilt.generation == 2  # numbering continues, never restarts
     assert rebuilt.history[-1].joined == ("m2",)
+    kernel.check_no_crashes()
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +299,7 @@ def test_idle_member_performs_no_fetch():
     assert broker.consume_count == 0
     # Peeking at the end offset created nothing either.
     assert "m2" not in broker.topic("app-topic").partitions
+    kernel.check_no_crashes()
 
 
 def test_record_is_delivered_one_consume_latency_after_its_append():
@@ -313,6 +327,7 @@ def test_record_is_delivered_one_consume_latency_after_its_append():
     for (delivered, _offsets, _values), appended in zip(deliveries, appended_at):
         assert delivered == pytest.approx(appended + 0.0005, abs=1e-12)
     assert broker.consume_count == 2  # one fetch per delivered batch
+    kernel.check_no_crashes()
 
 
 def test_member_fenced_while_parked_raises_at_its_next_wake():
@@ -334,6 +349,7 @@ def test_member_fenced_while_parked_raises_at_its_next_wake():
     kernel.run(until=9.0)
     assert len(outcome) == 1 and isinstance(outcome[0], FencedMemberError)
     assert broker.consume_count == 0
+    kernel.check_no_crashes()
 
 
 def test_records_appended_under_a_pause_wait_for_resume():
@@ -348,6 +364,7 @@ def test_records_appended_under_a_pause_wait_for_resume():
     group.resume(group.generation)
     kernel.run(until=9.0)
     assert deliveries == [(pytest.approx(8.0005), [0], ["held"])]
+    kernel.check_no_crashes()
 
 
 def test_bounded_poll_drains_a_backlog_without_parking():
@@ -363,6 +380,7 @@ def test_bounded_poll_drains_a_backlog_without_parking():
         pytest.approx(5.0 + 0.0005 * batch) for batch in (1, 2, 3)
     ]
     assert broker.consume_count == 3
+    kernel.check_no_crashes()
 
 
 def test_interleaved_producers_deliver_gap_free_and_in_order():
@@ -388,6 +406,7 @@ def test_interleaved_producers_deliver_gap_free_and_in_order():
         assert [index for t, index in values if t == tag] == list(range(500))
     # One fetch per delivered batch, never one per poll interval.
     assert broker.consume_count == len(deliveries)
+    kernel.check_no_crashes()
 
 
 def test_parked_consumer_skips_a_gap_that_retention_expired():
@@ -407,3 +426,4 @@ def test_parked_consumer_skips_a_gap_that_retention_expired():
     kernel.run(until=21.0)
     assert deliveries == [(pytest.approx(20.0005), [3], ["fresh"])]
     assert broker.consume_count == 2
+    kernel.check_no_crashes()

@@ -243,6 +243,10 @@ def append(kernel, broker):
     broker.produce_internal_batch("t", [("p", "late"), ("q", "late")])
 
 
+def append_one(kernel, broker):
+    assert broker.log.append("t", "p", "late", kernel.now) == 3
+
+
 def compact(kernel, broker):
     assert broker.topic("t").partition("p").expire(kernel.now) == 2
 
@@ -268,7 +272,7 @@ def bump_generation(kernel, broker):
         assert group.generation == (journaled or 0)
 
 
-MUTATIONS = [append, compact, drop, set_meta, move_lease, bump_generation]
+MUTATIONS = [append, append_one, compact, drop, set_meta, move_lease, bump_generation]
 
 
 @pytest.mark.parametrize("flavor", ["memory", "journal"])
@@ -301,6 +305,23 @@ def test_a_failing_hook_leaves_memory_where_the_file_is(mutate, flavor, tmp_path
             broker.acquire_partition_lease("t", "w", "w#1", 1)
     assert_reopened_journal_equals_the_image(broker)
     log.close()
+
+
+def test_a_lone_append_journals_and_stamps_as_append_many_does(tmp_path):
+    one = FileJournalLog(str(tmp_path / "one.journal"))
+    many = FileJournalLog(str(tmp_path / "many.journal"))
+    # 1.0 comes after 2.0, so it is stamped 2.0; "q" declares a second id.
+    for partition, value, now in [("p", "a", 2.0), ("p", "b", 1.0), ("q", "c", 3.0)]:
+        offset = one.append("t", partition, value, now)
+        assert [offset] == many.append_many("t", [(partition, value)], now)
+    assert list(one.replay()) == list(many.replay())
+    assert [r.timestamp for r in one.image("t", "p").run()] == [2.0, 2.0]
+    assert one.records_logged == many.records_logged == 3
+    one.close()
+    many.close()
+    assert frames(one.path) == frames(many.path)
+    with open(one.path, "rb") as a, open(many.path, "rb") as b:
+        assert a.read() == b.read()
 
 
 # ----------------------------------------------------------------------

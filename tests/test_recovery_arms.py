@@ -13,9 +13,6 @@ needed by at least one behaviour a test can see.
 
 from __future__ import annotations
 
-import __future__
-import inspect
-import textwrap
 from dataclasses import replace
 
 import pytest
@@ -28,28 +25,9 @@ from repro.core.router import Router
 from repro.obs import guarantee_violations
 from repro.sim import Latency
 
-from helpers import make_app
+from helpers import make_app, skip_arm
 from test_core_failures import find_host
 from test_core_overload import trip
-
-
-def skip_arm(monkeypatch, owner: type, name: str, condition: str) -> None:
-    """Replace ``owner.name`` by a copy whose ``if condition`` arm is never
-    taken (``if False and condition``), for the rest of the test."""
-    function = owner.__dict__[name]
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(f"if {condition}") == 1, (name, condition)
-    source = source.replace(f"if {condition}", f"if False and {condition}")
-    code = compile(
-        source,
-        f"<{owner.__name__}.{name} without one arm>",
-        "exec",
-        flags=__future__.annotations.compiler_flag,
-        dont_inherit=True,
-    )
-    namespace: dict = {}
-    exec(code, function.__globals__, namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def settle_to_end(app, seconds: float = 30.0) -> list[str]:
